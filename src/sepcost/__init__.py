@@ -21,13 +21,12 @@ from .diff_engine import (
     max_relative_error,
     no_grad,
 )
-from .dsp import BandMatrix, MagnitudeFrames, OctaveBandFrames, band_energies, frame_stft, octave_band_matrix
+from .dsp import BandMatrix, octave_band_matrix
 from .losses import (
     CompositeCost,
     CostComponent,
     StoiConfig,
-    composite_loss,
-    inner_product,
+    composite_terms,
     mse_loss,
     normalize_cost_scales,
     parse_cost_spec,

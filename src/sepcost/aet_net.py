@@ -107,6 +107,22 @@ class SeparatorParams:
         return positive / engine.sum_(positive, axis=1, keepdims=True)
 
 
+def param_shapes(cfg: NetConfig) -> dict[str, tuple[int, int]]:
+    """Shape of every parameter tensor, keyed as in SeparatorParams.tensors()."""
+    k, hidden = cfg.components, cfg.hidden
+    shapes = {
+        "analysis": (k, cfg.filter_len),
+        "smoothing_raw": (k, cfg.smoothing_width),
+        "w1": (hidden, k),
+        "b1": (hidden, 1),
+        "w2": (k, hidden),
+        "b2": (k, 1),
+    }
+    if cfg.weight_sharing == "independent":
+        shapes["synthesis"] = (k, cfg.filter_len)
+    return shapes
+
+
 def init_params(seed: int, cfg: NetConfig = NetConfig()) -> SeparatorParams:
     """Deterministic uniform [-a, a] init with a = sqrt(6 / (fan_in + fan_out)).
 
@@ -114,23 +130,20 @@ def init_params(seed: int, cfg: NetConfig = NetConfig()) -> SeparatorParams:
     after normalization).
     """
     rng = np.random.default_rng(seed)
+    shapes = param_shapes(cfg)
     k, taps, hidden = cfg.components, cfg.filter_len, cfg.hidden
     bound_bank = np.sqrt(6.0 / (taps + k))
-    analysis = parameter(rng.uniform(-bound_bank, bound_bank, size=(k, taps)))
+    analysis = parameter(rng.uniform(-bound_bank, bound_bank, size=shapes["analysis"]))
     synthesis = None
-    if cfg.weight_sharing == "independent":
-        synthesis = parameter(rng.uniform(-bound_bank, bound_bank, size=(k, taps)))
-    w1 = parameter(rng.uniform(-np.sqrt(6.0 / (k + hidden)), np.sqrt(6.0 / (k + hidden)), size=(hidden, k)))
-    w2 = parameter(rng.uniform(-np.sqrt(6.0 / (hidden + k)), np.sqrt(6.0 / (hidden + k)), size=(k, hidden)))
-    b1 = parameter(np.zeros((hidden, 1)))
-    b2 = parameter(np.zeros((k, 1)))
+    if "synthesis" in shapes:
+        synthesis = parameter(rng.uniform(-bound_bank, bound_bank, size=shapes["synthesis"]))
+    w1 = parameter(rng.uniform(-np.sqrt(6.0 / (k + hidden)), np.sqrt(6.0 / (k + hidden)), size=shapes["w1"]))
+    w2 = parameter(rng.uniform(-np.sqrt(6.0 / (hidden + k)), np.sqrt(6.0 / (hidden + k)), size=shapes["w2"]))
+    b1 = parameter(np.zeros(shapes["b1"]))
+    b2 = parameter(np.zeros(shapes["b2"]))
     # softplus(log(e - 1)) = 1, so the normalized kernel is exactly uniform
-    smoothing_raw = parameter(np.full((k, cfg.smoothing_width), np.log(np.e - 1.0)))
+    smoothing_raw = parameter(np.full(shapes["smoothing_raw"], np.log(np.e - 1.0)))
     return SeparatorParams(cfg, analysis, smoothing_raw, w1, b1, w2, b2, synthesis)
-
-
-def num_frames(n_samples: int, cfg: NetConfig) -> int:
-    return (n_samples - cfg.filter_len) // cfg.stride + 1
 
 
 def analysis_forward(w, params: SeparatorParams) -> AetRepresentation:

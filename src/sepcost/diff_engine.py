@@ -8,10 +8,10 @@ so constant branches of a loss cost nothing at backward time.
 
 The op set is exactly what the separation losses and network need:
 strided 1-D convolution and its transpose, dense affine maps, softplus,
-elementwise arithmetic / min / clamp / abs, inner products, L2 norms,
-axis reductions, concatenation/stacking, basic slicing, and a linear
-gather used for in-graph resampling. There is no dynamic control flow
-and no higher-order differentiation.
+elementwise arithmetic / min / abs / square / sqrt, inner products, L2
+norms, axis reductions, concatenation/stacking, basic slicing, a
+magnitude STFT, and a linear gather used for in-graph resampling. There
+is no dynamic control flow and no higher-order differentiation.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .errors import NotScalar, ShapeError, UnsupportedOp
+from .errors import NotScalar, ShapeError
 
 _grad_enabled = True
 
@@ -217,18 +217,6 @@ def minimum(a, b) -> Tensor:
     return _result(out, (a, b), bw)
 
 
-def clamp(x, lo: float, hi: float) -> Tensor:
-    """Clip to [lo, hi]; gradient passes through on the closed interval."""
-    x = as_tensor(x)
-    inside = (x.data >= lo) & (x.data <= hi)
-    out = np.clip(x.data, lo, hi)
-
-    def bw(g):
-        _accum(x, g * inside)
-
-    return _result(out, (x,), bw)
-
-
 def abs_(x) -> Tensor:
     """Elementwise |x|; the subgradient at 0 is 0."""
     x = as_tensor(x)
@@ -350,15 +338,6 @@ def getitem(x, key) -> Tensor:
         _accum(x, full)
 
     return _result(out.copy(), (x,), bw)
-
-
-def reshape(x, shape) -> Tensor:
-    x = as_tensor(x)
-
-    def bw(g):
-        _accum(x, np.asarray(g).reshape(x.data.shape))
-
-    return _result(x.data.reshape(shape), (x,), bw)
 
 
 def concatenate(tensors: Iterable, axis: int = 0) -> Tensor:
@@ -540,42 +519,6 @@ def _dft_matrices(frame_len: int, fft_len: int, window_bytes: bytes):
 
 # ---------------------------------------------------------------------------
 # graph evaluation
-
-_OPS = {
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "div": div,
-    "minimum": minimum,
-    "clamp": clamp,
-    "abs": abs_,
-    "square": square,
-    "sqrt": sqrt,
-    "softplus": softplus,
-    "dot": dot,
-    "sum": sum_,
-    "mean": mean,
-    "norm": norm,
-    "getitem": getitem,
-    "reshape": reshape,
-    "concatenate": concatenate,
-    "stack": stack,
-    "matmul": matmul,
-    "conv1d": conv1d,
-    "conv1d_transpose": conv1d_transpose,
-    "gather_linear": gather_linear,
-    "stft_magnitude": stft_magnitude,
-}
-
-
-def apply_op(name: str, *args, **kwargs) -> Tensor:
-    """Dispatch an op by name; unknown names raise UnsupportedOp."""
-    try:
-        fn = _OPS[name]
-    except KeyError:
-        raise UnsupportedOp(f"no op named {name!r}") from None
-    return fn(*args, **kwargs)
-
 
 def evaluate_with_gradient(graph: Graph, inputs: Mapping[str, np.ndarray], wrt):
     """Run a scalar graph forward and backward.

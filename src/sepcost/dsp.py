@@ -1,7 +1,8 @@
-"""Framed magnitude STFT and one-third-octave band grouping.
+"""Analysis window and one-third-octave band grouping.
 
-Shared front-end for the intelligibility loss and the intelligibility
-metric: both consume the same band matrix and the same framing rules.
+Constants of the intelligibility front end: the loss and the metric
+both run `diff_engine.stft_magnitude` with this window and pool its bins
+with this band matrix.
 """
 
 from __future__ import annotations
@@ -12,21 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ShapeError, SignalTooShort
-from .signal_io import Waveform
-
 log = logging.getLogger(__name__)
-
-
-@dataclass
-class MagnitudeFrames:
-    """Nonnegative |STFT| values, shape (fft_len/2 + 1 bins, M frames)."""
-
-    values: np.ndarray
-    frame_len: int
-    fft_len: int
-    hop: int
-    sample_rate: int
 
 
 @dataclass
@@ -46,39 +33,9 @@ class BandMatrix:
         return self.weights.shape[0]
 
 
-@dataclass
-class OctaveBandFrames:
-    """Band-pooled magnitudes, shape (J bands, M frames)."""
-
-    values: np.ndarray
-    band_edges: list[tuple[float, float]]
-
-
 def hann_periodic(n: int) -> np.ndarray:
     """Periodic (DFT-even) Hann window of length n."""
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
-
-
-def frame_count(n_samples: int, frame_len: int, hop: int) -> int:
-    return (n_samples - frame_len) // hop + 1
-
-
-def frame_stft(w: Waveform, frame_len: int = 256, fft_len: int = 512, hop: int = 128) -> MagnitudeFrames:
-    """Magnitude STFT over Hann-windowed frames zero-padded to fft_len.
-
-    Frame m covers samples [m*hop, m*hop + frame_len); trailing samples
-    that do not fill a frame are dropped.
-    """
-    if frame_len > fft_len:
-        raise ShapeError("frame_len must not exceed fft_len")
-    if hop <= 0:
-        raise ValueError("hop must be positive")
-    x = w.samples
-    if x.size < frame_len:
-        raise SignalTooShort(f"need at least {frame_len} samples, got {x.size}")
-    frames = np.lib.stride_tricks.sliding_window_view(x, frame_len)[::hop]
-    spec = np.fft.rfft(frames * hann_periodic(frame_len), n=fft_len, axis=1)
-    return MagnitudeFrames(np.abs(spec).T.copy(), frame_len, fft_len, hop, w.sample_rate)
 
 
 @lru_cache(maxsize=16)
@@ -120,41 +77,3 @@ def octave_band_matrix(
         len(rows), num_bands, sample_rate, fft_len,
     )
     return BandMatrix(weights, edges, centers)
-
-
-def band_energies(mag: MagnitudeFrames, bands: BandMatrix, pool: str = "l2") -> OctaveBandFrames:
-    """Pool magnitude bins into octave bands.
-
-    "l2" takes the root of band-summed power (the standard reduction);
-    "l1" sums magnitudes directly.
-    """
-    if bands.weights.shape[1] != mag.values.shape[0]:
-        raise ShapeError(
-            f"band matrix expects {bands.weights.shape[1]} bins, magnitudes have {mag.values.shape[0]}"
-        )
-    if pool == "l2":
-        values = np.sqrt(bands.weights @ (mag.values**2))
-    elif pool == "l1":
-        values = bands.weights @ mag.values
-    else:
-        raise ValueError(f"unknown pooling {pool!r}")
-    return OctaveBandFrames(values, list(bands.band_edges))
-
-
-@lru_cache(maxsize=16)
-def stft_conv_filters(frame_len: int, fft_len: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cosine/sine filter banks realizing the windowed zero-padded DFT.
-
-    Convolving a signal with these (stride = hop) gives the real and
-    (negated) imaginary parts of the frame DFT, so sqrt(cos^2 + sin^2)
-    equals the magnitude STFT bin for bin.
-    """
-    win = hann_periodic(frame_len)
-    t = np.arange(frame_len)
-    k = np.arange(fft_len // 2 + 1)[:, None]
-    phase = 2.0 * np.pi * k * t[None, :] / fft_len
-    cos_f = win[None, :] * np.cos(phase)
-    sin_f = win[None, :] * np.sin(phase)
-    cos_f.setflags(write=False)
-    sin_f.setflags(write=False)
-    return cos_f, sin_f

@@ -33,10 +33,6 @@ class NotScalar(SepcostError):
     """Gradient evaluation requires a scalar-valued output."""
 
 
-class UnsupportedOp(SepcostError):
-    """Requested op is outside the engine's op set."""
-
-
 class DegenerateScale(SepcostError):
     """Cost normalization received a zero or negative initial loss."""
 

@@ -42,7 +42,6 @@ class StoiConfig:
     clip_db: float = -15.0
     analysis_rate: int = 10000
     epsilon: float = 1e-12
-    band_pool: str = "l2"
 
     def __post_init__(self):
         if self.segment_frames < 1:
@@ -51,8 +50,6 @@ class StoiConfig:
             raise ValueError("hop must be half the frame length")
         if self.clip_db >= 0:
             raise ValueError("clip_db must be negative")
-        if self.band_pool not in ("l2", "l1"):
-            raise ValueError("band_pool must be 'l2' or 'l1'")
 
     @property
     def clip_factor(self) -> float:
@@ -75,13 +72,6 @@ def _pair(x, y) -> tuple[Tensor, Tensor, int | None]:
     return xt, yt, rx if rx is not None else ry
 
 
-def inner_product(a, b) -> Tensor:
-    """<a, b> = sum_i a_i b_i over equal-length vectors."""
-    at, _ = _signal(a)
-    bt, _ = _signal(b)
-    return engine.dot(at, bt)
-
-
 def mse_loss(x, y) -> Tensor:
     """Mean squared sample error."""
     xt, yt, _ = _pair(x, y)
@@ -89,13 +79,23 @@ def mse_loss(x, y) -> Tensor:
 
 
 def sdr_loss(x, y, epsilon: float = EPS) -> Tensor:
-    """Distortion surrogate: scale-invariant, minimized when x is proportional to y."""
+    """Distortion surrogate: scale-invariant, minimized when x is proportional to y.
+
+    This is the correlation form of SI-SDR (Le Roux et al., "SDR -
+    half-baked or well done?", arXiv 1811.02508): with rho the cosine
+    between x and y, the loss is 1 / (|y|^2 rho^2), and SI-SDR is
+    10 log10(rho^2 / (1 - rho^2)).
+    """
     xt, yt, _ = _pair(x, y)
     return engine.dot(xt, xt) / (engine.square(engine.dot(xt, yt)) + epsilon)
 
 
 def sir_loss(x, y, z, epsilon: float = EPS) -> Tensor:
-    """Interference surrogate: correlation with z over correlation with y."""
+    """Interference surrogate: correlation with z over correlation with y.
+
+    Assumes y and z are orthogonal in time (y ⟂ z), so that <x,y> and
+    <x,z> measure the target and interference parts of x separately.
+    """
     xt, yt, _ = _pair(x, y)
     zt, _ = _signal(z)
     if zt.data.shape != xt.data.shape:
@@ -106,8 +106,9 @@ def sir_loss(x, y, z, epsilon: float = EPS) -> Tensor:
 def sar_loss(x, y, z, epsilon: float = EPS) -> Tensor:
     """Artifact surrogate: estimate energy over its projection onto span{y, z}.
 
-    Assumes y and z are orthogonal in time; minimized by any x inside the span
-    (the identity map on the mixture, in particular).
+    Assumes y and z are orthogonal in time (y ⟂ z), so the two projections
+    add; minimized by any x inside the span (the identity map on the
+    mixture, in particular).
     """
     xt, yt, _ = _pair(x, y)
     zt, _ = _signal(z)
@@ -129,9 +130,7 @@ def _band_frames_graph(t: Tensor, cfg: StoiConfig) -> Tensor:
         t, cfg.frame_len, cfg.fft_len, cfg.hop, dsp.hann_periodic(cfg.frame_len)
     )
     bands = dsp.octave_band_matrix(cfg.analysis_rate, cfg.fft_len, cfg.num_bands, cfg.lowest_center)
-    if cfg.band_pool == "l2":
-        return engine.sqrt(engine.matmul(bands.weights, engine.square(mag)))
-    return engine.matmul(bands.weights, mag)
+    return engine.sqrt(engine.matmul(bands.weights, engine.square(mag)))
 
 
 def _segment_stack(bands: Tensor, seg_len: int, n_positions: int) -> Tensor:
@@ -215,13 +214,6 @@ class CompositeCost:
         if sum(c.weight for c in self.components) <= 0:
             raise ValueError("total weight must be positive")
 
-    @property
-    def kinds(self) -> tuple[str, ...]:
-        return tuple(c.kind for c in self.components)
-
-    def needs_interference(self) -> bool:
-        return any(c.kind in ("sir", "sar") for c in self.components)
-
 
 def parse_cost_spec(spec: str) -> CompositeCost:
     """Parse a cost string such as "mse", "sdr", or "sir:0.75+sar:0.25".
@@ -280,18 +272,15 @@ def component_loss(kind: str, x, y, z=None, cfg: StoiConfig = StoiConfig(), samp
 
 def composite_terms(
     cost: CompositeCost, x, y, z=None, cfg: StoiConfig = StoiConfig(), sample_rate: int | None = None
-) -> dict[str, Tensor]:
-    """Raw (unweighted, unscaled) loss tensor per component kind."""
-    return {c.kind: component_loss(c.kind, x, y, z, cfg, sample_rate) for c in cost.components}
+) -> tuple[Tensor, dict[str, Tensor]]:
+    """(sum_i weight_i * scale_i * raw_i, {kind: raw_i}) over the cost components.
 
-
-def composite_loss(
-    cost: CompositeCost, x, y, z=None, cfg: StoiConfig = StoiConfig(), sample_rate: int | None = None
-) -> Tensor:
-    """sum_i weight_i * scale_i * raw_i over the cost components."""
-    terms = composite_terms(cost, x, y, z, cfg, sample_rate)
+    The raw terms are the unweighted, unscaled loss tensors; the total
+    is accumulated in component order.
+    """
+    terms = {c.kind: component_loss(c.kind, x, y, z, cfg, sample_rate) for c in cost.components}
     total = None
     for comp, scale in zip(cost.components, cost.scales):
         term = comp.weight * (scale * terms[comp.kind])
         total = term if total is None else total + term
-    return total
+    return total, terms

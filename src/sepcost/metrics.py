@@ -56,16 +56,20 @@ def _triple(x, y, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return xs, ys, zs
 
 
+def _project(xs: np.ndarray, ys: np.ndarray, zs: np.ndarray):
+    """(s_target, e_interf, e_artif) of validated sample arrays."""
+    s_target = (float(xs @ ys) / float(ys @ ys)) * ys
+    e_interf = (float(xs @ zs) / float(zs @ zs)) * zs
+    return s_target, e_interf, xs - s_target - e_interf
+
+
 def bss_decompose(x, y, z):
     """Split the estimate into target projection, interference projection, and residual.
 
     Returns (s_target, e_interf, e_artif) matching the input container
     type; their sum reconstructs x exactly.
     """
-    xs, ys, zs = _triple(x, y, z)
-    s_target = (float(xs @ ys) / float(ys @ ys)) * ys
-    e_interf = (float(xs @ zs) / float(zs @ zs)) * zs
-    e_artif = xs - s_target - e_interf
+    s_target, e_interf, e_artif = _project(*_triple(x, y, z))
     if isinstance(x, Waveform):
         rate = x.sample_rate
         return Waveform(s_target, rate), Waveform(e_interf, rate), Waveform(e_artif, rate)
@@ -80,8 +84,8 @@ def _ratio_db(num: float, den: float, floor: float) -> float:
 
 def bss_eval_metrics(x, y, z) -> EvalReport:
     """SDR/SIR/SAR in dB from the projection decomposition (stoi left unset)."""
-    xs, _, _ = _triple(x, y, z)
-    s_target, e_interf, e_artif = bss_decompose(_samples(x), _samples(y), _samples(z))
+    xs, ys, zs = _triple(x, y, z)
+    s_target, e_interf, e_artif = _project(xs, ys, zs)
     floor = ENERGY_FLOOR_RATIO * float(xs @ xs)
     e_st = float(s_target @ s_target)
     e_ei = float(e_interf @ e_interf)

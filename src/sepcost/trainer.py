@@ -12,6 +12,7 @@ import base64
 import binascii
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -59,7 +60,6 @@ class TrainConfig:
 @dataclass
 class Dataset:
     pairs: list[MixturePair]
-    split: str = "train"
 
 
 @dataclass
@@ -102,7 +102,7 @@ def build_dataset(
         y = resample(read_wav(targets[ti]), sample_rate)
         z = resample(read_wav(interferences[ii]), sample_rate)
         pairs.append(mix_at_snr(y, z, snr_db))
-    return Dataset(pairs, split="train")
+    return Dataset(pairs)
 
 
 def _excerpt(pair: MixturePair, cfg: TrainConfig, rng=None):
@@ -172,11 +172,7 @@ def train_step(
     estimate = aet_net.forward(Tensor(mix), params)
     x_al, y_al, z_al = _aligned_loss_inputs(estimate, y, z, cfg.trim)
 
-    terms = losses.composite_terms(cost, x_al, y_al, z_al, stoi_cfg, cfg.sample_rate)
-    total = None
-    for comp, scale in zip(cost.components, cost.scales):
-        term = comp.weight * (scale * terms[comp.kind])
-        total = term if total is None else total + term
+    total, terms = losses.composite_terms(cost, x_al, y_al, z_al, stoi_cfg, cfg.sample_rate)
     loss_value = total.item()
     if not math.isfinite(loss_value):
         raise NumericalDivergence(f"non-finite loss {loss_value!r}")
@@ -210,7 +206,7 @@ def initial_component_means(
             mix, y, z = _excerpt(pair, cfg, rng=None)
             estimate = aet_net.forward(Tensor(mix), params)
             x_al, y_al, z_al = _aligned_loss_inputs(estimate, y, z, cfg.trim)
-            terms = losses.composite_terms(cost, x_al, y_al, z_al, stoi_cfg, cfg.sample_rate)
+            _, terms = losses.composite_terms(cost, x_al, y_al, z_al, stoi_cfg, cfg.sample_rate)
             for kind, tensor in terms.items():
                 sums[kind] += tensor.item()
     return {kind: total / len(pairs) for kind, total in sums.items()}
@@ -288,10 +284,23 @@ def fit(
 
 
 def write_log(log: list[dict], path) -> None:
-    """JSON-lines training log, one object per entry."""
-    with open(path, "w") as fh:
-        for entry in log:
-            fh.write(json.dumps(entry) + "\n")
+    """JSON-lines training log, one object per entry, replaced atomically."""
+    _write_atomic(path, "".join(json.dumps(entry) + "\n" for entry in log))
+
+
+def _write_atomic(path, text: str) -> None:
+    """Write a temp file beside path, then rename it over path.
+
+    A write killed part-way leaves the previous file intact.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +329,11 @@ def save_checkpoint(
     train_cfg: TrainConfig | None = None,
     meta: dict | None = None,
 ) -> None:
-    """JSON checkpoint: config plus base64 little-endian float64 tensors."""
+    """JSON checkpoint: config plus base64 little-endian float64 tensors.
+
+    The file is replaced atomically, so an interrupted save keeps the
+    previous checkpoint.
+    """
     tensors = {name: _encode_tensor(t.data) for name, t in params.tensors().items()}
     for name, arr in opt_state.m.items():
         tensors[f"opt.m.{name}"] = _encode_tensor(arr)
@@ -335,11 +348,15 @@ def save_checkpoint(
         },
         "tensors": tensors,
     }
-    Path(path).write_text(json.dumps(doc))
+    _write_atomic(path, json.dumps(doc))
 
 
 def load_checkpoint(path):
-    """Rebuild (params, opt_state, meta) bit-exactly from a checkpoint file."""
+    """Rebuild (params, opt_state, meta) bit-exactly from a checkpoint file.
+
+    Every parameter and every Adam moment must have the shape the stored
+    network config gives it; anything else raises CorruptFile.
+    """
     try:
         doc = json.loads(Path(path).read_text())
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -356,28 +373,24 @@ def load_checkpoint(path):
     except (KeyError, TypeError) as exc:
         raise CorruptFile(f"{path}: malformed checkpoint structure") from exc
 
-    def grab(name: str) -> Tensor:
-        if name not in tensors:
-            raise CorruptFile(f"{path}: missing tensor {name!r}")
-        return parameter(_decode_tensor(tensors[name], path))
+    shapes = aet_net.param_shapes(net_cfg)
 
-    synthesis = grab("synthesis") if net_cfg.weight_sharing == "independent" else None
-    params = SeparatorParams(
-        net_cfg,
-        analysis=grab("analysis"),
-        smoothing_raw=grab("smoothing_raw"),
-        w1=grab("w1"),
-        b1=grab("b1"),
-        w2=grab("w2"),
-        b2=grab("b2"),
-        synthesis=synthesis,
-    )
+    def decode(key: str, name: str) -> np.ndarray:
+        if name not in shapes:
+            raise CorruptFile(f"{path}: tensor {key!r} names no parameter of this network")
+        if key not in tensors:
+            raise CorruptFile(f"{path}: missing tensor {key!r}")
+        arr = _decode_tensor(tensors[key], path)
+        if arr.shape != shapes[name]:
+            raise CorruptFile(f"{path}: tensor {key!r} has shape {arr.shape}, network needs {shapes[name]}")
+        return arr
+
+    params = SeparatorParams(net_cfg, **{name: parameter(decode(name, name)) for name in shapes})
     meta = dict(doc["config"].get("meta") or {})
     opt_state = OptState(step=int(meta.pop("opt_step", 0)))
-    for key, entry in tensors.items():
-        if key.startswith("opt.m."):
-            opt_state.m[key[6:]] = _decode_tensor(entry, path)
-        elif key.startswith("opt.v."):
-            opt_state.v[key[6:]] = _decode_tensor(entry, path)
+    moments = {"opt.m.": opt_state.m, "opt.v.": opt_state.v}
+    for key in tensors:
+        if key[:6] in moments:
+            moments[key[:6]][key[6:]] = decode(key, key[6:])
     meta["train"] = doc["config"].get("train")
     return params, opt_state, meta

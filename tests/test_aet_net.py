@@ -9,7 +9,6 @@ from sepcost.aet_net import (
     export_bases_csv,
     forward,
     init_params,
-    num_frames,
     order_bases_by_dominant_frequency,
     separate,
     separate_full_length,
@@ -66,10 +65,11 @@ def test_analysis_zero_input():
 
 
 def test_frame_count_formula():
-    assert num_frames(2048, NetConfig()) == 65  # floor((2048-1024)/16)+1
+    big = NetConfig()
+    assert (2048 - big.filter_len) // big.stride + 1 == 65  # floor((2048-1024)/16)+1
     p = init_params(0, SMALL)
     rep = analysis_forward(np.random.default_rng(0).standard_normal(2048), p)
-    assert rep.X.data.shape == (8, num_frames(2048, SMALL))
+    assert rep.X.data.shape == (8, (2048 - SMALL.filter_len) // SMALL.stride + 1)
 
 
 def test_modulation_carrier_identity():

@@ -3,7 +3,7 @@ import pytest
 
 from sepcost import diff_engine as E
 from sepcost.dsp import hann_periodic
-from sepcost.errors import NotScalar, ShapeError, UnsupportedOp
+from sepcost.errors import NotScalar, ShapeError
 from sepcost.signal_io import resample_plan
 
 
@@ -45,7 +45,7 @@ def test_fd_of_square_matches_derivative():
         ("sub_mul", lambda t: E.sum_(E.square((t["a"] - t["b"]) * t["a"])), {"a": (8,), "b": (8,)}),
         ("div", lambda t: E.sum_(t["a"] / (t["b"] * t["b"] + 1.0)), {"a": (6,), "b": (6,)}),
         ("minimum", lambda t: E.sum_(E.square(E.minimum(t["a"], t["b"]))), {"a": (40,), "b": (40,)}),
-        ("clamp", lambda t: E.sum_(E.square(E.clamp(t["a"], -0.5, 0.5))), {"a": (40,)}),
+        ("sum_axis", lambda t: E.sum_(E.square(E.sum_(t["a"] * t["b"], axis=0))), {"a": (5, 6), "b": (5, 6)}),
         ("abs", lambda t: E.sum_(E.abs_(t["a"]) * t["b"]), {"a": (20,), "b": (20,)}),
         ("sqrt", lambda t: E.sum_(E.sqrt(E.square(t["a"]) + 0.1)), {"a": (12,)}),
         ("softplus", lambda t: E.sum_(E.square(E.softplus(t["a"]))), {"a": (15,)}),
@@ -63,7 +63,7 @@ def test_fd_of_square_matches_derivative():
             lambda t: E.sum_(E.square(E.stack([t["a"], t["b"], t["a"]], axis=0))),
             {"a": (3, 4), "b": (3, 4)},
         ),
-        ("reshape", lambda t: E.sum_(E.square(E.reshape(t["a"], (6, 2)))), {"a": (3, 4)}),
+        ("mean_all", lambda t: E.mean(E.square(t["a"] - t["b"])), {"a": (3, 4), "b": (3, 4)}),
     ],
 )
 def test_elementwise_and_shape_ops_fd(name, graph, shapes):
@@ -150,13 +150,6 @@ def test_minimum_tie_goes_to_first():
     np.testing.assert_array_equal(b.grad, [0.0, 0.0])
 
 
-def test_clamp_boundary_gradient_passes():
-    x = E.parameter([-0.5, 0.0, 0.5, 0.7])
-    out = E.sum_(E.clamp(x, -0.5, 0.5))
-    out.backward()
-    np.testing.assert_array_equal(x.grad, [1.0, 1.0, 1.0, 0.0])
-
-
 def test_determinism_bitwise():
     rng = np.random.default_rng(18)
     inputs = {"x": rng.standard_normal(257), "f": rng.standard_normal((4, 32))}
@@ -189,13 +182,6 @@ def test_non_scalar_output_rejected():
         E.evaluate_with_gradient(lambda t: t["x"] * 2.0, {"x": np.zeros(3)}, ["x"])
     with pytest.raises(NotScalar):
         E.Tensor(np.zeros(3)).item()
-
-
-def test_unsupported_op():
-    with pytest.raises(UnsupportedOp):
-        E.apply_op("convolve_2d", E.Tensor(np.zeros(3)))
-    out = E.apply_op("add", E.Tensor([1.0]), E.Tensor([2.0]))
-    assert out.item() == 3.0
 
 
 def test_shape_errors():

@@ -1,8 +1,11 @@
+import base64
+import builtins
 import json
 
 import numpy as np
 import pytest
 
+from sepcost import trainer
 from sepcost.aet_net import NetConfig, init_params
 from sepcost.errors import CorruptFile, IncompatibleCheckpoint, NoData, NumericalDivergence
 from sepcost.losses import StoiConfig, parse_cost_spec, normalize_cost_scales
@@ -201,6 +204,81 @@ def test_checkpoint_rejects_truncation_and_bad_version(tmp_path):
     bad_payload.write_text(json.dumps(doc))
     with pytest.raises(CorruptFile):
         load_checkpoint(bad_payload)
+
+
+def _with_tensor(doc, key, arr):
+    arr = np.asarray(arr, dtype="<f8")
+    doc["tensors"][key] = {"shape": list(arr.shape), "data": base64.b64encode(arr.tobytes()).decode("ascii")}
+    return doc
+
+
+@pytest.mark.parametrize(
+    "key,arr",
+    [
+        ("b2", np.zeros((1, 1))),  # would broadcast silently in forward
+        ("w1", np.zeros((SMALL_NET.hidden, SMALL_NET.components + 1))),
+        ("opt.m.b2", np.zeros((1, 1))),
+        ("opt.v.w1", np.zeros(SMALL_NET.hidden)),
+        ("opt.m.synthesis", np.zeros((SMALL_NET.components, SMALL_NET.filter_len))),  # shared mode has none
+        ("opt.v.bias", np.zeros((SMALL_NET.components, 1))),
+    ],
+)
+def test_checkpoint_rejects_wrong_shapes_and_stray_moments(tmp_path, key, arr):
+    pair = make_pair()
+    cfg = tiny_cfg(epochs=1)
+    result = fit(Dataset([pair]), cfg, SMALL_NET, SMALL_STOI)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(result.params, result.opt_state, path, cfg)
+    load_checkpoint(path)  # the unmodified file loads
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_with_tensor(json.loads(path.read_text()), key, arr)))
+    with pytest.raises(CorruptFile, match=key):
+        load_checkpoint(bad)
+
+
+class _FailingWriter:
+    """File stand-in that writes half of what it is given, then fails."""
+
+    def __init__(self, path, mode="r"):
+        self.fh = builtins.open(path, mode)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[: len(text) // 2])
+        raise OSError("simulated write failure")
+
+
+def test_interrupted_writes_keep_previous_files(tmp_path, monkeypatch):
+    pair = make_pair()
+    cfg = tiny_cfg(epochs=1)
+    first = fit(Dataset([pair]), cfg, SMALL_NET, SMALL_STOI)
+    ckpt = tmp_path / "ckpt.json"
+    log_path = tmp_path / "log.jsonl"
+    save_checkpoint(first.params, first.opt_state, ckpt, cfg)
+    write_log(first.log, log_path)
+    ckpt_bytes, log_bytes = ckpt.read_bytes(), log_path.read_bytes()
+
+    second = fit(Dataset([pair]), tiny_cfg(epochs=2), SMALL_NET, SMALL_STOI)
+    with monkeypatch.context() as m:
+        m.setattr(trainer, "open", _FailingWriter, raising=False)
+        with pytest.raises(OSError):
+            save_checkpoint(second.params, second.opt_state, ckpt, cfg)
+        with pytest.raises(OSError):
+            write_log(second.log, log_path)
+
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.json", "log.jsonl"]
+    assert ckpt.read_bytes() == ckpt_bytes and log_path.read_bytes() == log_bytes
+    params, opt, _ = load_checkpoint(ckpt)
+    for (k, t), orig in zip(params.tensors().items(), first.params.tensors().values()):
+        np.testing.assert_array_equal(t.data, orig.data, err_msg=k)
+    for k in first.opt_state.m:
+        np.testing.assert_array_equal(opt.m[k], first.opt_state.m[k])
+        np.testing.assert_array_equal(opt.v[k], first.opt_state.v[k])
 
 
 def test_resume_matches_uninterrupted_run(tmp_path):
