@@ -153,24 +153,14 @@ def analysis_forward(w, params: SeparatorParams) -> AetRepresentation:
     if x.data.size < cfg.filter_len:
         raise SignalTooShort(f"need at least {cfg.filter_len} samples, got {x.data.size}")
     X = engine.conv1d(x, params.analysis, cfg.stride)
-    magnitude = engine.abs_(X)
 
+    # "same" convolution of |X| along frames, per component. Kept as one
+    # expression so that, without a tape, |X| and its windows are freed
+    # before the (K, width, L) product is reduced.
     width = cfg.smoothing_width
-    pad_left, pad_right = (width - 1) // 2, width // 2
-    k, n_cols = X.data.shape
-    pieces = []
-    if pad_left:
-        pieces.append(Tensor(np.zeros((k, pad_left))))
-    pieces.append(magnitude)
-    if pad_right:
-        pieces.append(Tensor(np.zeros((k, pad_right))))
-    padded = engine.concatenate(pieces, axis=1) if len(pieces) > 1 else magnitude
-
-    kernel = params.smoothing_kernel()
-    smoothed = None
-    for d in range(width):
-        term = kernel[:, d : d + 1] * padded[:, d : d + n_cols]
-        smoothed = term if smoothed is None else smoothed + term
+    pad = ((width - 1) // 2, width // 2)
+    kernel = params.smoothing_kernel()[:, :, None]
+    smoothed = engine.sum_(engine.sliding_windows(engine.abs_(X), width, pad) * kernel, axis=1)
     M = smoothed + cfg.modulation_floor
     P = X / M
     return AetRepresentation(X=X, M=M, P=P)

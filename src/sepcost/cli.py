@@ -40,25 +40,6 @@ STOI_CHECK_RATE = 10080
 
 _SECTIONS = {"train": TrainConfig, "stoi": StoiConfig, "network": NetConfig}
 
-# argparse dest -> (config section, key)
-_FLAG_MAP = {
-    "cost": ("train", "cost"),
-    "learning_rate": ("train", "learning_rate"),
-    "optimizer": ("train", "optimizer"),
-    "epochs": ("train", "epochs"),
-    "seed": ("train", "seed"),
-    "snr_db": ("train", "snr_db"),
-    "excerpt_len": ("train", "excerpt_len"),
-    "trim": ("train", "trim"),
-    "sample_rate": ("train", "sample_rate"),
-    "components": ("network", "components"),
-    "filter_len": ("network", "filter_len"),
-    "stride": ("network", "stride"),
-    "smoothing_width": ("network", "smoothing_width"),
-    "hidden_units": ("network", "hidden_units"),
-    "weight_sharing": ("network", "weight_sharing"),
-}
-
 
 def merged_config(config_path=None, args: argparse.Namespace | None = None) -> dict:
     """Defaults, overlaid with the config file, overlaid with explicit flags."""
@@ -77,10 +58,12 @@ def merged_config(config_path=None, args: argparse.Namespace | None = None) -> d
                     raise ValueError(f"unknown config key {section}.{key}")
                 merged[section][key] = value
     if args is not None:
-        for dest, (section, key) in _FLAG_MAP.items():
-            value = getattr(args, dest, None)
-            if value is not None:
-                merged[section][key] = value
+        # each config flag's argparse dest is its key, unique across sections
+        for values in merged.values():
+            for key in values:
+                value = getattr(args, key, None)
+                if value is not None:
+                    values[key] = value
     return merged
 
 

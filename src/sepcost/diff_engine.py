@@ -9,7 +9,7 @@ so constant branches of a loss cost nothing at backward time.
 The op set is exactly what the separation losses and network need:
 strided 1-D convolution and its transpose, dense affine maps, softplus,
 elementwise arithmetic / min / abs / square / sqrt, inner products, L2
-norms, axis reductions, concatenation/stacking, basic slicing, a
+norms, axis reductions, basic slicing, zero-padded sliding windows, a
 magnitude STFT, and a linear gather used for in-graph resampling. There
 is no dynamic control flow and no higher-order differentiation.
 """
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import contextlib
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -256,9 +256,8 @@ def softplus(x) -> Tensor:
     out = np.logaddexp(0.0, x.data)
 
     def bw(g):
-        xv = x.data
-        sig = np.where(xv >= 0, 1.0 / (1.0 + np.exp(-np.abs(xv))), np.exp(xv) / (1.0 + np.exp(xv)))
-        _accum(x, g * sig)
+        # sigmoid(x) = exp(x - softplus(x)); the exponent is <= 0, so no overflow
+        _accum(x, g * np.exp(x.data - out))
 
     return _result(out, (x,), bw)
 
@@ -340,28 +339,32 @@ def getitem(x, key) -> Tensor:
     return _result(out.copy(), (x,), bw)
 
 
-def concatenate(tensors: Iterable, axis: int = 0) -> Tensor:
-    ts = [as_tensor(t) for t in tensors]
-    out = np.concatenate([t.data for t in ts], axis=axis)
-    sizes = [t.data.shape[axis] for t in ts]
-    splits = np.cumsum(sizes)[:-1]
+def sliding_windows(x, width: int, pad: tuple[int, int] = (0, 0)) -> Tensor:
+    """Sliding windows along the last axis: (..., T) -> (..., width, L).
+
+    out[..., d, l] = xp[..., l + d], where xp is x with pad[0] zeros
+    before and pad[1] zeros after it, and L = T + pad[0] + pad[1] - width + 1.
+    The result is a read-only strided view into a fresh copy of xp, so it
+    holds T + pad values, not width * L. Backward overlap-adds each window
+    row into the padded extent and drops the padding.
+    """
+    x = as_tensor(x)
+    left, right = pad
+    n_in = x.data.shape[-1]
+    padded_len = n_in + left + right
+    if width < 1 or padded_len < width:
+        raise ShapeError(f"{width}-wide windows do not fit {n_in} samples padded by {pad}")
+    xp = np.pad(x.data, [(0, 0)] * (x.data.ndim - 1) + [(left, right)])
+    n_out = padded_len - width + 1
+    out = np.swapaxes(np.lib.stride_tricks.sliding_window_view(xp, width, axis=-1), -1, -2)
 
     def bw(g):
-        for t, piece in zip(ts, np.split(g, splits, axis=axis)):
-            _accum(t, piece)
+        full = np.zeros(x.data.shape[:-1] + (padded_len,))
+        for d in range(width):
+            full[..., d : d + n_out] += g[..., d, :]
+        _accum(x, full[..., left : left + n_in])
 
-    return _result(out, tuple(ts), bw)
-
-
-def stack(tensors: Iterable, axis: int = 0) -> Tensor:
-    ts = [as_tensor(t) for t in tensors]
-    out = np.stack([t.data for t in ts], axis=axis)
-
-    def bw(g):
-        for i, t in enumerate(ts):
-            _accum(t, np.take(g, i, axis=axis))
-
-    return _result(out, tuple(ts), bw)
+    return _result(out, (x,), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -133,15 +133,6 @@ def _band_frames_graph(t: Tensor, cfg: StoiConfig) -> Tensor:
     return engine.sqrt(engine.matmul(bands.weights, engine.square(mag)))
 
 
-def _segment_stack(bands: Tensor, seg_len: int, n_positions: int) -> Tensor:
-    """Stack sliding seg_len-frame windows of a (J, M) envelope: (N, J, M').
-
-    Entry [n, j, p] is band j at frame p + n, so column p holds the
-    segment ending at frame p + seg_len - 1.
-    """
-    return engine.stack([bands[:, n : n + n_positions] for n in range(seg_len)], axis=0)
-
-
 def stoi_forward(x, y, cfg: StoiConfig = StoiConfig(), sample_rate: int | None = None):
     """Short-time octave-band envelope correlation between estimate and target.
 
@@ -172,19 +163,21 @@ def stoi_forward(x, y, cfg: StoiConfig = StoiConfig(), sample_rate: int | None =
 
     bands_x = _band_frames_graph(xt, cfg)
     bands_y = _band_frames_graph(yt, cfg)
-    seg_x = _segment_stack(bands_x, n_seg, n_frames - n_seg + 1)
-    seg_y = _segment_stack(bands_y, n_seg, n_frames - n_seg + 1)
+    # (J, N, M') segments: [j, n, p] is band j at frame p + n, so column p
+    # holds the segment ending at frame p + N - 1
+    seg_x = engine.sliding_windows(bands_x, n_seg)
+    seg_y = engine.sliding_windows(bands_y, n_seg)
 
     eps = cfg.epsilon
-    norm_x = engine.norm(seg_x, axis=0)
-    norm_y = engine.norm(seg_y, axis=0)
+    norm_x = engine.norm(seg_x, axis=1, keepdims=True)
+    norm_y = engine.norm(seg_y, axis=1, keepdims=True)
     alpha = norm_y / (norm_x + eps)
     clipped = engine.minimum(alpha * seg_x, cfg.clip_factor * seg_y)
 
-    xc = clipped - engine.mean(clipped, axis=0, keepdims=True)
-    yc = seg_y - engine.mean(seg_y, axis=0, keepdims=True)
-    num = engine.sum_(xc * yc, axis=0)
-    den = engine.norm(xc, axis=0) * engine.norm(yc, axis=0) + eps
+    xc = clipped - engine.mean(clipped, axis=1, keepdims=True)
+    yc = seg_y - engine.mean(seg_y, axis=1, keepdims=True)
+    num = engine.sum_(xc * yc, axis=1)
+    den = engine.norm(xc, axis=1) * engine.norm(yc, axis=1) + eps
     d = num / den
     return engine.mean(d), d
 

@@ -223,9 +223,11 @@ def fit(
 ) -> FitResult:
     """Normalization pass, then epochs x dataset sweeps of train_step.
 
-    Each epoch visits the pairs in a seeded shuffled order. On
-    divergence the exception carries the last good state in its
-    .params/.opt_state/.log/.steps_done attributes.
+    Each epoch visits the pairs in a seeded shuffled order. resume
+    continues from a checkpoint of the same run: net_cfg and every cfg
+    field but epochs must equal the stored configs, else
+    IncompatibleCheckpoint. On divergence the exception carries the last
+    good state in its .params/.opt_state/.log/.steps_done attributes.
     """
     if not dataset.pairs:
         raise NoData("dataset is empty")
@@ -234,6 +236,13 @@ def fit(
 
     if resume is not None:
         params, opt_state, meta = load_checkpoint(resume)
+        if params.cfg != net_cfg:
+            raise IncompatibleCheckpoint(f"{resume}: network config {params.cfg} differs from {net_cfg}")
+        # a checkpoint saved without its TrainConfig is checked for the network alone
+        stored = meta["train"] or {}
+        changed = [key for key, value in stored.items() if key != "epochs" and getattr(cfg, key, None) != value]
+        if changed:
+            raise IncompatibleCheckpoint(f"{resume}: train config differs from the checkpoint in {changed}")
         steps_done = int(meta["steps_done"])
         cost = CompositeCost(cost.components, tuple(meta["cost_scales"]))
     else:

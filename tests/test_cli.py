@@ -226,6 +226,35 @@ def test_print_config_flag_overrides(capsys):
     assert merged["network"]["components"] == 32
 
 
+@pytest.mark.parametrize(
+    "flag,text,section,key,value",
+    [
+        ("--cost", "sir:0.75+sar:0.25", "train", "cost", "sir:0.75+sar:0.25"),
+        ("--learning-rate", "0.25", "train", "learning_rate", 0.25),
+        ("--optimizer", "sgd", "train", "optimizer", "sgd"),
+        ("--epochs", "7", "train", "epochs", 7),
+        ("--seed", "11", "train", "seed", 11),
+        ("--snr-db", "-5.5", "train", "snr_db", -5.5),
+        ("--excerpt-len", "8192", "train", "excerpt_len", 8192),
+        ("--trim", "256", "train", "trim", 256),
+        ("--sample-rate", "8000", "train", "sample_rate", 8000),
+        ("--components", "32", "network", "components", 32),
+        ("--filter-len", "256", "network", "filter_len", 256),
+        ("--stride", "8", "network", "stride", 8),
+        ("--smoothing-width", "3", "network", "smoothing_width", 3),
+        ("--hidden-units", "48", "network", "hidden_units", 48),
+        ("--weight-sharing", "independent", "network", "weight_sharing", "independent"),
+    ],
+)
+def test_print_config_flag_lands_in_its_key(capsys, flag, text, section, key, value):
+    assert main(["print-config"]) == 0
+    expected = json.loads(capsys.readouterr().out)
+    assert expected[section][key] != value
+    expected[section][key] = value
+    assert main(["print-config", flag, text]) == 0
+    assert json.loads(capsys.readouterr().out) == expected
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps({"train": {"coost": "sdr"}}))

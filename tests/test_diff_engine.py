@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,14 @@ def test_softplus_at_zero():
     assert out.item() == pytest.approx(np.log(2.0))
     np.testing.assert_allclose(x.grad, [0.5])
 
+    # the backward sigmoid stays finite and accurate far out in both tails
+    xs = np.array([30.0, -30.0, 700.0, -700.0])
+    x = E.parameter(xs)
+    with np.errstate(over="raise", invalid="raise"):
+        E.sum_(E.softplus(x)).backward()
+    logistic = 1.0 / (1.0 + np.exp(-xs))
+    np.testing.assert_allclose(x.grad, logistic, rtol=1e-13, atol=0.0)
+
 
 def test_fd_of_square_matches_derivative():
     graph = lambda t: E.sum_(E.square(t["x"]))
@@ -54,20 +64,20 @@ def test_fd_of_square_matches_derivative():
         ("dot", lambda t: E.dot(t["a"], t["b"]) / (E.dot(t["a"], t["a"]) + 1.0), {"a": (16,), "b": (16,)}),
         ("matmul", lambda t: E.sum_(E.square(E.matmul(t["a"], t["b"]))), {"a": (3, 5), "b": (5, 4)}),
         (
-            "concat_slice",
-            lambda t: E.sum_(E.square(E.concatenate([t["a"], t["b"]], axis=1)[:, 1:5])),
-            {"a": (2, 3), "b": (2, 4)},
+            "windows_pad",
+            lambda t: E.sum_(E.square(E.sliding_windows(t["a"], 4, (1, 2)) * t["b"])),
+            {"a": (3, 7), "b": (3, 4, 7)},
         ),
         (
-            "stack",
-            lambda t: E.sum_(E.square(E.stack([t["a"], t["b"], t["a"]], axis=0))),
-            {"a": (3, 4), "b": (3, 4)},
+            "windows_3d",
+            lambda t: E.sum_(E.square(E.sliding_windows(t["a"], 3)) * t["b"]),
+            {"a": (2, 3, 9), "b": (2, 3, 3, 7)},
         ),
         ("mean_all", lambda t: E.mean(E.square(t["a"] - t["b"])), {"a": (3, 4), "b": (3, 4)}),
     ],
 )
 def test_elementwise_and_shape_ops_fd(name, graph, shapes):
-    rng = np.random.default_rng(hash(name) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
     inputs = {k: rng.standard_normal(s) for k, s in shapes.items()}
     fd_check(graph, inputs, sorted(shapes))
 
@@ -139,6 +149,28 @@ def test_stft_magnitude_matches_rfft():
     frames = np.lib.stride_tricks.sliding_window_view(x, 64)[::32]
     ref = np.abs(np.fft.rfft(frames * win, n=128, axis=1)).T
     np.testing.assert_array_equal(mag, ref)
+
+
+def _windows_reference(x, width, pad):
+    xp = np.pad(x, [(0, 0)] * (x.ndim - 1) + [pad])
+    n_out = xp.shape[-1] - width + 1
+    return np.stack([xp[..., d : d + n_out] for d in range(width)], axis=-2)
+
+
+@pytest.mark.parametrize("shape,width,pad", [((4, 11), 5, (2, 2)), ((2, 3, 40), 30, (0, 0)), ((9,), 3, (0, 1))])
+def test_sliding_windows_match_stacked_slices(shape, width, pad):
+    x = np.random.default_rng(20).standard_normal(shape)
+    out = E.sliding_windows(E.Tensor(x), width, pad).data
+    np.testing.assert_array_equal(out, _windows_reference(x, width, pad))
+    assert not np.shares_memory(out, x)
+
+
+def test_sliding_windows_wider_than_signal_rejected():
+    E.sliding_windows(E.Tensor(np.zeros((2, 3))), 5, (1, 1))  # exactly fits: one window
+    with pytest.raises(ShapeError):
+        E.sliding_windows(E.Tensor(np.zeros((2, 3))), 6, (1, 1))
+    with pytest.raises(ShapeError):
+        E.sliding_windows(E.Tensor(np.zeros(4)), 5)
 
 
 def test_minimum_tie_goes_to_first():

@@ -298,6 +298,29 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     assert [e["total"] for e in resumed.log] == [e["total"] for e in straight.log if "step" in e][2:]
 
 
+@pytest.mark.parametrize(
+    "net_cfg,cfg",
+    [
+        (NetConfig(components=8, filter_len=64, stride=16, hidden_units=8, weight_sharing="independent"), tiny_cfg(epochs=4)),
+        (NetConfig(components=8, filter_len=64, stride=16, hidden_units=8, smoothing_width=3), tiny_cfg(epochs=4)),
+        (SMALL_NET, tiny_cfg(epochs=4, learning_rate=2e-3)),
+        (SMALL_NET, tiny_cfg(epochs=4, cost="sdr:0.5+mse:0.5")),
+        (SMALL_NET, tiny_cfg(epochs=4, seed=1)),
+    ],
+    ids=["weight_sharing", "smoothing_width", "learning_rate", "cost", "seed"],
+)
+def test_resume_rejects_changed_configs(tmp_path, net_cfg, cfg):
+    dataset = Dataset([make_pair()])
+    half = fit(dataset, tiny_cfg(epochs=2), SMALL_NET, SMALL_STOI)
+    path = tmp_path / "half.json"
+    save_checkpoint(
+        half.params, half.opt_state, path, tiny_cfg(epochs=2),
+        meta={"steps_done": half.steps_done, "cost_scales": list(half.cost.scales)},
+    )
+    with pytest.raises(IncompatibleCheckpoint):
+        fit(dataset, cfg, net_cfg, SMALL_STOI, resume=path)
+
+
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_divergence_aborts_before_update():
     pair = make_pair()
