@@ -33,9 +33,12 @@ class BandMatrix:
         return self.weights.shape[0]
 
 
+@lru_cache(maxsize=16)
 def hann_periodic(n: int) -> np.ndarray:
-    """Periodic (DFT-even) Hann window of length n."""
-    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+    """Periodic (DFT-even) Hann window of length n (cached, read-only)."""
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+    window.setflags(write=False)
+    return window
 
 
 @lru_cache(maxsize=16)

@@ -6,6 +6,7 @@ RIFF/WAVE (PCM 16-bit or IEEE float 32-bit read, PCM 16-bit write).
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -146,22 +147,31 @@ def resample_plan(n_in: int, src_rate: int, dst_rate: int):
     """Precompute the gather indices and weights of the windowed-sinc resampler.
 
     Returns (idx, weights, out_len); output j = sum_k x[idx[j, k]] * weights[j, k].
-    Rows are renormalized over in-range taps so DC is preserved exactly,
-    including at the edges.
+    Output j sits at source position j * src_rate / dst_rate = base + p / P
+    exactly, found in integers, with phase p in [0, P) and
+    P = dst_rate / gcd(src_rate, dst_rate). Tap offsets depend on p alone,
+    so the Kaiser-windowed sinc is evaluated on the P x SINC_TAPS phase grid
+    (P kernels; 5 for 16 -> 10 kHz) and each row takes its phase's kernel
+    (Smith & Gossett, ICASSP 1984). Rows are renormalized over in-range taps
+    so DC is preserved exactly, including at the edges.
     """
     out_len = int(round(n_in * dst_rate / src_rate))
     half = SINC_TAPS // 2
-    pos = np.arange(out_len) * (src_rate / dst_rate)
-    k0 = np.floor(pos).astype(np.int64) - half + 1
-    k = k0[:, None] + np.arange(SINC_TAPS)[None, :]
-    t = pos[:, None] - k
+    step = math.gcd(src_rate, dst_rate)
+    n_phases = dst_rate // step
+    base, rem = np.divmod(np.arange(out_len, dtype=np.int64) * src_rate, dst_rate)
+    taps = np.arange(SINC_TAPS)
+    # t[p, m] = p / P + half - 1 - m, one rounding from an exact integer ratio
+    t = (np.arange(n_phases)[:, None] + (half - 1 - taps) * n_phases) / n_phases
     cutoff = min(1.0, dst_rate / src_rate)
     u = t / half
     window = np.where(np.abs(u) < 1.0, np.i0(KAISER_BETA * np.sqrt(np.maximum(0.0, 1.0 - u**2))), 0.0)
     window /= np.i0(KAISER_BETA)
-    h = cutoff * np.sinc(cutoff * t) * window
+    kernels = cutoff * np.sinc(cutoff * t) * window
+    k = (base - half + 1)[:, None] + taps
     in_range = (k >= 0) & (k < n_in)
-    h = h * in_range
+    h = kernels[rem // step]
+    h *= in_range
     h /= h.sum(axis=1, keepdims=True)
     idx = np.where(in_range, k, 0)
     idx.setflags(write=False)
@@ -173,15 +183,16 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
     """Band-limited resampling via the windowed-sinc kernel above.
 
     Output length is round(len * target_rate / source_rate). Same-rate
-    input is returned unchanged (copied).
+    input is returned unchanged (copied). The sum is the forward of
+    `diff_engine.gather_linear`, so offline and in-graph resampling agree
+    bitwise.
     """
     if target_rate <= 0:
         raise ValueError("target_rate must be positive")
     if target_rate == w.sample_rate:
         return Waveform(w.samples.copy(), w.sample_rate)
     idx, weights, _ = resample_plan(len(w), w.sample_rate, target_rate)
-    out = (w.samples[idx] * weights).sum(axis=1)
-    return Waveform(out, target_rate)
+    return Waveform(np.einsum("jk,jk->j", w.samples[idx], weights), target_rate)
 
 
 def mix_at_snr(target: Waveform, interference: Waveform, snr_db: float) -> MixturePair:

@@ -3,8 +3,18 @@ import struct
 import numpy as np
 import pytest
 
+from sepcost.diff_engine import gather_linear
 from sepcost.errors import CorruptFile, ShapeError, SilentSignal, UnsupportedFormat
-from sepcost.signal_io import Waveform, mix_at_snr, read_wav, resample, write_wav
+from sepcost.signal_io import (
+    KAISER_BETA,
+    SINC_TAPS,
+    Waveform,
+    mix_at_snr,
+    read_wav,
+    resample,
+    resample_plan,
+    write_wav,
+)
 
 
 def make_wav_bytes(payload: bytes, fmt_tag=1, channels=1, rate=16000, bits=16) -> bytes:
@@ -120,6 +130,77 @@ def test_resample_duration_preserved():
         w = Waveform(rng.standard_normal(4321), 16000)
         r = resample(w, fd)
         assert abs(r.duration - w.duration) <= 1.0 / fd
+
+
+PLAN_RATES = [(16000, 10000), (10080, 10000), (16000, 11025), (44100, 16000), (8000, 10000)]
+
+
+def _float_position_idx(n_in, src_rate, dst_rate):
+    """Tap indices from the float source position j * (src / dst)."""
+    out_len = int(round(n_in * dst_rate / src_rate))
+    half = SINC_TAPS // 2
+    k0 = np.floor(np.arange(out_len) * (src_rate / dst_rate)).astype(np.int64) - half + 1
+    k = k0[:, None] + np.arange(SINC_TAPS)[None, :]
+    return np.where((k >= 0) & (k < n_in), k, 0)
+
+
+@pytest.mark.parametrize("src_rate,dst_rate", PLAN_RATES)
+def test_resample_plan_idx_matches_float_positions(src_rate, dst_rate):
+    n_in = 3 * src_rate + 17
+    idx, weights, out_len = resample_plan(n_in, src_rate, dst_rate)
+    np.testing.assert_array_equal(idx, _float_position_idx(n_in, src_rate, dst_rate))
+    assert weights.shape == (out_len, SINC_TAPS)
+    assert not idx.flags.writeable and not weights.flags.writeable
+
+
+@pytest.mark.parametrize("src_rate,dst_rate", PLAN_RATES)
+def test_resample_plan_rows_sum_to_one(src_rate, dst_rate):
+    _, weights, _ = resample_plan(2 * src_rate + 5, src_rate, dst_rate)
+    # every row, the edge rows with masked out-of-range taps included
+    np.testing.assert_allclose(weights.sum(axis=1), 1.0, rtol=0, atol=1e-14)
+
+
+def test_resample_plan_interior_rows_of_one_phase_are_identical():
+    idx, weights, out_len = resample_plan(16000, 16000, 10000)
+    # 16 -> 10 kHz has 5 phases: rows j and j + 5 share a kernel, 8 samples on
+    interior = np.arange(SINC_TAPS, out_len - SINC_TAPS)
+    for phase in range(5):
+        rows = interior[interior % 5 == phase]
+        assert (weights[rows] == weights[rows[0]]).all()
+        assert (idx[rows] - idx[rows, :1] == np.arange(SINC_TAPS)).all()
+    assert not np.array_equal(weights[interior[0]], weights[interior[1]])
+
+
+def test_resample_plan_weights_match_exact_phase_reference():
+    # 8 s at 16 kHz: source positions j * 1.6 reach 128000, where a float
+    # position has lost bits; the reference takes the exact phase from integers
+    n_in, src_rate, dst_rate = 128000, 16000, 10000
+    _, weights, out_len = resample_plan(n_in, src_rate, dst_rate)
+    ld = np.longdouble
+    half = SINC_TAPS // 2
+    # both edges and every 7th row (all 5 phases), to keep the reference small
+    j = np.unique(np.r_[:SINC_TAPS, :out_len:7, out_len - SINC_TAPS : out_len])
+    k = ((j * src_rate) // dst_rate - half + 1)[:, None] + np.arange(SINC_TAPS)
+    t = (j[:, None] * src_rate - k * dst_rate).astype(ld) / ld(dst_rate)
+    pi = ld("3.14159265358979323846264338327950288")
+    cutoff = ld(dst_rate) / ld(src_rate)
+    arg = pi * cutoff * t
+    sinc = np.where(arg == 0, ld(1), np.sin(arg) / np.where(arg == 0, ld(1), arg))
+    u = t / half
+    window = np.i0(KAISER_BETA * np.sqrt(np.maximum(ld(0), 1 - u * u))) / np.i0(ld(KAISER_BETA))
+    ref = cutoff * sinc * np.where(np.abs(u) < 1, window, ld(0))
+    ref *= (k >= 0) & (k < n_in)
+    ref /= ref.sum(axis=1, keepdims=True)
+    err = np.abs(weights[j].astype(ld) - ref).max() / np.abs(ref).max()
+    assert err < 1e-14
+
+
+@pytest.mark.parametrize("src_rate,dst_rate", PLAN_RATES)
+def test_resample_matches_in_graph_gather_bitwise(src_rate, dst_rate):
+    w = Waveform(np.random.default_rng(6).standard_normal(src_rate // 4 + 3), src_rate)
+    idx, weights, _ = resample_plan(len(w), src_rate, dst_rate)
+    in_graph = gather_linear(w.samples, idx, weights).data
+    np.testing.assert_array_equal(resample(w, dst_rate).samples, in_graph)
 
 
 def test_mix_scale_from_rms_ratio():
