@@ -354,10 +354,8 @@ def sliding_windows(x, width: int, pad: tuple[int, int] = (0, 0)) -> Tensor:
     padded_len = n_in + left + right
     if width < 1 or padded_len < width:
         raise ShapeError(f"{width}-wide windows do not fit {n_in} samples padded by {pad}")
-    if left or right:
-        xp = np.pad(x.data, [(0, 0)] * (x.data.ndim - 1) + [(left, right)])
-    else:
-        xp = x.data.copy()
+    xp = np.zeros(x.data.shape[:-1] + (padded_len,))
+    xp[..., left : left + n_in] = x.data
     n_out = padded_len - width + 1
     out = np.swapaxes(np.lib.stride_tricks.sliding_window_view(xp, width, axis=-1), -1, -2)
 

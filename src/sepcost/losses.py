@@ -50,6 +50,8 @@ class StoiConfig:
             raise ValueError("hop must be half the frame length")
         if self.clip_db >= 0:
             raise ValueError("clip_db must be negative")
+        if not isinstance(self.analysis_rate, int) or self.analysis_rate <= 0:
+            raise ValueError(f"analysis_rate must be a positive integer, got {self.analysis_rate!r}")
 
     @property
     def clip_factor(self) -> float:

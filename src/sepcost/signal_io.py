@@ -153,13 +153,17 @@ def resample_plan(n_in: int, src_rate: int, dst_rate: int):
     so the Kaiser-windowed sinc is evaluated on the P x SINC_TAPS phase grid
     (P kernels; 5 for 16 -> 10 kHz) and each row takes its phase's kernel
     (Smith & Gossett, ICASSP 1984). Rows are renormalized over in-range taps
-    so DC is preserved exactly, including at the edges.
+    so DC is preserved exactly, including at the edges. Both rates must be
+    positive integers.
     """
+    for rate in (src_rate, dst_rate):
+        if not isinstance(rate, (int, np.integer)) or rate <= 0:
+            raise ValueError(f"sample rates must be positive integers, got {rate!r}")
     out_len = int(round(n_in * dst_rate / src_rate))
     half = SINC_TAPS // 2
     step = math.gcd(src_rate, dst_rate)
     n_phases = dst_rate // step
-    base, rem = np.divmod(np.arange(out_len, dtype=np.int64) * src_rate, dst_rate)
+    base, phase = np.divmod(np.arange(out_len, dtype=np.int64) * (src_rate // step), n_phases)
     taps = np.arange(SINC_TAPS)
     # t[p, m] = p / P + half - 1 - m, one rounding from an exact integer ratio
     t = (np.arange(n_phases)[:, None] + (half - 1 - taps) * n_phases) / n_phases
@@ -170,7 +174,7 @@ def resample_plan(n_in: int, src_rate: int, dst_rate: int):
     kernels = cutoff * np.sinc(cutoff * t) * window
     k = (base - half + 1)[:, None] + taps
     in_range = (k >= 0) & (k < n_in)
-    h = kernels[rem // step]
+    h = kernels[phase]
     h *= in_range
     h /= h.sum(axis=1, keepdims=True)
     idx = np.where(in_range, k, 0)

@@ -53,8 +53,8 @@ class TrainConfig:
             raise ValueError("optimizer must be 'adam' or 'sgd'")
         if self.epochs < 0 or self.trim < 0:
             raise ValueError("epochs and trim must be nonnegative")
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
+        if not isinstance(self.sample_rate, int) or self.sample_rate <= 0:
+            raise ValueError(f"sample_rate must be a positive integer, got {self.sample_rate!r}")
 
 
 @dataclass

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from sepcost.cli import main
+from sepcost.cli import build_configs, main, merged_config
 from sepcost.signal_io import Waveform, read_wav, write_wav
 from sepcost.trainer import load_checkpoint
 
@@ -253,6 +253,14 @@ def test_print_config_flag_lands_in_its_key(capsys, flag, text, section, key, va
     expected[section][key] = value
     assert main(["print-config", flag, text]) == 0
     assert json.loads(capsys.readouterr().out) == expected
+
+
+@pytest.mark.parametrize("section,key", [("stoi", "analysis_rate"), ("train", "sample_rate")])
+def test_float_rate_in_config_rejected(tmp_path, section, key):
+    cfg_path = tmp_path / "rate.json"
+    cfg_path.write_text(json.dumps({section: {key: 10000.0}}))
+    with pytest.raises(ValueError, match=f"{key} must be a positive integer"):
+        build_configs(merged_config(cfg_path))
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):

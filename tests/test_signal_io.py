@@ -118,10 +118,16 @@ def test_resample_sinusoid_oracle():
     assert np.abs(r.samples[64:-64] - ref[64:-64]).max() < 1e-3
 
 
+PLAN_RATES = [(16000, 10000), (10080, 10000), (16000, 11025), (44100, 16000), (8000, 10000)]
+
+
 def test_resample_dc_preserved():
-    w = Waveform(np.full(800, 0.37), 16000)
-    r = resample(w, 11025)
-    assert np.abs(r.samples - 0.37).max() < 1e-6
+    for src_rate, dst_rate in PLAN_RATES:
+        w = Waveform(np.full(2 * src_rate + 5, 0.37), src_rate)
+        _, weights, _ = resample_plan(len(w), src_rate, dst_rate)
+        # every row, the edge rows with masked out-of-range taps included
+        np.testing.assert_allclose(weights.sum(axis=1), 1.0, rtol=0, atol=1e-14)
+        assert np.abs(resample(w, dst_rate).samples - 0.37).max() < 1e-14
 
 
 def test_resample_duration_preserved():
@@ -130,9 +136,6 @@ def test_resample_duration_preserved():
         w = Waveform(rng.standard_normal(4321), 16000)
         r = resample(w, fd)
         assert abs(r.duration - w.duration) <= 1.0 / fd
-
-
-PLAN_RATES = [(16000, 10000), (10080, 10000), (16000, 11025), (44100, 16000), (8000, 10000)]
 
 
 def _float_position_idx(n_in, src_rate, dst_rate):
@@ -153,11 +156,10 @@ def test_resample_plan_idx_matches_float_positions(src_rate, dst_rate):
     assert not idx.flags.writeable and not weights.flags.writeable
 
 
-@pytest.mark.parametrize("src_rate,dst_rate", PLAN_RATES)
-def test_resample_plan_rows_sum_to_one(src_rate, dst_rate):
-    _, weights, _ = resample_plan(2 * src_rate + 5, src_rate, dst_rate)
-    # every row, the edge rows with masked out-of-range taps included
-    np.testing.assert_allclose(weights.sum(axis=1), 1.0, rtol=0, atol=1e-14)
+@pytest.mark.parametrize("src_rate,dst_rate", [(16000, 10000.0), (16000.0, 10000), (16000, 0), (-8000, 10000)])
+def test_resample_plan_rejects_non_integer_rates(src_rate, dst_rate):
+    with pytest.raises(ValueError, match="positive integers"):
+        resample_plan(100, src_rate, dst_rate)
 
 
 def test_resample_plan_interior_rows_of_one_phase_are_identical():
