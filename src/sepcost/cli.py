@@ -87,16 +87,7 @@ def _network_check_case(seed: int):
     trim = cfg.filter_len
 
     def graph(t):
-        p = SeparatorParams(
-            cfg,
-            analysis=t["analysis"],
-            smoothing_raw=t["smoothing_raw"],
-            w1=t["w1"],
-            b1=t["b1"],
-            w2=t["w2"],
-            b2=t["b2"],
-        )
-        est = aet_net.forward(Tensor(mix), p)
+        est = aet_net.forward(Tensor(mix), SeparatorParams(cfg, **t))
         n_out = est.data.size
         return losses.sdr_loss(est[trim : n_out - trim], Tensor(target[trim : n_out - trim]))
 
@@ -113,32 +104,14 @@ def gradcheck_cases(loss: str, seed: int) -> dict[str, float]:
     rng = np.random.default_rng([seed, 0])
     if loss == "network":
         graph, inputs, wrt = _network_check_case(seed)
-    elif loss == "stoi":
-        inputs = {"x": rng.standard_normal(4000), "y": rng.standard_normal(4000)}
+    elif loss in losses.COST_KINDS:
+        n = 4000 if loss == "stoi" else 2048
+        names = ("x", "y", "z") if loss in ("sir", "sar") else ("x", "y")
+        inputs = {name: rng.standard_normal(n) for name in names}
         cfg = StoiConfig()
 
         def graph(t):
-            return losses.stoi_loss(t["x"], t["y"], cfg, sample_rate=STOI_CHECK_RATE)
-
-        wrt = ["x"]
-    elif loss in ("mse", "sdr"):
-        fn = losses.mse_loss if loss == "mse" else losses.sdr_loss
-        inputs = {"x": rng.standard_normal(2048), "y": rng.standard_normal(2048)}
-
-        def graph(t):
-            return fn(t["x"], t["y"])
-
-        wrt = ["x"]
-    elif loss in ("sir", "sar"):
-        fn = losses.sir_loss if loss == "sir" else losses.sar_loss
-        inputs = {
-            "x": rng.standard_normal(2048),
-            "y": rng.standard_normal(2048),
-            "z": rng.standard_normal(2048),
-        }
-
-        def graph(t):
-            return fn(t["x"], t["y"], t["z"])
+            return losses.component_loss(loss, t["x"], t["y"], t.get("z"), cfg, sample_rate=STOI_CHECK_RATE)
 
         wrt = ["x"]
     else:

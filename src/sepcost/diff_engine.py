@@ -12,12 +12,16 @@ elementwise arithmetic / min / abs / square / sqrt, inner products, L2
 norms, axis reductions, basic slicing, zero-padded sliding windows, a
 magnitude STFT, and a linear gather used for in-graph resampling. There
 is no dynamic control flow and no higher-order differentiation.
+
+Every framing op shares one scatter, `_overlap_add`: it is the backward
+of conv1d, stft_magnitude and sliding_windows and the forward of
+conv1d_transpose. The STFT runs on numpy's FFT both ways, rfft forward
+and irfft for the adjoint.
 """
 
 from __future__ import annotations
 
 import contextlib
-from functools import lru_cache
 from typing import Callable, Mapping
 
 import numpy as np
@@ -356,14 +360,10 @@ def sliding_windows(x, width: int, pad: tuple[int, int] = (0, 0)) -> Tensor:
         raise ShapeError(f"{width}-wide windows do not fit {n_in} samples padded by {pad}")
     xp = np.zeros(x.data.shape[:-1] + (padded_len,))
     xp[..., left : left + n_in] = x.data
-    n_out = padded_len - width + 1
     out = np.swapaxes(np.lib.stride_tricks.sliding_window_view(xp, width, axis=-1), -1, -2)
 
     def bw(g):
-        full = np.zeros(x.data.shape[:-1] + (padded_len,))
-        for d in range(width):
-            full[..., d : d + n_out] += g[..., d, :]
-        _accum(x, full[..., left : left + n_in])
+        _accum(x, _overlap_add(g, 1, padded_len)[..., left : left + n_in])
 
     return _result(out, (x,), bw)
 
@@ -386,20 +386,21 @@ def matmul(a, b) -> Tensor:
 
 
 def _overlap_add(fg: np.ndarray, stride: int, out_len: int) -> np.ndarray:
-    """Scatter fg[t, m] into out[t + stride*m] (the conv-transpose core)."""
-    taps, n_frames = fg.shape
-    cover = (n_frames - 1) * stride + taps
-    out = np.zeros(out_len)
-    if taps % stride == 0:
-        q = taps // stride
-        buf = out[:cover].reshape(n_frames - 1 + q, stride)
-        blocks = fg.reshape(q, stride, n_frames)
-        for a in range(q):
-            buf[a : a + n_frames, :] += blocks[a].T
-    else:
-        for t in range(taps):
-            out[t : t + (n_frames - 1) * stride + 1 : stride] += fg[t]
-    return out
+    """Scatter fg[..., t, m] into out[..., t + stride*m], out of length out_len.
+
+    The adjoint of framing with hop `stride`, over any leading batch
+    dims. Taps go in blocks of `stride` rows, one strided add per block
+    (a short last block fills only its leading columns), so each output
+    sums its taps in increasing t.
+    """
+    *batch, taps, n_frames = fg.shape
+    n_blocks = -(-taps // stride)
+    rows = max(-(-out_len // stride), n_frames - 1 + n_blocks)
+    out = np.zeros((*batch, rows, stride))
+    for a in range(n_blocks):
+        block = fg[..., a * stride : (a + 1) * stride, :]
+        out[..., a : a + n_frames, : block.shape[-2]] += np.swapaxes(block, -1, -2)
+    return out.reshape(*batch, rows * stride)[..., :out_len]
 
 
 def _frames(x: np.ndarray, taps: int, stride: int) -> np.ndarray:
@@ -480,17 +481,18 @@ def gather_linear(x, idx: np.ndarray, weights: np.ndarray) -> Tensor:
 
 
 def stft_magnitude(x, frame_len: int, fft_len: int, hop: int, window: np.ndarray) -> Tensor:
-    """|DFT| of windowed frames zero-padded to fft_len, shape (bins, frames).
+    """|rfft| of windowed frames zero-padded to fft_len, shape (bins, frames).
 
-    Forward runs on the FFT; backward applies the exact adjoint through
-    the windowed cosine/sine matrices (subgradient 0 at zero-magnitude
-    bins). Values match taking the magnitude of the padded rfft bin for
-    bin.
+    fft_len must be at least frame_len, so no frame is cropped. Backward
+    is the exact adjoint on the inverse FFT (subgradient 0 at
+    zero-magnitude bins), then one overlap-add of the frame gradients.
     """
     x = as_tensor(x)
     xv = x.data
     if xv.ndim != 1:
         raise ShapeError("stft_magnitude expects a 1-D signal")
+    if fft_len < frame_len:
+        raise ShapeError(f"fft_len {fft_len} would crop the {frame_len}-sample frames")
     if xv.size < frame_len:
         raise ShapeError(f"signal of {xv.size} samples shorter than one {frame_len}-sample frame")
     frames = _frames(xv, frame_len, hop)
@@ -498,27 +500,14 @@ def stft_magnitude(x, frame_len: int, fft_len: int, hop: int, window: np.ndarray
     mag = np.abs(spec).T  # (bins, frames)
 
     def bw(g):
-        if not x.requires_grad:
-            return
-        cos_m, sin_m = _dft_matrices(frame_len, fft_len, window.tobytes())
         with np.errstate(divide="ignore", invalid="ignore"):
-            inv = np.where(mag > 0.0, 1.0 / mag, 0.0)
-        ga = g * spec.real.T * inv
-        gb = g * spec.imag.T * inv
-        fg = cos_m.T @ ga - sin_m.T @ gb  # (frame_len, frames)
-        _accum(x, _overlap_add(fg, hop, xv.size))
+            c = np.where(mag > 0.0, g / mag, 0.0).T * spec
+        # irfft counts every bin but DC and Nyquist twice
+        c[:, 1 : (fft_len + 1) // 2] *= 0.5
+        fg = np.fft.irfft(c, n=fft_len, axis=1)[:, :frame_len] * (fft_len * window)
+        _accum(x, _overlap_add(fg.T, hop, xv.size))
 
     return _result(mag, (x,), bw)
-
-
-@lru_cache(maxsize=8)
-def _dft_matrices(frame_len: int, fft_len: int, window_bytes: bytes):
-    """Windowed DFT basis: cos rows give Re(rfft), sin rows give -Im(rfft)."""
-    window = np.frombuffer(window_bytes, dtype=np.float64)
-    t = np.arange(frame_len)
-    k = np.arange(fft_len // 2 + 1)[:, None]
-    phase = 2.0 * np.pi * k * t[None, :] / fft_len
-    return window * np.cos(phase), window * np.sin(phase)
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,8 @@ class StoiConfig:
             raise ValueError("segment_frames must be at least 1")
         if self.hop != self.frame_len // 2:
             raise ValueError("hop must be half the frame length")
+        if self.fft_len < self.frame_len:
+            raise ValueError(f"fft_len {self.fft_len} must be at least frame_len {self.frame_len}")
         if self.clip_db >= 0:
             raise ValueError("clip_db must be negative")
         if not isinstance(self.analysis_rate, int) or self.analysis_rate <= 0:

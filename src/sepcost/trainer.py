@@ -131,6 +131,21 @@ def _aligned_loss_inputs(estimate: Tensor, y: np.ndarray, z: np.ndarray, trim: i
     return x_al, y_al, z_al
 
 
+def _excerpt_terms(
+    params: SeparatorParams,
+    pair: MixturePair,
+    cost: CompositeCost,
+    cfg: TrainConfig,
+    stoi_cfg: StoiConfig,
+    rng,
+):
+    """Run one excerpt through the network and the cost: (total, {kind: raw})."""
+    mix, y, z = _excerpt(pair, cfg, rng)
+    estimate = aet_net.forward(Tensor(mix), params)
+    x_al, y_al, z_al = _aligned_loss_inputs(estimate, y, z, cfg.trim)
+    return losses.composite_terms(cost, x_al, y_al, z_al, stoi_cfg, cfg.sample_rate)
+
+
 def _apply_update(params: SeparatorParams, opt: OptState, cfg: TrainConfig) -> None:
     opt.step += 1
     for name, t in params.tensors().items():
@@ -168,11 +183,7 @@ def train_step(
     Returns (pre-update total loss, raw per-component values). Aborts
     before any update if the loss or a gradient is non-finite.
     """
-    mix, y, z = _excerpt(pair, cfg, rng)
-    estimate = aet_net.forward(Tensor(mix), params)
-    x_al, y_al, z_al = _aligned_loss_inputs(estimate, y, z, cfg.trim)
-
-    total, terms = losses.composite_terms(cost, x_al, y_al, z_al, stoi_cfg, cfg.sample_rate)
+    total, terms = _excerpt_terms(params, pair, cost, cfg, stoi_cfg, rng)
     loss_value = total.item()
     if not math.isfinite(loss_value):
         raise NumericalDivergence(f"non-finite loss {loss_value!r}")
@@ -203,10 +214,7 @@ def initial_component_means(
     sums = {c.kind: 0.0 for c in cost.components}
     with engine.no_grad():
         for pair in pairs:
-            mix, y, z = _excerpt(pair, cfg, rng=None)
-            estimate = aet_net.forward(Tensor(mix), params)
-            x_al, y_al, z_al = _aligned_loss_inputs(estimate, y, z, cfg.trim)
-            _, terms = losses.composite_terms(cost, x_al, y_al, z_al, stoi_cfg, cfg.sample_rate)
+            _, terms = _excerpt_terms(params, pair, cost, cfg, stoi_cfg, rng=None)
             for kind, tensor in terms.items():
                 sums[kind] += tensor.item()
     return {kind: total / len(pairs) for kind, total in sums.items()}

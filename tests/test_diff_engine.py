@@ -84,9 +84,11 @@ def test_elementwise_and_shape_ops_fd(name, graph, shapes):
 
 def test_conv1d_fd_both_inputs():
     rng = np.random.default_rng(10)
-    inputs = {"x": rng.standard_normal(70), "f": rng.standard_normal((3, 16))}
-    graph = lambda t: E.sum_(E.square(E.conv1d(t["x"], t["f"], stride=4)))
-    fd_check(graph, inputs, ["x", "f"])
+    # stride 3 leaves a one-tap last block in the backward overlap-add
+    for stride in (4, 3):
+        inputs = {"x": rng.standard_normal(70), "f": rng.standard_normal((3, 16))}
+        graph = lambda t: E.sum_(E.square(E.conv1d(t["x"], t["f"], stride=stride)))
+        fd_check(graph, inputs, ["x", "f"])
 
 
 def test_conv1d_with_leftover_tail_fd():
@@ -107,7 +109,7 @@ def test_conv1d_transpose_fd_both_inputs():
 
 
 def test_conv1d_transpose_irregular_stride_fd():
-    # taps not divisible by stride exercises the fallback overlap-add
+    # taps not divisible by stride: the overlap-add's last tap block is short
     rng = np.random.default_rng(13)
     inputs = {"c": rng.standard_normal((2, 7)), "f": rng.standard_normal((2, 10))}
     graph = lambda t: E.sum_(E.square(E.conv1d_transpose(t["c"], t["f"], stride=3)))
@@ -137,10 +139,18 @@ def test_gather_linear_fd():
 
 def test_stft_magnitude_fd():
     rng = np.random.default_rng(16)
-    inputs = {"x": rng.standard_normal(200)}
-    win = hann_periodic(64)
-    graph = lambda t: E.sum_(E.square(E.stft_magnitude(t["x"], 64, 128, 32, win)))
-    fd_check(graph, inputs, ["x"])
+    # (63, 127, 31): odd lengths and a short last tap block; (64, 64, 32): no zero padding
+    for frame_len, fft_len, hop in ((64, 128, 32), (63, 127, 31), (64, 64, 32)):
+        inputs = {"x": rng.standard_normal(200)}
+        win = hann_periodic(frame_len)
+        graph = lambda t: E.sum_(E.square(E.stft_magnitude(t["x"], frame_len, fft_len, hop, win)))
+        fd_check(graph, inputs, ["x"])
+
+
+def test_stft_magnitude_rejects_cropping_fft_len():
+    # an fft_len below frame_len would crop every frame in the forward
+    with pytest.raises(ShapeError, match="crop"):
+        E.stft_magnitude(E.Tensor(np.zeros(200)), 64, 48, 32, hann_periodic(64))
 
 
 def test_stft_magnitude_matches_rfft():

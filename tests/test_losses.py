@@ -154,6 +154,12 @@ def test_stoi_too_short():
         stoi_forward(np.zeros(1000), np.zeros(1000), sample_rate=10000)
 
 
+def test_stoi_config_rejects_fft_shorter_than_frame():
+    with pytest.raises(ValueError, match="fft_len"):
+        StoiConfig(frame_len=256, fft_len=128, hop=128)
+    StoiConfig(frame_len=256, fft_len=256, hop=128)  # no zero padding is fine
+
+
 def test_stoi_fd_small_config_no_resample():
     rng = np.random.default_rng(9)
     inputs = {"x": rng.standard_normal(400), "y": rng.standard_normal(400)}
