@@ -1,10 +1,16 @@
 """Reverse-mode automatic differentiation over a closed set of array ops.
 
 A Tensor wraps a float64 numpy array. Ops applied to tensors that
-require gradients record a backward closure; `backward()` then walks the
-tape in reverse topological order and accumulates exact derivatives into
-`.grad`. Subtrees built purely from constants are folded (no closures),
-so constant branches of a loss cost nothing at backward time.
+require gradients record their parents and a backward closure. A closure
+is a pure function: given the gradient of the op's output it returns a
+tuple with one gradient per parent, in the parents' order, or None for a
+parent it skips. `backward()` walks the tape in reverse topological
+order and is the only code that accumulates those gradients (`_accum`
+unbroadcasts and sums them). Leaves keep their `.grad`; an interior
+node's gradient is dropped once it has been passed on, as PyTorch does
+without `retain_grad`. Subtrees built purely from constants are folded
+(no closures), so constant branches of a loss cost nothing at backward
+time.
 
 The op set is exactly what the separation losses and network need:
 strided 1-D convolution and its transpose, dense affine maps, softplus,
@@ -66,7 +72,11 @@ class Tensor:
         self.grad = None
 
     def backward(self) -> None:
-        """Accumulate d(self)/d(leaf) into .grad over the recorded tape."""
+        """Accumulate d(self)/d(leaf) into each leaf's .grad over the recorded tape.
+
+        Interior nodes end the walk with .grad None. The tape is kept, so
+        a second call adds one more gradient into each leaf.
+        """
         if self.data.size != 1:
             raise NotScalar(f"backward() on tensor of shape {self.data.shape}")
         topo: list[Tensor] = []
@@ -84,10 +94,13 @@ class Tensor:
             for parent in node._parents:
                 if parent.requires_grad and id(parent) not in visited:
                     stack.append((parent, False))
-        self.grad = np.ones_like(self.data)
+        _accum(self, np.ones_like(self.data))
         for node in reversed(topo):
-            if node._backward is not None:
-                node._backward(node.grad)
+            if node._backward is None:
+                continue  # a leaf keeps its accumulated .grad
+            g, node.grad = node.grad, None
+            for parent, pg in zip(node._parents, node._backward(g)):
+                _accum(parent, pg)
 
     # operator sugar; scalars and arrays are wrapped as constants
     def __add__(self, other):
@@ -147,17 +160,27 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    if not t.requires_grad:
+def _accum(t: Tensor, g) -> None:
+    """Add g, summed over broadcast axes, into t.grad; skips None and constants."""
+    if g is None or not t.requires_grad:
         return
     g = _unbroadcast(np.asarray(g, dtype=np.float64), t.data.shape)
     t.grad = g.copy() if t.grad is None else t.grad + g
 
 
 def _result(data, parents: tuple, backward) -> Tensor:
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        return Tensor(data, requires_grad=True, parents=parents, backward=backward)
-    return Tensor(data)
+    """Wrap an op's output; record parents and closure only if a parent needs a gradient.
+
+    backward(g) returns one gradient per parent (None to skip one) and
+    mutates nothing; Tensor.backward accumulates what it returns.
+    """
+    return Tensor(data, _grad_enabled and any(p.requires_grad for p in parents), parents, backward)
+
+
+def _unreduce(g, axis, keepdims: bool) -> np.ndarray:
+    """Restore the axis a reduction without keepdims removed, for broadcasting back."""
+    g = np.asarray(g)
+    return g if axis is None or keepdims else np.expand_dims(g, axis)
 
 
 # ---------------------------------------------------------------------------
@@ -166,46 +189,26 @@ def _result(data, parents: tuple, backward) -> Tensor:
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = a.data + b.data
-
-    def bw(g):
-        _accum(a, g)
-        _accum(b, g)
-
-    return _result(out, (a, b), bw)
+    return _result(out, (a, b), lambda g: (g, g))
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = a.data - b.data
-
-    def bw(g):
-        _accum(a, g)
-        _accum(b, -g)
-
-    return _result(out, (a, b), bw)
+    return _result(out, (a, b), lambda g: (g, -g))
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = a.data * b.data
-
-    def bw(g):
-        _accum(a, g * b.data)
-        _accum(b, g * a.data)
-
-    return _result(out, (a, b), bw)
+    return _result(out, (a, b), lambda g: (g * b.data, g * a.data))
 
 
 def div(a, b) -> Tensor:
     """Elementwise division. No implicit epsilon: callers guard denominators."""
     a, b = as_tensor(a), as_tensor(b)
     out = a.data / b.data
-
-    def bw(g):
-        _accum(a, g / b.data)
-        _accum(b, -g * a.data / (b.data * b.data))
-
-    return _result(out, (a, b), bw)
+    return _result(out, (a, b), lambda g: (g / b.data, -g * a.data / (b.data * b.data)))
 
 
 def minimum(a, b) -> Tensor:
@@ -213,32 +216,19 @@ def minimum(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     take_a = a.data <= b.data
     out = np.where(take_a, a.data, b.data)
-
-    def bw(g):
-        _accum(a, g * take_a)
-        _accum(b, g * ~take_a)
-
-    return _result(out, (a, b), bw)
+    return _result(out, (a, b), lambda g: (g * take_a, g * ~take_a))
 
 
 def abs_(x) -> Tensor:
     """Elementwise |x|; the subgradient at 0 is 0."""
     x = as_tensor(x)
     sign = np.sign(x.data)
-
-    def bw(g):
-        _accum(x, g * sign)
-
-    return _result(np.abs(x.data), (x,), bw)
+    return _result(np.abs(x.data), (x,), lambda g: (g * sign,))
 
 
 def square(x) -> Tensor:
     x = as_tensor(x)
-
-    def bw(g):
-        _accum(x, g * (2.0 * x.data))
-
-    return _result(x.data * x.data, (x,), bw)
+    return _result(x.data * x.data, (x,), lambda g: (g * (2.0 * x.data),))
 
 
 def sqrt(x) -> Tensor:
@@ -249,7 +239,7 @@ def sqrt(x) -> Tensor:
     def bw(g):
         with np.errstate(divide="ignore", invalid="ignore"):
             d = np.where(out > 0.0, 0.5 / out, 0.0)
-        _accum(x, g * d)
+        return (g * d,)
 
     return _result(out, (x,), bw)
 
@@ -258,12 +248,8 @@ def softplus(x) -> Tensor:
     """log(1 + exp(x)), overflow-safe."""
     x = as_tensor(x)
     out = np.logaddexp(0.0, x.data)
-
-    def bw(g):
-        # sigmoid(x) = exp(x - softplus(x)); the exponent is <= 0, so no overflow
-        _accum(x, g * np.exp(x.data - out))
-
-    return _result(out, (x,), bw)
+    # sigmoid(x) = exp(x - softplus(x)); the exponent is <= 0, so no overflow
+    return _result(out, (x,), lambda g: (g * np.exp(x.data - out),))
 
 
 # ---------------------------------------------------------------------------
@@ -275,39 +261,20 @@ def dot(a, b) -> Tensor:
     if a.data.ndim != 1 or b.data.ndim != 1 or a.data.size != b.data.size:
         raise ShapeError(f"dot needs equal-length vectors, got {a.data.shape} and {b.data.shape}")
     out = a.data @ b.data
-
-    def bw(g):
-        _accum(a, g * b.data)
-        _accum(b, g * a.data)
-
-    return _result(out, (a, b), bw)
+    return _result(out, (a, b), lambda g: (g * b.data, g * a.data))
 
 
 def sum_(x, axis=None, keepdims: bool = False) -> Tensor:
     x = as_tensor(x)
     out = x.data.sum(axis=axis, keepdims=keepdims)
-
-    def bw(g):
-        g = np.asarray(g)
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accum(x, np.broadcast_to(g, x.data.shape))
-
-    return _result(out, (x,), bw)
+    return _result(out, (x,), lambda g: (np.broadcast_to(_unreduce(g, axis, keepdims), x.data.shape),))
 
 
 def mean(x, axis=None, keepdims: bool = False) -> Tensor:
     x = as_tensor(x)
     out = x.data.mean(axis=axis, keepdims=keepdims)
     count = x.data.size if axis is None else x.data.shape[axis]
-
-    def bw(g):
-        g = np.asarray(g) / count
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accum(x, np.broadcast_to(g, x.data.shape))
-
-    return _result(out, (x,), bw)
+    return _result(out, (x,), lambda g: (np.broadcast_to(_unreduce(g, axis, keepdims) / count, x.data.shape),))
 
 
 def norm(x, axis=None, keepdims: bool = False) -> Tensor:
@@ -316,14 +283,10 @@ def norm(x, axis=None, keepdims: bool = False) -> Tensor:
     out = np.sqrt((x.data**2).sum(axis=axis, keepdims=keepdims))
 
     def bw(g):
-        g = np.asarray(g)
-        n = out
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-            n = np.expand_dims(n, axis)
+        n = _unreduce(out, axis, keepdims)
         with np.errstate(divide="ignore", invalid="ignore"):
             d = np.where(n > 0.0, x.data / n, 0.0)
-        _accum(x, g * d)
+        return (_unreduce(g, axis, keepdims) * d,)
 
     return _result(out, (x,), bw)
 
@@ -338,7 +301,7 @@ def getitem(x, key) -> Tensor:
     def bw(g):
         full = np.zeros_like(x.data)
         full[key] = g
-        _accum(x, full)
+        return (full,)
 
     return _result(out.copy(), (x,), bw)
 
@@ -361,11 +324,7 @@ def sliding_windows(x, width: int, pad: tuple[int, int] = (0, 0)) -> Tensor:
     xp = np.zeros(x.data.shape[:-1] + (padded_len,))
     xp[..., left : left + n_in] = x.data
     out = np.swapaxes(np.lib.stride_tricks.sliding_window_view(xp, width, axis=-1), -1, -2)
-
-    def bw(g):
-        _accum(x, _overlap_add(g, 1, padded_len)[..., left : left + n_in])
-
-    return _result(out, (x,), bw)
+    return _result(out, (x,), lambda g: (_overlap_add(g, 1, padded_len)[..., left : left + n_in],))
 
 
 # ---------------------------------------------------------------------------
@@ -377,12 +336,7 @@ def matmul(a, b) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul shapes {a.data.shape} and {b.data.shape} do not align")
     out = a.data @ b.data
-
-    def bw(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
-
-    return _result(out, (a, b), bw)
+    return _result(out, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
 
 
 def _overlap_add(fg: np.ndarray, stride: int, out_len: int) -> np.ndarray:
@@ -426,10 +380,10 @@ def conv1d(x, filters, stride: int) -> Tensor:
     out = fv @ frames.T
 
     def bw(g):
-        if filters.requires_grad:
-            _accum(filters, g @ frames)
-        if x.requires_grad:
-            _accum(x, _overlap_add(fv.T @ g, stride, xv.size))
+        return (
+            _overlap_add(fv.T @ g, stride, xv.size) if x.requires_grad else None,
+            g @ frames if filters.requires_grad else None,
+        )
 
     return _result(out, (x, filters), bw)
 
@@ -452,10 +406,10 @@ def conv1d_transpose(coeffs, filters, stride: int) -> Tensor:
 
     def bw(g):
         g_frames = _frames(np.asarray(g), taps, stride)
-        if coeffs.requires_grad:
-            _accum(coeffs, fv @ g_frames.T)
-        if filters.requires_grad:
-            _accum(filters, cv @ g_frames)
+        return (
+            fv @ g_frames.T if coeffs.requires_grad else None,
+            cv @ g_frames if filters.requires_grad else None,
+        )
 
     return _result(out, (coeffs, filters), bw)
 
@@ -472,10 +426,8 @@ def gather_linear(x, idx: np.ndarray, weights: np.ndarray) -> Tensor:
     out = np.einsum("jk,jk->j", x.data[idx], weights)
 
     def bw(g):
-        scattered = np.bincount(
-            idx.ravel(), weights=(weights * np.asarray(g)[:, None]).ravel(), minlength=x.data.size
-        )
-        _accum(x, scattered)
+        scaled = weights * np.asarray(g)[:, None]
+        return (np.bincount(idx.ravel(), weights=scaled.ravel(), minlength=x.data.size),)
 
     return _result(out, (x,), bw)
 
@@ -493,6 +445,8 @@ def stft_magnitude(x, frame_len: int, fft_len: int, hop: int, window: np.ndarray
         raise ShapeError("stft_magnitude expects a 1-D signal")
     if fft_len < frame_len:
         raise ShapeError(f"fft_len {fft_len} would crop the {frame_len}-sample frames")
+    if hop < 1:
+        raise ShapeError(f"hop must be at least 1, got {hop}")
     if xv.size < frame_len:
         raise ShapeError(f"signal of {xv.size} samples shorter than one {frame_len}-sample frame")
     frames = _frames(xv, frame_len, hop)
@@ -505,7 +459,7 @@ def stft_magnitude(x, frame_len: int, fft_len: int, hop: int, window: np.ndarray
         # irfft counts every bin but DC and Nyquist twice
         c[:, 1 : (fft_len + 1) // 2] *= 0.5
         fg = np.fft.irfft(c, n=fft_len, axis=1)[:, :frame_len] * (fft_len * window)
-        _accum(x, _overlap_add(fg.T, hop, xv.size))
+        return (_overlap_add(fg.T, hop, xv.size),)
 
     return _result(mag, (x,), bw)
 

@@ -35,7 +35,6 @@ class StoiConfig:
 
     frame_len: int = 256
     fft_len: int = 512
-    hop: int = 128
     num_bands: int = 15
     lowest_center: float = 150.0
     segment_frames: int = 30
@@ -46,14 +45,19 @@ class StoiConfig:
     def __post_init__(self):
         if self.segment_frames < 1:
             raise ValueError("segment_frames must be at least 1")
-        if self.hop != self.frame_len // 2:
-            raise ValueError("hop must be half the frame length")
+        if self.frame_len < 2:
+            raise ValueError(f"frame_len must be at least 2, got {self.frame_len}")
         if self.fft_len < self.frame_len:
             raise ValueError(f"fft_len {self.fft_len} must be at least frame_len {self.frame_len}")
         if self.clip_db >= 0:
             raise ValueError("clip_db must be negative")
         if not isinstance(self.analysis_rate, int) or self.analysis_rate <= 0:
             raise ValueError(f"analysis_rate must be a positive integer, got {self.analysis_rate!r}")
+
+    @property
+    def hop(self) -> int:
+        """Frames overlap by half."""
+        return self.frame_len // 2
 
     @property
     def clip_factor(self) -> float:

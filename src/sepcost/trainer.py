@@ -233,9 +233,10 @@ def fit(
 
     Each epoch visits the pairs in a seeded shuffled order. resume
     continues from a checkpoint of the same run: net_cfg and every cfg
-    field but epochs must equal the stored configs, else
-    IncompatibleCheckpoint. On divergence the exception carries the last
-    good state in its .params/.opt_state/.log/.steps_done attributes.
+    field but epochs must equal the stored configs, and its meta must
+    hold steps_done and cost_scales, else IncompatibleCheckpoint. On
+    divergence the exception carries the last good state in its
+    .params/.opt_state/.log/.steps_done attributes.
     """
     if not dataset.pairs:
         raise NoData("dataset is empty")
@@ -251,6 +252,9 @@ def fit(
         changed = [key for key, value in stored.items() if key != "epochs" and getattr(cfg, key, None) != value]
         if changed:
             raise IncompatibleCheckpoint(f"{resume}: train config differs from the checkpoint in {changed}")
+        missing = [key for key in ("steps_done", "cost_scales") if key not in meta]
+        if missing:
+            raise IncompatibleCheckpoint(f"{resume}: cannot resume, checkpoint meta lacks {', '.join(missing)}")
         steps_done = int(meta["steps_done"])
         cost = CompositeCost(cost.components, tuple(meta["cost_scales"]))
     else:

@@ -211,6 +211,7 @@ def test_print_config_round_trip(tmp_path, capsys):
     assert merged["train"]["cost"] == "sdr"
     assert merged["network"]["components"] == 1024
     assert merged["stoi"]["segment_frames"] == 30
+    assert "hop" not in merged["stoi"]  # derived from frame_len, not a key
 
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(merged))
@@ -263,10 +264,22 @@ def test_float_rate_in_config_rejected(tmp_path, section, key):
         build_configs(merged_config(cfg_path))
 
 
+def test_one_sample_stoi_frames_exit_2(tmp_path, data_dirs, capsys):
+    tdir, idir = data_dirs
+    cfg_path = tmp_path / "frames.json"
+    cfg_path.write_text(json.dumps({"stoi": {"frame_len": 1}}))
+    assert main(train_args(tmp_path, tdir, idir, **{"--config": str(cfg_path)})) == 2
+    assert "frame_len must be at least 2" in capsys.readouterr().err
+    assert not (tmp_path / "ckpt.json").exists()
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps({"train": {"coost": "sdr"}}))
     assert main(["print-config", "--config", str(cfg_path)]) == 2
     assert "unknown config key" in capsys.readouterr().err
+    cfg_path.write_text(json.dumps({"stoi": {"hop": 128}}))
+    assert main(["print-config", "--config", str(cfg_path)]) == 2
+    assert "unknown config key stoi.hop" in capsys.readouterr().err
     cfg_path.write_text(json.dumps({"training": {}}))
     assert main(["print-config", "--config", str(cfg_path)]) == 2

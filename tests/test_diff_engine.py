@@ -153,6 +153,12 @@ def test_stft_magnitude_rejects_cropping_fft_len():
         E.stft_magnitude(E.Tensor(np.zeros(200)), 64, 48, 32, hann_periodic(64))
 
 
+@pytest.mark.parametrize("hop", [0, -2])
+def test_stft_magnitude_rejects_hop_below_one(hop):
+    with pytest.raises(ShapeError, match="hop"):
+        E.stft_magnitude(E.Tensor(np.zeros(200)), 4, 8, hop, hann_periodic(4))
+
+
 def test_stft_magnitude_matches_rfft():
     rng = np.random.default_rng(17)
     x = rng.standard_normal(300)
@@ -183,6 +189,22 @@ def test_sliding_windows_wider_than_signal_rejected():
         E.sliding_windows(E.Tensor(np.zeros((2, 3))), 6, (1, 1))
     with pytest.raises(ShapeError):
         E.sliding_windows(E.Tensor(np.zeros(4)), 5)
+
+
+def test_backward_keeps_only_leaf_gradients():
+    x = E.parameter([1.0, 3.0])
+    y = x * x  # one parameter used twice
+    out = E.sum_(y)
+    out.backward()
+    np.testing.assert_array_equal(x.grad, [2.0, 6.0])
+    assert y.grad is None and out.grad is None
+
+    # the walk keeps the tape: a second backward adds one more gradient into each leaf
+    x = E.parameter([1.0, 3.0])
+    out = E.sum_(x * 2.0)
+    out.backward()
+    out.backward()
+    np.testing.assert_array_equal(x.grad, [4.0, 4.0])
 
 
 def test_minimum_tie_goes_to_first():
@@ -252,3 +274,7 @@ def test_constant_folding():
     p = E.parameter([1.0, 2.0])
     z = E.square(p)
     assert z.requires_grad and len(z._parents) == 1
+    # a closure returns None for a constant parent it skips
+    c = E.conv1d(E.Tensor(np.arange(8.0)), E.parameter(np.ones((2, 4))), 2)
+    x_grad, f_grad = c._backward(np.ones_like(c.data))
+    assert x_grad is None and f_grad.shape == (2, 4)

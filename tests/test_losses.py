@@ -24,7 +24,7 @@ from sepcost.signal_io import Waveform
 from reference import speechlike
 
 SMALL_STOI = StoiConfig(
-    frame_len=64, fft_len=128, hop=32, num_bands=8, lowest_center=300.0,
+    frame_len=64, fft_len=128, num_bands=8, lowest_center=300.0,
     segment_frames=8, analysis_rate=4000,
 )
 
@@ -156,8 +156,18 @@ def test_stoi_too_short():
 
 def test_stoi_config_rejects_fft_shorter_than_frame():
     with pytest.raises(ValueError, match="fft_len"):
-        StoiConfig(frame_len=256, fft_len=128, hop=128)
-    StoiConfig(frame_len=256, fft_len=256, hop=128)  # no zero padding is fine
+        StoiConfig(frame_len=256, fft_len=128)
+    StoiConfig(frame_len=256, fft_len=256)  # no zero padding is fine
+
+
+def test_stoi_config_hop_is_half_the_frame():
+    assert StoiConfig().hop == 128
+    assert StoiConfig(frame_len=2, fft_len=2).hop == 1
+    # one-sample frames would give hop 0
+    with pytest.raises(ValueError, match="frame_len must be at least 2"):
+        StoiConfig(frame_len=1)
+    with pytest.raises(TypeError):
+        StoiConfig(hop=64)
 
 
 def test_stoi_fd_small_config_no_resample():

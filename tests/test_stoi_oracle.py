@@ -34,7 +34,7 @@ def test_matches_reference_with_heavy_clipping():
 
 def test_matches_reference_on_small_config():
     cfg = StoiConfig(
-        frame_len=64, fft_len=128, hop=32, num_bands=8, lowest_center=300.0,
+        frame_len=64, fft_len=128, num_bands=8, lowest_center=300.0,
         segment_frames=8, analysis_rate=4000,
     )
     rng = np.random.default_rng(2)

@@ -27,7 +27,7 @@ from reference import speechlike
 
 SMALL_NET = NetConfig(components=8, filter_len=64, stride=16, hidden_units=8, weight_sharing="shared")
 SMALL_STOI = StoiConfig(
-    frame_len=64, fft_len=128, hop=32, num_bands=8, lowest_center=300.0,
+    frame_len=64, fft_len=128, num_bands=8, lowest_center=300.0,
     segment_frames=8, analysis_rate=4000,
 )
 
@@ -319,6 +319,14 @@ def test_resume_rejects_changed_configs(tmp_path, net_cfg, cfg):
     )
     with pytest.raises(IncompatibleCheckpoint):
         fit(dataset, cfg, net_cfg, SMALL_STOI, resume=path)
+
+
+@pytest.mark.parametrize("meta,missing", [(None, "steps_done"), ({"steps_done": 2}, "cost_scales")])
+def test_resume_needs_steps_done_and_cost_scales(tmp_path, meta, missing):
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(init_params(0, SMALL_NET), OptState(), path, tiny_cfg(epochs=2), meta=meta)
+    with pytest.raises(IncompatibleCheckpoint, match=missing):
+        fit(Dataset([make_pair()]), tiny_cfg(epochs=4), SMALL_NET, SMALL_STOI, resume=path)
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
