@@ -154,14 +154,10 @@ def analysis_forward(w, params: SeparatorParams) -> AetRepresentation:
         raise SignalTooShort(f"need at least {cfg.filter_len} samples, got {x.data.size}")
     X = engine.conv1d(x, params.analysis, cfg.stride)
 
-    # "same" convolution of |X| along frames, per component. Kept as one
-    # expression so that, without a tape, |X| and its windows are freed
-    # before the (K, width, L) product is reduced.
+    # "same" convolution of |X| along frames, per component
     width = cfg.smoothing_width
     pad = ((width - 1) // 2, width // 2)
-    kernel = params.smoothing_kernel()[:, :, None]
-    smoothed = engine.sum_(engine.sliding_windows(engine.abs_(X), width, pad) * kernel, axis=1)
-    M = smoothed + cfg.modulation_floor
+    M = engine.depthwise_conv(engine.abs_(X), params.smoothing_kernel(), pad) + cfg.modulation_floor
     P = X / M
     return AetRepresentation(X=X, M=M, P=P)
 
@@ -171,8 +167,8 @@ def separator_forward(modulation, params: SeparatorParams) -> Tensor:
     m = as_tensor(modulation)
     if m.data.ndim != 2 or m.data.shape[0] != params.cfg.components:
         raise ShapeError(f"modulation must be ({params.cfg.components}, frames), got {m.data.shape}")
-    hidden = engine.softplus(engine.matmul(params.w1, m) + params.b1)
-    return engine.softplus(engine.matmul(params.w2, hidden) + params.b2)
+    hidden = engine.affine_softplus(params.w1, m, params.b1)
+    return engine.affine_softplus(params.w2, hidden, params.b2)
 
 
 def synthesis_forward(modulation_hat, carrier, params: SeparatorParams) -> Tensor:
@@ -188,8 +184,13 @@ def synthesis_forward(modulation_hat, carrier, params: SeparatorParams) -> Tenso
 def forward(w, params: SeparatorParams) -> Tensor:
     """Full network composition; output length (L-1)*stride + filter_len."""
     rep = analysis_forward(w, params)
-    m_hat = separator_forward(rep.M, params)
-    return synthesis_forward(m_hat, rep.P, params)
+    # drop each stage's inputs once they are used: without a tape that
+    # frees X before the separator and M before the synthesis
+    modulation, carrier = rep.M, rep.P
+    del rep
+    m_hat = separator_forward(modulation, params)
+    del modulation
+    return synthesis_forward(m_hat, carrier, params)
 
 
 def separate(w_mix: Waveform, params: SeparatorParams) -> Waveform:

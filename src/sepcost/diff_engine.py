@@ -13,11 +13,17 @@ without `retain_grad`. Subtrees built purely from constants are folded
 time.
 
 The op set is exactly what the separation losses and network need:
-strided 1-D convolution and its transpose, dense affine maps, softplus,
-elementwise arithmetic / min / abs / square / sqrt, inner products, L2
-norms, axis reductions, basic slicing, zero-padded sliding windows, a
-magnitude STFT, and a linear gather used for in-graph resampling. There
-is no dynamic control flow and no higher-order differentiation.
+strided 1-D convolution and its transpose, a zero-padded depthwise
+temporal convolution, dense maps and the fused dense layer
+softplus(w @ x + b), softplus, elementwise arithmetic / min / abs /
+square / sqrt, inner products, L2 norms, axis reductions, basic slicing,
+sliding windows, a magnitude STFT, and a linear gather used for in-graph
+resampling. There is no dynamic control flow and no higher-order
+differentiation.
+
+A closure may hand back an array it allocated without the walk copying
+it; views, broadcasts and an array handed to two parents are copied, so
+no two `.grad` fields share memory.
 
 Every framing op shares one scatter, `_overlap_add`: it is the backward
 of conv1d, stft_magnitude and sliding_windows and the forward of
@@ -99,7 +105,14 @@ class Tensor:
             if node._backward is None:
                 continue  # a leaf keeps its accumulated .grad
             g, node.grad = node.grad, None
+            taken = []
             for parent, pg in zip(node._parents, node._backward(g)):
+                if pg is None or not parent.requires_grad:
+                    continue
+                # one array handed to two parents (add's (g, g)) must not become two .grad
+                if any(pg is q for q in taken):
+                    pg = np.array(pg)
+                taken.append(pg)
                 _accum(parent, pg)
 
     # operator sugar; scalars and arrays are wrapped as constants
@@ -161,11 +174,18 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _accum(t: Tensor, g) -> None:
-    """Add g, summed over broadcast axes, into t.grad; skips None and constants."""
+    """Add g, summed over broadcast axes, into t.grad; skips None and constants.
+
+    A first gradient that owns its writeable data is stored as it is;
+    views, broadcasts and slices are copied.
+    """
     if g is None or not t.requires_grad:
         return
     g = _unbroadcast(np.asarray(g, dtype=np.float64), t.data.shape)
-    t.grad = g.copy() if t.grad is None else t.grad + g
+    if t.grad is not None:
+        t.grad = t.grad + g
+    else:
+        t.grad = g if g.flags.owndata and g.flags.writeable else g.copy()
 
 
 def _result(data, parents: tuple, backward) -> Tensor:
@@ -244,10 +264,35 @@ def sqrt(x) -> Tensor:
     return _result(out, (x,), bw)
 
 
+_SOFTPLUS_CHUNK = 1 << 16  # elements per pass, so the temporary stays in cache
+
+
+def _softplus_into(z: np.ndarray) -> np.ndarray:
+    """z <- log(1 + exp(z)) in place for a C-contiguous z, as max(z, 0) + log1p(exp(-|z|)).
+
+    Overflow-safe, and within an ulp of np.logaddexp(0, z), but built on
+    numpy's vectorised exp and log1p where logaddexp runs a scalar loop.
+    It runs over chunks of z with one small temporary, so it allocates
+    nothing of z's size.
+    """
+    flat = z.reshape(-1)
+    buf = np.empty(min(flat.size, _SOFTPLUS_CHUNK))
+    for start in range(0, flat.size, _SOFTPLUS_CHUNK):
+        seg = flat[start : start + _SOFTPLUS_CHUNK]
+        tail = buf[: seg.size]
+        np.abs(seg, out=tail)
+        np.negative(tail, out=tail)
+        np.exp(tail, out=tail)
+        np.log1p(tail, out=tail)
+        np.maximum(seg, 0.0, out=seg)
+        seg += tail
+    return z
+
+
 def softplus(x) -> Tensor:
     """log(1 + exp(x)), overflow-safe."""
     x = as_tensor(x)
-    out = np.logaddexp(0.0, x.data)
+    out = _softplus_into(np.array(x.data, order="C"))
     # sigmoid(x) = exp(x - softplus(x)); the exponent is <= 0, so no overflow
     return _result(out, (x,), lambda g: (g * np.exp(x.data - out),))
 
@@ -306,25 +351,20 @@ def getitem(x, key) -> Tensor:
     return _result(out.copy(), (x,), bw)
 
 
-def sliding_windows(x, width: int, pad: tuple[int, int] = (0, 0)) -> Tensor:
+def sliding_windows(x, width: int) -> Tensor:
     """Sliding windows along the last axis: (..., T) -> (..., width, L).
 
-    out[..., d, l] = xp[..., l + d], where xp is x with pad[0] zeros
-    before and pad[1] zeros after it, and L = T + pad[0] + pad[1] - width + 1.
-    The result is a read-only strided view into a fresh copy of xp, so it
-    holds T + pad values, not width * L. Backward overlap-adds each window
-    row into the padded extent and drops the padding.
+    out[..., d, l] = x[..., l + d] with L = T - width + 1. The result is
+    a read-only strided view into a fresh copy of x, so it holds T
+    values, not width * L, and shares no memory with x. Backward
+    overlap-adds each window row.
     """
     x = as_tensor(x)
-    left, right = pad
     n_in = x.data.shape[-1]
-    padded_len = n_in + left + right
-    if width < 1 or padded_len < width:
-        raise ShapeError(f"{width}-wide windows do not fit {n_in} samples padded by {pad}")
-    xp = np.zeros(x.data.shape[:-1] + (padded_len,))
-    xp[..., left : left + n_in] = x.data
-    out = np.swapaxes(np.lib.stride_tricks.sliding_window_view(xp, width, axis=-1), -1, -2)
-    return _result(out, (x,), lambda g: (_overlap_add(g, 1, padded_len)[..., left : left + n_in],))
+    if width < 1 or n_in < width:
+        raise ShapeError(f"{width}-wide windows do not fit {n_in} samples")
+    out = np.swapaxes(np.lib.stride_tricks.sliding_window_view(x.data.copy(), width, axis=-1), -1, -2)
+    return _result(out, (x,), lambda g: (_overlap_add(g, 1, n_in),))
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +377,34 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul shapes {a.data.shape} and {b.data.shape} do not align")
     out = a.data @ b.data
     return _result(out, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
+
+
+def affine_softplus(w, x, b) -> Tensor:
+    """One dense layer, softplus(w @ x + b): (H, K), (K, L), (H, 1) -> (H, L).
+
+    The node keeps only its output: backward forms sigmoid(w @ x + b)
+    from it as 1 - exp(-out), which stays accurate in both tails.
+    """
+    w, x, b = as_tensor(w), as_tensor(x), as_tensor(b)
+    wv, xv = w.data, x.data
+    if wv.ndim != 2 or xv.ndim != 2 or wv.shape[1] != xv.shape[0] or b.data.shape != (wv.shape[0], 1):
+        raise ShapeError(f"affine_softplus shapes {wv.shape}, {xv.shape} and {b.data.shape} do not align")
+    out = wv @ xv
+    out += b.data
+    _softplus_into(out)
+
+    def bw(g):
+        s = np.negative(out)
+        np.expm1(s, out=s)
+        s *= g
+        np.negative(s, out=s)  # g * sigmoid
+        return (
+            s @ xv.T if w.requires_grad else None,
+            wv.T @ s if x.requires_grad else None,
+            s.sum(axis=1, keepdims=True) if b.requires_grad else None,
+        )
+
+    return _result(out, (w, x, b), bw)
 
 
 def _overlap_add(fg: np.ndarray, stride: int, out_len: int) -> np.ndarray:
@@ -412,6 +480,54 @@ def conv1d_transpose(coeffs, filters, stride: int) -> Tensor:
         )
 
     return _result(out, (coeffs, filters), bw)
+
+
+def depthwise_conv(x, kernel, pad: tuple[int, int]) -> Tensor:
+    """Per-row correlation of zero-padded x: (K, T), (K, width) -> (K, L).
+
+    out[k, l] = sum_d kernel[k, d] * xp[k, l + d], where xp is x with
+    pad[0] zeros before and pad[1] zeros after each row, and
+    L = T + pad[0] + pad[1] - width + 1. Forward and input backward are
+    one axpy over K x L per tap, summed in increasing d, and the kernel
+    gradient one row-wise dot per tap. Each tap reads only the columns
+    of x it overlaps, so neither xp nor a (K, width, L) array is made.
+    """
+    x, kernel = as_tensor(x), as_tensor(kernel)
+    xv, kv = x.data, kernel.data
+    if xv.ndim != 2 or kv.ndim != 2 or kv.shape[0] != xv.shape[0]:
+        raise ShapeError(f"depthwise_conv shapes {xv.shape} and {kv.shape} do not align")
+    left, right = pad
+    n_rows, n_in = xv.shape
+    width = kv.shape[1]
+    if width < 1 or n_in + left + right < width:
+        raise ShapeError(f"{width}-tap kernel does not fit {n_in} samples padded by {pad}")
+    n_out = n_in + left + right - width + 1
+    # tap d pairs output column l with column l + d - left of x; the padding
+    # only adds zero terms, so each tap keeps the output columns inside x
+    taps = []
+    for d in range(width):
+        lo = max(0, left - d)
+        hi = max(lo, min(n_out, n_in + left - d))
+        taps.append((d, slice(lo, hi), slice(lo + d - left, hi + d - left)))
+    out = np.zeros((n_rows, n_out))
+    term = np.empty_like(out)
+    for d, o, i in taps:
+        out[:, o] += np.multiply(kv[:, d : d + 1], xv[:, i], out=term[:, o])
+
+    def bw(g):
+        gx = gk = None
+        if x.requires_grad:
+            gx = np.zeros_like(xv)
+            term = np.empty_like(g)
+            for d, o, i in taps:
+                gx[:, i] += np.multiply(kv[:, d : d + 1], g[:, o], out=term[:, o])
+        if kernel.requires_grad:
+            gk = np.empty_like(kv)
+            for d, o, i in taps:
+                gk[:, d] = np.einsum("kl,kl->k", g[:, o], xv[:, i])
+        return gx, gk
+
+    return _result(out, (x, kernel), bw)
 
 
 def gather_linear(x, idx: np.ndarray, weights: np.ndarray) -> Tensor:

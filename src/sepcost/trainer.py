@@ -67,6 +67,8 @@ class OptState:
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
+    # two flat buffers the Adam update reuses for its temporaries; not checkpointed
+    scratch: np.ndarray = field(default_factory=lambda: np.empty((2, 0)), repr=False, compare=False)
 
 
 @dataclass
@@ -148,7 +150,11 @@ def _excerpt_terms(
 
 def _apply_update(params: SeparatorParams, opt: OptState, cfg: TrainConfig) -> None:
     opt.step += 1
-    for name, t in params.tensors().items():
+    tensors = params.tensors()
+    largest = max(t.data.size for t in tensors.values())
+    if cfg.optimizer == "adam" and opt.scratch.shape[1] < largest:
+        opt.scratch = np.empty((2, largest))
+    for name, t in tensors.items():
         g = t.grad
         if g is None:
             continue
@@ -160,13 +166,22 @@ def _apply_update(params: SeparatorParams, opt: OptState, cfg: TrainConfig) -> N
             opt.v[name] = np.zeros_like(t.data)
         m = opt.m[name]
         v = opt.v[name]
+        a, b = (buf[: g.size].reshape(g.shape) for buf in opt.scratch)
+        # the same operations in the same order as the textbook form
+        #   m = beta1*m + (1-beta1)*g;  v = beta2*v + (1-beta2)*g*g
+        #   data -= lr * m_hat / (sqrt(v_hat) + eps)
+        # so parameters and moments are bitwise those of that form
         m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
+        m += np.multiply(1.0 - cfg.beta1, g, out=a)
         v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
-        m_hat = m / (1.0 - cfg.beta1**opt.step)
-        v_hat = v / (1.0 - cfg.beta2**opt.step)
-        t.data -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps_opt)
+        np.multiply(1.0 - cfg.beta2, g, out=a)
+        v += np.multiply(a, g, out=a)
+        np.divide(v, 1.0 - cfg.beta2**opt.step, out=a)
+        np.sqrt(a, out=a)
+        a += cfg.eps_opt
+        np.divide(m, 1.0 - cfg.beta1**opt.step, out=b)
+        np.multiply(cfg.learning_rate, b, out=b)
+        t.data -= np.divide(b, a, out=b)
 
 
 def train_step(

@@ -42,6 +42,17 @@ def test_softplus_at_zero():
     np.testing.assert_allclose(x.grad, logistic, rtol=1e-13, atol=0.0)
 
 
+def test_softplus_matches_logaddexp():
+    # the vectorised form agrees with numpy's logaddexp to a few ulp, subnormal tail included
+    z = np.concatenate([np.linspace(-760.0, 760.0, 20001), 5.0 * np.random.default_rng(25).standard_normal(2000)])
+    with np.errstate(over="raise", invalid="raise"):
+        out = E.softplus(E.Tensor(z)).data
+    np.testing.assert_allclose(out, np.logaddexp(0.0, z), rtol=1e-15, atol=0.0)
+    # a transposed (Fortran-ordered) input is not written back through a copy
+    zt = z[:20000].reshape(100, 200).T
+    np.testing.assert_allclose(E.softplus(E.Tensor(zt)).data, np.logaddexp(0.0, zt), rtol=1e-15, atol=0.0)
+
+
 def test_fd_of_square_matches_derivative():
     graph = lambda t: E.sum_(E.square(t["x"]))
     fd = E.finite_difference_gradient(graph, {"x": np.array([3.0])}, "x", step=1e-5)
@@ -64,9 +75,9 @@ def test_fd_of_square_matches_derivative():
         ("dot", lambda t: E.dot(t["a"], t["b"]) / (E.dot(t["a"], t["a"]) + 1.0), {"a": (16,), "b": (16,)}),
         ("matmul", lambda t: E.sum_(E.square(E.matmul(t["a"], t["b"]))), {"a": (3, 5), "b": (5, 4)}),
         (
-            "windows_pad",
-            lambda t: E.sum_(E.square(E.sliding_windows(t["a"], 4, (1, 2)) * t["b"])),
-            {"a": (3, 7), "b": (3, 4, 7)},
+            "depthwise_pad",
+            lambda t: E.sum_(E.square(E.depthwise_conv(t["a"], t["k"], (1, 2))) * t["b"]),
+            {"a": (3, 7), "k": (3, 4), "b": (3, 7)},
         ),
         (
             "windows_3d",
@@ -74,6 +85,21 @@ def test_fd_of_square_matches_derivative():
             {"a": (2, 3, 9), "b": (2, 3, 3, 7)},
         ),
         ("mean_all", lambda t: E.mean(E.square(t["a"] - t["b"])), {"a": (3, 4), "b": (3, 4)}),
+        (
+            "depthwise_w5",
+            lambda t: E.sum_(E.square(E.depthwise_conv(t["a"], t["k"], (2, 2))) * t["b"]),
+            {"a": (3, 9), "k": (3, 5), "b": (3, 9)},
+        ),
+        (
+            "depthwise_w1",
+            lambda t: E.sum_(E.square(E.depthwise_conv(t["a"], t["k"], (0, 0))) * t["b"]),
+            {"a": (2, 6), "k": (2, 1), "b": (2, 6)},
+        ),
+        (
+            "affine_softplus",
+            lambda t: E.sum_(E.square(E.affine_softplus(t["w"], t["x"], t["b"])) * t["c"]),
+            {"w": (4, 3), "x": (3, 5), "b": (4, 1), "c": (4, 5)},
+        ),
     ],
 )
 def test_elementwise_and_shape_ops_fd(name, graph, shapes):
@@ -169,26 +195,113 @@ def test_stft_magnitude_matches_rfft():
     np.testing.assert_array_equal(mag, ref)
 
 
-def _windows_reference(x, width, pad):
+def _windows_reference(x, width, pad=(0, 0)):
     xp = np.pad(x, [(0, 0)] * (x.ndim - 1) + [pad])
     n_out = xp.shape[-1] - width + 1
     return np.stack([xp[..., d : d + n_out] for d in range(width)], axis=-2)
 
 
-@pytest.mark.parametrize("shape,width,pad", [((4, 11), 5, (2, 2)), ((2, 3, 40), 30, (0, 0)), ((9,), 3, (0, 1))])
-def test_sliding_windows_match_stacked_slices(shape, width, pad):
+@pytest.mark.parametrize("shape,width", [((2, 3, 40), 30), ((9,), 3)])
+def test_sliding_windows_match_stacked_slices(shape, width):
     x = np.random.default_rng(20).standard_normal(shape)
-    out = E.sliding_windows(E.Tensor(x), width, pad).data
-    np.testing.assert_array_equal(out, _windows_reference(x, width, pad))
+    out = E.sliding_windows(E.Tensor(x), width).data
+    np.testing.assert_array_equal(out, _windows_reference(x, width))
     assert not np.shares_memory(out, x)
+    assert not out.flags.writeable
 
 
 def test_sliding_windows_wider_than_signal_rejected():
-    E.sliding_windows(E.Tensor(np.zeros((2, 3))), 5, (1, 1))  # exactly fits: one window
+    E.sliding_windows(E.Tensor(np.zeros((2, 3))), 3)  # exactly fits: one window
     with pytest.raises(ShapeError):
-        E.sliding_windows(E.Tensor(np.zeros((2, 3))), 6, (1, 1))
+        E.sliding_windows(E.Tensor(np.zeros((2, 3))), 4)
     with pytest.raises(ShapeError):
         E.sliding_windows(E.Tensor(np.zeros(4)), 5)
+
+
+@pytest.mark.parametrize(
+    "shape,width,pad",
+    # the last case pads past the kernel, so its first tap overlaps no column of x
+    [((4, 11), 5, (2, 2)), ((1, 9), 3, (0, 1)), ((3, 7), 4, (1, 2)), ((2, 6), 1, (0, 0)), ((2, 1), 4, (3, 0))],
+)
+def test_depthwise_conv_matches_composed_graph(shape, width, pad):
+    # the graph depthwise_conv replaced: windows of the padded input, times the kernel, summed over taps
+    rng = np.random.default_rng(22)
+    x = rng.standard_normal(shape)
+    kernel = rng.standard_normal((shape[0], width))
+    n_out = shape[1] + sum(pad) - width + 1
+    r = rng.standard_normal((shape[0], n_out))
+
+    xt, kt = E.parameter(x), E.parameter(kernel)
+    out = E.depthwise_conv(xt, kt, pad)
+    E.sum_(out * r).backward()
+
+    xp, kp = E.parameter(np.pad(x, [(0, 0), pad])), E.parameter(kernel)
+    ref = E.sum_(E.sliding_windows(xp, width) * kp[:, :, None], axis=1)
+    E.sum_(ref * r).backward()
+
+    np.testing.assert_allclose(out.data, ref.data, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(out.data, (_windows_reference(x, width, pad) * kernel[:, :, None]).sum(axis=1), rtol=1e-12)
+    np.testing.assert_allclose(xt.grad, xp.grad[:, pad[0] : pad[0] + shape[1]], rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(kt.grad, kp.grad, rtol=1e-12, atol=0.0)
+
+
+def test_affine_softplus_matches_composed_graph():
+    rng = np.random.default_rng(23)
+    w, x, b = rng.standard_normal((5, 4)), 3.0 * rng.standard_normal((4, 6)), rng.standard_normal((5, 1))
+    r = rng.standard_normal((5, 6))
+    fused = [E.parameter(v) for v in (w, x, b)]
+    out = E.affine_softplus(*fused)
+    E.sum_(out * r).backward()
+    composed = [E.parameter(v) for v in (w, x, b)]
+    ref = E.softplus(E.matmul(composed[0], composed[1]) + composed[2])
+    E.sum_(ref * r).backward()
+    np.testing.assert_allclose(out.data, ref.data, rtol=1e-12, atol=0.0)
+    for t, t_ref in zip(fused, composed):
+        np.testing.assert_allclose(t.grad, t_ref.grad, rtol=1e-12, atol=0.0)
+
+
+def test_affine_softplus_saturation():
+    # the sigmoid the backward forms from the output stays finite and accurate in both tails
+    zs = np.array([[30.0], [-30.0], [700.0], [-700.0]])
+    w, x, b = E.parameter(np.eye(4)), E.parameter(np.zeros((4, 1))), E.parameter(zs)
+    with np.errstate(over="raise", invalid="raise"):
+        out = E.affine_softplus(w, x, b)
+        E.sum_(out).backward()
+    np.testing.assert_allclose(out.data, np.logaddexp(0.0, zs), rtol=1e-15, atol=0.0)
+    logistic = 1.0 / (1.0 + np.exp(-zs))
+    np.testing.assert_allclose(b.grad, logistic, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(x.grad, logistic, rtol=1e-13, atol=0.0)
+
+
+def _accum_always_copying(t, g):
+    if g is None or not t.requires_grad:
+        return
+    g = E._unbroadcast(np.asarray(g, dtype=np.float64), t.data.shape)
+    t.grad = g.copy() if t.grad is None else t.grad + g
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [lambda x, y: E.sum_(x + y), lambda x, y: E.sum_(x * 2.0) + E.sum_(x) + E.sum_(y * x)],
+    ids=["add_both", "sum_of_sums"],
+)
+def test_leaf_gradients_own_their_memory(graph, monkeypatch):
+    # add hands one array to both parents and sum_ a read-only broadcast view;
+    # neither may end up shared between two .grad fields
+    rng = np.random.default_rng(24)
+    xv, yv = rng.standard_normal(6), rng.standard_normal(6)
+
+    def run():
+        x, y = E.parameter(xv), E.parameter(yv)
+        graph(x, y).backward()
+        return x.grad, y.grad
+
+    gx, gy = run()
+    assert not np.shares_memory(gx, gy)
+    assert gx.flags.writeable and gy.flags.writeable
+    monkeypatch.setattr(E, "_accum", _accum_always_copying)
+    rx, ry = run()
+    assert gx.tobytes() == rx.tobytes() and gy.tobytes() == ry.tobytes()
 
 
 def test_backward_keeps_only_leaf_gradients():
@@ -257,6 +370,15 @@ def test_shape_errors():
         E.matmul(E.Tensor(np.zeros((2, 3))), E.Tensor(np.zeros((2, 3))))
     with pytest.raises(ShapeError):
         E.conv1d(E.Tensor(np.zeros(8)), E.Tensor(np.zeros((1, 16))), 2)
+    E.depthwise_conv(E.Tensor(np.zeros((2, 3))), E.Tensor(np.zeros((2, 5))), (1, 1))  # exactly fits
+    with pytest.raises(ShapeError):
+        E.depthwise_conv(E.Tensor(np.zeros((2, 3))), E.Tensor(np.zeros((2, 6))), (1, 1))
+    with pytest.raises(ShapeError):
+        E.depthwise_conv(E.Tensor(np.zeros((2, 3))), E.Tensor(np.zeros((3, 1))), (0, 0))
+    with pytest.raises(ShapeError):
+        E.affine_softplus(E.Tensor(np.zeros((2, 3))), E.Tensor(np.zeros((3, 4))), E.Tensor(np.zeros(2)))
+    with pytest.raises(ShapeError):
+        E.affine_softplus(E.Tensor(np.zeros((2, 3))), E.Tensor(np.zeros((2, 4))), E.Tensor(np.zeros((2, 1))))
 
 
 def test_no_grad_suppresses_recording():

@@ -112,6 +112,30 @@ def test_step_descends_on_mse():
         assert loss_after < loss_before
 
 
+def test_adam_update_is_bitwise_the_textbook_form():
+    # the update runs in place on scratch buffers; the expression form is the reference
+    cfg = tiny_cfg(learning_rate=1e-2)
+    params, ref = init_params(3, SMALL_NET), init_params(3, SMALL_NET)
+    opt = OptState()
+    ref_m = {k: np.zeros_like(t.data) for k, t in ref.tensors().items()}
+    ref_v = {k: np.zeros_like(t.data) for k, t in ref.tensors().items()}
+    rng = np.random.default_rng(4)
+    for step in range(1, 4):
+        for (name, t), t_ref in zip(params.tensors().items(), ref.tensors().values()):
+            t.grad = rng.standard_normal(t.data.shape)
+            g = t.grad.copy()
+            ref_m[name] = cfg.beta1 * ref_m[name] + (1.0 - cfg.beta1) * g
+            ref_v[name] = cfg.beta2 * ref_v[name] + (1.0 - cfg.beta2) * g * g
+            m_hat = ref_m[name] / (1.0 - cfg.beta1**step)
+            v_hat = ref_v[name] / (1.0 - cfg.beta2**step)
+            t_ref.data -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps_opt)
+        trainer._apply_update(params, opt, cfg)
+    for name, t in params.tensors().items():
+        assert t.data.tobytes() == ref.tensors()[name].data.tobytes()
+        assert opt.m[name].tobytes() == ref_m[name].tobytes()
+        assert opt.v[name].tobytes() == ref_v[name].tobytes()
+
+
 def test_fit_zero_epochs_returns_initial_params():
     pair = make_pair()
     cfg = tiny_cfg(epochs=0)
