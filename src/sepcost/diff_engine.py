@@ -530,20 +530,31 @@ def depthwise_conv(x, kernel, pad: tuple[int, int]) -> Tensor:
     return _result(out, (x, kernel), bw)
 
 
-def gather_linear(x, idx: np.ndarray, weights: np.ndarray) -> Tensor:
-    """out[j] = sum_k x[idx[j, k]] * weights[j, k] (fixed sparse linear map).
+def gather_linear(x, start: np.ndarray, weights: np.ndarray) -> Tensor:
+    """out[j] = sum_k x[start[j] + k] * weights[j, k]; taps outside x read zero.
 
+    A banded linear map: row j reads the weights.shape[1] consecutive
+    samples from start[j], which may be negative or run past the end.
     Used for in-graph band-limited resampling; the adjoint is the
     matching scatter-add.
     """
     x = as_tensor(x)
-    if x.data.ndim != 1:
+    xv = x.data
+    if xv.ndim != 1:
         raise ShapeError("gather_linear expects a 1-D signal")
-    out = np.einsum("jk,jk->j", x.data[idx], weights)
+    if weights.ndim != 2 or start.shape != (weights.shape[0],):
+        raise ShapeError(f"gather_linear plan shapes {start.shape} and {weights.shape} do not align")
+    n, taps = xv.size, weights.shape[1]
+    # zeros on each side, just enough for the rows that overrun x
+    lo = max(0, -int(start.min(initial=0)))
+    xp = np.zeros(lo + max(n, int(start.max(initial=0)) + taps))
+    xp[lo : lo + n] = xv
+    out = np.einsum("jk,jk->j", np.lib.stride_tricks.sliding_window_view(xp, taps)[start + lo], weights)
 
     def bw(g):
         scaled = weights * np.asarray(g)[:, None]
-        return (np.bincount(idx.ravel(), weights=scaled.ravel(), minlength=x.data.size),)
+        k = (start + lo)[:, None] + np.arange(taps)
+        return (np.bincount(k.ravel(), weights=scaled.ravel(), minlength=xp.size)[lo : lo + n],)
 
     return _result(out, (x,), bw)
 

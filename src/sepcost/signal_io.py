@@ -13,6 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import diff_engine as engine
 from .errors import CorruptFile, IoError, ShapeError, SilentSignal, UnsupportedFormat
 
 PCM_SCALE = 32768.0
@@ -144,17 +145,20 @@ def write_wav(w: Waveform, path) -> None:
 
 @lru_cache(maxsize=32)
 def resample_plan(n_in: int, src_rate: int, dst_rate: int):
-    """Precompute the gather indices and weights of the windowed-sinc resampler.
+    """Precompute the banded plan of the windowed-sinc resampler.
 
-    Returns (idx, weights, out_len); output j = sum_k x[idx[j, k]] * weights[j, k].
-    Output j sits at source position j * src_rate / dst_rate = base + p / P
-    exactly, found in integers, with phase p in [0, P) and
-    P = dst_rate / gcd(src_rate, dst_rate). Tap offsets depend on p alone,
-    so the Kaiser-windowed sinc is evaluated on the P x SINC_TAPS phase grid
-    (P kernels; 5 for 16 -> 10 kHz) and each row takes its phase's kernel
-    (Smith & Gossett, ICASSP 1984). Rows are renormalized over in-range taps
-    so DC is preserved exactly, including at the edges. Both rates must be
-    positive integers.
+    Returns (start, weights, out_len); output j = sum_k x[start[j] + k] *
+    weights[j, k], the `diff_engine.gather_linear` map, with taps outside
+    x reading zero. start[j] = base - SINC_TAPS // 2 + 1 may be negative
+    near the edges. Output j sits at source position j * src_rate /
+    dst_rate = base + p / P exactly, found in integers, with phase p in
+    [0, P) and P = dst_rate / gcd(src_rate, dst_rate). Tap offsets depend
+    on p alone, so the Kaiser-windowed sinc is evaluated on the
+    P x SINC_TAPS phase grid (P kernels; 5 for 16 -> 10 kHz) and each row
+    takes its phase's kernel (Smith & Gossett, ICASSP 1984). Rows are
+    renormalized over in-range taps so DC is preserved exactly, including
+    at the edges. A plan holds 8 * (SINC_TAPS + 1) bytes per output
+    sample. Both rates must be positive integers.
     """
     for rate in (src_rate, dst_rate):
         if not isinstance(rate, (int, np.integer)) or rate <= 0:
@@ -172,15 +176,14 @@ def resample_plan(n_in: int, src_rate: int, dst_rate: int):
     window = np.where(np.abs(u) < 1.0, np.i0(KAISER_BETA * np.sqrt(np.maximum(0.0, 1.0 - u**2))), 0.0)
     window /= np.i0(KAISER_BETA)
     kernels = cutoff * np.sinc(cutoff * t) * window
-    k = (base - half + 1)[:, None] + taps
-    in_range = (k >= 0) & (k < n_in)
+    start = base - half + 1
+    k = start[:, None] + taps
     h = kernels[phase]
-    h *= in_range
+    h *= (k >= 0) & (k < n_in)
     h /= h.sum(axis=1, keepdims=True)
-    idx = np.where(in_range, k, 0)
-    idx.setflags(write=False)
+    start.setflags(write=False)
     h.setflags(write=False)
-    return idx, h, out_len
+    return start, h, out_len
 
 
 def resample(w: Waveform, target_rate: int) -> Waveform:
@@ -188,15 +191,15 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
 
     Output length is round(len * target_rate / source_rate). Same-rate
     input is returned unchanged (copied). The sum is the forward of
-    `diff_engine.gather_linear`, so offline and in-graph resampling agree
-    bitwise.
+    `diff_engine.gather_linear` over the cached plan, so offline and
+    in-graph resampling are one implementation and agree bitwise.
     """
     if target_rate <= 0:
         raise ValueError("target_rate must be positive")
     if target_rate == w.sample_rate:
         return Waveform(w.samples.copy(), w.sample_rate)
-    idx, weights, _ = resample_plan(len(w), w.sample_rate, target_rate)
-    return Waveform(np.einsum("jk,jk->j", w.samples[idx], weights), target_rate)
+    start, weights, _ = resample_plan(len(w), w.sample_rate, target_rate)
+    return Waveform(engine.gather_linear(w.samples, start, weights).data, target_rate)
 
 
 def mix_at_snr(target: Waveform, interference: Waveform, snr_db: float) -> MixturePair:

@@ -321,11 +321,11 @@ def fit(
 
 def write_log(log: list[dict], path) -> None:
     """JSON-lines training log, one object per entry, replaced atomically."""
-    _write_atomic(path, "".join(json.dumps(entry) + "\n" for entry in log))
+    _write_atomic(path, (json.dumps(entry) + "\n" for entry in log))
 
 
-def _write_atomic(path, text: str) -> None:
-    """Write a temp file beside path, then rename it over path.
+def _write_atomic(path, chunks) -> None:
+    """Write an iterable of text chunks to a temp file beside path, then rename it over path.
 
     A write killed part-way leaves the previous file intact.
     """
@@ -333,7 +333,8 @@ def _write_atomic(path, text: str) -> None:
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w") as fh:
-            fh.write(text)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -342,9 +343,26 @@ def _write_atomic(path, text: str) -> None:
 # ---------------------------------------------------------------------------
 # checkpoints
 
-def _encode_tensor(arr: np.ndarray) -> dict:
-    data = np.ascontiguousarray(arr, dtype="<f8")
-    return {"shape": list(data.shape), "data": base64.b64encode(data.tobytes()).decode("ascii")}
+# bytes base64-encoded per write; a multiple of 3, so the pieces join without padding
+_B64_CHUNK = 3 << 18
+
+
+def _checkpoint_chunks(head: dict, tensors):
+    """json.dumps of head plus a "tensors" object, yielded piece by piece.
+
+    Each (name, array) pair becomes {"shape": [...], "data": base64 of its
+    little-endian float64 bytes}, encoded a chunk at a time, so no whole
+    document or whole tensor string is ever held.
+    """
+    yield json.dumps(head)[:-1] + ', "tensors": {'
+    for i, (name, arr) in enumerate(tensors):
+        data = np.ascontiguousarray(arr, dtype="<f8")
+        yield f'{", " if i else ""}{json.dumps(name)}: {{"shape": {json.dumps(list(data.shape))}, "data": "'
+        raw = data.reshape(-1).view(np.uint8)
+        for lo in range(0, raw.size, _B64_CHUNK):
+            yield base64.b64encode(raw[lo : lo + _B64_CHUNK]).decode("ascii")
+        yield '"}'
+    yield "}}"
 
 
 def _decode_tensor(entry: dict, path) -> np.ndarray:
@@ -367,24 +385,22 @@ def save_checkpoint(
 ) -> None:
     """JSON checkpoint: config plus base64 little-endian float64 tensors.
 
-    The file is replaced atomically, so an interrupted save keeps the
-    previous checkpoint.
+    The document is streamed to disk tensor by tensor; the bytes are those
+    of json.dumps of the whole document. The file is replaced atomically,
+    so an interrupted save keeps the previous checkpoint.
     """
-    tensors = {name: _encode_tensor(t.data) for name, t in params.tensors().items()}
-    for name, arr in opt_state.m.items():
-        tensors[f"opt.m.{name}"] = _encode_tensor(arr)
-    for name, arr in opt_state.v.items():
-        tensors[f"opt.v.{name}"] = _encode_tensor(arr)
-    doc = {
+    tensors = [(name, t.data) for name, t in params.tensors().items()]
+    tensors += [(f"opt.m.{name}", arr) for name, arr in opt_state.m.items()]
+    tensors += [(f"opt.v.{name}", arr) for name, arr in opt_state.v.items()]
+    head = {
         "format_version": CHECKPOINT_VERSION,
         "config": {
             "network": asdict(params.cfg),
             "train": asdict(train_cfg) if train_cfg is not None else None,
             "meta": dict(meta or {}, opt_step=opt_state.step),
         },
-        "tensors": tensors,
     }
-    _write_atomic(path, json.dumps(doc))
+    _write_atomic(path, _checkpoint_chunks(head, tensors))
 
 
 def load_checkpoint(path):

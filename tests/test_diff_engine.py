@@ -157,10 +157,26 @@ def test_gather_linear_fd():
     rng = np.random.default_rng(15)
     # 5 phases down, 125 phases down (the gradcheck rate), 5 phases up
     for src_rate in (16000, 10080, 8000):
-        idx, weights, _ = resample_plan(120, src_rate, 10000)
+        start, weights, _ = resample_plan(120, src_rate, 10000)
         inputs = {"x": rng.standard_normal(120)}
-        graph = lambda t: E.sum_(E.square(E.gather_linear(t["x"], idx, weights)))
+        graph = lambda t: E.sum_(E.square(E.gather_linear(t["x"], start, weights)))
         fd_check(graph, inputs, ["x"])
+
+
+def test_gather_linear_adjoint_identity():
+    # <A x, g> = <x, A^T g>, with rows that run off both ends of x
+    rng = np.random.default_rng(17)
+    start = np.array([-5, -1, 0, 3, 3, 9, 14])
+    weights = rng.standard_normal((start.size, 6))
+    x = E.parameter(rng.standard_normal(16))
+    g = rng.standard_normal(start.size)
+    out = E.gather_linear(x, start, weights)
+    E.dot(out, E.Tensor(g)).backward()
+    assert float(out.data @ g) == pytest.approx(float(x.data @ x.grad), rel=1e-12)
+    # taps outside x read zero
+    xp = np.concatenate([np.zeros(5), x.data, np.zeros(4)])
+    expected = [xp[s + 5 : s + 11] @ w for s, w in zip(start, weights)]
+    np.testing.assert_allclose(out.data, expected, rtol=1e-14)
 
 
 def test_stft_magnitude_fd():
@@ -379,6 +395,12 @@ def test_shape_errors():
         E.affine_softplus(E.Tensor(np.zeros((2, 3))), E.Tensor(np.zeros((3, 4))), E.Tensor(np.zeros(2)))
     with pytest.raises(ShapeError):
         E.affine_softplus(E.Tensor(np.zeros((2, 3))), E.Tensor(np.zeros((2, 4))), E.Tensor(np.zeros((2, 1))))
+    with pytest.raises(ShapeError):
+        E.gather_linear(E.Tensor(np.zeros(8)), np.zeros(3, dtype=np.int64), np.zeros(4))
+    with pytest.raises(ShapeError):
+        E.gather_linear(E.Tensor(np.zeros(8)), np.zeros(2, dtype=np.int64), np.zeros((3, 4)))
+    with pytest.raises(ShapeError):
+        E.gather_linear(E.Tensor(np.zeros(8)), np.zeros((3, 1), dtype=np.int64), np.zeros((3, 4)))
 
 
 def test_no_grad_suppresses_recording():

@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+from sepcost import diff_engine as E
 from sepcost.diff_engine import gather_linear
 from sepcost.errors import CorruptFile, ShapeError, SilentSignal, UnsupportedFormat
 from sepcost.signal_io import (
@@ -138,22 +139,29 @@ def test_resample_duration_preserved():
         assert abs(r.duration - w.duration) <= 1.0 / fd
 
 
-def _float_position_idx(n_in, src_rate, dst_rate):
-    """Tap indices from the float source position j * (src / dst)."""
+def _float_position_start(n_in, src_rate, dst_rate):
+    """Unclipped first tap from the float source position j * (src / dst)."""
     out_len = int(round(n_in * dst_rate / src_rate))
-    half = SINC_TAPS // 2
-    k0 = np.floor(np.arange(out_len) * (src_rate / dst_rate)).astype(np.int64) - half + 1
-    k = k0[:, None] + np.arange(SINC_TAPS)[None, :]
-    return np.where((k >= 0) & (k < n_in), k, 0)
+    return np.floor(np.arange(out_len) * (src_rate / dst_rate)).astype(np.int64) - SINC_TAPS // 2 + 1
 
 
 @pytest.mark.parametrize("src_rate,dst_rate", PLAN_RATES)
 def test_resample_plan_idx_matches_float_positions(src_rate, dst_rate):
+    # the first-tap index of each row, negative or past the end near the edges
     n_in = 3 * src_rate + 17
-    idx, weights, out_len = resample_plan(n_in, src_rate, dst_rate)
-    np.testing.assert_array_equal(idx, _float_position_idx(n_in, src_rate, dst_rate))
+    start, weights, out_len = resample_plan(n_in, src_rate, dst_rate)
+    np.testing.assert_array_equal(start, _float_position_start(n_in, src_rate, dst_rate))
+    assert start.dtype == np.int64 and start.shape == (out_len,)
+    assert start[0] < 0 and start[-1] + SINC_TAPS > n_in
     assert weights.shape == (out_len, SINC_TAPS)
-    assert not idx.flags.writeable and not weights.flags.writeable
+    assert not start.flags.writeable and not weights.flags.writeable
+
+
+@pytest.mark.parametrize("src_rate,dst_rate", PLAN_RATES)
+def test_resample_plan_bytes_pinned(src_rate, dst_rate):
+    # one int64 start and SINC_TAPS float64 weights per output sample
+    start, weights, out_len = resample_plan(2 * src_rate + 5, src_rate, dst_rate)
+    assert start.nbytes + weights.nbytes == out_len * 8 * (SINC_TAPS + 1)
 
 
 @pytest.mark.parametrize("src_rate,dst_rate", [(16000, 10000.0), (16000.0, 10000), (16000, 0), (-8000, 10000)])
@@ -163,13 +171,13 @@ def test_resample_plan_rejects_non_integer_rates(src_rate, dst_rate):
 
 
 def test_resample_plan_interior_rows_of_one_phase_are_identical():
-    idx, weights, out_len = resample_plan(16000, 16000, 10000)
+    start, weights, out_len = resample_plan(16000, 16000, 10000)
     # 16 -> 10 kHz has 5 phases: rows j and j + 5 share a kernel, 8 samples on
     interior = np.arange(SINC_TAPS, out_len - SINC_TAPS)
     for phase in range(5):
         rows = interior[interior % 5 == phase]
         assert (weights[rows] == weights[rows[0]]).all()
-        assert (idx[rows] - idx[rows, :1] == np.arange(SINC_TAPS)).all()
+        assert (np.diff(start[rows]) == 8).all()  # src / gcd samples per 5 rows
     assert not np.array_equal(weights[interior[0]], weights[interior[1]])
 
 
@@ -200,9 +208,39 @@ def test_resample_plan_weights_match_exact_phase_reference():
 @pytest.mark.parametrize("src_rate,dst_rate", PLAN_RATES)
 def test_resample_matches_in_graph_gather_bitwise(src_rate, dst_rate):
     w = Waveform(np.random.default_rng(6).standard_normal(src_rate // 4 + 3), src_rate)
-    idx, weights, _ = resample_plan(len(w), src_rate, dst_rate)
-    in_graph = gather_linear(w.samples, idx, weights).data
+    start, weights, _ = resample_plan(len(w), src_rate, dst_rate)
+    in_graph = gather_linear(w.samples, start, weights).data
     np.testing.assert_array_equal(resample(w, dst_rate).samples, in_graph)
+
+
+def _index_array_gather(x, start, weights, g):
+    """Forward and adjoint of a plan over a full (rows, taps) index array.
+
+    Out-of-range taps read x[0]; the plan's weights are zero there.
+    """
+    k = start[:, None] + np.arange(weights.shape[1])
+    idx = np.where((k >= 0) & (k < x.size), k, 0)
+    out = np.einsum("jk,jk->j", x[idx], weights)
+    grad = np.bincount(idx.ravel(), weights=(weights * g[:, None]).ravel(), minlength=x.size)
+    return out, grad
+
+
+@pytest.mark.parametrize("src_rate,dst_rate", PLAN_RATES)
+@pytest.mark.parametrize("n_in", [120, 2011])
+def test_banded_gather_matches_index_array_oracle_bitwise(src_rate, dst_rate, n_in):
+    # 120 samples: rows overrun both ends; 8 -> 10 kHz repeats starts
+    rng = np.random.default_rng(n_in)
+    x = rng.standard_normal(n_in)
+    start, weights, out_len = resample_plan(n_in, src_rate, dst_rate)
+    if src_rate < dst_rate:
+        assert (np.diff(start) == 0).any()
+    g = rng.standard_normal(out_len)
+    xt = E.parameter(x)
+    out = gather_linear(xt, start, weights)
+    E.dot(out, E.Tensor(g)).backward()
+    ref_out, ref_grad = _index_array_gather(x, start, weights, g)
+    np.testing.assert_array_equal(out.data, ref_out)
+    np.testing.assert_array_equal(xt.grad, ref_grad)
 
 
 def test_mix_scale_from_rms_ratio():

@@ -1,5 +1,6 @@
 import base64
 import builtins
+import dataclasses
 import json
 
 import numpy as np
@@ -202,6 +203,37 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
         np.testing.assert_array_equal(opt.v[k], result.opt_state.v[k])
     assert meta["steps_done"] == 2
     assert meta["train"]["cost"] == "sdr"
+
+
+@pytest.mark.parametrize("chunk", [trainer._B64_CHUNK, 3 * 7])
+def test_checkpoint_bytes_match_whole_document_dumps(tmp_path, monkeypatch, chunk):
+    # the streamed file is byte for byte json.dumps of the whole document;
+    # a 21-byte chunk splits every tensor's base64 mid-row
+    monkeypatch.setattr(trainer, "_B64_CHUNK", chunk)
+    params = init_params(0, SMALL_NET)
+    opt = OptState(step=4)
+    for name, t in params.tensors().items():
+        opt.m[name], opt.v[name] = np.sin(t.data), np.cos(t.data) ** 2
+    cfg = tiny_cfg()
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(params, opt, path, cfg, meta={"steps_done": 4})
+
+    def encode(arr):
+        return {"shape": list(arr.shape), "data": base64.b64encode(arr.astype("<f8").tobytes()).decode("ascii")}
+
+    tensors = {name: encode(t.data) for name, t in params.tensors().items()}
+    tensors.update({f"opt.m.{name}": encode(arr) for name, arr in opt.m.items()})
+    tensors.update({f"opt.v.{name}": encode(arr) for name, arr in opt.v.items()})
+    doc = {
+        "format_version": trainer.CHECKPOINT_VERSION,
+        "config": {
+            "network": dataclasses.asdict(SMALL_NET),
+            "train": dataclasses.asdict(cfg),
+            "meta": {"steps_done": 4, "opt_step": 4},
+        },
+        "tensors": tensors,
+    }
+    assert path.read_bytes() == json.dumps(doc).encode("ascii")
 
 
 def test_checkpoint_rejects_truncation_and_bad_version(tmp_path):
