@@ -13,6 +13,7 @@ import binascii
 import json
 import math
 import os
+import re
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -365,6 +366,98 @@ def _checkpoint_chunks(head: dict, tensors):
     yield "}}"
 
 
+# characters read per refill of _JsonStream's buffer
+_READ_CHUNK = 1 << 20
+_WHITESPACE = re.compile(r"[ \t\n\r]*")
+_JSON = json.JSONDecoder()
+
+
+class _JsonStream:
+    """A JSON text file walked one value at a time through a bounded buffer.
+
+    members() steps through an object's keys and value() parses the next
+    whole value, so the buffer holds at most about twice the largest value
+    still being parsed. Syntax errors raise json.JSONDecodeError.
+    """
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.buf = ""
+        self.pos = 0
+
+    def _fill(self, until: str = "") -> bool:
+        """Append at least as much as is buffered, then read on to the next
+        `until` character if one is given; False at end of file.
+
+        Doubling keeps the rescans of a value that spans reads linear in its
+        length; reading on to `until` spares them for a long string.
+        """
+        rest = self.buf[self.pos :]
+        pieces = [rest, self.fh.read(max(_READ_CHUNK, len(rest)))]
+        if not pieces[1]:
+            return False
+        while until not in pieces[-1]:
+            more = self.fh.read(_READ_CHUNK)
+            if not more:
+                break
+            pieces.append(more)
+        self.buf = "".join(pieces)
+        self.pos = 0
+        return True
+
+    def _peek(self) -> str:
+        """Next character after whitespace, or "" at end of file."""
+        while True:
+            self.pos = _WHITESPACE.match(self.buf, self.pos).end()
+            if self.pos < len(self.buf):
+                return self.buf[self.pos]
+            if not self._fill():
+                return ""
+
+    def _expect(self, chars: str) -> str:
+        ch = self._peek()
+        if not ch or ch not in chars:
+            raise json.JSONDecodeError(f"expecting one of {chars!r}", self.buf, self.pos)
+        self.pos += 1
+        return ch
+
+    def value(self):
+        """Parse the next whole value, reading until it is complete."""
+        self._peek()
+        while True:
+            try:
+                val, end = _JSON.raw_decode(self.buf, self.pos)
+            except json.JSONDecodeError:
+                # mostly an unterminated string, which cannot parse before
+                # its closing quote is buffered
+                if self._fill('"'):
+                    continue
+                raise
+            # a number or literal that ends the buffer may go on in the file
+            if end < len(self.buf) or not self._fill():
+                self.pos = end
+                return val
+
+    def members(self):
+        """Yield each key of the next object; the caller reads its value before resuming."""
+        self._expect("{")
+        if self._peek() == "}":
+            self.pos += 1
+            return
+        while True:
+            if self._peek() != '"':
+                raise json.JSONDecodeError("expecting a string key", self.buf, self.pos)
+            key = self.value()
+            self._expect(":")
+            yield key
+            if self._expect(",}") == "}":
+                return
+
+    def end(self) -> None:
+        if self._peek():
+            raise json.JSONDecodeError("extra data", self.buf, self.pos)
+
+
 def _decode_tensor(entry: dict, path) -> np.ndarray:
     try:
         raw = base64.b64decode(entry["data"], validate=True)
@@ -406,14 +499,30 @@ def save_checkpoint(
 def load_checkpoint(path):
     """Rebuild (params, opt_state, meta) bit-exactly from a checkpoint file.
 
+    The file is parsed as it is read, one top-level value or one tensor
+    entry at a time, and each tensor is decoded as soon as its entry is
+    complete, so no whole document or whole set of base64 strings is held.
     Every parameter and every Adam moment must have the shape the stored
     network config gives it; anything else raises CorruptFile.
     """
+    doc, tensors = {}, {}
     try:
-        doc = json.loads(Path(path).read_text())
+        with open(path) as fh:
+            stream = _JsonStream(fh)
+            for key in stream.members():
+                if key != "tensors":
+                    doc[key] = stream.value()
+                    continue
+                for name in stream.members():
+                    entry = stream.value()
+                    try:  # a bad payload counts only if the tensor is used
+                        tensors[name] = _decode_tensor(entry, path)
+                    except CorruptFile as exc:
+                        tensors[name] = exc
+            stream.end()
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CorruptFile(f"{path}: not valid checkpoint JSON") from exc
-    if not isinstance(doc, dict) or "format_version" not in doc:
+    if "format_version" not in doc:
         raise CorruptFile(f"{path}: missing format_version")
     if doc["format_version"] != CHECKPOINT_VERSION:
         raise IncompatibleCheckpoint(
@@ -421,7 +530,6 @@ def load_checkpoint(path):
         )
     try:
         net_cfg = NetConfig(**doc["config"]["network"])
-        tensors = doc["tensors"]
     except (KeyError, TypeError) as exc:
         raise CorruptFile(f"{path}: malformed checkpoint structure") from exc
 
@@ -432,7 +540,9 @@ def load_checkpoint(path):
             raise CorruptFile(f"{path}: tensor {key!r} names no parameter of this network")
         if key not in tensors:
             raise CorruptFile(f"{path}: missing tensor {key!r}")
-        arr = _decode_tensor(tensors[key], path)
+        arr = tensors[key]
+        if isinstance(arr, CorruptFile):
+            raise arr
         if arr.shape != shapes[name]:
             raise CorruptFile(f"{path}: tensor {key!r} has shape {arr.shape}, network needs {shapes[name]}")
         return arr

@@ -1,6 +1,7 @@
 import base64
 import builtins
 import dataclasses
+import io
 import json
 
 import numpy as np
@@ -260,6 +261,111 @@ def test_checkpoint_rejects_truncation_and_bad_version(tmp_path):
     bad_payload.write_text(json.dumps(doc))
     with pytest.raises(CorruptFile):
         load_checkpoint(bad_payload)
+
+
+def _moment_state(params, step=3):
+    opt = OptState(step=step)
+    for name, t in params.tensors().items():
+        opt.m[name], opt.v[name] = np.sin(t.data), np.cos(t.data) ** 2
+    return opt
+
+
+def _assert_same_state(loaded, params, opt):
+    l_params, l_opt, _ = loaded
+    for (name, t), orig in zip(l_params.tensors().items(), params.tensors().values()):
+        assert t.data.tobytes() == orig.data.tobytes(), name
+    assert l_opt.step == opt.step and l_opt.m.keys() == opt.m.keys() and l_opt.v.keys() == opt.v.keys()
+    for name in opt.m:
+        assert l_opt.m[name].tobytes() == opt.m[name].tobytes(), name
+        assert l_opt.v[name].tobytes() == opt.v[name].tobytes(), name
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 4096])
+def test_checkpoint_loads_any_layout_through_small_reads(tmp_path, monkeypatch, chunk):
+    # the loader parses as it reads: every token, number and base64 string may
+    # straddle a read, and any JSON layout of the same document must load
+    monkeypatch.setattr(trainer, "_READ_CHUNK", chunk)
+    params = init_params(0, SMALL_NET)
+    opt = _moment_state(params, step=12345)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(params, opt, path, tiny_cfg(), meta={"steps_done": 12345})
+    _assert_same_state(load_checkpoint(path), params, opt)
+
+    doc = json.loads(path.read_text())
+    reordered = {"tensors": dict(reversed(doc["tensors"].items())), **doc}
+    indented = tmp_path / "indented.json"
+    indented.write_text(" \n" + json.dumps(reordered, indent=2) + "\n\t")
+    loaded = load_checkpoint(indented)
+    _assert_same_state(loaded, params, opt)
+    assert loaded[2]["steps_done"] == 12345 and loaded[2]["train"] == doc["config"]["train"]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 5, 1 << 20])
+def test_json_stream_matches_json_loads(monkeypatch, chunk):
+    # numbers, literals and escaped strings cut by a read are parsed whole
+    monkeypatch.setattr(trainer, "_READ_CHUNK", chunk)
+    text = (' {"a": 12345, "b" : [1.5e-3, -2, "x\\"y"], "c": {"d": true, "e": null},\n'
+            '  "f": "' + "QUJD" * 50 + '", "g": 9876543210} \n')
+    stream = trainer._JsonStream(io.StringIO(text))
+    doc = {key: stream.value() for key in stream.members()}
+    stream.end()
+    assert doc == json.loads(text)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda t: "",
+        lambda t: "[" + t + "]",
+        lambda t: t + " {}",
+        lambda t: t[:-2] + "},}",
+        lambda t: t.replace('"format_version": 1', '"format_version" 1'),
+        lambda t: t.replace('"format_version": 1', '1: 1'),
+        lambda t: t.replace('"tensors": {', '"tensors": [{', 1)[:-1] + "]}",
+    ],
+    ids=["empty", "array", "extra_data", "trailing_comma", "missing_colon", "number_key", "tensor_list"],
+)
+def test_checkpoint_rejects_malformed_json(tmp_path, edit):
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(init_params(0, SMALL_NET), OptState(), path)
+    load_checkpoint(path)  # the unedited file loads
+    path.write_text(edit(path.read_text()))
+    with pytest.raises(CorruptFile):
+        load_checkpoint(path)
+
+
+def test_checkpoint_version_is_checked_before_tensor_payloads(tmp_path):
+    # tensors first and a bad payload: the version mismatch is still what is reported
+    params = init_params(0, SMALL_NET)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(params, OptState(), path)
+    doc = json.loads(path.read_text())
+    doc["tensors"]["analysis"]["data"] = "!!"
+    doc = {"tensors": doc.pop("tensors"), **doc, "format_version": 99}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(IncompatibleCheckpoint):
+        load_checkpoint(path)
+
+
+def test_checkpoint_load_holds_one_tensor_of_text_at_a_time(tmp_path):
+    # traced peak of a load: the decoded arrays plus a few copies of the largest
+    # tensor entry, never the whole document text (which is 4/3 of the arrays)
+    tracemalloc = pytest.importorskip("tracemalloc")
+    net = NetConfig(components=256, filter_len=256, stride=16, hidden_units=256, weight_sharing="independent")
+    params = init_params(0, net)
+    opt = _moment_state(params)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(params, opt, path)
+    arrays = sum(t.data.nbytes for t in params.tensors().values()) * 3
+    largest = max(t.data.nbytes for t in params.tensors().values())
+    tracemalloc.start()
+    try:
+        loaded = load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _assert_same_state(loaded, params, opt)
+    assert peak < arrays + 8 * largest + 2 * trainer._READ_CHUNK < 2 * path.stat().st_size
 
 
 def _with_tensor(doc, key, arr):
