@@ -17,24 +17,24 @@ strided 1-D convolution and its transpose, a zero-padded depthwise
 temporal convolution, dense maps and the fused dense layer
 softplus(w @ x + b), softplus, elementwise arithmetic / min / abs /
 square / sqrt, inner products, L2 norms, axis reductions, basic slicing,
-sliding windows, a magnitude STFT, and a linear gather used for in-graph
-resampling. There is no dynamic control flow and no higher-order
-differentiation.
+sliding windows, a magnitude STFT, and the polyphase banded map of
+in-graph resampling (`gather_linear` over a `PolyphasePlan`). There is
+no dynamic control flow and no higher-order differentiation.
 
 A closure may hand back an array it allocated without the walk copying
 it; views, broadcasts and an array handed to two parents are copied, so
 no two `.grad` fields share memory.
 
 Every framing op shares one scatter, `_overlap_add`: it is the backward
-of conv1d, stft_magnitude and sliding_windows and the forward of
-conv1d_transpose. The STFT runs on numpy's FFT both ways, rfft forward
-and irfft for the adjoint.
+of conv1d, stft_magnitude, sliding_windows and gather_linear and the
+forward of conv1d_transpose. The STFT runs on numpy's FFT both ways,
+rfft forward and irfft for the adjoint.
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -530,31 +530,67 @@ def depthwise_conv(x, kernel, pad: tuple[int, int]) -> Tensor:
     return _result(out, (x, kernel), bw)
 
 
-def gather_linear(x, start: np.ndarray, weights: np.ndarray) -> Tensor:
-    """out[j] = sum_k x[start[j] + k] * weights[j, k]; taps outside x read zero.
+class PolyphasePlan(NamedTuple):
+    """A banded linear map whose rows repeat every phases.shape[0] rows.
 
-    A banded linear map: row j reads the weights.shape[1] consecutive
-    samples from start[j], which may be negative or run past the end.
-    Used for in-graph band-limited resampling; the adjoint is the
-    matching scatter-add.
+    Rows go in blocks of R = phases.shape[0]: output b * R + r is
+    phases[r] dotted with the window of phases.shape[1] samples that
+    starts at x[b * stride + offset], taps outside x reading zero. The
+    edge rows are the exceptions: edge row e is the dot product of
+    edge_weights[e] with the samples from x[edge_start[e]].
+    """
+
+    n_in: int
+    out_len: int
+    phases: np.ndarray  # (R, W), shared by every input length
+    stride: int  # input samples per block of R rows
+    offset: int  # first tap of row 0, at most 0
+    edge_rows: np.ndarray  # int64 (E,)
+    edge_start: np.ndarray  # int64 (E,), may be negative or run past x
+    edge_weights: np.ndarray  # (E, taps)
+
+
+def gather_linear(x, plan: PolyphasePlan) -> Tensor:
+    """The banded linear map of a PolyphasePlan: (plan.n_in,) -> (plan.out_len,).
+
+    Used for in-graph band-limited resampling (`signal_io.resample_plan`).
+    x is copied once into a zero-padded buffer, the windows of its blocks
+    are framed with hop plan.stride as in conv1d, and one BLAS matmul
+    with phases.T gives every row; the edge rows are then overwritten by
+    their own banded sums. Backward is the conv1d adjoint: phases.T @ g
+    per block, overlap-added by `_overlap_add`, with the edge rows' share
+    of g zeroed there and scatter-added by a bincount over those rows
+    alone.
     """
     x = as_tensor(x)
     xv = x.data
-    if xv.ndim != 1:
-        raise ShapeError("gather_linear expects a 1-D signal")
-    if weights.ndim != 2 or start.shape != (weights.shape[0],):
-        raise ShapeError(f"gather_linear plan shapes {start.shape} and {weights.shape} do not align")
-    n, taps = xv.size, weights.shape[1]
-    # zeros on each side, just enough for the rows that overrun x
-    lo = max(0, -int(start.min(initial=0)))
-    xp = np.zeros(lo + max(n, int(start.max(initial=0)) + taps))
+    rows, width = plan.phases.shape
+    taps = plan.edge_weights.shape[-1]
+    if xv.ndim != 1 or xv.size != plan.n_in:
+        raise ShapeError(f"gather_linear plan for {plan.n_in} samples does not fit shape {xv.shape}")
+    edges = plan.edge_rows.shape
+    if plan.edge_start.shape != edges or plan.edge_weights.shape[:-1] != edges:
+        raise ShapeError(
+            f"gather_linear plan edge shapes {edges}, {plan.edge_start.shape} and {plan.edge_weights.shape} do not align"
+        )
+    n, lo = xv.size, -plan.offset
+    n_blocks = max(1, -(-plan.out_len // rows))
+    span = (n_blocks - 1) * plan.stride + width  # samples the block frames read
+    xp = np.zeros(max(span, lo + n))
     xp[lo : lo + n] = xv
-    out = np.einsum("jk,jk->j", np.lib.stride_tricks.sliding_window_view(xp, taps)[start + lo], weights)
+    out = (_frames(xp[:span], width, plan.stride) @ plan.phases.T).ravel()[: plan.out_len]
+    k = plan.edge_start[:, None] + (lo + np.arange(taps))  # xp index of each edge tap
+    out[plan.edge_rows] = np.einsum("jk,jk->j", xp[k], plan.edge_weights)
 
     def bw(g):
-        scaled = weights * np.asarray(g)[:, None]
-        k = (start + lo)[:, None] + np.arange(taps)
-        return (np.bincount(k.ravel(), weights=scaled.ravel(), minlength=xp.size)[lo : lo + n],)
+        blocks = np.zeros((n_blocks, rows))
+        flat = blocks.reshape(-1)
+        flat[: plan.out_len] = g
+        flat[plan.edge_rows] = 0.0
+        gx = _overlap_add(plan.phases.T @ blocks.T, plan.stride, xp.size)
+        scaled = plan.edge_weights * g[plan.edge_rows][:, None]
+        gx += np.bincount(k.ravel(), weights=scaled.ravel(), minlength=xp.size)
+        return (gx[lo : lo + n],)
 
     return _result(out, (x,), bw)
 

@@ -155,10 +155,10 @@ def stoi_forward(x, y, cfg: StoiConfig = StoiConfig(), sample_rate: int | None =
     if rate is None:
         rate = sample_rate if sample_rate is not None else cfg.analysis_rate
     if rate != cfg.analysis_rate:
-        start, weights, out_len = resample_plan(xt.data.size, rate, cfg.analysis_rate)
-        xt = engine.gather_linear(xt, start, weights)
-        yt = engine.gather_linear(yt, start, weights)
-        n10 = out_len
+        plan = resample_plan(xt.data.size, rate, cfg.analysis_rate)
+        xt = engine.gather_linear(xt, plan)
+        yt = engine.gather_linear(yt, plan)
+        n10 = plan.out_len
     else:
         n10 = xt.data.size
 

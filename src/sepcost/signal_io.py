@@ -143,31 +143,30 @@ def write_wav(w: Waveform, path) -> None:
         raise IoError(f"{path}: {exc}") from exc
 
 
-@lru_cache(maxsize=32)
-def resample_plan(n_in: int, src_rate: int, dst_rate: int):
-    """Precompute the banded plan of the windowed-sinc resampler.
+# Polyphase blocks hold at least 32 outputs, and a phase matrix at most
+# 2**20 entries (8 MB of float64).
+MIN_BLOCK_ROWS = 32
+MAX_PHASE_ENTRIES = 1 << 20
 
-    Returns (start, weights, out_len); output j = sum_k x[start[j] + k] *
-    weights[j, k], the `diff_engine.gather_linear` map, with taps outside
-    x reading zero. start[j] = base - SINC_TAPS // 2 + 1 may be negative
-    near the edges. Output j sits at source position j * src_rate /
-    dst_rate = base + p / P exactly, found in integers, with phase p in
-    [0, P) and P = dst_rate / gcd(src_rate, dst_rate). Tap offsets depend
-    on p alone, so the Kaiser-windowed sinc is evaluated on the
-    P x SINC_TAPS phase grid (P kernels; 5 for 16 -> 10 kHz) and each row
-    takes its phase's kernel (Smith & Gossett, ICASSP 1984). Rows are
-    renormalized over in-range taps so DC is preserved exactly, including
-    at the edges. A plan holds 8 * (SINC_TAPS + 1) bytes per output
-    sample. Both rates must be positive integers.
+
+@lru_cache(maxsize=8)
+def _phase_grid(src_rate: int, dst_rate: int):
+    """(kernels, phases) of one rate pair, shared by every input length.
+
+    kernels[p] is the un-normalised kernel of phase p in [0, P). phases is
+    the (m * P, W) block matrix of gather_linear: row r holds the
+    normalised kernel of phase (r * Q) mod P from column (r * Q) // P.
     """
-    for rate in (src_rate, dst_rate):
-        if not isinstance(rate, (int, np.integer)) or rate <= 0:
-            raise ValueError(f"sample rates must be positive integers, got {rate!r}")
-    out_len = int(round(n_in * dst_rate / src_rate))
     half = SINC_TAPS // 2
     step = math.gcd(src_rate, dst_rate)
-    n_phases = dst_rate // step
-    base, phase = np.divmod(np.arange(out_len, dtype=np.int64) * (src_rate // step), n_phases)
+    n_phases, q = dst_rate // step, src_rate // step
+    rows = -(-MIN_BLOCK_ROWS // n_phases) * n_phases
+    width = (rows - 1) * q // n_phases + SINC_TAPS
+    if rows * width > MAX_PHASE_ENTRIES:
+        raise ValueError(
+            f"resampling {src_rate} Hz to {dst_rate} Hz needs a {rows} x {width} phase matrix, "
+            f"more than {MAX_PHASE_ENTRIES} entries"
+        )
     taps = np.arange(SINC_TAPS)
     # t[p, m] = p / P + half - 1 - m, one rounding from an exact integer ratio
     t = (np.arange(n_phases)[:, None] + (half - 1 - taps) * n_phases) / n_phases
@@ -176,30 +175,85 @@ def resample_plan(n_in: int, src_rate: int, dst_rate: int):
     window = np.where(np.abs(u) < 1.0, np.i0(KAISER_BETA * np.sqrt(np.maximum(0.0, 1.0 - u**2))), 0.0)
     window /= np.i0(KAISER_BETA)
     kernels = cutoff * np.sinc(cutoff * t) * window
+    column, phase = np.divmod(np.arange(rows) * q, n_phases)
+    h = kernels[phase]
+    h /= h.sum(axis=1, keepdims=True)
+    phases = np.zeros((rows, width))
+    phases[np.arange(rows)[:, None], column[:, None] + taps] = h
+    kernels.setflags(write=False)
+    phases.setflags(write=False)
+    return kernels, phases
+
+
+@lru_cache(maxsize=32)
+def resample_plan(n_in: int, src_rate: int, dst_rate: int) -> engine.PolyphasePlan:
+    """Precompute the polyphase plan of the windowed-sinc resampler.
+
+    Returns the `diff_engine.PolyphasePlan` that `gather_linear` applies.
+    Output j sits at source position j * src_rate / dst_rate = base + p / P
+    exactly, found in integers, with phase p in [0, P), P = dst_rate / g,
+    Q = src_rate / g and g = gcd(src_rate, dst_rate); it sums the
+    SINC_TAPS taps from x[base - SINC_TAPS // 2 + 1], taps outside x
+    reading zero. Tap offsets depend on p alone, so the Kaiser-windowed
+    sinc is evaluated on the P x SINC_TAPS phase grid (P kernels; 5 for
+    16 -> 10 kHz), and the outputs repeat with period P (Smith & Gossett,
+    ICASSP 1984): a block of P' = m * P outputs, m = ceil(32 / P), reads
+    one window of W = floor((P' - 1) * Q / P) + SINC_TAPS samples, and
+    the next block's window starts m * Q samples later. The phase matrix
+    holds a block's P' kernels, each normalised to sum 1, at column
+    offsets floor(r * Q / P): P' * W * 8 bytes (35 x 118 for 16 -> 10 kHz,
+    33 KB), cached per rate pair and shared by every input length. The
+    rows whose taps overrun x, about 63 * P / Q of them, are kept apart
+    with their out-of-range taps masked and the rest renormalised, so DC
+    is preserved exactly; at 8 * (SINC_TAPS + 2) bytes each they are the
+    plan's only per-length part.
+
+    Raises:
+        ValueError: a rate is not a positive integer, or the phase matrix
+            would hold more than 2**20 entries (8 MB), as for 44100 ->
+            10007 Hz; every pair of the common rates from 8 to 96 kHz fits.
+    """
+    for rate in (src_rate, dst_rate):
+        if not isinstance(rate, (int, np.integer)) or rate <= 0:
+            raise ValueError(f"sample rates must be positive integers, got {rate!r}")
+    kernels, phases = _phase_grid(src_rate, dst_rate)
+    step = math.gcd(src_rate, dst_rate)
+    n_phases, q = dst_rate // step, src_rate // step
+    out_len = int(round(n_in * dst_rate / src_rate))
+    half = SINC_TAPS // 2
+    # output j's first tap base - half + 1 is below 0 for j < left and
+    # its last tap past n_in - 1 for j >= right
+    left = min(out_len, -(-(half - 1) * n_phases // q))
+    right = max(left, -(-(n_in - half) * n_phases // q))
+    edge = np.r_[0:left, right:out_len].astype(np.int64)
+    base, phase = np.divmod(edge * q, n_phases)
     start = base - half + 1
-    k = start[:, None] + taps
+    k = start[:, None] + np.arange(SINC_TAPS)
     h = kernels[phase]
     h *= (k >= 0) & (k < n_in)
     h /= h.sum(axis=1, keepdims=True)
-    start.setflags(write=False)
-    h.setflags(write=False)
-    return start, h, out_len
+    for a in (edge, start, h):
+        a.setflags(write=False)
+    stride = phases.shape[0] // n_phases * q
+    return engine.PolyphasePlan(n_in, out_len, phases, stride, 1 - half, edge, start, h)
 
 
 def resample(w: Waveform, target_rate: int) -> Waveform:
-    """Band-limited resampling via the windowed-sinc kernel above.
+    """Band-limited resampling through the polyphase plan above.
 
     Output length is round(len * target_rate / source_rate). Same-rate
     input is returned unchanged (copied). The sum is the forward of
     `diff_engine.gather_linear` over the cached plan, so offline and
     in-graph resampling are one implementation and agree bitwise.
+
+    Raises:
+        ValueError: target_rate is not a positive integer, or the pair
+            needs too large a phase matrix (see resample_plan).
     """
-    if target_rate <= 0:
-        raise ValueError("target_rate must be positive")
     if target_rate == w.sample_rate:
         return Waveform(w.samples.copy(), w.sample_rate)
-    start, weights, _ = resample_plan(len(w), w.sample_rate, target_rate)
-    return Waveform(engine.gather_linear(w.samples, start, weights).data, target_rate)
+    plan = resample_plan(len(w), w.sample_rate, target_rate)
+    return Waveform(engine.gather_linear(w.samples, plan).data, target_rate)
 
 
 def mix_at_snr(target: Waveform, interference: Waveform, snr_db: float) -> MixturePair:

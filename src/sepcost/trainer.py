@@ -23,11 +23,15 @@ from . import aet_net, losses
 from . import diff_engine as engine
 from .aet_net import NetConfig, SeparatorParams, init_params
 from .diff_engine import Tensor, parameter
-from .errors import CorruptFile, IncompatibleCheckpoint, NoData, NumericalDivergence
+from .errors import CorruptFile, IncompatibleCheckpoint, NoData, NumericalDivergence, SilentSignal
 from .losses import CompositeCost, StoiConfig, normalize_cost_scales, parse_cost_spec
 from .signal_io import MixturePair, mix_at_snr, read_wav, resample
 
 CHECKPOINT_VERSION = 1
+# a random training excerpt whose target RMS is below this fraction of the
+# utterance's is silent, and is drawn again at most EXCERPT_DRAWS - 1 times
+SILENT_EXCERPT_RATIO = 1e-3
+EXCERPT_DRAWS = 8
 
 
 @dataclass
@@ -109,11 +113,26 @@ def build_dataset(
 
 
 def _excerpt(pair: MixturePair, cfg: TrainConfig, rng=None):
-    """Cut one training excerpt; rng=None takes the leading excerpt."""
+    """Cut one training excerpt; rng=None takes the leading excerpt.
+
+    A random excerpt whose target RMS is below SILENT_EXCERPT_RATIO of
+    the whole target's is drawn again from the same rng, up to
+    EXCERPT_DRAWS draws in all, so a step never trains on silence; if
+    every draw is silent, SilentSignal is raised.
+    """
     n = len(pair.mixture)
     length = n if cfg.excerpt_len == 0 else min(cfg.excerpt_len, n)
     max_offset = n - length
-    offset = int(rng.integers(0, max_offset + 1)) if (rng is not None and max_offset > 0) else 0
+    offset = 0
+    if rng is not None and max_offset > 0:
+        floor = SILENT_EXCERPT_RATIO * pair.target.rms()
+        for _ in range(EXCERPT_DRAWS):
+            offset = int(rng.integers(0, max_offset + 1))
+            y = pair.target.samples[offset : offset + length]
+            if np.sqrt(np.mean(y * y)) >= floor:
+                break
+        else:
+            raise SilentSignal(f"{EXCERPT_DRAWS} draws of a {length}-sample excerpt were all silent")
     window = slice(offset, offset + length)
     return (
         pair.mixture.samples[window],
@@ -299,10 +318,12 @@ def fit(
         if epoch != order_epoch:
             epoch_order = np.random.default_rng([cfg.seed, epoch]).permutation(steps_per_epoch)
             order_epoch = epoch
-        pair = dataset.pairs[int(epoch_order[position])]
+        index = int(epoch_order[position])
         step_rng = np.random.default_rng([cfg.seed, epoch, position])
         try:
-            loss_value, raw = train_step(params, pair, cost, cfg, opt_state, stoi_cfg, step_rng)
+            loss_value, raw = train_step(params, dataset.pairs[index], cost, cfg, opt_state, stoi_cfg, step_rng)
+        except SilentSignal as exc:
+            raise SilentSignal(f"pair {index}: {exc}") from exc
         except NumericalDivergence as exc:
             exc.params = params
             exc.opt_state = opt_state

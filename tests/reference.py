@@ -118,3 +118,26 @@ def fixture_speakers(fs=16000, seconds=2.0, seed=2024):
     low = speechlike(rng, n, fs, f0=112.0, band=(100.0, 1900.0), env_rate=3.1)
     high = speechlike(rng, n, fs, f0=283.0, band=(2300.0, 5800.0), env_rate=4.7)
     return low, high
+
+
+# ---------------------------------------------------------------------------
+# resampler plans
+
+def plan_rows(plan, n_in):
+    """Expand a polyphase resample plan of an n_in-sample input into its dense banded form.
+
+    Returns (start, weights): output j = sum_k x[start[j] + k] * weights[j, k],
+    taps outside x reading zero, with weights of shape (out_len, taps).
+    Row r of a block holds its kernel from phase-matrix column
+    floor(r * stride / rows), which is floor(r * Q / P).
+    """
+    assert plan.n_in == n_in
+    rows = plan.phases.shape[0]
+    taps = plan.edge_weights.shape[1]
+    block, r = np.divmod(np.arange(plan.out_len), rows)
+    column = r * plan.stride // rows
+    start = block * plan.stride + plan.offset + column
+    weights = plan.phases[r[:, None], column[:, None] + np.arange(taps)]
+    start[plan.edge_rows] = plan.edge_start
+    weights[plan.edge_rows] = plan.edge_weights
+    return start, weights

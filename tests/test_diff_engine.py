@@ -8,6 +8,8 @@ from sepcost.dsp import hann_periodic
 from sepcost.errors import NotScalar, ShapeError
 from sepcost.signal_io import resample_plan
 
+from reference import plan_rows
+
 
 def fd_check(graph, inputs, wrt, tol=1e-6):
     value, grads = E.evaluate_with_gradient(graph, inputs, wrt)
@@ -153,30 +155,46 @@ def test_conv_transpose_is_conv_adjoint():
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
+# 5 phases down, 125 phases down (the gradcheck rate), 5 phases up (repeated
+# starts), and 400 phases down (a one-block phase matrix of 400 rows)
+GATHER_RATES = (16000, 10080, 8000, 11025)
+
+
 def test_gather_linear_fd():
     rng = np.random.default_rng(15)
-    # 5 phases down, 125 phases down (the gradcheck rate), 5 phases up
-    for src_rate in (16000, 10080, 8000):
-        start, weights, _ = resample_plan(120, src_rate, 10000)
+    for src_rate in GATHER_RATES:
+        plan = resample_plan(120, src_rate, 10000)
         inputs = {"x": rng.standard_normal(120)}
-        graph = lambda t: E.sum_(E.square(E.gather_linear(t["x"], start, weights)))
+        graph = lambda t: E.sum_(E.square(E.gather_linear(t["x"], plan)))
         fd_check(graph, inputs, ["x"])
 
 
 def test_gather_linear_adjoint_identity():
-    # <A x, g> = <x, A^T g>, with rows that run off both ends of x
+    # <A x, g> = <x, A^T g>; below 64 samples every row is an edge row, and
+    # 1 sample gives one output row
     rng = np.random.default_rng(17)
-    start = np.array([-5, -1, 0, 3, 3, 9, 14])
-    weights = rng.standard_normal((start.size, 6))
-    x = E.parameter(rng.standard_normal(16))
-    g = rng.standard_normal(start.size)
-    out = E.gather_linear(x, start, weights)
-    E.dot(out, E.Tensor(g)).backward()
-    assert float(out.data @ g) == pytest.approx(float(x.data @ x.grad), rel=1e-12)
-    # taps outside x read zero
-    xp = np.concatenate([np.zeros(5), x.data, np.zeros(4)])
-    expected = [xp[s + 5 : s + 11] @ w for s, w in zip(start, weights)]
-    np.testing.assert_allclose(out.data, expected, rtol=1e-14)
+    for n_in in (1, 5, 63, 120, 2011):
+        for src_rate in GATHER_RATES:
+            plan = resample_plan(n_in, src_rate, 10000)
+            x = E.parameter(rng.standard_normal(n_in))
+            g = rng.standard_normal(plan.out_len)
+            out = E.gather_linear(x, plan)
+            E.dot(out, E.Tensor(g)).backward()
+            assert out.data.shape == (plan.out_len,)
+            assert float(out.data @ g) == pytest.approx(float(x.data @ x.grad), rel=1e-12)
+            # taps outside x read zero; interior rows are summed in BLAS order,
+            # so rows are held to 1e-14 of the largest output, and an input
+            # shorter than the taps, all edge rows, matches bitwise
+            start, weights = plan_rows(plan, n_in)
+            taps = weights.shape[1]
+            xp = np.concatenate([np.zeros(taps), x.data, np.zeros(2 * taps)])
+            windows = np.array([xp[s + taps : s + 2 * taps] for s in start]).reshape(-1, taps)
+            expected = np.einsum("jk,jk->j", windows, weights)
+            np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-14 * np.abs(expected).max())
+            if n_in < 64:
+                assert plan.edge_rows.size == plan.out_len
+                np.testing.assert_array_equal(out.data, expected)
+    assert resample_plan(1, 10080, 10000).out_len == 1
 
 
 def test_stft_magnitude_fd():
@@ -395,12 +413,16 @@ def test_shape_errors():
         E.affine_softplus(E.Tensor(np.zeros((2, 3))), E.Tensor(np.zeros((3, 4))), E.Tensor(np.zeros(2)))
     with pytest.raises(ShapeError):
         E.affine_softplus(E.Tensor(np.zeros((2, 3))), E.Tensor(np.zeros((2, 4))), E.Tensor(np.zeros((2, 1))))
+    plan = resample_plan(8, 16000, 10000)
+    E.gather_linear(E.Tensor(np.zeros(8)), plan)  # fits
     with pytest.raises(ShapeError):
-        E.gather_linear(E.Tensor(np.zeros(8)), np.zeros(3, dtype=np.int64), np.zeros(4))
+        E.gather_linear(E.Tensor(np.zeros(9)), plan)
     with pytest.raises(ShapeError):
-        E.gather_linear(E.Tensor(np.zeros(8)), np.zeros(2, dtype=np.int64), np.zeros((3, 4)))
+        E.gather_linear(E.Tensor(np.zeros((2, 4))), plan)
     with pytest.raises(ShapeError):
-        E.gather_linear(E.Tensor(np.zeros(8)), np.zeros((3, 1), dtype=np.int64), np.zeros((3, 4)))
+        E.gather_linear(E.Tensor(np.zeros(8)), plan._replace(edge_start=plan.edge_start[:-1]))
+    with pytest.raises(ShapeError):
+        E.gather_linear(E.Tensor(np.zeros(8)), plan._replace(edge_weights=plan.edge_weights[:-1]))
 
 
 def test_no_grad_suppresses_recording():

@@ -1,3 +1,4 @@
+import math
 import struct
 
 import numpy as np
@@ -16,6 +17,8 @@ from sepcost.signal_io import (
     resample_plan,
     write_wav,
 )
+
+from reference import plan_rows
 
 
 def make_wav_bytes(payload: bytes, fmt_tag=1, channels=1, rate=16000, bits=16) -> bytes:
@@ -120,12 +123,13 @@ def test_resample_sinusoid_oracle():
 
 
 PLAN_RATES = [(16000, 10000), (10080, 10000), (16000, 11025), (44100, 16000), (8000, 10000)]
+STANDARD_RATES = [8000, 10000, 10080, 11025, 12000, 16000, 22050, 24000, 32000, 44100, 48000, 88200, 96000]
 
 
 def test_resample_dc_preserved():
     for src_rate, dst_rate in PLAN_RATES:
         w = Waveform(np.full(2 * src_rate + 5, 0.37), src_rate)
-        _, weights, _ = resample_plan(len(w), src_rate, dst_rate)
+        _, weights = plan_rows(resample_plan(len(w), src_rate, dst_rate), len(w))
         # every row, the edge rows with masked out-of-range taps included
         np.testing.assert_allclose(weights.sum(axis=1), 1.0, rtol=0, atol=1e-14)
         assert np.abs(resample(w, dst_rate).samples - 0.37).max() < 1e-14
@@ -149,19 +153,51 @@ def _float_position_start(n_in, src_rate, dst_rate):
 def test_resample_plan_idx_matches_float_positions(src_rate, dst_rate):
     # the first-tap index of each row, negative or past the end near the edges
     n_in = 3 * src_rate + 17
-    start, weights, out_len = resample_plan(n_in, src_rate, dst_rate)
+    plan = resample_plan(n_in, src_rate, dst_rate)
+    start, weights = plan_rows(plan, n_in)
     np.testing.assert_array_equal(start, _float_position_start(n_in, src_rate, dst_rate))
-    assert start.dtype == np.int64 and start.shape == (out_len,)
+    assert start.shape == (plan.out_len,) and weights.shape == (plan.out_len, SINC_TAPS)
     assert start[0] < 0 and start[-1] + SINC_TAPS > n_in
-    assert weights.shape == (out_len, SINC_TAPS)
-    assert not start.flags.writeable and not weights.flags.writeable
+    # the edge rows are exactly the rows whose taps overrun x
+    overrun = np.flatnonzero((start < 0) | (start + SINC_TAPS > n_in))
+    np.testing.assert_array_equal(plan.edge_rows, overrun)
+    assert plan.edge_start.dtype == np.int64 and plan.edge_rows.dtype == np.int64
+    for a in (plan.phases, plan.edge_rows, plan.edge_start, plan.edge_weights):
+        assert not a.flags.writeable
+
+
+def _per_length_bytes(plan):
+    return plan.edge_rows.nbytes + plan.edge_start.nbytes + plan.edge_weights.nbytes
 
 
 @pytest.mark.parametrize("src_rate,dst_rate", PLAN_RATES)
 def test_resample_plan_bytes_pinned(src_rate, dst_rate):
-    # one int64 start and SINC_TAPS float64 weights per output sample
-    start, weights, out_len = resample_plan(2 * src_rate + 5, src_rate, dst_rate)
-    assert start.nbytes + weights.nbytes == out_len * 8 * (SINC_TAPS + 1)
+    # the per-length part (the edge rows) is flat in length: 2 s and 60 s
+    short = resample_plan(2 * src_rate + 5, src_rate, dst_rate)
+    long = resample_plan(60 * src_rate + 5, src_rate, dst_rate)
+    assert _per_length_bytes(short) == _per_length_bytes(long) < 100_000
+    # one phase matrix per rate pair: P' = m * P rows, m = ceil(32 / P), and
+    # W = floor((P' - 1) * Q / P) + SINC_TAPS columns of float64
+    assert long.phases is short.phases
+    g = math.gcd(src_rate, dst_rate)
+    p, q = dst_rate // g, src_rate // g
+    rows = -(-32 // p) * p
+    width = (rows - 1) * q // p + SINC_TAPS
+    assert short.phases.shape == (rows, width)
+    assert short.phases.nbytes == rows * width * 8
+    assert short.stride == rows // p * q
+
+
+def test_resample_plan_phase_matrix_size_limit():
+    with pytest.raises(ValueError, match="44100 Hz to 10007 Hz"):
+        resample_plan(1000, 44100, 10007)
+    largest = 0
+    for src_rate in STANDARD_RATES:
+        for dst_rate in STANDARD_RATES:
+            plan = resample_plan(1000, src_rate, dst_rate)
+            largest = max(largest, plan.phases.size)
+    assert largest == 1280 * 504  # 11025 -> 32000 Hz
+    assert largest <= 1 << 20
 
 
 @pytest.mark.parametrize("src_rate,dst_rate", [(16000, 10000.0), (16000.0, 10000), (16000, 0), (-8000, 10000)])
@@ -170,8 +206,16 @@ def test_resample_plan_rejects_non_integer_rates(src_rate, dst_rate):
         resample_plan(100, src_rate, dst_rate)
 
 
+def test_resample_rejects_non_positive_target_rate():
+    w = Waveform(np.ones(100), 16000)
+    for rate in (0, -10000):
+        with pytest.raises(ValueError, match="positive integers"):
+            resample(w, rate)
+
+
 def test_resample_plan_interior_rows_of_one_phase_are_identical():
-    start, weights, out_len = resample_plan(16000, 16000, 10000)
+    start, weights = plan_rows(resample_plan(16000, 16000, 10000), 16000)
+    out_len = start.size
     # 16 -> 10 kHz has 5 phases: rows j and j + 5 share a kernel, 8 samples on
     interior = np.arange(SINC_TAPS, out_len - SINC_TAPS)
     for phase in range(5):
@@ -185,7 +229,8 @@ def test_resample_plan_weights_match_exact_phase_reference():
     # 8 s at 16 kHz: source positions j * 1.6 reach 128000, where a float
     # position has lost bits; the reference takes the exact phase from integers
     n_in, src_rate, dst_rate = 128000, 16000, 10000
-    _, weights, out_len = resample_plan(n_in, src_rate, dst_rate)
+    _, weights = plan_rows(resample_plan(n_in, src_rate, dst_rate), n_in)
+    out_len = weights.shape[0]
     ld = np.longdouble
     half = SINC_TAPS // 2
     # both edges and every 7th row (all 5 phases), to keep the reference small
@@ -208,13 +253,12 @@ def test_resample_plan_weights_match_exact_phase_reference():
 @pytest.mark.parametrize("src_rate,dst_rate", PLAN_RATES)
 def test_resample_matches_in_graph_gather_bitwise(src_rate, dst_rate):
     w = Waveform(np.random.default_rng(6).standard_normal(src_rate // 4 + 3), src_rate)
-    start, weights, _ = resample_plan(len(w), src_rate, dst_rate)
-    in_graph = gather_linear(w.samples, start, weights).data
+    in_graph = gather_linear(w.samples, resample_plan(len(w), src_rate, dst_rate)).data
     np.testing.assert_array_equal(resample(w, dst_rate).samples, in_graph)
 
 
 def _index_array_gather(x, start, weights, g):
-    """Forward and adjoint of a plan over a full (rows, taps) index array.
+    """Forward and adjoint of dense plan rows over a full (rows, taps) index array.
 
     Out-of-range taps read x[0]; the plan's weights are zero there.
     """
@@ -228,19 +272,24 @@ def _index_array_gather(x, start, weights, g):
 @pytest.mark.parametrize("src_rate,dst_rate", PLAN_RATES)
 @pytest.mark.parametrize("n_in", [120, 2011])
 def test_banded_gather_matches_index_array_oracle_bitwise(src_rate, dst_rate, n_in):
+    # The edge rows are bitwise the oracle's banded sums. The interior rows
+    # and the adjoint come from BLAS matmuls, which sum in their own order,
+    # so they are held to 1e-14 of the largest magnitude instead.
     # 120 samples: rows overrun both ends; 8 -> 10 kHz repeats starts
     rng = np.random.default_rng(n_in)
     x = rng.standard_normal(n_in)
-    start, weights, out_len = resample_plan(n_in, src_rate, dst_rate)
+    plan = resample_plan(n_in, src_rate, dst_rate)
+    start, weights = plan_rows(plan, n_in)
     if src_rate < dst_rate:
         assert (np.diff(start) == 0).any()
-    g = rng.standard_normal(out_len)
+    g = rng.standard_normal(plan.out_len)
     xt = E.parameter(x)
-    out = gather_linear(xt, start, weights)
+    out = gather_linear(xt, plan)
     E.dot(out, E.Tensor(g)).backward()
     ref_out, ref_grad = _index_array_gather(x, start, weights, g)
-    np.testing.assert_array_equal(out.data, ref_out)
-    np.testing.assert_array_equal(xt.grad, ref_grad)
+    np.testing.assert_array_equal(out.data[plan.edge_rows], ref_out[plan.edge_rows])
+    assert np.abs(out.data - ref_out).max() <= 1e-14 * np.abs(ref_out).max()
+    assert np.abs(xt.grad - ref_grad).max() <= 1e-14 * np.abs(ref_grad).max()
 
 
 def test_mix_scale_from_rms_ratio():

@@ -9,7 +9,7 @@ import pytest
 
 from sepcost import trainer
 from sepcost.aet_net import NetConfig, init_params
-from sepcost.errors import CorruptFile, IncompatibleCheckpoint, NoData, NumericalDivergence
+from sepcost.errors import CorruptFile, IncompatibleCheckpoint, NoData, NumericalDivergence, SilentSignal
 from sepcost.losses import StoiConfig, parse_cost_spec, normalize_cost_scales
 from sepcost.signal_io import Waveform, mix_at_snr, write_wav
 from sepcost.trainer import (
@@ -45,6 +45,48 @@ def make_pair(seed=0, n=4000, fs=16000):
     y = speechlike(rng, n, fs, f0=120.0, band=(100.0, 3000.0))
     z = speechlike(rng, n, fs, f0=250.0, band=(2000.0, 6000.0))
     return mix_at_snr(Waveform(y, fs), Waveform(z, fs), 0.0)
+
+
+def _pair_with_target(keep: slice, n=24000, fs=16000):
+    """A mixture whose target is silent (exactly zero) outside `keep`."""
+    rng = np.random.default_rng(3)
+    y = np.zeros(n)
+    y[keep] = speechlike(rng, n, fs, f0=120.0, band=(100.0, 3000.0))[keep]
+    z = speechlike(rng, n, fs, f0=250.0, band=(2000.0, 6000.0))
+    return mix_at_snr(Waveform(y, fs), Waveform(z, fs), 0.0)
+
+
+def test_excerpt_redraws_silent_target_from_the_step_rng():
+    pair = _pair_with_target(slice(0, 12000))  # the second half is silent
+    cfg = tiny_cfg(excerpt_len=4096)
+    floor = 1e-3 * pair.target.rms()
+    redrawn = kept = 0
+    for seed in range(24):
+        replay = np.random.default_rng(seed)
+        offsets = [int(replay.integers(0, 19905)) for _ in range(8)]
+        silent = [np.sqrt(np.mean(pair.target.samples[o : o + 4096] ** 2)) < floor for o in offsets]
+        draws = silent.index(False) + 1
+        rng = np.random.default_rng(seed)
+        mix, y, z = trainer._excerpt(pair, cfg, rng)
+        offset = offsets[draws - 1]
+        np.testing.assert_array_equal(mix, pair.mixture.samples[offset : offset + 4096])
+        np.testing.assert_array_equal(y, pair.target.samples[offset : offset + 4096])
+        # the rng is left after exactly `draws` draws: one for a non-silent first draw
+        after = np.random.default_rng(seed)
+        for _ in range(draws):
+            after.integers(0, 19905)
+        assert rng.bit_generator.state == after.bit_generator.state
+        redrawn += draws > 1
+        kept += draws == 1
+    assert redrawn and kept
+
+
+def test_fit_raises_silent_signal_naming_the_pair():
+    # target sound only in its first 4 of 24000 samples: a random 4096-sample
+    # excerpt holds it with probability 4 / 19905 per draw
+    pairs = [make_pair(n=24000), _pair_with_target(slice(0, 4))]
+    with pytest.raises(SilentSignal, match="pair 1: 8 draws"):
+        fit(Dataset(pairs), tiny_cfg(excerpt_len=4096), SMALL_NET, SMALL_STOI)
 
 
 def test_build_dataset(tmp_path):
