@@ -537,7 +537,9 @@ class PolyphasePlan(NamedTuple):
     phases[r] dotted with the window of phases.shape[1] samples that
     starts at x[b * stride + offset], taps outside x reading zero. The
     edge rows are the exceptions: edge row e is the dot product of
-    edge_weights[e] with the samples from x[edge_start[e]].
+    edge_weights[e] with the samples from x[edge_start[e]], and
+    edge_start[e] is at least offset. A plan whose rows are all edge rows
+    may carry a 1 x 1 zero phase matrix and stride 1.
     """
 
     n_in: int
@@ -576,11 +578,16 @@ def gather_linear(x, plan: PolyphasePlan) -> Tensor:
     n, lo = xv.size, -plan.offset
     n_blocks = max(1, -(-plan.out_len // rows))
     span = (n_blocks - 1) * plan.stride + width  # samples the block frames read
-    xp = np.zeros(max(span, lo + n))
+    first = plan.edge_start + lo  # xp index of each edge row's first tap
+    if first.min(initial=0) < 0:
+        raise ShapeError(f"gather_linear plan has an edge row starting before its offset {plan.offset}")
+    xp = np.zeros(max(span, lo + n, first.max(initial=0) + taps))
     xp[lo : lo + n] = xv
     out = (_frames(xp[:span], width, plan.stride) @ plan.phases.T).ravel()[: plan.out_len]
-    k = plan.edge_start[:, None] + (lo + np.arange(taps))  # xp index of each edge tap
-    out[plan.edge_rows] = np.einsum("jk,jk->j", xp[k], plan.edge_weights)
+    # each edge row reads one row of this strided view of xp
+    step = xp.strides[0]
+    windows = np.lib.stride_tricks.as_strided(xp, (xp.size - taps + 1, taps), (step, step), writeable=False)[first]
+    out[plan.edge_rows] = np.einsum("jk,jk->j", windows, plan.edge_weights)
 
     def bw(g):
         blocks = np.zeros((n_blocks, rows))
@@ -589,6 +596,7 @@ def gather_linear(x, plan: PolyphasePlan) -> Tensor:
         flat[plan.edge_rows] = 0.0
         gx = _overlap_add(plan.phases.T @ blocks.T, plan.stride, xp.size)
         scaled = plan.edge_weights * g[plan.edge_rows][:, None]
+        k = first[:, None] + np.arange(taps)
         gx += np.bincount(k.ravel(), weights=scaled.ravel(), minlength=xp.size)
         return (gx[lo : lo + n],)
 

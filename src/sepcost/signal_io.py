@@ -144,9 +144,12 @@ def write_wav(w: Waveform, path) -> None:
 
 
 # Polyphase blocks hold at least 32 outputs, and a phase matrix at most
-# 2**20 entries (8 MB of float64).
+# 2**20 entries (8 MB of float64). A pair past that limit gets the 1 x 1
+# zero matrix below, and all its rows are edge rows.
 MIN_BLOCK_ROWS = 32
 MAX_PHASE_ENTRIES = 1 << 20
+_NO_PHASES = np.zeros((1, 1))
+_NO_PHASES.setflags(write=False)
 
 
 @lru_cache(maxsize=8)
@@ -155,18 +158,14 @@ def _phase_grid(src_rate: int, dst_rate: int):
 
     kernels[p] is the un-normalised kernel of phase p in [0, P). phases is
     the (m * P, W) block matrix of gather_linear: row r holds the
-    normalised kernel of phase (r * Q) mod P from column (r * Q) // P.
+    normalised kernel of phase (r * Q) mod P from column (r * Q) // P,
+    or _NO_PHASES when that matrix would exceed MAX_PHASE_ENTRIES.
     """
     half = SINC_TAPS // 2
     step = math.gcd(src_rate, dst_rate)
     n_phases, q = dst_rate // step, src_rate // step
     rows = -(-MIN_BLOCK_ROWS // n_phases) * n_phases
     width = (rows - 1) * q // n_phases + SINC_TAPS
-    if rows * width > MAX_PHASE_ENTRIES:
-        raise ValueError(
-            f"resampling {src_rate} Hz to {dst_rate} Hz needs a {rows} x {width} phase matrix, "
-            f"more than {MAX_PHASE_ENTRIES} entries"
-        )
     taps = np.arange(SINC_TAPS)
     # t[p, m] = p / P + half - 1 - m, one rounding from an exact integer ratio
     t = (np.arange(n_phases)[:, None] + (half - 1 - taps) * n_phases) / n_phases
@@ -175,12 +174,14 @@ def _phase_grid(src_rate: int, dst_rate: int):
     window = np.where(np.abs(u) < 1.0, np.i0(KAISER_BETA * np.sqrt(np.maximum(0.0, 1.0 - u**2))), 0.0)
     window /= np.i0(KAISER_BETA)
     kernels = cutoff * np.sinc(cutoff * t) * window
+    kernels.setflags(write=False)
+    if rows * width > MAX_PHASE_ENTRIES:
+        return kernels, _NO_PHASES
     column, phase = np.divmod(np.arange(rows) * q, n_phases)
     h = kernels[phase]
     h /= h.sum(axis=1, keepdims=True)
     phases = np.zeros((rows, width))
     phases[np.arange(rows)[:, None], column[:, None] + taps] = h
-    kernels.setflags(write=False)
     phases.setflags(write=False)
     return kernels, phases
 
@@ -208,10 +209,14 @@ def resample_plan(n_in: int, src_rate: int, dst_rate: int) -> engine.PolyphasePl
     is preserved exactly; at 8 * (SINC_TAPS + 2) bytes each they are the
     plan's only per-length part.
 
+    The phase matrix is capped at 2**20 entries (8 MB). Every pair of the
+    common rates from 8 to 96 kHz fits; a pair past the cap, such as
+    44100 -> 10007 Hz, gets a 1 x 1 zero matrix and every output becomes
+    an edge row, the per-row banded sum at 8 * (SINC_TAPS + 2) bytes per
+    output sample.
+
     Raises:
-        ValueError: a rate is not a positive integer, or the phase matrix
-            would hold more than 2**20 entries (8 MB), as for 44100 ->
-            10007 Hz; every pair of the common rates from 8 to 96 kHz fits.
+        ValueError: a rate is not a positive integer.
     """
     for rate in (src_rate, dst_rate):
         if not isinstance(rate, (int, np.integer)) or rate <= 0:
@@ -224,6 +229,8 @@ def resample_plan(n_in: int, src_rate: int, dst_rate: int) -> engine.PolyphasePl
     # output j's first tap base - half + 1 is below 0 for j < left and
     # its last tap past n_in - 1 for j >= right
     left = min(out_len, -(-(half - 1) * n_phases // q))
+    if phases is _NO_PHASES:
+        left = out_len
     right = max(left, -(-(n_in - half) * n_phases // q))
     edge = np.r_[0:left, right:out_len].astype(np.int64)
     base, phase = np.divmod(edge * q, n_phases)
@@ -234,7 +241,7 @@ def resample_plan(n_in: int, src_rate: int, dst_rate: int) -> engine.PolyphasePl
     h /= h.sum(axis=1, keepdims=True)
     for a in (edge, start, h):
         a.setflags(write=False)
-    stride = phases.shape[0] // n_phases * q
+    stride = max(1, phases.shape[0] // n_phases * q)
     return engine.PolyphasePlan(n_in, out_len, phases, stride, 1 - half, edge, start, h)
 
 
@@ -247,8 +254,7 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
     in-graph resampling are one implementation and agree bitwise.
 
     Raises:
-        ValueError: target_rate is not a positive integer, or the pair
-            needs too large a phase matrix (see resample_plan).
+        ValueError: target_rate is not a positive integer.
     """
     if target_rate == w.sample_rate:
         return Waveform(w.samples.copy(), w.sample_rate)

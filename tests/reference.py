@@ -134,10 +134,14 @@ def plan_rows(plan, n_in):
     assert plan.n_in == n_in
     rows = plan.phases.shape[0]
     taps = plan.edge_weights.shape[1]
-    block, r = np.divmod(np.arange(plan.out_len), rows)
+    start = np.zeros(plan.out_len, dtype=np.int64)
+    weights = np.zeros((plan.out_len, taps))
+    inner = np.ones(plan.out_len, dtype=bool)
+    inner[plan.edge_rows] = False
+    block, r = np.divmod(np.flatnonzero(inner), rows)
     column = r * plan.stride // rows
-    start = block * plan.stride + plan.offset + column
-    weights = plan.phases[r[:, None], column[:, None] + np.arange(taps)]
+    start[inner] = block * plan.stride + plan.offset + column
+    weights[inner] = plan.phases[r[:, None], column[:, None] + np.arange(taps)]
     start[plan.edge_rows] = plan.edge_start
     weights[plan.edge_rows] = plan.edge_weights
     return start, weights

@@ -189,12 +189,29 @@ def test_resample_plan_bytes_pinned(src_rate, dst_rate):
 
 
 def test_resample_plan_phase_matrix_size_limit():
-    with pytest.raises(ValueError, match="44100 Hz to 10007 Hz"):
-        resample_plan(1000, 44100, 10007)
+    # 44100 -> 10007 Hz would need a 10007 x 44163 phase matrix: every row
+    # is an edge row, summed per row as the oracle does
+    rng = np.random.default_rng(10007)
+    x = rng.standard_normal(4410)
+    plan = resample_plan(x.size, 44100, 10007)
+    assert plan.phases.shape == (1, 1)
+    assert plan.out_len == 1001
+    np.testing.assert_array_equal(plan.edge_rows, np.arange(plan.out_len))
+    start, weights = plan_rows(plan, x.size)
+    np.testing.assert_array_equal(start, np.arange(plan.out_len) * 44100 // 10007 - SINC_TAPS // 2 + 1)
+    g = rng.standard_normal(plan.out_len)
+    xt = E.parameter(x)
+    out = gather_linear(xt, plan)
+    E.dot(out, E.Tensor(g)).backward()
+    ref_out, ref_grad = _index_array_gather(x, start, weights, g)
+    np.testing.assert_array_equal(out.data, ref_out)
+    assert np.abs(xt.grad - ref_grad).max() <= 1e-14 * np.abs(ref_grad).max()
+    np.testing.assert_allclose(weights.sum(axis=1), 1.0, rtol=1e-14)
     largest = 0
     for src_rate in STANDARD_RATES:
         for dst_rate in STANDARD_RATES:
             plan = resample_plan(1000, src_rate, dst_rate)
+            assert plan.phases.shape[0] >= 32
             largest = max(largest, plan.phases.size)
     assert largest == 1280 * 504  # 11025 -> 32000 Hz
     assert largest <= 1 << 20
