@@ -26,6 +26,7 @@ from .losses import (
     CompositeCost,
     CostComponent,
     StoiConfig,
+    StoiReference,
     composite_terms,
     mse_loss,
     normalize_cost_scales,
@@ -35,6 +36,7 @@ from .losses import (
     sir_loss,
     stoi_forward,
     stoi_loss,
+    stoi_reference,
 )
 from .metrics import EvalReport, bss_decompose, bss_eval_metrics, evaluate, format_report_row, stoi_metric
 from .signal_io import MixturePair, Waveform, mix_at_snr, read_wav, resample, write_wav

@@ -100,6 +100,9 @@ def gradcheck_cases(loss: str, seed: int) -> dict[str, float]:
 
     Returns one entry per differentiated input; losses are checked
     w.r.t. the estimate, the network case w.r.t. every parameter tensor.
+    The stoi case prepares its fixed target once (`losses.stoi_reference`),
+    so each finite-difference evaluation runs only the estimate's half
+    of the STOI graph.
     """
     rng = np.random.default_rng([seed, 0])
     if loss == "network":
@@ -109,9 +112,12 @@ def gradcheck_cases(loss: str, seed: int) -> dict[str, float]:
         names = ("x", "y", "z") if loss in ("sir", "sar") else ("x", "y")
         inputs = {name: rng.standard_normal(n) for name in names}
         cfg = StoiConfig()
+        # only x is differentiated and perturbed, so y's half of STOI is fixed
+        target = losses.stoi_reference(inputs["y"], cfg, STOI_CHECK_RATE) if loss == "stoi" else None
 
         def graph(t):
-            return losses.component_loss(loss, t["x"], t["y"], t.get("z"), cfg, sample_rate=STOI_CHECK_RATE)
+            y = t["y"] if target is None else target
+            return losses.component_loss(loss, t["x"], y, t.get("z"), cfg, sample_rate=STOI_CHECK_RATE)
 
         wrt = ["x"]
     else:

@@ -363,7 +363,11 @@ def sliding_windows(x, width: int) -> Tensor:
     n_in = x.data.shape[-1]
     if width < 1 or n_in < width:
         raise ShapeError(f"{width}-wide windows do not fit {n_in} samples")
-    out = np.swapaxes(np.lib.stride_tricks.sliding_window_view(x.data.copy(), width, axis=-1), -1, -2)
+    c = x.data.copy()
+    step = c.strides[-1]
+    out = np.lib.stride_tricks.as_strided(
+        c, (*c.shape[:-1], width, n_in - width + 1), (*c.strides[:-1], step, step), writeable=False
+    )
     return _result(out, (x,), lambda g: (_overlap_add(g, 1, n_in),))
 
 
@@ -425,9 +429,16 @@ def _overlap_add(fg: np.ndarray, stride: int, out_len: int) -> np.ndarray:
     return out.reshape(*batch, rows * stride)[..., :out_len]
 
 
+def _frame_view(x: np.ndarray, taps: int, stride: int) -> np.ndarray:
+    """Read-only (frames, taps) view of 1-D x: row m is x[m*stride : m*stride + taps]."""
+    step = x.strides[0]
+    n_frames = (x.size - taps) // stride + 1
+    return np.lib.stride_tricks.as_strided(x, (n_frames, taps), (stride * step, step), writeable=False)
+
+
 def _frames(x: np.ndarray, taps: int, stride: int) -> np.ndarray:
     # contiguous copy: BLAS-friendly for the matmuls that follow
-    return np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(x, taps)[::stride])
+    return np.ascontiguousarray(_frame_view(x, taps, stride))
 
 
 def conv1d(x, filters, stride: int) -> Tensor:
@@ -585,8 +596,7 @@ def gather_linear(x, plan: PolyphasePlan) -> Tensor:
     xp[lo : lo + n] = xv
     out = (_frames(xp[:span], width, plan.stride) @ plan.phases.T).ravel()[: plan.out_len]
     # each edge row reads one row of this strided view of xp
-    step = xp.strides[0]
-    windows = np.lib.stride_tricks.as_strided(xp, (xp.size - taps + 1, taps), (step, step), writeable=False)[first]
+    windows = _frame_view(xp, taps, 1)[first]
     out[plan.edge_rows] = np.einsum("jk,jk->j", windows, plan.edge_weights)
 
     def bw(g):
@@ -620,8 +630,11 @@ def stft_magnitude(x, frame_len: int, fft_len: int, hop: int, window: np.ndarray
         raise ShapeError(f"hop must be at least 1, got {hop}")
     if xv.size < frame_len:
         raise ShapeError(f"signal of {xv.size} samples shorter than one {frame_len}-sample frame")
-    frames = _frames(xv, frame_len, hop)
-    spec = np.fft.rfft(frames * window, n=fft_len, axis=1)
+    frames = _frame_view(xv, frame_len, hop)
+    # windowed frames written straight into their zero padding
+    padded = np.zeros((frames.shape[0], fft_len))
+    np.multiply(frames, window, out=padded[:, :frame_len])
+    spec = np.fft.rfft(padded, axis=1)
     mag = np.abs(spec).T  # (bins, frames)
 
     def bw(g):

@@ -141,6 +141,66 @@ def _band_frames_graph(t: Tensor, cfg: StoiConfig) -> Tensor:
     return engine.sqrt(engine.matmul(bands.weights, engine.square(mag)))
 
 
+def _segments(t: Tensor, rate: int, cfg: StoiConfig) -> Tensor:
+    """(J bands, N frames, M' segments) band envelopes of a signal sampled at `rate`.
+
+    The signal is resampled (in-graph) to cfg.analysis_rate first. [j, n, p]
+    is band j at frame p + n, so column p holds the segment ending at
+    frame p + N - 1.
+    """
+    if rate != cfg.analysis_rate:
+        t = engine.gather_linear(t, resample_plan(t.data.size, rate, cfg.analysis_rate))
+    n10 = t.data.size
+    if n10 < cfg.frame_len:
+        raise SignalTooShort(f"{n10} samples at {cfg.analysis_rate} Hz is less than one frame")
+    n_frames = (n10 - cfg.frame_len) // cfg.hop + 1
+    if n_frames < cfg.segment_frames:
+        raise SignalTooShort(f"{n_frames} frames < {cfg.segment_frames} needed for one segment")
+    return engine.sliding_windows(_band_frames_graph(t, cfg), cfg.segment_frames)
+
+
+@dataclass(frozen=True)
+class StoiReference:
+    """The target half of stoi_forward, which depends on the target y alone.
+
+    Made by `stoi_reference`; pass it as `y` to score any number of
+    estimates of the same length and rate against one target. The
+    tensors stay on y's tape, so y is differentiated through them when
+    it requires a gradient.
+    """
+
+    cfg: StoiConfig
+    rate: int  # sample rate of y, and of every estimate scored against it
+    n_in: int  # samples of y
+    norm_y: Tensor  # (J, 1, M') segment norms
+    clip_y: Tensor  # (J, N, M') clip_factor * segments, the clipping ceiling
+    yc: Tensor  # (J, N, M') centred segments
+    norm_yc: Tensor  # (J, M') norms of yc
+
+
+def stoi_reference(y, cfg: StoiConfig = StoiConfig(), sample_rate: int | None = None) -> StoiReference:
+    """Prepare target y once for scoring several estimates against it.
+
+    y's rate is its Waveform rate, else sample_rate, else
+    cfg.analysis_rate. Raises SignalTooShort if y holds less than one
+    segment at the analysis rate.
+    """
+    yt, rate = _signal(y)
+    if rate is None:
+        rate = sample_rate if sample_rate is not None else cfg.analysis_rate
+    seg_y = _segments(yt, rate, cfg)
+    yc = seg_y - engine.mean(seg_y, axis=1, keepdims=True)
+    return StoiReference(
+        cfg,
+        rate,
+        yt.data.size,
+        engine.norm(seg_y, axis=1, keepdims=True),
+        cfg.clip_factor * seg_y,
+        yc,
+        engine.norm(yc, axis=1),
+    )
+
+
 def stoi_forward(x, y, cfg: StoiConfig = StoiConfig(), sample_rate: int | None = None):
     """Short-time octave-band envelope correlation between estimate and target.
 
@@ -150,48 +210,42 @@ def stoi_forward(x, y, cfg: StoiConfig = StoiConfig(), sample_rate: int | None =
     normalized to the target scale and clipped before the centered
     correlation. Returns (score, d) where score is the mean of the
     per-(band, frame) correlation matrix d.
+
+    y is a target signal or a `StoiReference` prepared from one; with a
+    signal this is exactly `stoi_forward(x, stoi_reference(y, ...))`,
+    the same ops in the same order. An estimate whose length or rate
+    differs from the reference's raises ShapeError, and cfg must be the
+    one the reference was prepared with.
     """
-    xt, yt, rate = _pair(x, y)
-    if rate is None:
-        rate = sample_rate if sample_rate is not None else cfg.analysis_rate
-    if rate != cfg.analysis_rate:
-        plan = resample_plan(xt.data.size, rate, cfg.analysis_rate)
-        xt = engine.gather_linear(xt, plan)
-        yt = engine.gather_linear(yt, plan)
-        n10 = plan.out_len
+    if isinstance(y, StoiReference):
+        ref = y
+        xt, rate = _signal(x)
+        rate = rate if rate is not None else sample_rate
+        if cfg != ref.cfg:
+            raise ValueError("the STOI reference was prepared with a different StoiConfig")
+        if rate is not None and rate != ref.rate:
+            raise ShapeError(f"sample rates differ: {rate} vs {ref.rate}")
+        if xt.data.shape != (ref.n_in,):
+            raise ShapeError(f"signal lengths differ: {xt.data.shape} vs {(ref.n_in,)}")
     else:
-        n10 = xt.data.size
+        xt, yt, rate = _pair(x, y)
+        ref = stoi_reference(yt, cfg, rate if rate is not None else sample_rate)
 
-    n_seg = cfg.segment_frames
-    if n10 < cfg.frame_len:
-        raise SignalTooShort(f"{n10} samples at {cfg.analysis_rate} Hz is less than one frame")
-    n_frames = (n10 - cfg.frame_len) // cfg.hop + 1
-    if n_frames < n_seg:
-        raise SignalTooShort(f"{n_frames} frames < {n_seg} needed for one segment")
-
-    bands_x = _band_frames_graph(xt, cfg)
-    bands_y = _band_frames_graph(yt, cfg)
-    # (J, N, M') segments: [j, n, p] is band j at frame p + n, so column p
-    # holds the segment ending at frame p + N - 1
-    seg_x = engine.sliding_windows(bands_x, n_seg)
-    seg_y = engine.sliding_windows(bands_y, n_seg)
-
+    seg_x = _segments(xt, ref.rate, cfg)
     eps = cfg.epsilon
     norm_x = engine.norm(seg_x, axis=1, keepdims=True)
-    norm_y = engine.norm(seg_y, axis=1, keepdims=True)
-    alpha = norm_y / (norm_x + eps)
-    clipped = engine.minimum(alpha * seg_x, cfg.clip_factor * seg_y)
+    alpha = ref.norm_y / (norm_x + eps)
+    clipped = engine.minimum(alpha * seg_x, ref.clip_y)
 
     xc = clipped - engine.mean(clipped, axis=1, keepdims=True)
-    yc = seg_y - engine.mean(seg_y, axis=1, keepdims=True)
-    num = engine.sum_(xc * yc, axis=1)
-    den = engine.norm(xc, axis=1) * engine.norm(yc, axis=1) + eps
+    num = engine.sum_(xc * ref.yc, axis=1)
+    den = engine.norm(xc, axis=1) * ref.norm_yc + eps
     d = num / den
     return engine.mean(d), d
 
 
 def stoi_loss(x, y, cfg: StoiConfig = StoiConfig(), sample_rate: int | None = None) -> Tensor:
-    """1 - stoi_forward score (minimization form, range [0, 2])."""
+    """1 - stoi_forward score (minimization form, range [0, 2]); y may be a StoiReference."""
     score, _ = stoi_forward(x, y, cfg, sample_rate=sample_rate)
     return 1.0 - score
 
@@ -258,6 +312,7 @@ def normalize_cost_scales(cost: CompositeCost, initial_losses) -> CompositeCost:
 
 
 def component_loss(kind: str, x, y, z=None, cfg: StoiConfig = StoiConfig(), sample_rate: int | None = None) -> Tensor:
+    """The raw loss of one cost kind; for "stoi", y may be a StoiReference."""
     if kind == "mse":
         return mse_loss(x, y)
     if kind == "sdr":

@@ -102,8 +102,11 @@ def bss_eval_metrics(x, y, z) -> EvalReport:
 def stoi_metric(x, y, cfg: StoiConfig = StoiConfig(), sample_rate: int | None = None) -> float:
     """Intelligibility score; same code path as the loss, no gradient recording.
 
-    Defined as the exact complement of the minimization loss (1 - loss),
-    so metric + loss == 1 holds bitwise for every input.
+    y is a target signal or a `losses.StoiReference` prepared from one,
+    which scores several estimates against one target without redoing
+    the target's half. Defined as the exact complement of the
+    minimization loss (1 - loss), so metric + loss == 1 holds bitwise
+    for every input.
     """
     with engine.no_grad():
         score, _ = losses.stoi_forward(x, y, cfg, sample_rate=sample_rate)

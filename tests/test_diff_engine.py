@@ -230,6 +230,20 @@ def test_stft_magnitude_matches_rfft():
     np.testing.assert_array_equal(mag, ref)
 
 
+@pytest.mark.parametrize("taps,stride", [(64, 32), (5, 3), (7, 7), (9, 1)])
+def test_frames_match_sliding_window_view(taps, stride):
+    # a contiguous signal, a strided slice and a zero-stride broadcast
+    base = np.random.default_rng(18).standard_normal(301)
+    for x in (base, base[::2], np.broadcast_to(np.float64(0.5), (140,))):
+        view = E._frame_view(x, taps, stride)
+        expected = np.lib.stride_tricks.sliding_window_view(x, taps)[::stride]
+        np.testing.assert_array_equal(view, expected)
+        assert not view.flags.writeable
+        frames = E._frames(x, taps, stride)
+        np.testing.assert_array_equal(frames, expected)
+        assert frames.flags.c_contiguous
+
+
 def _windows_reference(x, width, pad=(0, 0)):
     xp = np.pad(x, [(0, 0)] * (x.ndim - 1) + [pad])
     n_out = xp.shape[-1] - width + 1

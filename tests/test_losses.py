@@ -17,8 +17,9 @@ from sepcost.losses import (
     sir_loss,
     stoi_forward,
     stoi_loss,
+    stoi_reference,
 )
-from sepcost.metrics import bss_eval_metrics
+from sepcost.metrics import bss_eval_metrics, stoi_metric
 from sepcost.signal_io import Waveform
 
 from reference import speechlike
@@ -186,6 +187,55 @@ def test_stoi_fd_small_config_with_resample():
     _, grads = E.evaluate_with_gradient(graph, inputs, ["x"])
     fd = E.finite_difference_gradient(graph, inputs, "x")
     assert E.max_relative_error(grads["x"], fd) <= 1e-5
+
+
+@pytest.mark.parametrize("n,rate", [(400, 4000), (440, 4400)])
+def test_stoi_fd_target_gradient(n, rate):
+    # y reaches the score through the prepared reference, which must stay on its tape
+    rng = np.random.default_rng(11)
+    inputs = {"x": rng.standard_normal(n), "y": rng.standard_normal(n)}
+    graph = lambda t: stoi_loss(t["x"], t["y"], SMALL_STOI, sample_rate=rate)
+    _, grads = E.evaluate_with_gradient(graph, inputs, ["y"])
+    assert np.abs(grads["y"]).max() > 0.0
+    fd = E.finite_difference_gradient(graph, inputs, "y")
+    assert E.max_relative_error(grads["y"], fd) <= 1e-5
+
+
+@pytest.mark.parametrize("cfg,n,rate", [(SMALL_STOI, 440, 4400), (StoiConfig(), 4000, 10080)])
+def test_stoi_reference_scores_like_fresh_forward(cfg, n, rate):
+    rng = np.random.default_rng(12)
+    y = rng.standard_normal(n)
+    ref = stoi_reference(Waveform(y, rate), cfg)
+    for _ in range(3):
+        x = y + rng.standard_normal(n)
+        score, d = stoi_forward(x, ref, cfg)
+        fresh, d_fresh = stoi_forward(x, y, cfg, sample_rate=rate)
+        assert score.item() == fresh.item()
+        np.testing.assert_array_equal(d.data, d_fresh.data)
+        _, g_ref = E.evaluate_with_gradient(lambda t: stoi_loss(t["x"], ref, cfg), {"x": x}, ["x"])
+        _, g_fresh = E.evaluate_with_gradient(
+            lambda t: stoi_loss(t["x"], t["y"], cfg, sample_rate=rate), {"x": x, "y": y}, ["x"]
+        )
+        np.testing.assert_array_equal(g_ref["x"], g_fresh["x"])
+        metric = stoi_metric(Waveform(x, rate), ref, cfg)
+        assert metric == stoi_metric(Waveform(x, rate), Waveform(y, rate), cfg)
+        assert metric + stoi_loss(x, ref, cfg).item() == 1.0
+
+
+def test_stoi_reference_rejects_mismatched_estimates():
+    rng = np.random.default_rng(13)
+    y = rng.standard_normal(440)
+    ref = stoi_reference(y, SMALL_STOI, sample_rate=4400)
+    with pytest.raises(ShapeError, match="lengths"):
+        stoi_forward(y[:-1], ref, SMALL_STOI)
+    with pytest.raises(ShapeError, match="rates"):
+        stoi_forward(Waveform(y, 4000), ref, SMALL_STOI)
+    with pytest.raises(ShapeError, match="rates"):
+        stoi_forward(y, ref, SMALL_STOI, sample_rate=4000)
+    with pytest.raises(ValueError, match="StoiConfig"):
+        stoi_forward(y, ref)
+    with pytest.raises(SignalTooShort):
+        stoi_reference(np.zeros(1000), sample_rate=10000)
 
 
 def test_monotone_link_between_sdr_loss_and_metric():
