@@ -11,6 +11,14 @@ convolution bank synthesizes the output waveform.
 In shared mode the synthesis bank is storage-tied to the analysis bank:
 conv1d_transpose applies filters as their transpose, so passing the same
 tensor realizes W^T synthesis with no copy.
+
+Every stage is frame-local: a frame's output reads its own input window
+and, through the smoothing, its (width-1)//2 and width//2 neighbour
+frames. So separation runs over blocks of at most BLOCK_FRAMES frames,
+each with only those neighbours as a halo, and overlap-adds the blocks'
+syntheses: memory stays flat in the input length, and the output equals
+the one-pass network up to roundoff (bitwise when one block holds every
+frame).
 """
 
 from __future__ import annotations
@@ -24,6 +32,9 @@ from . import diff_engine as engine
 from .diff_engine import Tensor, as_tensor, parameter
 from .errors import ShapeError, SignalTooShort
 from .signal_io import Waveform
+
+# analysis frames per separation block: about 1 s at stride 16 and 16 kHz
+BLOCK_FRAMES = 1024
 
 
 @dataclass(frozen=True)
@@ -146,8 +157,20 @@ def init_params(seed: int, cfg: NetConfig = NetConfig()) -> SeparatorParams:
     return SeparatorParams(cfg, analysis, smoothing_raw, w1, b1, w2, b2, synthesis)
 
 
-def analysis_forward(w, params: SeparatorParams) -> AetRepresentation:
-    """Mixture waveform -> (X, M, P)."""
+def _smoothing_pad(cfg: NetConfig) -> tuple[int, int]:
+    """Neighbour frames the modulation smoothing reads before and after a frame."""
+    width = cfg.smoothing_width
+    return (width - 1) // 2, width // 2
+
+
+def analysis_forward(w, params: SeparatorParams, halo: tuple[int, int] = (0, 0)) -> AetRepresentation:
+    """Mixture waveform -> (X, M, P).
+
+    halo counts the analysis frames at each end that only feed their
+    neighbours' smoothing: they stand in for that side's zero padding, and
+    X, M and P keep only the frames between them. It can be at most the
+    smoothing pad on each side and must leave a frame.
+    """
     cfg = params.cfg
     x = as_tensor(w.samples if isinstance(w, Waveform) else w)
     if x.data.size < cfg.filter_len:
@@ -155,9 +178,15 @@ def analysis_forward(w, params: SeparatorParams) -> AetRepresentation:
     X = engine.conv1d(x, params.analysis, cfg.stride)
 
     # "same" convolution of |X| along frames, per component
-    width = cfg.smoothing_width
-    pad = ((width - 1) // 2, width // 2)
+    pad = _smoothing_pad(cfg)
+    before, after = halo
+    frames = X.data.shape[1]
+    if not (0 <= before <= pad[0] and 0 <= after <= pad[1] and before + after < frames):
+        raise ShapeError(f"halo {halo} does not fit smoothing pad {pad} and {frames} frames")
+    pad = (pad[0] - before, pad[1] - after)
     M = engine.depthwise_conv(engine.abs_(X), params.smoothing_kernel(), pad) + cfg.modulation_floor
+    if before or after:
+        X = X[:, before : frames - after]
     P = X / M
     return AetRepresentation(X=X, M=M, P=P)
 
@@ -181,9 +210,12 @@ def synthesis_forward(modulation_hat, carrier, params: SeparatorParams) -> Tenso
     return engine.conv1d_transpose(x_hat, params.synthesis_filters, params.cfg.stride)
 
 
-def forward(w, params: SeparatorParams) -> Tensor:
-    """Full network composition; output length (L-1)*stride + filter_len."""
-    rep = analysis_forward(w, params)
+def forward(w, params: SeparatorParams, halo: tuple[int, int] = (0, 0)) -> Tensor:
+    """Full network composition; output length (L-1)*stride + filter_len.
+
+    L counts the analysis frames kept after the halo (see analysis_forward).
+    """
+    rep = analysis_forward(w, params, halo)
     # drop each stage's inputs once they are used: without a tape that
     # frees X before the separator and M before the synthesis
     modulation, carrier = rep.M, rep.P
@@ -193,11 +225,40 @@ def forward(w, params: SeparatorParams) -> Tensor:
     return synthesis_forward(m_hat, carrier, params)
 
 
-def separate(w_mix: Waveform, params: SeparatorParams) -> Waveform:
-    """Run the network without gradient recording."""
+def _separate_blocks(samples: np.ndarray, params: SeparatorParams) -> np.ndarray:
+    """forward(samples) without gradient recording, over blocks of frames.
+
+    The L analysis frames split into ceil(L / BLOCK_FRAMES) near-equal
+    blocks. Block [a, b) reads its frames' samples plus the smoothing pad's
+    neighbour frames as a halo, and its synthesis is overlap-added at
+    sample a * stride, so only one block's representation is alive at once.
+    """
+    cfg = params.cfg
+    taps, stride = cfg.filter_len, cfg.stride
+    if samples.size < taps:
+        raise SignalTooShort(f"need at least {taps} samples, got {samples.size}")
+    frames = (samples.size - taps) // stride + 1
+    blocks = -(-frames // BLOCK_FRAMES)
+    bounds = [frames * i // blocks for i in range(blocks + 1)]
+    pad = _smoothing_pad(cfg)
+    out = np.zeros((frames - 1) * stride + taps)
     with engine.no_grad():
-        out = forward(w_mix, params)
-    return Waveform(out.data.copy(), w_mix.sample_rate)
+        for a, b in zip(bounds, bounds[1:]):
+            lo, hi = max(0, a - pad[0]), min(frames, b + pad[1])
+            seg = samples[lo * stride : (hi - 1) * stride + taps]
+            y = forward(Tensor(seg), params, halo=(a - lo, hi - b)).data
+            out[a * stride : a * stride + y.size] += y
+    return out
+
+
+def separate(w_mix: Waveform, params: SeparatorParams) -> Waveform:
+    """Run the network without gradient recording, in blocks of frames.
+
+    Equals forward(w_mix) up to roundoff, bitwise when the input has at
+    most BLOCK_FRAMES frames; memory does not grow with the input beyond
+    the output itself.
+    """
+    return Waveform(_separate_blocks(w_mix.samples, params), w_mix.sample_rate)
 
 
 def separate_full_length(w_mix: Waveform, params: SeparatorParams) -> Waveform:
@@ -205,7 +266,9 @@ def separate_full_length(w_mix: Waveform, params: SeparatorParams) -> Waveform:
 
     The input is zero-padded by half a filter length on each side so the
     synthesis covers the whole original extent; the output is then the
-    slice aligned with the input samples.
+    slice aligned with the input samples. Separation runs in blocks of
+    frames as in separate, so besides one block's working set it holds
+    only the padded input, the synthesis and the returned slice.
     """
     cfg = params.cfg
     half = cfg.filter_len // 2
@@ -213,9 +276,8 @@ def separate_full_length(w_mix: Waveform, params: SeparatorParams) -> Waveform:
         raise ValueError("length-preserving separation needs stride <= filter_len/2")
     n = len(w_mix)
     padded = np.concatenate([np.zeros(half), w_mix.samples, np.zeros(half)])
-    with engine.no_grad():
-        out = forward(Tensor(padded), params)
-    return Waveform(out.data[half : half + n].copy(), w_mix.sample_rate)
+    out = _separate_blocks(padded, params)
+    return Waveform(out[half : half + n].copy(), w_mix.sample_rate)
 
 
 def order_bases_by_dominant_frequency(params: SeparatorParams, sample_rate: int, dft_len: int = 4096):

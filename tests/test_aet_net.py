@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sepcost import aet_net
 from sepcost import diff_engine as E
 from sepcost.aet_net import (
     NetConfig,
@@ -21,6 +22,8 @@ from sepcost.signal_io import Waveform
 
 SMALL = NetConfig(components=8, filter_len=64, stride=16, hidden_units=8, weight_sharing="shared")
 SMALL_INDEP = NetConfig(components=8, filter_len=64, stride=16, hidden_units=8, weight_sharing="independent")
+STRIDE8_W6 = NetConfig(components=8, filter_len=64, stride=8, smoothing_width=6, hidden_units=8)
+WIDTH1 = NetConfig(components=8, filter_len=64, stride=16, smoothing_width=1, hidden_units=8)
 
 
 def test_init_deterministic_and_bounded():
@@ -133,6 +136,113 @@ def test_separate_full_length_matches_input_length():
     for n in (1000, 1024, 1037):
         w = Waveform(rng.standard_normal(n), 16000)
         assert len(separate_full_length(w, p)) == n
+
+
+def _one_pass(samples, params):
+    with E.no_grad():
+        return forward(E.Tensor(samples), params).data
+
+
+def _blocked_params(seed, cfg):
+    # a random smoothing kernel, so a halo taken from the wrong side shows
+    params = init_params(seed, cfg)
+    params.smoothing_raw.data[:] = np.random.default_rng(seed).standard_normal(params.smoothing_raw.data.shape)
+    return params
+
+
+@pytest.mark.parametrize("cfg", [SMALL, SMALL_INDEP], ids=["shared", "independent"])
+def test_separation_in_one_block_is_bitwise_the_one_pass_network(cfg):
+    rng = np.random.default_rng(10)
+    params = _blocked_params(10, cfg)
+    half = cfg.filter_len // 2
+    for n in (cfg.filter_len, 1000, 1037):
+        w = Waveform(rng.standard_normal(n), 16000)
+        np.testing.assert_array_equal(separate(w, params).samples, _one_pass(w.samples, params))
+        padded = np.concatenate([np.zeros(half), w.samples, np.zeros(half)])
+        expected = _one_pass(padded, params)[half : half + n]
+        np.testing.assert_array_equal(separate_full_length(w, params).samples, expected)
+
+
+@pytest.mark.parametrize("block_frames", [1, 2, 3, 7])
+@pytest.mark.parametrize(
+    "cfg", [SMALL, SMALL_INDEP, STRIDE8_W6, WIDTH1], ids=["shared", "independent", "stride8-width6", "width1"]
+)
+def test_separation_in_many_blocks_matches_the_one_pass_network(monkeypatch, cfg, block_frames):
+    monkeypatch.setattr(aet_net, "BLOCK_FRAMES", block_frames)
+    rng = np.random.default_rng(11)
+    params = _blocked_params(11, cfg)
+    taps, stride, half = cfg.filter_len, cfg.stride, cfg.filter_len // 2
+    # frame counts 1, a multiple of the block plus one, and odd sizes
+    for frames in (1, 2, 3 * block_frames + 1, 4 * block_frames, 29):
+        for extra in (0, stride - 1):
+            x = rng.standard_normal(taps + (frames - 1) * stride + extra)
+            expected = _one_pass(x, params)
+            got = separate(Waveform(x, 16000), params).samples
+            assert got.shape == expected.shape
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+    for n in (1, 255, 1000):
+        w = Waveform(rng.standard_normal(n), 16000)
+        padded = np.concatenate([np.zeros(half), w.samples, np.zeros(half)])
+        expected = _one_pass(padded, params)[half : half + n]
+        got = separate_full_length(w, params).samples
+        assert got.shape == (n,)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+
+
+def test_halo_frames_only_feed_the_smoothing():
+    # a halo frame stands in for a zero of the smoothing pad: on the same
+    # input, the kept frames are the one-pass representation's, bitwise
+    rng = np.random.default_rng(12)
+    params = _blocked_params(12, SMALL)
+    x = rng.standard_normal(640)
+    full = analysis_forward(x, params)
+    frames = full.X.data.shape[1]
+    for halo in ((0, 0), (1, 0), (2, 1), (2, 2), (0, 2)):
+        part = analysis_forward(x, params, halo=halo)
+        kept = slice(halo[0], frames - halo[1])
+        for name in ("X", "M", "P"):
+            got, want = getattr(part, name).data, getattr(full, name).data[:, kept]
+            np.testing.assert_array_equal(got, want, err_msg=f"{name} {halo}")
+
+
+@pytest.mark.parametrize("halo", [(-1, 0), (0, -1), (3, 0), (0, 3), (2, 2)])
+def test_analysis_rejects_halo_outside_the_smoothing_pad(halo):
+    params = init_params(0, SMALL)
+    # (2, 2) leaves no frame of the four that 112 samples make
+    with pytest.raises(ShapeError):
+        analysis_forward(np.ones(112), params, halo=halo)
+    assert analysis_forward(np.ones(112), params).X.data.shape[1] == 4
+
+
+def test_separate_too_short_raises_before_the_block_loop(monkeypatch):
+    monkeypatch.setattr(aet_net, "BLOCK_FRAMES", 1)
+    params = init_params(0, SMALL)
+    with pytest.raises(SignalTooShort):
+        separate(Waveform(np.zeros(SMALL.filter_len - 1), 16000), params)
+    with pytest.raises(SignalTooShort):
+        separate(Waveform(np.zeros(1), 16000), params)
+    assert len(separate(Waveform(np.zeros(SMALL.filter_len), 16000), params)) == SMALL.filter_len
+
+
+def test_separation_memory_is_flat_in_input_length(monkeypatch):
+    # traced peak: the padded input, the synthesis accumulator and the
+    # returned slice (3 input sizes) plus one block's working set; a
+    # one-pass forward holds about 22 input sizes at every length
+    tracemalloc = pytest.importorskip("tracemalloc")
+    monkeypatch.setattr(aet_net, "BLOCK_FRAMES", 128)
+    cfg = NetConfig(components=64, filter_len=128, stride=16, hidden_units=64)
+    params = init_params(0, cfg)
+    block = 8 * aet_net.BLOCK_FRAMES * max(cfg.components, cfg.filter_len)
+    for n in (16000, 64000, 256000):
+        w = Waveform(np.random.default_rng(n).standard_normal(n), 16000)
+        tracemalloc.start()
+        try:
+            out = separate_full_length(w, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out) == n
+        assert peak < 3 * w.samples.nbytes + 8 * block, (n, peak)
 
 
 def test_stride_shift_covariance_of_analysis():

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from sepcost import aet_net, diff_engine
 from sepcost.cli import build_configs, main, merged_config
-from sepcost.signal_io import Waveform, read_wav, write_wav
-from sepcost.trainer import load_checkpoint
+from sepcost.signal_io import PCM_SCALE, Waveform, read_wav, write_wav
+from sepcost.trainer import OptState, load_checkpoint, save_checkpoint
 
 from reference import speechlike
 
@@ -94,6 +95,38 @@ def test_separate_preserves_length_and_is_deterministic(tmp_path, data_dirs, cap
     first = out_path.read_bytes()
     assert main(args) == 0
     assert out_path.read_bytes() == first
+
+
+def test_separate_in_blocks_writes_the_one_pass_pcm(tmp_path, monkeypatch, capsys):
+    # a large output bias puts the estimate over full scale, so the rescale runs
+    cfg = aet_net.NetConfig(components=8, filter_len=64, stride=16, hidden_units=8)
+    params = aet_net.init_params(3, cfg)
+    params.b2.data[:] = 50.0
+    save_checkpoint(params, OptState(), tmp_path / "ckpt.json")
+    mix = Waveform(speechlike(np.random.default_rng(3), 5000, 16000), 16000)
+    write_wav(mix, tmp_path / "mix.wav")
+    mix = read_wav(tmp_path / "mix.wav")
+
+    half = cfg.filter_len // 2
+    padded = np.concatenate([np.zeros(half), mix.samples, np.zeros(half)])
+    with diff_engine.no_grad():
+        one_pass = aet_net.forward(diff_engine.Tensor(padded), params).data[half : half + len(mix)]
+    peak = np.abs(one_pass).max()
+    assert peak > 1.0
+    write_wav(Waveform(one_pass / peak, 16000), tmp_path / "one_pass.wav")
+
+    monkeypatch.setattr(aet_net, "BLOCK_FRAMES", 50)  # 7 blocks of ~45 frames
+    assert main([
+        "separate",
+        "--checkpoint", str(tmp_path / "ckpt.json"),
+        "--input", str(tmp_path / "mix.wav"),
+        "--output", str(tmp_path / "est.wav"),
+    ]) == 0
+    assert "rescaled to full scale" in capsys.readouterr().out
+    blocked = read_wav(tmp_path / "est.wav").samples * PCM_SCALE
+    expected = read_wav(tmp_path / "one_pass.wav").samples * PCM_SCALE
+    assert blocked.shape == expected.shape == (5000,)
+    assert np.abs(blocked - expected).max() <= 1.0
 
 
 def test_separate_rejects_rate_mismatch(tmp_path, data_dirs, capsys):
