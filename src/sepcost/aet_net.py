@@ -35,6 +35,8 @@ from .signal_io import Waveform
 
 # analysis frames per separation block: about 1 s at stride 16 and 16 kHz
 BLOCK_FRAMES = 1024
+# zero-padded DFT length for finding each analysis filter's spectral peak
+BASIS_DFT_LEN = 4096
 
 
 @dataclass(frozen=True)
@@ -69,6 +71,7 @@ class AetRepresentation:
     P: Tensor
 
 
+@dataclass(eq=False)  # identity comparison: a generated __eq__ would compare Tensors
 class SeparatorParams:
     """Parameter tensors of the separation network.
 
@@ -77,41 +80,29 @@ class SeparatorParams:
     component, which keeps it nonnegative under gradient updates.
     """
 
-    def __init__(self, cfg: NetConfig, analysis, smoothing_raw, w1, b1, w2, b2, synthesis=None):
-        self.cfg = cfg
-        self.analysis = analysis
-        self.smoothing_raw = smoothing_raw
-        self.w1 = w1
-        self.b1 = b1
-        self.w2 = w2
-        self.b2 = b2
-        if cfg.weight_sharing == "shared":
-            if synthesis is not None:
-                raise ValueError("shared mode must not carry a separate synthesis bank")
-            self._synthesis = None
-        else:
-            if synthesis is None:
-                raise ValueError("independent mode needs a synthesis bank")
-            self._synthesis = synthesis
+    cfg: NetConfig
+    analysis: Tensor
+    smoothing_raw: Tensor
+    w1: Tensor
+    b1: Tensor
+    w2: Tensor
+    b2: Tensor
+    synthesis: Tensor | None = None  # independent mode only
+
+    def __post_init__(self):
+        if self.cfg.weight_sharing == "shared" and self.synthesis is not None:
+            raise ValueError("shared mode must not carry a separate synthesis bank")
+        if self.cfg.weight_sharing == "independent" and self.synthesis is None:
+            raise ValueError("independent mode needs a synthesis bank")
 
     @property
     def synthesis_filters(self) -> Tensor:
         """Synthesis bank; in shared mode this is the analysis tensor itself."""
-        return self.analysis if self._synthesis is None else self._synthesis
+        return self.analysis if self.synthesis is None else self.synthesis
 
     def tensors(self) -> dict[str, Tensor]:
         """Named leaf tensors (the tied synthesis view is not duplicated)."""
-        out = {
-            "analysis": self.analysis,
-            "smoothing_raw": self.smoothing_raw,
-            "w1": self.w1,
-            "b1": self.b1,
-            "w2": self.w2,
-            "b2": self.b2,
-        }
-        if self._synthesis is not None:
-            out["synthesis"] = self._synthesis
-        return out
+        return {name: getattr(self, name) for name in param_shapes(self.cfg)}
 
     def smoothing_kernel(self) -> Tensor:
         positive = engine.softplus(self.smoothing_raw)
@@ -163,14 +154,8 @@ def _smoothing_pad(cfg: NetConfig) -> tuple[int, int]:
     return (width - 1) // 2, width // 2
 
 
-def analysis_forward(w, params: SeparatorParams, halo: tuple[int, int] = (0, 0)) -> AetRepresentation:
-    """Mixture waveform -> (X, M, P).
-
-    halo counts the analysis frames at each end that only feed their
-    neighbours' smoothing: they stand in for that side's zero padding, and
-    X, M and P keep only the frames between them. It can be at most the
-    smoothing pad on each side and must leave a frame.
-    """
+def analysis_forward(w, params: SeparatorParams) -> AetRepresentation:
+    """Mixture waveform -> (X, M, P), one column per analysis frame."""
     cfg = params.cfg
     x = as_tensor(w.samples if isinstance(w, Waveform) else w)
     if x.data.size < cfg.filter_len:
@@ -179,14 +164,7 @@ def analysis_forward(w, params: SeparatorParams, halo: tuple[int, int] = (0, 0))
 
     # "same" convolution of |X| along frames, per component
     pad = _smoothing_pad(cfg)
-    before, after = halo
-    frames = X.data.shape[1]
-    if not (0 <= before <= pad[0] and 0 <= after <= pad[1] and before + after < frames):
-        raise ShapeError(f"halo {halo} does not fit smoothing pad {pad} and {frames} frames")
-    pad = (pad[0] - before, pad[1] - after)
     M = engine.depthwise_conv(engine.abs_(X), params.smoothing_kernel(), pad) + cfg.modulation_floor
-    if before or after:
-        X = X[:, before : frames - after]
     P = X / M
     return AetRepresentation(X=X, M=M, P=P)
 
@@ -210,28 +188,20 @@ def synthesis_forward(modulation_hat, carrier, params: SeparatorParams) -> Tenso
     return engine.conv1d_transpose(x_hat, params.synthesis_filters, params.cfg.stride)
 
 
-def forward(w, params: SeparatorParams, halo: tuple[int, int] = (0, 0)) -> Tensor:
-    """Full network composition; output length (L-1)*stride + filter_len.
-
-    L counts the analysis frames kept after the halo (see analysis_forward).
-    """
-    rep = analysis_forward(w, params, halo)
-    # drop each stage's inputs once they are used: without a tape that
-    # frees X before the separator and M before the synthesis
-    modulation, carrier = rep.M, rep.P
-    del rep
-    m_hat = separator_forward(modulation, params)
-    del modulation
-    return synthesis_forward(m_hat, carrier, params)
+def forward(w, params: SeparatorParams) -> Tensor:
+    """Full network composition; output length (L-1)*stride + filter_len for L frames."""
+    rep = analysis_forward(w, params)
+    return synthesis_forward(separator_forward(rep.M, params), rep.P, params)
 
 
 def _separate_blocks(samples: np.ndarray, params: SeparatorParams) -> np.ndarray:
     """forward(samples) without gradient recording, over blocks of frames.
 
     The L analysis frames split into ceil(L / BLOCK_FRAMES) near-equal
-    blocks. Block [a, b) reads its frames' samples plus the smoothing pad's
-    neighbour frames as a halo, and its synthesis is overlap-added at
-    sample a * stride, so only one block's representation is alive at once.
+    blocks. Block [a, b) is analysed with the smoothing pad's neighbour
+    frames as a halo, which is dropped before the separator, and its
+    synthesis is overlap-added at sample a * stride, so only one block's
+    representation is alive at once.
     """
     cfg = params.cfg
     taps, stride = cfg.filter_len, cfg.stride
@@ -245,8 +215,13 @@ def _separate_blocks(samples: np.ndarray, params: SeparatorParams) -> np.ndarray
     with engine.no_grad():
         for a, b in zip(bounds, bounds[1:]):
             lo, hi = max(0, a - pad[0]), min(frames, b + pad[1])
-            seg = samples[lo * stride : (hi - 1) * stride + taps]
-            y = forward(Tensor(seg), params, halo=(a - lo, hi - b)).data
+            rep = analysis_forward(samples[lo * stride : (hi - 1) * stride + taps], params)
+            kept = slice(a - lo, b - lo)
+            modulation, carrier = rep.M[:, kept], rep.P[:, kept]
+            # the slices are copies: freeing the block's whole X, M and P
+            # here keeps them out of the separator's and synthesis' peak
+            del rep
+            y = synthesis_forward(separator_forward(modulation, params), carrier, params).data
             out[a * stride : a * stride + y.size] += y
     return out
 
@@ -280,14 +255,14 @@ def separate_full_length(w_mix: Waveform, params: SeparatorParams) -> Waveform:
     return Waveform(out[half : half + n].copy(), w_mix.sample_rate)
 
 
-def order_bases_by_dominant_frequency(params: SeparatorParams, sample_rate: int, dft_len: int = 4096):
+def order_bases_by_dominant_frequency(params: SeparatorParams, sample_rate: int):
     """Ascending sort of the analysis filters by their spectral peak.
 
     Returns (permutation, dominant_frequencies_hz); the permutation is a
     stable argsort, so re-computation is reproducible.
     """
-    spectra = np.abs(np.fft.rfft(params.analysis.data, n=dft_len, axis=1))
-    freqs = spectra.argmax(axis=1) * (sample_rate / dft_len)
+    spectra = np.abs(np.fft.rfft(params.analysis.data, n=BASIS_DFT_LEN, axis=1))
+    freqs = spectra.argmax(axis=1) * (sample_rate / BASIS_DFT_LEN)
     perm = np.argsort(freqs, kind="stable")
     return perm, freqs
 

@@ -282,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("gradcheck", help="compare reverse-mode gradients to finite differences")
-    p.add_argument("--loss", required=True, choices=["mse", "sdr", "sir", "sar", "stoi", "network"])
+    p.add_argument("--loss", required=True, choices=[*losses.COST_KINDS, "network"])
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gradcheck)
 

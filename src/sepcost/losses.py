@@ -64,29 +64,32 @@ class StoiConfig:
         return 1.0 + 10.0 ** (-self.clip_db / 20.0)
 
 
-def _signal(x) -> tuple[Tensor, int | None]:
+def _signal(x, rate: int | None = None) -> tuple[Tensor, int | None]:
+    """x as a tensor, with a Waveform's own sample rate or else `rate`."""
     if isinstance(x, Waveform):
         return as_tensor(x.samples), x.sample_rate
-    return as_tensor(x), None
+    return as_tensor(x), rate
 
 
-def _pair(x, y) -> tuple[Tensor, Tensor, int | None]:
-    xt, rx = _signal(x)
-    yt, ry = _signal(y)
-    if rx is not None and ry is not None and rx != ry:
-        raise ShapeError(f"sample rates differ: {rx} vs {ry}")
-    if xt.data.shape != yt.data.shape:
-        raise ShapeError(f"signal lengths differ: {xt.data.shape} vs {yt.data.shape}")
-    return xt, yt, rx if rx is not None else ry
+def _pair(x, y, z=None) -> tuple[Tensor, ...]:
+    """(x, y) or (x, y, z) as tensors; their lengths and known sample rates must agree."""
+    signals = [_signal(s) for s in ((x, y) if z is None else (x, y, z))]
+    rates = sorted({rate for _, rate in signals if rate is not None})
+    if len(rates) > 1:
+        raise ShapeError(f"sample rates differ: {rates}")
+    shapes = [t.data.shape for t, _ in signals]
+    if len(set(shapes)) > 1:
+        raise ShapeError(f"signal lengths differ: {shapes}")
+    return tuple(t for t, _ in signals)
 
 
 def mse_loss(x, y) -> Tensor:
     """Mean squared sample error."""
-    xt, yt, _ = _pair(x, y)
+    xt, yt = _pair(x, y)
     return engine.mean(engine.square(xt - yt))
 
 
-def sdr_loss(x, y, epsilon: float = EPS) -> Tensor:
+def sdr_loss(x, y) -> Tensor:
     """Distortion surrogate: scale-invariant, minimized when x is proportional to y.
 
     This is the correlation form of SI-SDR (Le Roux et al., "SDR -
@@ -94,38 +97,32 @@ def sdr_loss(x, y, epsilon: float = EPS) -> Tensor:
     between x and y, the loss is 1 / (|y|^2 rho^2), and SI-SDR is
     10 log10(rho^2 / (1 - rho^2)).
     """
-    xt, yt, _ = _pair(x, y)
-    return engine.dot(xt, xt) / (engine.square(engine.dot(xt, yt)) + epsilon)
+    xt, yt = _pair(x, y)
+    return engine.dot(xt, xt) / (engine.square(engine.dot(xt, yt)) + EPS)
 
 
-def sir_loss(x, y, z, epsilon: float = EPS) -> Tensor:
+def sir_loss(x, y, z) -> Tensor:
     """Interference surrogate: correlation with z over correlation with y.
 
     Assumes y and z are orthogonal in time (y ⟂ z), so that <x,y> and
     <x,z> measure the target and interference parts of x separately.
     """
-    xt, yt, _ = _pair(x, y)
-    zt, _ = _signal(z)
-    if zt.data.shape != xt.data.shape:
-        raise ShapeError("interference length differs from estimate")
-    return engine.square(engine.dot(xt, zt)) / (engine.square(engine.dot(xt, yt)) + epsilon)
+    xt, yt, zt = _pair(x, y, z)
+    return engine.square(engine.dot(xt, zt)) / (engine.square(engine.dot(xt, yt)) + EPS)
 
 
-def sar_loss(x, y, z, epsilon: float = EPS) -> Tensor:
+def sar_loss(x, y, z) -> Tensor:
     """Artifact surrogate: estimate energy over its projection onto span{y, z}.
 
     Assumes y and z are orthogonal in time (y ⟂ z), so the two projections
     add; minimized by any x inside the span (the identity map on the
     mixture, in particular).
     """
-    xt, yt, _ = _pair(x, y)
-    zt, _ = _signal(z)
-    if zt.data.shape != xt.data.shape:
-        raise ShapeError("interference length differs from estimate")
+    xt, yt, zt = _pair(x, y, z)
     proj = engine.square(engine.dot(xt, yt)) / engine.dot(yt, yt) + engine.square(
         engine.dot(xt, zt)
     ) / engine.dot(zt, zt)
-    return engine.dot(xt, xt) / (proj + epsilon)
+    return engine.dot(xt, xt) / (proj + EPS)
 
 
 def _band_frames_graph(t: Tensor, cfg: StoiConfig) -> Tensor:
@@ -185,9 +182,7 @@ def stoi_reference(y, cfg: StoiConfig = StoiConfig(), sample_rate: int | None = 
     cfg.analysis_rate. Raises SignalTooShort if y holds less than one
     segment at the analysis rate.
     """
-    yt, rate = _signal(y)
-    if rate is None:
-        rate = sample_rate if sample_rate is not None else cfg.analysis_rate
+    yt, rate = _signal(y, sample_rate if sample_rate is not None else cfg.analysis_rate)
     seg_y = _segments(yt, rate, cfg)
     yc = seg_y - engine.mean(seg_y, axis=1, keepdims=True)
     return StoiReference(
@@ -211,25 +206,20 @@ def stoi_forward(x, y, cfg: StoiConfig = StoiConfig(), sample_rate: int | None =
     correlation. Returns (score, d) where score is the mean of the
     per-(band, frame) correlation matrix d.
 
-    y is a target signal or a `StoiReference` prepared from one; with a
-    signal this is exactly `stoi_forward(x, stoi_reference(y, ...))`,
-    the same ops in the same order. An estimate whose length or rate
-    differs from the reference's raises ShapeError, and cfg must be the
-    one the reference was prepared with.
+    y is a target signal or a `StoiReference` prepared from one. A signal
+    goes through `stoi_reference` (at x's rate if y has none), so both
+    run the same ops in the same order. cfg must be the reference's, else
+    ValueError; an estimate whose rate or length differs from the
+    reference's raises ShapeError.
     """
-    if isinstance(y, StoiReference):
-        ref = y
-        xt, rate = _signal(x)
-        rate = rate if rate is not None else sample_rate
-        if cfg != ref.cfg:
-            raise ValueError("the STOI reference was prepared with a different StoiConfig")
-        if rate is not None and rate != ref.rate:
-            raise ShapeError(f"sample rates differ: {rate} vs {ref.rate}")
-        if xt.data.shape != (ref.n_in,):
-            raise ShapeError(f"signal lengths differ: {xt.data.shape} vs {(ref.n_in,)}")
-    else:
-        xt, yt, rate = _pair(x, y)
-        ref = stoi_reference(yt, cfg, rate if rate is not None else sample_rate)
+    xt, rate = _signal(x, sample_rate)
+    ref = y if isinstance(y, StoiReference) else stoi_reference(y, cfg, rate)
+    if cfg != ref.cfg:
+        raise ValueError("the STOI reference was prepared with a different StoiConfig")
+    if rate is not None and rate != ref.rate:
+        raise ShapeError(f"sample rates differ: {rate} vs {ref.rate}")
+    if xt.data.shape != (ref.n_in,):
+        raise ShapeError(f"signal lengths differ: {xt.data.shape} vs {(ref.n_in,)}")
 
     seg_x = _segments(xt, ref.rate, cfg)
     eps = cfg.epsilon

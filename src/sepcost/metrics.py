@@ -8,7 +8,7 @@ product projections (no allowed-distortion filtering):
     e_artif  = x - s_target - e_interf
 
 SDR/SIR/SAR are energy ratios over that decomposition; vanishing error
-energies report +infinity.
+energies report +infinity, and a silent estimate raises SilentSignal.
 """
 
 from __future__ import annotations
@@ -85,8 +85,11 @@ def _ratio_db(num: float, den: float, floor: float) -> float:
 def bss_eval_metrics(x, y, z) -> EvalReport:
     """SDR/SIR/SAR in dB from the projection decomposition (stoi left unset)."""
     xs, ys, zs = _triple(x, y, z)
+    energy = float(xs @ xs)
+    if energy == 0.0:  # every ratio would be 0/0, and the floor 0
+        raise SilentSignal("estimate is silent")
     s_target, e_interf, e_artif = _project(xs, ys, zs)
-    floor = ENERGY_FLOOR_RATIO * float(xs @ xs)
+    floor = ENERGY_FLOOR_RATIO * energy
     e_st = float(s_target @ s_target)
     e_ei = float(e_interf @ e_interf)
     e_ea = float(e_artif @ e_artif)

@@ -149,7 +149,6 @@ def _aligned_loss_inputs(estimate: Tensor, y: np.ndarray, z: np.ndarray, trim: i
     x_al = estimate[trim : n_out - trim]
     y_al = Tensor(y[trim : n_out - trim])
     z_al = Tensor(z[trim : n_out - trim])
-    assert x_al.data.size == y_al.data.size == z_al.data.size
     return x_al, y_al, z_al
 
 
@@ -338,7 +337,8 @@ def fit(
 
     if log_path is not None:
         write_log(log, log_path)
-    return FitResult(params, opt_state, cost, log, total_steps)
+    # a resume past this run's length trains nothing and keeps the checkpoint's count
+    return FitResult(params, opt_state, cost, log, max(total_steps, steps_done))
 
 
 def write_log(log: list[dict], path) -> None:
@@ -484,8 +484,10 @@ def _decode_tensor(entry: dict, path) -> np.ndarray:
         raw = base64.b64decode(entry["data"], validate=True)
     except (binascii.Error, KeyError, TypeError) as exc:
         raise CorruptFile(f"{path}: bad tensor payload") from exc
-    shape = tuple(entry.get("shape", ()))
-    if len(raw) != 8 * int(np.prod(shape, dtype=np.int64)):
+    shape = entry.get("shape")
+    if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+        raise CorruptFile(f"{path}: tensor shape {shape!r} is not a list of non-negative integers")
+    if len(raw) != 8 * math.prod(shape):
         raise CorruptFile(f"{path}: tensor payload does not match shape {shape}")
     return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
 

@@ -50,6 +50,12 @@ def test_shared_mode_ties_synthesis_storage():
     q = init_params(0, SMALL_INDEP)
     assert q.synthesis_filters is not q.analysis
     assert "synthesis" in q.tensors()
+    with pytest.raises(ValueError, match="shared mode"):
+        SeparatorParams(SMALL, **q.tensors())
+    with pytest.raises(ValueError, match="independent mode"):
+        SeparatorParams(SMALL_INDEP, **p.tensors())
+    # parameter sets compare by identity, never by their tensors
+    assert SeparatorParams(SMALL, **p.tensors()) != p
 
 
 def test_smoothing_kernel_uniform_at_init():
@@ -190,28 +196,23 @@ def test_separation_in_many_blocks_matches_the_one_pass_network(monkeypatch, cfg
 
 
 def test_halo_frames_only_feed_the_smoothing():
-    # a halo frame stands in for a zero of the smoothing pad: on the same
-    # input, the kept frames are the one-pass representation's, bitwise
+    # the block loop's premise: analysing frames [lo, hi) of the input, the
+    # block [a, b) plus its halo, gives the full analysis's X, M and P at
+    # frames [a, b) bitwise
     rng = np.random.default_rng(12)
-    params = _blocked_params(12, SMALL)
-    x = rng.standard_normal(640)
-    full = analysis_forward(x, params)
-    frames = full.X.data.shape[1]
-    for halo in ((0, 0), (1, 0), (2, 1), (2, 2), (0, 2)):
-        part = analysis_forward(x, params, halo=halo)
-        kept = slice(halo[0], frames - halo[1])
-        for name in ("X", "M", "P"):
-            got, want = getattr(part, name).data, getattr(full, name).data[:, kept]
-            np.testing.assert_array_equal(got, want, err_msg=f"{name} {halo}")
-
-
-@pytest.mark.parametrize("halo", [(-1, 0), (0, -1), (3, 0), (0, 3), (2, 2)])
-def test_analysis_rejects_halo_outside_the_smoothing_pad(halo):
-    params = init_params(0, SMALL)
-    # (2, 2) leaves no frame of the four that 112 samples make
-    with pytest.raises(ShapeError):
-        analysis_forward(np.ones(112), params, halo=halo)
-    assert analysis_forward(np.ones(112), params).X.data.shape[1] == 4
+    frames = 37
+    for cfg in (SMALL, STRIDE8_W6):
+        params = _blocked_params(12, cfg)
+        taps, stride = cfg.filter_len, cfg.stride
+        before, after = aet_net._smoothing_pad(cfg)
+        x = rng.standard_normal(taps + (frames - 1) * stride)
+        full = analysis_forward(x, params)
+        for a, b in ((0, frames), (0, 1), (0, 3), (2, 7), (5, 6), (11, 30), (30, frames), (frames - 1, frames)):
+            lo, hi = max(0, a - before), min(frames, b + after)
+            part = analysis_forward(x[lo * stride : (hi - 1) * stride + taps], params)
+            for name in ("X", "M", "P"):
+                got, want = getattr(part, name).data[:, a - lo : b - lo], getattr(full, name).data[:, a:b]
+                np.testing.assert_array_equal(got, want, err_msg=f"{cfg} {name} [{a}, {b})")
 
 
 def test_separate_too_short_raises_before_the_block_loop(monkeypatch):

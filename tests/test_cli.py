@@ -198,6 +198,24 @@ def test_evaluate_mixture_scores_zero_db(tmp_path, capsys):
     assert abs(float(sir)) < 0.1
 
 
+def test_evaluate_silent_estimate_exits_2(tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    fs = 10000
+    write_wav(Waveform(speechlike(rng, 11000, fs), fs), tmp_path / "t.wav")
+    write_wav(Waveform(speechlike(rng, 11000, fs), fs), tmp_path / "i.wav")
+    write_wav(Waveform(np.zeros(11000), fs), tmp_path / "est.wav")
+    code = main([
+        "evaluate",
+        "--estimate", str(tmp_path / "est.wav"),
+        "--target", str(tmp_path / "t.wav"),
+        "--interference", str(tmp_path / "i.wav"),
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "estimate is silent" in captured.err
+
+
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_divergence_exits_3_with_last_good_checkpoint(tmp_path, data_dirs, capsys):
     tdir, idir = data_dirs

@@ -95,6 +95,19 @@ def test_sar_loss_examples():
     assert sar_loss(y, y, z).item() == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("loss", [sir_loss, sar_loss], ids=["sir", "sar"])
+def test_interference_must_match_the_estimate_rate_and_length(loss):
+    rng = np.random.default_rng(14)
+    x, y, z = rng.standard_normal((3, 64))
+    assert np.isfinite(loss(Waveform(x, 16000), Waveform(y, 16000), Waveform(z, 16000)).item())
+    with pytest.raises(ShapeError, match="rates"):
+        loss(Waveform(x, 16000), Waveform(y, 16000), Waveform(z, 8000))
+    with pytest.raises(ShapeError, match="rates"):
+        loss(x, Waveform(y, 16000), Waveform(z, 8000))
+    with pytest.raises(ShapeError, match="lengths"):
+        loss(x, y, z[:-1])
+
+
 def test_sar_identity_is_minimizer_on_toys():
     rng = np.random.default_rng(4)
     y = np.zeros(8)

@@ -80,6 +80,20 @@ def test_all_infinite_for_perfect_estimate():
     assert report.sar_db == math.inf
 
 
+def test_silent_estimate_raises_and_a_tiny_one_scores_as_at_full_scale():
+    rng = np.random.default_rng(10)
+    y, z = orthogonal_pair(rng, 64)
+    with pytest.raises(SilentSignal, match="estimate is silent"):
+        bss_eval_metrics(np.zeros(64), y, z)
+    with pytest.raises(SilentSignal, match="estimate is silent"):
+        evaluate(Waveform(np.zeros(64), 8000), Waveform(y, 8000), Waveform(z, 8000))
+    x = y + 0.5 * z + 0.1 * rng.standard_normal(64)
+    full, tiny = bss_eval_metrics(x, y, z), bss_eval_metrics(1e-30 * x, y, z)
+    for field in ("sdr_db", "sir_db", "sar_db"):
+        assert getattr(tiny, field) == pytest.approx(getattr(full, field), rel=1e-12)
+    assert bss_eval_metrics(1e-30 * y, y, z).sdr_db == math.inf
+
+
 def test_equal_energy_mixture_gives_zero_db():
     rng = np.random.default_rng(6)
     y, z = orthogonal_pair(rng, 256)

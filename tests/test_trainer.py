@@ -3,6 +3,7 @@ import builtins
 import dataclasses
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -364,8 +365,18 @@ def test_json_stream_matches_json_loads(monkeypatch, chunk):
         lambda t: t.replace('"format_version": 1', '"format_version" 1'),
         lambda t: t.replace('"format_version": 1', '1: 1'),
         lambda t: t.replace('"tensors": {', '"tensors": [{', 1)[:-1] + "]}",
+        *(
+            lambda t, shape=shape: re.sub(r'"shape": \[[^\]]*\]', f'"shape": {shape}', t, count=1)
+            for shape in ("null", "3", '"ab"', "[2.5]", "[[1]]", "[-8, -64]")
+        ),
+        # an int64 product of these wraps to 0, which an empty payload would match
+        lambda t: re.sub(r'"shape": [^}]*', '"shape": [4294967296, 4294967296], "data": ""', t, count=1),
     ],
-    ids=["empty", "array", "extra_data", "trailing_comma", "missing_colon", "number_key", "tensor_list"],
+    ids=[
+        "empty", "array", "extra_data", "trailing_comma", "missing_colon", "number_key", "tensor_list",
+        "shape_null", "shape_int", "shape_string", "shape_float", "shape_nested", "shape_negative",
+        "shape_overflow",
+    ],
 )
 def test_checkpoint_rejects_malformed_json(tmp_path, edit):
     path = tmp_path / "ckpt.json"
@@ -500,6 +511,30 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     for (k, t), s in zip(resumed.params.tensors().items(), straight.params.tensors().values()):
         np.testing.assert_array_equal(t.data, s.data, err_msg=k)
     assert [e["total"] for e in resumed.log] == [e["total"] for e in straight.log if "step" in e][2:]
+
+
+def test_resume_shorter_than_the_checkpoint_keeps_its_step_count(tmp_path):
+    # a resume that asks for fewer steps than the checkpoint ran trains
+    # none and reports the checkpoint's count, so a later resume goes on
+    # from there rather than replaying steps on trained weights
+    dataset = Dataset([make_pair(0), make_pair(1)])
+    straight = fit(dataset, tiny_cfg(epochs=4), SMALL_NET, SMALL_STOI)
+
+    def save(result, cfg, name):
+        path = tmp_path / name
+        meta = {"steps_done": result.steps_done, "cost_scales": list(result.cost.scales)}
+        save_checkpoint(result.params, result.opt_state, path, cfg, meta=meta)
+        return path
+
+    three = fit(dataset, tiny_cfg(epochs=3), SMALL_NET, SMALL_STOI)
+    short = fit(dataset, tiny_cfg(epochs=1), SMALL_NET, SMALL_STOI, resume=save(three, tiny_cfg(epochs=3), "three.json"))
+    assert short.steps_done == short.opt_state.step == 6
+    assert short.log == []
+    resumed = fit(dataset, tiny_cfg(epochs=4), SMALL_NET, SMALL_STOI, resume=save(short, tiny_cfg(epochs=1), "short.json"))
+    assert resumed.steps_done == 8
+    for (k, t), s in zip(resumed.params.tensors().items(), straight.params.tensors().values()):
+        np.testing.assert_array_equal(t.data, s.data, err_msg=k)
+    assert [e["total"] for e in resumed.log] == [e["total"] for e in straight.log if "step" in e][6:]
 
 
 @pytest.mark.parametrize(
