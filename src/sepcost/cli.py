@@ -27,7 +27,7 @@ from .errors import NumericalDivergence, SepcostError
 from .losses import StoiConfig
 from .metrics import evaluate, format_report_row
 from .signal_io import Waveform, read_wav, resample, write_wav
-from .trainer import TrainConfig, build_dataset, fit, load_checkpoint, save_checkpoint, write_log
+from .trainer import TrainConfig, build_dataset, fit, load_checkpoint, save_checkpoint
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -143,27 +143,18 @@ def cmd_train(args) -> int:
         seed=train_cfg.seed,
         sample_rate=train_cfg.sample_rate,
     )
+    diverged = None
     try:
         result = fit(dataset, train_cfg, net_cfg, stoi_cfg, log_path=args.log)
     except NumericalDivergence as exc:
-        save_checkpoint(
-            exc.params,
-            exc.opt_state,
-            args.checkpoint,
-            train_cfg,
-            meta={"steps_done": exc.steps_done, "cost_scales": list(exc.cost.scales), "diverged": True},
-        )
-        if args.log:
-            write_log(exc.log, args.log)
-        print(f"diverged after {exc.steps_done} steps: {exc}", file=sys.stderr)
+        diverged, result = exc, exc.result
+    meta = {"steps_done": result.steps_done, "cost_scales": list(result.cost.scales)}
+    if diverged is not None:
+        meta["diverged"] = True
+    save_checkpoint(result.params, result.opt_state, args.checkpoint, train_cfg, meta=meta)
+    if diverged is not None:
+        print(f"diverged after {result.steps_done} steps: {diverged}", file=sys.stderr)
         return EXIT_DIVERGED
-    save_checkpoint(
-        result.params,
-        result.opt_state,
-        args.checkpoint,
-        train_cfg,
-        meta={"steps_done": result.steps_done, "cost_scales": list(result.cost.scales)},
-    )
     totals = [e["total"] for e in result.log if "total" in e]
     last = f", final loss {totals[-1]:.6g}" if totals else ""
     print(f"trained {result.steps_done} steps over {len(dataset.pairs)} pairs{last}")

@@ -40,7 +40,6 @@ class StoiConfig:
     segment_frames: int = 30
     clip_db: float = -15.0
     analysis_rate: int = 10000
-    epsilon: float = 1e-12
 
     def __post_init__(self):
         if self.segment_frames < 1:
@@ -222,14 +221,13 @@ def stoi_forward(x, y, cfg: StoiConfig = StoiConfig(), sample_rate: int | None =
         raise ShapeError(f"signal lengths differ: {xt.data.shape} vs {(ref.n_in,)}")
 
     seg_x = _segments(xt, ref.rate, cfg)
-    eps = cfg.epsilon
     norm_x = engine.norm(seg_x, axis=1, keepdims=True)
-    alpha = ref.norm_y / (norm_x + eps)
+    alpha = ref.norm_y / (norm_x + EPS)
     clipped = engine.minimum(alpha * seg_x, ref.clip_y)
 
     xc = clipped - engine.mean(clipped, axis=1, keepdims=True)
     num = engine.sum_(xc * ref.yc, axis=1)
-    den = engine.norm(xc, axis=1) * ref.norm_yc + eps
+    den = engine.norm(xc, axis=1) * ref.norm_yc + EPS
     d = num / den
     return engine.mean(d), d
 

@@ -8,12 +8,9 @@ the exact step sequence of an uninterrupted run.
 
 from __future__ import annotations
 
-import base64
-import binascii
 import json
 import math
 import os
-import re
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -22,12 +19,12 @@ import numpy as np
 from . import aet_net, losses
 from . import diff_engine as engine
 from .aet_net import NetConfig, SeparatorParams, init_params
-from .diff_engine import Tensor, parameter
+from .diff_engine import Tensor
 from .errors import CorruptFile, IncompatibleCheckpoint, NoData, NumericalDivergence, SilentSignal
 from .losses import CompositeCost, StoiConfig, normalize_cost_scales, parse_cost_spec
 from .signal_io import MixturePair, mix_at_snr, read_wav, resample
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 # a random training excerpt whose target RMS is below this fraction of the
 # utterance's is silent, and is drawn again at most EXCERPT_DRAWS - 1 times
 SILENT_EXCERPT_RATIO = 1e-3
@@ -269,8 +266,8 @@ def fit(
     continues from a checkpoint of the same run: net_cfg and every cfg
     field but epochs must equal the stored configs, and its meta must
     hold steps_done and cost_scales, else IncompatibleCheckpoint. On
-    divergence the exception carries the last good state in its
-    .params/.opt_state/.log/.steps_done attributes.
+    divergence the log is still written, and the NumericalDivergence
+    carries the last good state as a FitResult in its .result.
     """
     if not dataset.pairs:
         raise NoData("dataset is empty")
@@ -324,11 +321,9 @@ def fit(
         except SilentSignal as exc:
             raise SilentSignal(f"pair {index}: {exc}") from exc
         except NumericalDivergence as exc:
-            exc.params = params
-            exc.opt_state = opt_state
-            exc.log = log
-            exc.steps_done = global_step
-            exc.cost = cost
+            exc.result = FitResult(params, opt_state, cost, log, global_step)
+            if log_path is not None:
+                write_log(log, log_path)
             raise
         entry = {"epoch": epoch, "step": global_step, "components": raw, "total": loss_value}
         log.append(entry)
@@ -343,18 +338,18 @@ def fit(
 
 def write_log(log: list[dict], path) -> None:
     """JSON-lines training log, one object per entry, replaced atomically."""
-    _write_atomic(path, (json.dumps(entry) + "\n" for entry in log))
+    _write_atomic(path, ((json.dumps(entry) + "\n").encode("ascii") for entry in log))
 
 
 def _write_atomic(path, chunks) -> None:
-    """Write an iterable of text chunks to a temp file beside path, then rename it over path.
+    """Write an iterable of bytes-like chunks to a temp file beside path, then rename it over path.
 
     A write killed part-way leaves the previous file intact.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w") as fh:
+        with open(tmp, "wb") as fh:
             for chunk in chunks:
                 fh.write(chunk)
         os.replace(tmp, path)
@@ -365,132 +360,6 @@ def _write_atomic(path, chunks) -> None:
 # ---------------------------------------------------------------------------
 # checkpoints
 
-# bytes base64-encoded per write; a multiple of 3, so the pieces join without padding
-_B64_CHUNK = 3 << 18
-
-
-def _checkpoint_chunks(head: dict, tensors):
-    """json.dumps of head plus a "tensors" object, yielded piece by piece.
-
-    Each (name, array) pair becomes {"shape": [...], "data": base64 of its
-    little-endian float64 bytes}, encoded a chunk at a time, so no whole
-    document or whole tensor string is ever held.
-    """
-    yield json.dumps(head)[:-1] + ', "tensors": {'
-    for i, (name, arr) in enumerate(tensors):
-        data = np.ascontiguousarray(arr, dtype="<f8")
-        yield f'{", " if i else ""}{json.dumps(name)}: {{"shape": {json.dumps(list(data.shape))}, "data": "'
-        raw = data.reshape(-1).view(np.uint8)
-        for lo in range(0, raw.size, _B64_CHUNK):
-            yield base64.b64encode(raw[lo : lo + _B64_CHUNK]).decode("ascii")
-        yield '"}'
-    yield "}}"
-
-
-# characters read per refill of _JsonStream's buffer
-_READ_CHUNK = 1 << 20
-_WHITESPACE = re.compile(r"[ \t\n\r]*")
-_JSON = json.JSONDecoder()
-
-
-class _JsonStream:
-    """A JSON text file walked one value at a time through a bounded buffer.
-
-    members() steps through an object's keys and value() parses the next
-    whole value, so the buffer holds at most about twice the largest value
-    still being parsed. Syntax errors raise json.JSONDecodeError.
-    """
-
-    def __init__(self, fh):
-        self.fh = fh
-        self.buf = ""
-        self.pos = 0
-
-    def _fill(self, until: str = "") -> bool:
-        """Append at least as much as is buffered, then read on to the next
-        `until` character if one is given; False at end of file.
-
-        Doubling keeps the rescans of a value that spans reads linear in its
-        length; reading on to `until` spares them for a long string.
-        """
-        rest = self.buf[self.pos :]
-        pieces = [rest, self.fh.read(max(_READ_CHUNK, len(rest)))]
-        if not pieces[1]:
-            return False
-        while until not in pieces[-1]:
-            more = self.fh.read(_READ_CHUNK)
-            if not more:
-                break
-            pieces.append(more)
-        self.buf = "".join(pieces)
-        self.pos = 0
-        return True
-
-    def _peek(self) -> str:
-        """Next character after whitespace, or "" at end of file."""
-        while True:
-            self.pos = _WHITESPACE.match(self.buf, self.pos).end()
-            if self.pos < len(self.buf):
-                return self.buf[self.pos]
-            if not self._fill():
-                return ""
-
-    def _expect(self, chars: str) -> str:
-        ch = self._peek()
-        if not ch or ch not in chars:
-            raise json.JSONDecodeError(f"expecting one of {chars!r}", self.buf, self.pos)
-        self.pos += 1
-        return ch
-
-    def value(self):
-        """Parse the next whole value, reading until it is complete."""
-        self._peek()
-        while True:
-            try:
-                val, end = _JSON.raw_decode(self.buf, self.pos)
-            except json.JSONDecodeError:
-                # mostly an unterminated string, which cannot parse before
-                # its closing quote is buffered
-                if self._fill('"'):
-                    continue
-                raise
-            # a number or literal that ends the buffer may go on in the file
-            if end < len(self.buf) or not self._fill():
-                self.pos = end
-                return val
-
-    def members(self):
-        """Yield each key of the next object; the caller reads its value before resuming."""
-        self._expect("{")
-        if self._peek() == "}":
-            self.pos += 1
-            return
-        while True:
-            if self._peek() != '"':
-                raise json.JSONDecodeError("expecting a string key", self.buf, self.pos)
-            key = self.value()
-            self._expect(":")
-            yield key
-            if self._expect(",}") == "}":
-                return
-
-    def end(self) -> None:
-        if self._peek():
-            raise json.JSONDecodeError("extra data", self.buf, self.pos)
-
-
-def _decode_tensor(entry: dict, path) -> np.ndarray:
-    try:
-        raw = base64.b64decode(entry["data"], validate=True)
-    except (binascii.Error, KeyError, TypeError) as exc:
-        raise CorruptFile(f"{path}: bad tensor payload") from exc
-    shape = entry.get("shape")
-    if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
-        raise CorruptFile(f"{path}: tensor shape {shape!r} is not a list of non-negative integers")
-    if len(raw) != 8 * math.prod(shape):
-        raise CorruptFile(f"{path}: tensor payload does not match shape {shape}")
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
-
 
 def save_checkpoint(
     params: SeparatorParams,
@@ -499,83 +368,103 @@ def save_checkpoint(
     train_cfg: TrainConfig | None = None,
     meta: dict | None = None,
 ) -> None:
-    """JSON checkpoint: config plus base64 little-endian float64 tensors.
+    """Checkpoint: one JSON header line, then the raw tensors.
 
-    The document is streamed to disk tensor by tensor; the bytes are those
-    of json.dumps of the whole document. The file is replaced atomically,
-    so an interrupted save keeps the previous checkpoint.
+    The header is json.dumps of {"format_version", "config", "tensors"}
+    and a newline (json.dumps never writes a raw one); "tensors" lists
+    [name, shape] in payload order. Each tensor's little-endian float64
+    bytes follow, back to back. The file is replaced atomically, so an
+    interrupted save keeps the previous checkpoint.
     """
     tensors = [(name, t.data) for name, t in params.tensors().items()]
     tensors += [(f"opt.m.{name}", arr) for name, arr in opt_state.m.items()]
     tensors += [(f"opt.v.{name}", arr) for name, arr in opt_state.v.items()]
-    head = {
+    header = {
         "format_version": CHECKPOINT_VERSION,
         "config": {
             "network": asdict(params.cfg),
             "train": asdict(train_cfg) if train_cfg is not None else None,
             "meta": dict(meta or {}, opt_step=opt_state.step),
         },
+        "tensors": [[name, list(arr.shape)] for name, arr in tensors],
     }
-    _write_atomic(path, _checkpoint_chunks(head, tensors))
+    chunks = [(json.dumps(header) + "\n").encode("ascii")]
+    chunks += [np.ascontiguousarray(arr, dtype="<f8") for _, arr in tensors]
+    _write_atomic(path, chunks)
+
+
+def _tensor_entry(entry, shapes: dict, path) -> tuple[str, tuple]:
+    """Check one [name, shape] header entry against the network's parameter shapes."""
+    if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)):
+        raise CorruptFile(f"{path}: tensor entry {entry!r} is not [name, shape]")
+    name, shape = entry
+    param = name[6:] if name[:6] in ("opt.m.", "opt.v.") else name
+    if param not in shapes:
+        raise CorruptFile(f"{path}: tensor {name!r} names no parameter of this network")
+    if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+        raise CorruptFile(f"{path}: tensor {name!r} shape {shape!r} is not a list of non-negative integers")
+    if tuple(shape) != shapes[param]:
+        raise CorruptFile(f"{path}: tensor {name!r} has shape {tuple(shape)}, network needs {shapes[param]}")
+    return name, shapes[param]
 
 
 def load_checkpoint(path):
     """Rebuild (params, opt_state, meta) bit-exactly from a checkpoint file.
 
-    The file is parsed as it is read, one top-level value or one tensor
-    entry at a time, and each tensor is decoded as soon as its entry is
-    complete, so no whole document or whole set of base64 strings is held.
-    Every parameter and every Adam moment must have the shape the stored
-    network config gives it; anything else raises CorruptFile.
+    The whole header is checked before any payload is read: its
+    format_version (any other, such as the base64 JSON of version 1,
+    raises IncompatibleCheckpoint), then the network config, and each
+    entry's name and shape against it. Each tensor is then read straight
+    into its own array, so a load holds little beyond the arrays it
+    returns. A malformed header, an unknown, repeated or missing tensor,
+    an Adam moment without its pair, a short file or trailing bytes raise
+    CorruptFile.
     """
-    doc, tensors = {}, {}
-    try:
-        with open(path) as fh:
-            stream = _JsonStream(fh)
-            for key in stream.members():
-                if key != "tensors":
-                    doc[key] = stream.value()
-                    continue
-                for name in stream.members():
-                    entry = stream.value()
-                    try:  # a bad payload counts only if the tensor is used
-                        tensors[name] = _decode_tensor(entry, path)
-                    except CorruptFile as exc:
-                        tensors[name] = exc
-            stream.end()
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise CorruptFile(f"{path}: not valid checkpoint JSON") from exc
-    if "format_version" not in doc:
-        raise CorruptFile(f"{path}: missing format_version")
-    if doc["format_version"] != CHECKPOINT_VERSION:
-        raise IncompatibleCheckpoint(
-            f"{path}: format_version {doc['format_version']} != {CHECKPOINT_VERSION}"
-        )
-    try:
-        net_cfg = NetConfig(**doc["config"]["network"])
-    except (KeyError, TypeError) as exc:
-        raise CorruptFile(f"{path}: malformed checkpoint structure") from exc
+    with open(path, "rb") as fh:
+        try:
+            header = json.loads(fh.readline())
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise CorruptFile(f"{path}: checkpoint header is not valid JSON") from exc
+        if not isinstance(header, dict) or "format_version" not in header:
+            raise CorruptFile(f"{path}: missing format_version")
+        if header["format_version"] != CHECKPOINT_VERSION:
+            raise IncompatibleCheckpoint(
+                f"{path}: format_version {header['format_version']} != {CHECKPOINT_VERSION}"
+            )
+        try:
+            config = header["config"]
+            net_cfg = NetConfig(**config["network"])
+            meta = dict(config.get("meta") or {})
+            opt_step = int(meta.pop("opt_step", 0))
+            entries = list(header["tensors"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CorruptFile(f"{path}: malformed checkpoint structure") from exc
 
-    shapes = aet_net.param_shapes(net_cfg)
+        shapes = aet_net.param_shapes(net_cfg)
+        layout = {}
+        for entry in entries:
+            name, shape = _tensor_entry(entry, shapes, path)
+            if name in layout:
+                raise CorruptFile(f"{path}: tensor {name!r} is listed twice")
+            layout[name] = shape
+        missing = [name for name in shapes if name not in layout]
+        if missing:
+            raise CorruptFile(f"{path}: missing tensor {missing[0]!r}")
+        tensors = {name: np.empty(shape, dtype="<f8") for name, shape in layout.items()}
+        for name, arr in tensors.items():
+            if fh.readinto(arr) != arr.nbytes:
+                raise CorruptFile(f"{path}: file ends inside tensor {name!r}")
+        if fh.read(1):
+            raise CorruptFile(f"{path}: bytes follow the last tensor")
 
-    def decode(key: str, name: str) -> np.ndarray:
-        if name not in shapes:
-            raise CorruptFile(f"{path}: tensor {key!r} names no parameter of this network")
-        if key not in tensors:
-            raise CorruptFile(f"{path}: missing tensor {key!r}")
-        arr = tensors[key]
-        if isinstance(arr, CorruptFile):
-            raise arr
-        if arr.shape != shapes[name]:
-            raise CorruptFile(f"{path}: tensor {key!r} has shape {arr.shape}, network needs {shapes[name]}")
-        return arr
-
-    params = SeparatorParams(net_cfg, **{name: parameter(decode(name, name)) for name in shapes})
-    meta = dict(doc["config"].get("meta") or {})
-    opt_state = OptState(step=int(meta.pop("opt_step", 0)))
+    # the arrays are fresh, so the parameters take them without parameter()'s copy
+    params = SeparatorParams(net_cfg, **{name: Tensor(tensors[name], requires_grad=True) for name in shapes})
+    opt_state = OptState(step=opt_step)
     moments = {"opt.m.": opt_state.m, "opt.v.": opt_state.v}
-    for key in tensors:
-        if key[:6] in moments:
-            moments[key[:6]][key[6:]] = decode(key, key[6:])
-    meta["train"] = doc["config"].get("train")
+    for name, arr in tensors.items():
+        if name[:6] in moments:
+            moments[name[:6]][name[6:]] = arr
+    if opt_state.m.keys() != opt_state.v.keys():
+        raise CorruptFile(f"{path}: Adam moments m and v name different parameters")
+    meta["train"] = config.get("train")
     return params, opt_state, meta

@@ -228,6 +228,8 @@ def test_divergence_exits_3_with_last_good_checkpoint(tmp_path, data_dirs, capsy
     params, _, meta = load_checkpoint(tmp_path / "ckpt.json")
     assert meta.get("diverged") is True
     assert all(np.isfinite(t.data).all() for t in params.tensors().values())
+    log = [json.loads(line) for line in (tmp_path / "log.jsonl").read_text().splitlines()]
+    assert len([e for e in log if "step" in e]) == meta["steps_done"]
 
 
 def test_gradcheck_commands(capsys):
@@ -332,5 +334,8 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg_path.write_text(json.dumps({"stoi": {"hop": 128}}))
     assert main(["print-config", "--config", str(cfg_path)]) == 2
     assert "unknown config key stoi.hop" in capsys.readouterr().err
+    cfg_path.write_text(json.dumps({"stoi": {"epsilon": 1e-12}}))
+    assert main(["print-config", "--config", str(cfg_path)]) == 2
+    assert "unknown config key stoi.epsilon" in capsys.readouterr().err
     cfg_path.write_text(json.dumps({"training": {}}))
     assert main(["print-config", "--config", str(cfg_path)]) == 2

@@ -3,6 +3,7 @@ import builtins
 import dataclasses
 import io
 import json
+import math
 import re
 
 import numpy as np
@@ -249,63 +250,6 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     assert meta["train"]["cost"] == "sdr"
 
 
-@pytest.mark.parametrize("chunk", [trainer._B64_CHUNK, 3 * 7])
-def test_checkpoint_bytes_match_whole_document_dumps(tmp_path, monkeypatch, chunk):
-    # the streamed file is byte for byte json.dumps of the whole document;
-    # a 21-byte chunk splits every tensor's base64 mid-row
-    monkeypatch.setattr(trainer, "_B64_CHUNK", chunk)
-    params = init_params(0, SMALL_NET)
-    opt = OptState(step=4)
-    for name, t in params.tensors().items():
-        opt.m[name], opt.v[name] = np.sin(t.data), np.cos(t.data) ** 2
-    cfg = tiny_cfg()
-    path = tmp_path / "ckpt.json"
-    save_checkpoint(params, opt, path, cfg, meta={"steps_done": 4})
-
-    def encode(arr):
-        return {"shape": list(arr.shape), "data": base64.b64encode(arr.astype("<f8").tobytes()).decode("ascii")}
-
-    tensors = {name: encode(t.data) for name, t in params.tensors().items()}
-    tensors.update({f"opt.m.{name}": encode(arr) for name, arr in opt.m.items()})
-    tensors.update({f"opt.v.{name}": encode(arr) for name, arr in opt.v.items()})
-    doc = {
-        "format_version": trainer.CHECKPOINT_VERSION,
-        "config": {
-            "network": dataclasses.asdict(SMALL_NET),
-            "train": dataclasses.asdict(cfg),
-            "meta": {"steps_done": 4, "opt_step": 4},
-        },
-        "tensors": tensors,
-    }
-    assert path.read_bytes() == json.dumps(doc).encode("ascii")
-
-
-def test_checkpoint_rejects_truncation_and_bad_version(tmp_path):
-    params = init_params(0, SMALL_NET)
-    path = tmp_path / "ckpt.json"
-    save_checkpoint(params, OptState(), path)
-    blob = path.read_text()
-
-    truncated = tmp_path / "trunc.json"
-    truncated.write_text(blob[: len(blob) // 2])
-    with pytest.raises(CorruptFile):
-        load_checkpoint(truncated)
-
-    doc = json.loads(blob)
-    doc["format_version"] = 99
-    bad_version = tmp_path / "v99.json"
-    bad_version.write_text(json.dumps(doc))
-    with pytest.raises(IncompatibleCheckpoint):
-        load_checkpoint(bad_version)
-
-    doc = json.loads(blob)
-    doc["tensors"]["analysis"]["data"] = doc["tensors"]["analysis"]["data"][:-8]
-    bad_payload = tmp_path / "bad64.json"
-    bad_payload.write_text(json.dumps(doc))
-    with pytest.raises(CorruptFile):
-        load_checkpoint(bad_payload)
-
-
 def _moment_state(params, step=3):
     opt = OptState(step=step)
     for name, t in params.tensors().items():
@@ -323,36 +267,131 @@ def _assert_same_state(loaded, params, opt):
         assert l_opt.v[name].tobytes() == opt.v[name].tobytes(), name
 
 
+def _read_parts(path):
+    """(header, one bytes payload per header entry) of a checkpoint file."""
+    head, payload = path.read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    parts, pos = [], 0
+    for _, shape in header["tensors"]:
+        parts.append(payload[pos : pos + 8 * math.prod(shape)])
+        pos += len(parts[-1])
+    assert pos == len(payload)
+    return header, parts
+
+
+def _write_parts(path, header, parts):
+    path.write_bytes((json.dumps(header) + "\n").encode("ascii") + b"".join(parts))
+
+
+def test_checkpoint_bytes_are_a_header_line_then_raw_tensors(tmp_path):
+    params = init_params(0, SMALL_NET)
+    opt = _moment_state(params, step=4)
+    cfg = tiny_cfg()
+    path = tmp_path / "ckpt"
+    save_checkpoint(params, opt, path, cfg, meta={"steps_done": 4})
+
+    tensors = [(name, t.data) for name, t in params.tensors().items()]
+    tensors += [(f"opt.m.{name}", arr) for name, arr in opt.m.items()]
+    tensors += [(f"opt.v.{name}", arr) for name, arr in opt.v.items()]
+    header = {
+        "format_version": 2,
+        "config": {
+            "network": dataclasses.asdict(SMALL_NET),
+            "train": dataclasses.asdict(cfg),
+            "meta": {"steps_done": 4, "opt_step": 4},
+        },
+        "tensors": [[name, list(arr.shape)] for name, arr in tensors],
+    }
+    payload = b"".join(arr.astype("<f8").tobytes() for _, arr in tensors)
+    assert path.read_bytes() == (json.dumps(header) + "\n").encode("ascii") + payload
+
+
+def test_checkpoint_rejects_truncation_and_bad_version(tmp_path):
+    params = init_params(0, SMALL_NET)
+    path = tmp_path / "ckpt"
+    save_checkpoint(params, OptState(), path)
+    blob = path.read_bytes()
+    bad = tmp_path / "bad"
+    # empty, cut in the header, cut in the payloads, one byte short, one byte over
+    for edited in (b"", blob[:20], blob[: len(blob) // 2], blob[:-1], blob + b"\0"):
+        bad.write_bytes(edited)
+        with pytest.raises(CorruptFile):
+            load_checkpoint(bad)
+
+    header, parts = _read_parts(path)
+    header["format_version"] = 99
+    _write_parts(bad, header, parts)
+    with pytest.raises(IncompatibleCheckpoint):
+        load_checkpoint(bad)
+
+
+def test_checkpoint_refuses_version_1_json(tmp_path):
+    # the earlier format, one JSON document with base64 tensors, is not read
+    params = init_params(0, SMALL_NET)
+    tensors = {
+        name: {"shape": list(t.shape), "data": base64.b64encode(t.data.astype("<f8").tobytes()).decode("ascii")}
+        for name, t in params.tensors().items()
+    }
+    doc = {
+        "format_version": 1,
+        "config": {"network": dataclasses.asdict(SMALL_NET), "train": None, "meta": {"opt_step": 0}},
+        "tensors": tensors,
+    }
+    path = tmp_path / "v1.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(IncompatibleCheckpoint, match="format_version 1 != 2"):
+        load_checkpoint(path)
+
+
+class _ShortReads(io.RawIOBase):
+    """Raw file whose every read returns at most `chunk` bytes."""
+
+    def __init__(self, path, chunk):
+        self.fh = builtins.open(path, "rb")
+        self.chunk = chunk
+
+    def readable(self):
+        return True
+
+    def readinto(self, buf):
+        data = self.fh.read(min(len(buf), self.chunk))
+        buf[: len(data)] = data
+        return len(data)
+
+    def close(self):
+        self.fh.close()
+        super().close()
+
+
 @pytest.mark.parametrize("chunk", [1, 7, 4096])
 def test_checkpoint_loads_any_layout_through_small_reads(tmp_path, monkeypatch, chunk):
-    # the loader parses as it reads: every token, number and base64 string may
-    # straddle a read, and any JSON layout of the same document must load
-    monkeypatch.setattr(trainer, "_READ_CHUNK", chunk)
+    # the header and every tensor may straddle reads that come back short, and
+    # header keys and tensors in any order load to the same state
     params = init_params(0, SMALL_NET)
     opt = _moment_state(params, step=12345)
-    path = tmp_path / "ckpt.json"
+    path = tmp_path / "ckpt"
     save_checkpoint(params, opt, path, tiny_cfg(), meta={"steps_done": 12345})
+    header, parts = _read_parts(path)
+    reordered = tmp_path / "reordered"
+    config = dict(reversed(header["config"].items()))
+    _write_parts(reordered, {"tensors": header["tensors"][::-1], "config": config, "format_version": 2}, parts[::-1])
+
+    monkeypatch.setattr(trainer, "open", lambda file, mode: io.BufferedReader(_ShortReads(file, chunk)), raising=False)
     _assert_same_state(load_checkpoint(path), params, opt)
-
-    doc = json.loads(path.read_text())
-    reordered = {"tensors": dict(reversed(doc["tensors"].items())), **doc}
-    indented = tmp_path / "indented.json"
-    indented.write_text(" \n" + json.dumps(reordered, indent=2) + "\n\t")
-    loaded = load_checkpoint(indented)
+    loaded = load_checkpoint(reordered)
     _assert_same_state(loaded, params, opt)
-    assert loaded[2]["steps_done"] == 12345 and loaded[2]["train"] == doc["config"]["train"]
+    assert loaded[2]["steps_done"] == 12345 and loaded[2]["train"] == header["config"]["train"]
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 5, 1 << 20])
-def test_json_stream_matches_json_loads(monkeypatch, chunk):
-    # numbers, literals and escaped strings cut by a read are parsed whole
-    monkeypatch.setattr(trainer, "_READ_CHUNK", chunk)
-    text = (' {"a": 12345, "b" : [1.5e-3, -2, "x\\"y"], "c": {"d": true, "e": null},\n'
-            '  "f": "' + "QUJD" * 50 + '", "g": 9876543210} \n')
-    stream = trainer._JsonStream(io.StringIO(text))
-    doc = {key: stream.value() for key in stream.members()}
-    stream.end()
-    assert doc == json.loads(text)
+def _edit_header(edit):
+    """A header text edit that applies `edit` to the parsed header."""
+
+    def apply(text):
+        header = json.loads(text)
+        edit(header)
+        return json.dumps(header)
+
+    return apply
 
 
 @pytest.mark.parametrize(
@@ -361,53 +400,61 @@ def test_json_stream_matches_json_loads(monkeypatch, chunk):
         lambda t: "",
         lambda t: "[" + t + "]",
         lambda t: t + " {}",
-        lambda t: t[:-2] + "},}",
-        lambda t: t.replace('"format_version": 1', '"format_version" 1'),
-        lambda t: t.replace('"format_version": 1', '1: 1'),
-        lambda t: t.replace('"tensors": {', '"tensors": [{', 1)[:-1] + "]}",
+        lambda t: t[:-1] + ",}",
+        lambda t: t.replace('"format_version": 2', '"format_version" 2'),
+        lambda t: t.replace('"format_version": 2', '1: 2'),
+        _edit_header(lambda h: h.update(tensors=dict(h["tensors"]))),
         *(
-            lambda t, shape=shape: re.sub(r'"shape": \[[^\]]*\]', f'"shape": {shape}', t, count=1)
-            for shape in ("null", "3", '"ab"', "[2.5]", "[[1]]", "[-8, -64]")
+            lambda t, shape=shape: re.sub(r'\["analysis", \[[^\]]*\]\]', f'["analysis", {shape}]', t, count=1)
+            for shape in ("null", "3", '"ab"', "[2.5]", "[[1]]", "[-8, -64]", "[4294967296, 4294967296]", "[8.0, 64]")
         ),
-        # an int64 product of these wraps to 0, which an empty payload would match
-        lambda t: re.sub(r'"shape": [^}]*', '"shape": [4294967296, 4294967296], "data": ""', t, count=1),
+        _edit_header(lambda h: h["tensors"].insert(1, h["tensors"][0])),
+        _edit_header(lambda h: h["tensors"][0].pop()),
+        _edit_header(lambda h: h["tensors"][0].__setitem__(0, 7)),
+        _edit_header(lambda h: h["tensors"].pop(0)),
+        _edit_header(lambda h: h.pop("tensors")),
+        _edit_header(lambda h: h.pop("config")),
+        _edit_header(lambda h: h["config"]["network"].update(components="8")),
+        _edit_header(lambda h: h["config"].update(meta=3)),
     ],
     ids=[
         "empty", "array", "extra_data", "trailing_comma", "missing_colon", "number_key", "tensor_list",
         "shape_null", "shape_int", "shape_string", "shape_float", "shape_nested", "shape_negative",
-        "shape_overflow",
+        "shape_overflow", "shape_whole_floats", "duplicate_name", "entry_without_shape", "name_not_string", "missing_parameter",
+        "no_tensors", "no_config", "network_field_type", "meta_not_object",
     ],
 )
 def test_checkpoint_rejects_malformed_json(tmp_path, edit):
-    path = tmp_path / "ckpt.json"
+    # each edit applies to the header line; the payloads are left as written
+    path = tmp_path / "ckpt"
     save_checkpoint(init_params(0, SMALL_NET), OptState(), path)
     load_checkpoint(path)  # the unedited file loads
-    path.write_text(edit(path.read_text()))
+    head, payload = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(edit(head.decode("ascii")).encode("ascii") + b"\n" + payload)
     with pytest.raises(CorruptFile):
         load_checkpoint(path)
 
 
 def test_checkpoint_version_is_checked_before_tensor_payloads(tmp_path):
-    # tensors first and a bad payload: the version mismatch is still what is reported
-    params = init_params(0, SMALL_NET)
-    path = tmp_path / "ckpt.json"
-    save_checkpoint(params, OptState(), path)
-    doc = json.loads(path.read_text())
-    doc["tensors"]["analysis"]["data"] = "!!"
-    doc = {"tensors": doc.pop("tensors"), **doc, "format_version": 99}
-    path.write_text(json.dumps(doc))
+    # a newer version whose tensor list and payloads this build cannot read
+    # is still reported as a version mismatch
+    path = tmp_path / "ckpt"
+    save_checkpoint(init_params(0, SMALL_NET), OptState(), path)
+    header, _ = _read_parts(path)
+    header = {"tensors": {"analysis": "!!"}, "config": header["config"], "format_version": 99}
+    path.write_bytes((json.dumps(header) + "\n!!").encode("ascii"))
     with pytest.raises(IncompatibleCheckpoint):
         load_checkpoint(path)
 
 
 def test_checkpoint_load_holds_one_tensor_of_text_at_a_time(tmp_path):
-    # traced peak of a load: the decoded arrays plus a few copies of the largest
-    # tensor entry, never the whole document text (which is 4/3 of the arrays)
+    # traced peak of a load: the arrays it returns plus less than one more
+    # tensor, since no text or bytes copy of a payload is ever made
     tracemalloc = pytest.importorskip("tracemalloc")
     net = NetConfig(components=256, filter_len=256, stride=16, hidden_units=256, weight_sharing="independent")
     params = init_params(0, net)
     opt = _moment_state(params)
-    path = tmp_path / "ckpt.json"
+    path = tmp_path / "ckpt"
     save_checkpoint(params, opt, path)
     arrays = sum(t.data.nbytes for t in params.tensors().values()) * 3
     largest = max(t.data.nbytes for t in params.tensors().values())
@@ -418,13 +465,18 @@ def test_checkpoint_load_holds_one_tensor_of_text_at_a_time(tmp_path):
     finally:
         tracemalloc.stop()
     _assert_same_state(loaded, params, opt)
-    assert peak < arrays + 8 * largest + 2 * trainer._READ_CHUNK < 2 * path.stat().st_size
+    assert peak < arrays + largest
 
 
-def _with_tensor(doc, key, arr):
+def _with_tensor(path, key, arr):
+    """Rewrite a checkpoint with tensor `key` set to arr, in place or appended."""
+    header, parts = _read_parts(path)
     arr = np.asarray(arr, dtype="<f8")
-    doc["tensors"][key] = {"shape": list(arr.shape), "data": base64.b64encode(arr.tobytes()).decode("ascii")}
-    return doc
+    names = [name for name, _ in header["tensors"]]
+    i = names.index(key) if key in names else len(names)
+    header["tensors"][i : i + 1] = [[key, list(arr.shape)]]
+    parts[i : i + 1] = [arr.tobytes()]
+    _write_parts(path, header, parts)
 
 
 @pytest.mark.parametrize(
@@ -436,19 +488,31 @@ def _with_tensor(doc, key, arr):
         ("opt.v.w1", np.zeros(SMALL_NET.hidden)),
         ("opt.m.synthesis", np.zeros((SMALL_NET.components, SMALL_NET.filter_len))),  # shared mode has none
         ("opt.v.bias", np.zeros((SMALL_NET.components, 1))),
+        ("w3", np.zeros((SMALL_NET.hidden, SMALL_NET.components))),  # neither a parameter nor a moment
+        ("junk", np.zeros(0)),
     ],
 )
 def test_checkpoint_rejects_wrong_shapes_and_stray_moments(tmp_path, key, arr):
     pair = make_pair()
     cfg = tiny_cfg(epochs=1)
     result = fit(Dataset([pair]), cfg, SMALL_NET, SMALL_STOI)
-    path = tmp_path / "ckpt.json"
+    path = tmp_path / "ckpt"
     save_checkpoint(result.params, result.opt_state, path, cfg)
     load_checkpoint(path)  # the unmodified file loads
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(_with_tensor(json.loads(path.read_text()), key, arr)))
+    _with_tensor(path, key, arr)
     with pytest.raises(CorruptFile, match=key):
-        load_checkpoint(bad)
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_a_moment_without_its_pair(tmp_path):
+    # resuming Adam from m without v would fail at the first update
+    params = init_params(0, SMALL_NET)
+    opt = _moment_state(params)
+    del opt.v["analysis"]
+    path = tmp_path / "ckpt"
+    save_checkpoint(params, opt, path)
+    with pytest.raises(CorruptFile, match="moments"):
+        load_checkpoint(path)
 
 
 class _FailingWriter:
@@ -581,7 +645,7 @@ def test_divergence_aborts_before_update():
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
-def test_fit_divergence_carries_last_good_state():
+def test_fit_divergence_carries_last_good_state(tmp_path):
     pair = make_pair()
     cfg = tiny_cfg(epochs=3)
 
@@ -589,12 +653,15 @@ def test_fit_divergence_carries_last_good_state():
         if entry["step"] == 0:
             params.analysis.data[:] = 1e200
 
+    log_path = tmp_path / "log.jsonl"
     with pytest.raises(NumericalDivergence) as info:
-        fit(Dataset([pair]), cfg, SMALL_NET, SMALL_STOI, step_callback=poison)
-    exc = info.value
-    assert exc.steps_done == 1
-    assert len([e for e in exc.log if "step" in e]) == 1
-    assert exc.params is not None and exc.cost is not None
+        fit(Dataset([pair]), cfg, SMALL_NET, SMALL_STOI, log_path=log_path, step_callback=poison)
+    result = info.value.result
+    assert isinstance(result, trainer.FitResult)
+    assert result.steps_done == result.opt_state.step == 1
+    assert len([e for e in result.log if "step" in e]) == 1
+    assert result.params.analysis.data[0, 0] == 1e200 and result.cost.scales
+    assert [json.loads(line) for line in log_path.read_text().splitlines()] == result.log
 
 
 def test_write_log_round_trips(tmp_path):
