@@ -283,12 +283,35 @@ def _write_parts(path, header, parts):
     path.write_bytes((json.dumps(header) + "\n").encode("ascii") + b"".join(parts))
 
 
-def test_checkpoint_bytes_are_a_header_line_then_raw_tensors(tmp_path):
+class _ShortWrites(io.RawIOBase):
+    """Raw file whose every write takes at most `chunk` bytes."""
+
+    def __init__(self, path, chunk):
+        self.fh = builtins.open(path, "wb")
+        self.chunk = chunk
+
+    def writable(self):
+        return True
+
+    def write(self, buf):
+        return self.fh.write(memoryview(buf).cast("B")[: self.chunk])
+
+    def close(self):
+        self.fh.close()
+        super().close()
+
+
+@pytest.mark.parametrize("chunk", [768 * 1024, 3 * 7])
+def test_checkpoint_bytes_match_whole_document_dumps(tmp_path, monkeypatch, chunk):
+    # the streamed file is byte for byte the header line and payload built
+    # whole; writes cut to 21 bytes split the header and every tensor mid-row
     params = init_params(0, SMALL_NET)
     opt = _moment_state(params, step=4)
     cfg = tiny_cfg()
     path = tmp_path / "ckpt"
+    monkeypatch.setattr(trainer, "open", lambda file, mode: io.BufferedWriter(_ShortWrites(file, chunk)), raising=False)
     save_checkpoint(params, opt, path, cfg, meta={"steps_done": 4})
+    monkeypatch.undo()
 
     tensors = [(name, t.data) for name, t in params.tensors().items()]
     tensors += [(f"opt.m.{name}", arr) for name, arr in opt.m.items()]
