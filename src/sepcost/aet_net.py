@@ -16,13 +16,18 @@ Every stage is frame-local: a frame's output reads its own input window
 and, through the smoothing, its (width-1)//2 and width//2 neighbour
 frames. So separation runs over blocks of at most BLOCK_FRAMES frames,
 each with only those neighbours as a halo, and overlap-adds the blocks'
-syntheses: memory stays flat in the input length, and the output equals
-the one-pass network up to roundoff (bitwise when one block holds every
-frame).
+syntheses: memory stays flat in the input length (one block's
+representation alive per worker thread), and the output equals the
+one-pass network up to roundoff (bitwise when one block holds every
+frame). Blocks run on the CPUs a single-threaded BLAS leaves idle; the
+output does not depend on how many threads ran them.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,8 +38,11 @@ from .diff_engine import Tensor, as_tensor, parameter
 from .errors import ShapeError, SignalTooShort
 from .signal_io import Waveform
 
-# analysis frames per separation block: about 1 s at stride 16 and 16 kHz
-BLOCK_FRAMES = 1024
+# analysis frames per separation block: about 0.5 s at stride 16 and 16 kHz,
+# so two blocks in flight hold about what one 1024-frame block held
+BLOCK_FRAMES = 512
+# environment variables through which a BLAS takes its thread count
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # zero-padded DFT length for finding each analysis filter's spectral peak
 BASIS_DFT_LEN = 4096
 
@@ -194,6 +202,29 @@ def forward(w, params: SeparatorParams) -> Tensor:
     return synthesis_forward(separator_forward(rep.M, params), rep.P, params)
 
 
+def _block_workers(blocks: int) -> int:
+    """Threads to separate `blocks` blocks on: the CPUs BLAS threads leave free.
+
+    min(blocks, cpus // blas_threads), at least 1. cpus is this process's
+    CPU affinity; blas_threads is the largest positive integer among
+    _BLAS_THREAD_VARS, or cpus when none holds one, since a BLAS left to
+    itself runs a thread per CPU and block threads on top of it would
+    only compete with it.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    counts = []
+    for var in _BLAS_THREAD_VARS:
+        try:
+            counts.append(int(os.environ.get(var, "")))
+        except ValueError:
+            pass
+    blas_threads = max((n for n in counts if n > 0), default=cpus)
+    return max(1, min(blocks, cpus // blas_threads))
+
+
 def _separate_blocks(samples: np.ndarray, params: SeparatorParams) -> np.ndarray:
     """forward(samples) without gradient recording, over blocks of frames.
 
@@ -201,7 +232,14 @@ def _separate_blocks(samples: np.ndarray, params: SeparatorParams) -> np.ndarray
     blocks. Block [a, b) is analysed with the smoothing pad's neighbour
     frames as a halo, which is dropped before the separator, and its
     synthesis is overlap-added at sample a * stride, so only one block's
-    representation is alive at once.
+    representation per worker is alive at once.
+
+    The blocks go in rounds of _block_workers(blocks): the calling thread
+    computes the first block of each round and a per-call pool the rest.
+    The bounds do not depend on the worker count, and the caller adds the
+    syntheses in block order, so the output is bitwise the same for any
+    count. The pool is shut down, and its threads joined, before the call
+    returns or raises.
     """
     cfg = params.cfg
     taps, stride = cfg.filter_len, cfg.stride
@@ -210,19 +248,31 @@ def _separate_blocks(samples: np.ndarray, params: SeparatorParams) -> np.ndarray
     frames = (samples.size - taps) // stride + 1
     blocks = -(-frames // BLOCK_FRAMES)
     bounds = [frames * i // blocks for i in range(blocks + 1)]
+    spans = list(zip(bounds, bounds[1:]))
     pad = _smoothing_pad(cfg)
+    workers = _block_workers(blocks)
+
+    def synthesize(a: int, b: int) -> np.ndarray:
+        lo, hi = max(0, a - pad[0]), min(frames, b + pad[1])
+        rep = analysis_forward(samples[lo * stride : (hi - 1) * stride + taps], params)
+        kept = slice(a - lo, b - lo)
+        modulation, carrier = rep.M[:, kept], rep.P[:, kept]
+        # the slices are copies: freeing the block's whole X, M and P
+        # here keeps them out of the separator's and synthesis' peak
+        del rep
+        return synthesis_forward(separator_forward(modulation, params), carrier, params).data
+
     out = np.zeros((frames - 1) * stride + taps)
-    with engine.no_grad():
-        for a, b in zip(bounds, bounds[1:]):
-            lo, hi = max(0, a - pad[0]), min(frames, b + pad[1])
-            rep = analysis_forward(samples[lo * stride : (hi - 1) * stride + taps], params)
-            kept = slice(a - lo, b - lo)
-            modulation, carrier = rep.M[:, kept], rep.P[:, kept]
-            # the slices are copies: freeing the block's whole X, M and P
-            # here keeps them out of the separator's and synthesis' peak
-            del rep
-            y = synthesis_forward(separator_forward(modulation, params), carrier, params).data
-            out[a * stride : a * stride + y.size] += y
+    # the pool exits first, so helpers run only while recording is off
+    # (no_grad's flag is process-wide)
+    pool = ThreadPoolExecutor(workers - 1) if workers > 1 else contextlib.nullcontext()
+    with engine.no_grad(), pool:
+        for first in range(0, blocks, workers):
+            round_spans = spans[first : first + workers]
+            helpers = [pool.submit(synthesize, a, b) for a, b in round_spans[1:]]
+            syntheses = [synthesize(*round_spans[0])] + [f.result() for f in helpers]
+            for (a, _), y in zip(round_spans, syntheses):
+                out[a * stride : a * stride + y.size] += y
     return out
 
 
@@ -230,8 +280,9 @@ def separate(w_mix: Waveform, params: SeparatorParams) -> Waveform:
     """Run the network without gradient recording, in blocks of frames.
 
     Equals forward(w_mix) up to roundoff, bitwise when the input has at
-    most BLOCK_FRAMES frames; memory does not grow with the input beyond
-    the output itself.
+    most BLOCK_FRAMES frames, and bitwise the same however many threads
+    run the blocks; memory does not grow with the input beyond the output
+    itself and one block's working set per thread.
     """
     return Waveform(_separate_blocks(w_mix.samples, params), w_mix.sample_rate)
 
@@ -242,8 +293,8 @@ def separate_full_length(w_mix: Waveform, params: SeparatorParams) -> Waveform:
     The input is zero-padded by half a filter length on each side so the
     synthesis covers the whole original extent; the output is then the
     slice aligned with the input samples. Separation runs in blocks of
-    frames as in separate, so besides one block's working set it holds
-    only the padded input, the synthesis and the returned slice.
+    frames as in separate, so besides one block's working set per thread
+    it holds only the padded input, the synthesis and the returned slice.
     """
     cfg = params.cfg
     half = cfg.filter_len // 2

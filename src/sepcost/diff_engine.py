@@ -45,7 +45,12 @@ _grad_enabled = True
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable tape recording inside the block (forward values only)."""
+    """Disable tape recording inside the block (forward values only).
+
+    The flag is process-wide, not per thread: ops that other threads run
+    while the block is open record nothing either. Separation's helper
+    threads rely on this, running only inside their caller's block.
+    """
     global _grad_enabled
     prev = _grad_enabled
     _grad_enabled = False

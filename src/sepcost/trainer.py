@@ -25,6 +25,9 @@ from .losses import CompositeCost, StoiConfig, normalize_cost_scales, parse_cost
 from .signal_io import MixturePair, mix_at_snr, read_wav, resample
 
 CHECKPOINT_VERSION = 2
+# longest first line load_checkpoint reads: a version-2 header is a few
+# hundred bytes, while the first line of a version-1 file is the whole file
+MAX_HEADER_BYTES = 1 << 20
 # a random training excerpt whose target RMS is below this fraction of the
 # utterance's is silent, and is drawn again at most EXCERPT_DRAWS - 1 times
 SILENT_EXCERPT_RATIO = 1e-3
@@ -413,16 +416,23 @@ def load_checkpoint(path):
 
     The whole header is checked before any payload is read: its
     format_version (any other, such as the base64 JSON of version 1,
-    raises IncompatibleCheckpoint), then the network config, and each
-    entry's name and shape against it. Each tensor is then read straight
-    into its own array, so a load holds little beyond the arrays it
-    returns. A malformed header, an unknown, repeated or missing tensor,
-    an Adam moment without its pair, a short file or trailing bytes raise
-    CorruptFile.
+    raises IncompatibleCheckpoint, as does a first line longer than
+    MAX_HEADER_BYTES, which is not read past), then the network config,
+    and each entry's name and shape against it. Each tensor is then read
+    straight into its own array, so a load holds little beyond the arrays
+    it returns. A malformed header, an unknown, repeated or missing
+    tensor, an Adam moment without its pair, a short file or trailing
+    bytes raise CorruptFile.
     """
     with open(path, "rb") as fh:
+        line = fh.readline(MAX_HEADER_BYTES)
+        if len(line) == MAX_HEADER_BYTES and not line.endswith(b"\n"):
+            raise IncompatibleCheckpoint(
+                f"{path}: first line exceeds {MAX_HEADER_BYTES} bytes, so this is not a "
+                f"version-{CHECKPOINT_VERSION} checkpoint"
+            )
         try:
-            header = json.loads(fh.readline())
+            header = json.loads(line)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise CorruptFile(f"{path}: checkpoint header is not valid JSON") from exc
         if not isinstance(header, dict) or "format_version" not in header:

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -178,21 +180,97 @@ def test_separation_in_many_blocks_matches_the_one_pass_network(monkeypatch, cfg
     rng = np.random.default_rng(11)
     params = _blocked_params(11, cfg)
     taps, stride, half = cfg.filter_len, cfg.stride, cfg.filter_len // 2
+
+    def on_workers(run, *args):
+        # one worker, then 2 and 3, which leave a short last round when
+        # they do not divide the block count: the same bits each time
+        outputs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(aet_net, "_block_workers", lambda blocks, cap=workers: min(blocks, cap))
+            outputs.append(run(*args).samples)
+        for other in outputs[1:]:
+            np.testing.assert_array_equal(other, outputs[0])
+        return outputs[0]
+
     # frame counts 1, a multiple of the block plus one, and odd sizes
     for frames in (1, 2, 3 * block_frames + 1, 4 * block_frames, 29):
         for extra in (0, stride - 1):
             x = rng.standard_normal(taps + (frames - 1) * stride + extra)
             expected = _one_pass(x, params)
-            got = separate(Waveform(x, 16000), params).samples
+            got = on_workers(separate, Waveform(x, 16000), params)
             assert got.shape == expected.shape
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
     for n in (1, 255, 1000):
         w = Waveform(rng.standard_normal(n), 16000)
         padded = np.concatenate([np.zeros(half), w.samples, np.zeros(half)])
         expected = _one_pass(padded, params)[half : half + n]
-        got = separate_full_length(w, params).samples
+        got = on_workers(separate_full_length, w, params)
         assert got.shape == (n,)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+
+
+@pytest.mark.parametrize(
+    "cpus, env, blocks, workers",
+    [
+        (2, {"OPENBLAS_NUM_THREADS": "1"}, 5, 2),
+        (2, {}, 5, 1),
+        (4, {}, 5, 1),
+        (4, {"OPENBLAS_NUM_THREADS": "2"}, 5, 2),
+        (4, {"OMP_NUM_THREADS": "1"}, 3, 3),
+        (4, {"MKL_NUM_THREADS": "1"}, 9, 4),
+        (4, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 5, 1),
+        (2, {"OPENBLAS_NUM_THREADS": "0"}, 5, 1),
+        (2, {"OPENBLAS_NUM_THREADS": "abc"}, 5, 1),
+        (2, {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 5, 2),
+        (2, {"OPENBLAS_NUM_THREADS": "8"}, 5, 1),
+        (2, {"OPENBLAS_NUM_THREADS": "1"}, 1, 1),
+    ],
+)
+def test_block_workers_fill_the_cpus_blas_leaves_idle(monkeypatch, cpus, env, blocks, workers):
+    monkeypatch.setattr(aet_net.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    for var in aet_net._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    assert aet_net._block_workers(blocks) == workers
+
+
+def test_block_workers_fall_back_to_cpu_count(monkeypatch):
+    monkeypatch.delattr(aet_net.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(aet_net.os, "cpu_count", lambda: 3)
+    for var in aet_net._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert aet_net._block_workers(7) == 3
+
+
+def test_separation_threads_end_with_the_call_and_pass_on_a_block_failure(monkeypatch):
+    monkeypatch.setattr(aet_net, "BLOCK_FRAMES", 2)
+    monkeypatch.setattr(aet_net, "_block_workers", lambda blocks: min(blocks, 2))
+    params = init_params(0, SMALL)
+    w = Waveform(np.random.default_rng(13).standard_normal(SMALL.filter_len + 9 * SMALL.stride), 16000)
+    threads = threading.active_count()
+    assert len(separate(w, params)) == len(w)
+    assert threading.active_count() == threads
+
+    caller = threading.current_thread()
+    forward_block = aet_net.separator_forward
+
+    def fail_in_a_helper(modulation, params):
+        # the caller takes the first block of each round, a helper the second
+        if threading.current_thread() is not caller:
+            raise FloatingPointError("block failed")
+        return forward_block(modulation, params)
+
+    monkeypatch.setattr(aet_net, "separator_forward", fail_in_a_helper)
+    with pytest.raises(FloatingPointError, match="block failed"):
+        separate(w, params)
+    assert threading.active_count() == threads
+    # recording is back on: an op on a parameter records a tape again
+    loss = E.sum_(params.w1 * params.w1)
+    assert loss.requires_grad
+    loss.backward()
+    np.testing.assert_array_equal(params.w1.grad, 2 * params.w1.data)
 
 
 def test_halo_frames_only_feed_the_smoothing():
@@ -227,23 +305,25 @@ def test_separate_too_short_raises_before_the_block_loop(monkeypatch):
 
 def test_separation_memory_is_flat_in_input_length(monkeypatch):
     # traced peak: the padded input, the synthesis accumulator and the
-    # returned slice (3 input sizes) plus one block's working set; a
-    # one-pass forward holds about 22 input sizes at every length
+    # returned slice (3 input sizes) plus one block's working set per
+    # worker; a one-pass forward holds about 22 input sizes at every length
     tracemalloc = pytest.importorskip("tracemalloc")
     monkeypatch.setattr(aet_net, "BLOCK_FRAMES", 128)
     cfg = NetConfig(components=64, filter_len=128, stride=16, hidden_units=64)
     params = init_params(0, cfg)
     block = 8 * aet_net.BLOCK_FRAMES * max(cfg.components, cfg.filter_len)
-    for n in (16000, 64000, 256000):
-        w = Waveform(np.random.default_rng(n).standard_normal(n), 16000)
-        tracemalloc.start()
-        try:
-            out = separate_full_length(w, params)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(out) == n
-        assert peak < 3 * w.samples.nbytes + 8 * block, (n, peak)
+    for workers in (1, 2):
+        monkeypatch.setattr(aet_net, "_block_workers", lambda blocks, cap=workers: min(blocks, cap))
+        for n in (16000, 64000, 256000):
+            w = Waveform(np.random.default_rng(n).standard_normal(n), 16000)
+            tracemalloc.start()
+            try:
+                out = separate_full_length(w, params)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(out) == n
+            assert peak < 3 * w.samples.nbytes + 8 * block * workers, (workers, n, peak)
 
 
 def test_stride_shift_covariance_of_analysis():

@@ -366,6 +366,24 @@ def test_checkpoint_refuses_version_1_json(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_header_read_stops_at_its_cap(tmp_path):
+    # a first line past the cap, such as a large version-1 file, is refused
+    # having read about the cap (readline joins its chunks: about twice the
+    # cap traced), not the whole file, which is eight times the cap
+    tracemalloc = pytest.importorskip("tracemalloc")
+    cap = trainer.MAX_HEADER_BYTES
+    path = tmp_path / "no_newline"
+    path.write_bytes(b'{"format_version": 1, "tensors": "' + b"A" * (8 * cap) + b'"}')
+    tracemalloc.start()
+    try:
+        with pytest.raises(IncompatibleCheckpoint, match="not a version-2 checkpoint"):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * cap
+
+
 class _ShortReads(io.RawIOBase):
     """Raw file whose every read returns at most `chunk` bytes."""
 
