@@ -19,15 +19,15 @@ each with only those neighbours as a halo, and overlap-adds the blocks'
 syntheses: memory stays flat in the input length (one block's
 representation alive per worker thread), and the output equals the
 one-pass network up to roundoff (bitwise when one block holds every
-frame). Blocks run on the CPUs a single-threaded BLAS leaves idle; the
-output does not depend on how many threads ran them.
+frame). Blocks run in rounds on the CPUs a single-threaded BLAS leaves
+idle, through the engine's worker rule and runner; a lone block splits
+its dense products over those CPUs instead. The output does not depend
+on how many threads ran it. Training runs the one-pass graph, whose
+dense products split the same way.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,8 +41,6 @@ from .signal_io import Waveform
 # analysis frames per separation block: about 0.5 s at stride 16 and 16 kHz,
 # so two blocks in flight hold about what one 1024-frame block held
 BLOCK_FRAMES = 512
-# environment variables through which a BLAS takes its thread count
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # zero-padded DFT length for finding each analysis filter's spectral peak
 BASIS_DFT_LEN = 4096
 
@@ -202,29 +200,6 @@ def forward(w, params: SeparatorParams) -> Tensor:
     return synthesis_forward(separator_forward(rep.M, params), rep.P, params)
 
 
-def _block_workers(blocks: int) -> int:
-    """Threads to separate `blocks` blocks on: the CPUs BLAS threads leave free.
-
-    min(blocks, cpus // blas_threads), at least 1. cpus is this process's
-    CPU affinity; blas_threads is the largest positive integer among
-    _BLAS_THREAD_VARS, or cpus when none holds one, since a BLAS left to
-    itself runs a thread per CPU and block threads on top of it would
-    only compete with it.
-    """
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    counts = []
-    for var in _BLAS_THREAD_VARS:
-        try:
-            counts.append(int(os.environ.get(var, "")))
-        except ValueError:
-            pass
-    blas_threads = max((n for n in counts if n > 0), default=cpus)
-    return max(1, min(blocks, cpus // blas_threads))
-
-
 def _separate_blocks(samples: np.ndarray, params: SeparatorParams) -> np.ndarray:
     """forward(samples) without gradient recording, over blocks of frames.
 
@@ -234,12 +209,13 @@ def _separate_blocks(samples: np.ndarray, params: SeparatorParams) -> np.ndarray
     synthesis is overlap-added at sample a * stride, so only one block's
     representation per worker is alive at once.
 
-    The blocks go in rounds of _block_workers(blocks): the calling thread
-    computes the first block of each round and a per-call pool the rest.
-    The bounds do not depend on the worker count, and the caller adds the
-    syntheses in block order, so the output is bitwise the same for any
-    count. The pool is shut down, and its threads joined, before the call
-    returns or raises.
+    The blocks go in rounds of engine._workers(blocks), run by one
+    engine._SpanRunner: the calling thread computes the first block of a
+    round and a per-call pool the rest, joined before the call returns or
+    raises. The bounds do not depend on the worker count, and the caller
+    adds the syntheses in block order, so the output is bitwise the same
+    for any count. The products inside a round of two or more blocks run
+    whole, so no more threads run than the worker rule allows.
     """
     cfg = params.cfg
     taps, stride = cfg.filter_len, cfg.stride
@@ -250,7 +226,7 @@ def _separate_blocks(samples: np.ndarray, params: SeparatorParams) -> np.ndarray
     bounds = [frames * i // blocks for i in range(blocks + 1)]
     spans = list(zip(bounds, bounds[1:]))
     pad = _smoothing_pad(cfg)
-    workers = _block_workers(blocks)
+    workers = engine._workers(blocks)
 
     def synthesize(a: int, b: int) -> np.ndarray:
         lo, hi = max(0, a - pad[0]), min(frames, b + pad[1])
@@ -263,15 +239,12 @@ def _separate_blocks(samples: np.ndarray, params: SeparatorParams) -> np.ndarray
         return synthesis_forward(separator_forward(modulation, params), carrier, params).data
 
     out = np.zeros((frames - 1) * stride + taps)
-    # the pool exits first, so helpers run only while recording is off
+    # the runner exits first, so helpers run only while recording is off
     # (no_grad's flag is process-wide)
-    pool = ThreadPoolExecutor(workers - 1) if workers > 1 else contextlib.nullcontext()
-    with engine.no_grad(), pool:
+    with engine.no_grad(), engine._SpanRunner(workers) as runner:
         for first in range(0, blocks, workers):
             round_spans = spans[first : first + workers]
-            helpers = [pool.submit(synthesize, a, b) for a, b in round_spans[1:]]
-            syntheses = [synthesize(*round_spans[0])] + [f.result() for f in helpers]
-            for (a, _), y in zip(round_spans, syntheses):
+            for (a, _), y in zip(round_spans, runner.run(synthesize, round_spans)):
                 out[a * stride : a * stride + y.size] += y
     return out
 

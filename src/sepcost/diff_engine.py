@@ -29,12 +29,24 @@ Every framing op shares one scatter, `_overlap_add`: it is the backward
 of conv1d, stft_magnitude, sliding_windows and gather_linear and the
 forward of conv1d_transpose. The STFT runs on numpy's FFT both ways,
 rfft forward and irfft for the adjoint.
+
+Every dense product of conv1d, conv1d_transpose, affine_softplus and
+matmul, forward and backward, goes through `_product`. When the BLAS is
+set to one thread, a product of at least _SPLIT_FLOOR multiply-adds runs
+over column spans on the CPUs that thread leaves free (`_workers`),
+through the one runner `_SpanRunner`, which separation's block rounds
+use too. The split is bitwise equal to the whole product, so values and
+gradients do not depend on the worker count, and no thread outlives the
+op that started it.
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Mapping, NamedTuple
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -49,7 +61,9 @@ def no_grad():
 
     The flag is process-wide, not per thread: ops that other threads run
     while the block is open record nothing either. Separation's helper
-    threads rely on this, running only inside their caller's block.
+    threads rely on this, running only inside their caller's block. The
+    helpers of a split product touch only numpy arrays and never create
+    a Tensor, so the flag does not concern them.
     """
     global _grad_enabled
     prev = _grad_enabled
@@ -377,6 +391,125 @@ def sliding_windows(x, width: int) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
+# dense products on the CPUs a single-threaded BLAS leaves idle
+
+# environment variables through which a BLAS takes its thread count
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# multiply-adds below which a product runs whole: with two threads on a
+# 2-vCPU host, a split of 16M took 1.05-1.27x the whole product, 34M
+# 0.87-0.97x, 67M 0.71-0.80x and 134M or more about 0.6x
+_SPLIT_FLOOR = 1 << 26
+# Column spans start on multiples of _SPAN_ALIGN and are at least
+# _MIN_SPAN wide. BLAS kernels work in blocks of a few columns and may
+# sum a short trailing block in another order, depending on the width of
+# the call (OpenBLAS's SkylakeX dgemm does so below 192 columns). Aligned
+# starts and wide spans give every column the same kernel path as in the
+# whole product, so a split product is bitwise equal to it.
+_SPAN_ALIGN = 64
+_MIN_SPAN = 256
+
+# marks the threads that run a round of two or more spans (see _SpanRunner.run)
+_round = threading.local()
+
+
+def _blas_threads() -> int | None:
+    """The largest positive integer among _BLAS_THREAD_VARS, or None when none holds one."""
+    counts = []
+    for var in _BLAS_THREAD_VARS:
+        try:
+            counts.append(int(os.environ.get(var, "")))
+        except ValueError:
+            pass
+    return max((n for n in counts if n > 0), default=None)
+
+
+def _workers(tasks: int) -> int:
+    """Threads to run `tasks` independent tasks on: the CPUs BLAS threads leave free.
+
+    min(tasks, cpus // blas_threads), at least 1. cpus is this process's
+    CPU affinity; blas_threads is _blas_threads(), or cpus when that is
+    None, since a BLAS left to itself runs a thread per CPU and more
+    threads on top of it would only compete with it.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(tasks, cpus // (_blas_threads() or cpus)))
+
+
+class _SpanRunner:
+    """Runs rounds of spans on the calling thread and a pool of workers - 1 threads.
+
+    Used as a context manager, whose exit joins the pool's threads, so
+    none outlives the `with` block, also when a span raises. One runner
+    serves every round of a call, so its threads start once per call.
+    """
+
+    def __init__(self, workers: int):
+        self._pool = ThreadPoolExecutor(workers - 1) if workers > 1 else None
+
+    def __enter__(self) -> "_SpanRunner":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._pool is not None:
+            self._pool.shutdown()
+
+    def run(self, fn: Callable, spans: Sequence[tuple]) -> list:
+        """[fn(*span) for span in spans]: the caller runs the first span, the pool the rest.
+
+        At most workers spans a call; an exception from any span
+        propagates. While two or more spans run, each of their threads is
+        marked, and a product computed on a marked thread runs whole
+        (`_product`), so a round never starts a pool inside another and
+        no more threads run than `_workers` allowed the round.
+        """
+        if len(spans) < 2:
+            return [fn(*span) for span in spans]
+
+        def marked(span):
+            outer = getattr(_round, "active", False)
+            _round.active = True
+            try:
+                return fn(*span)
+            finally:
+                _round.active = outer
+
+        helpers = [self._pool.submit(marked, span) for span in spans[1:]]
+        first = marked(spans[0])
+        return [first] + [f.result() for f in helpers]
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for 2-D float64 operands, bitwise, split over idle CPUs when large.
+
+    A product of at least _SPLIT_FLOOR multiply-adds, outside a round and
+    on a BLAS set to one thread, splits the output's columns into up to
+    _workers(n // _MIN_SPAN) near-equal spans, each written into one
+    preallocated output by np.matmul. Each output element sums over the
+    same contraction in the same order as in a @ b, so the result does
+    not depend on the split. A BLAS running several threads partitions
+    every call itself, in ways that move columns between kernel paths (its
+    results already differ with its thread count), so its products run
+    whole. Only numpy arrays are touched, never a Tensor.
+    """
+    m, k = a.shape
+    n = b.shape[1]
+    if m * k * n < _SPLIT_FLOOR or getattr(_round, "active", False) or _blas_threads() != 1:
+        return a @ b
+    count = _workers(n // _MIN_SPAN)
+    if count < 2:
+        return a @ b
+    blocks = n // _SPAN_ALIGN
+    bounds = [_SPAN_ALIGN * (blocks * i // count) for i in range(count)] + [n]
+    out = np.empty((m, n))
+    with _SpanRunner(count) as runner:
+        runner.run(lambda lo, hi: np.matmul(a, b[:, lo:hi], out=out[:, lo:hi]), list(zip(bounds, bounds[1:])))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # linear maps
 
 def matmul(a, b) -> Tensor:
@@ -384,8 +517,8 @@ def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul shapes {a.data.shape} and {b.data.shape} do not align")
-    out = a.data @ b.data
-    return _result(out, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
+    out = _product(a.data, b.data)
+    return _result(out, (a, b), lambda g: (_product(g, b.data.T), _product(a.data.T, g)))
 
 
 def affine_softplus(w, x, b) -> Tensor:
@@ -398,7 +531,7 @@ def affine_softplus(w, x, b) -> Tensor:
     wv, xv = w.data, x.data
     if wv.ndim != 2 or xv.ndim != 2 or wv.shape[1] != xv.shape[0] or b.data.shape != (wv.shape[0], 1):
         raise ShapeError(f"affine_softplus shapes {wv.shape}, {xv.shape} and {b.data.shape} do not align")
-    out = wv @ xv
+    out = _product(wv, xv)
     out += b.data
     _softplus_into(out)
 
@@ -408,8 +541,8 @@ def affine_softplus(w, x, b) -> Tensor:
         s *= g
         np.negative(s, out=s)  # g * sigmoid
         return (
-            s @ xv.T if w.requires_grad else None,
-            wv.T @ s if x.requires_grad else None,
+            _product(s, xv.T) if w.requires_grad else None,
+            _product(wv.T, s) if x.requires_grad else None,
             s.sum(axis=1, keepdims=True) if b.requires_grad else None,
         )
 
@@ -461,12 +594,12 @@ def conv1d(x, filters, stride: int) -> Tensor:
     if stride <= 0:
         raise ValueError("stride must be positive")
     frames = _frames(xv, taps, stride)
-    out = fv @ frames.T
+    out = _product(fv, frames.T)
 
     def bw(g):
         return (
-            _overlap_add(fv.T @ g, stride, xv.size) if x.requires_grad else None,
-            g @ frames if filters.requires_grad else None,
+            _overlap_add(_product(fv.T, g), stride, xv.size) if x.requires_grad else None,
+            _product(g, frames) if filters.requires_grad else None,
         )
 
     return _result(out, (x, filters), bw)
@@ -486,13 +619,13 @@ def conv1d_transpose(coeffs, filters, stride: int) -> Tensor:
         raise ValueError("stride must be positive")
     taps = fv.shape[1]
     out_len = (cv.shape[1] - 1) * stride + taps
-    out = _overlap_add(fv.T @ cv, stride, out_len)
+    out = _overlap_add(_product(fv.T, cv), stride, out_len)
 
     def bw(g):
         g_frames = _frames(np.asarray(g), taps, stride)
         return (
-            fv @ g_frames.T if coeffs.requires_grad else None,
-            cv @ g_frames if filters.requires_grad else None,
+            _product(fv, g_frames.T) if coeffs.requires_grad else None,
+            _product(cv, g_frames) if filters.requires_grad else None,
         )
 
     return _result(out, (coeffs, filters), bw)

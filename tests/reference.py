@@ -6,7 +6,34 @@ exists to cross-check the library's vectorized graph implementation and
 must not share code with it.
 """
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
+
+import sepcost
+from sepcost.diff_engine import _BLAS_THREAD_VARS
+
+
+def run_on_one_blas_thread(code: str):
+    """Run `code` in a fresh interpreter whose BLAS is set to one thread; return its last printed line as JSON.
+
+    The BLAS reads its thread count once, when it loads, and sepcost
+    splits dense products only on a single-threaded BLAS, so bitwise
+    checks of split products need a process of their own when the suite
+    runs with a multi-threaded one.
+    """
+    paths = [str(Path(sepcost.__file__).resolve().parents[1]), str(Path(__file__).resolve().parent)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths), **{var: "1" for var in _BLAS_THREAD_VARS})
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def reference_stoi(

@@ -186,7 +186,7 @@ def test_separation_in_many_blocks_matches_the_one_pass_network(monkeypatch, cfg
         # they do not divide the block count: the same bits each time
         outputs = []
         for workers in (1, 2, 3):
-            monkeypatch.setattr(aet_net, "_block_workers", lambda blocks, cap=workers: min(blocks, cap))
+            monkeypatch.setattr(E, "_workers", lambda blocks, cap=workers: min(blocks, cap))
             outputs.append(run(*args).samples)
         for other in outputs[1:]:
             np.testing.assert_array_equal(other, outputs[0])
@@ -227,26 +227,26 @@ def test_separation_in_many_blocks_matches_the_one_pass_network(monkeypatch, cfg
     ],
 )
 def test_block_workers_fill_the_cpus_blas_leaves_idle(monkeypatch, cpus, env, blocks, workers):
-    monkeypatch.setattr(aet_net.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    for var in aet_net._BLAS_THREAD_VARS:
+    monkeypatch.setattr(E.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    for var in E._BLAS_THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
     for var, value in env.items():
         monkeypatch.setenv(var, value)
-    assert aet_net._block_workers(blocks) == workers
+    assert E._workers(blocks) == workers
 
 
 def test_block_workers_fall_back_to_cpu_count(monkeypatch):
-    monkeypatch.delattr(aet_net.os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(aet_net.os, "cpu_count", lambda: 3)
-    for var in aet_net._BLAS_THREAD_VARS:
+    monkeypatch.delattr(E.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(E.os, "cpu_count", lambda: 3)
+    for var in E._BLAS_THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    assert aet_net._block_workers(7) == 3
+    assert E._workers(7) == 3
 
 
 def test_separation_threads_end_with_the_call_and_pass_on_a_block_failure(monkeypatch):
     monkeypatch.setattr(aet_net, "BLOCK_FRAMES", 2)
-    monkeypatch.setattr(aet_net, "_block_workers", lambda blocks: min(blocks, 2))
+    monkeypatch.setattr(E, "_workers", lambda blocks: min(blocks, 2))
     params = init_params(0, SMALL)
     w = Waveform(np.random.default_rng(13).standard_normal(SMALL.filter_len + 9 * SMALL.stride), 16000)
     threads = threading.active_count()
@@ -271,6 +271,30 @@ def test_separation_threads_end_with_the_call_and_pass_on_a_block_failure(monkey
     assert loss.requires_grad
     loss.backward()
     np.testing.assert_array_equal(params.w1.grad, 2 * params.w1.data)
+
+
+def test_separation_rounds_of_several_blocks_start_no_product_pool(monkeypatch):
+    # three full blocks: a round of two, then a lone block whose products
+    # split; a split inside the round of two would run 2 x 2 threads
+    monkeypatch.setattr(E, "_SPLIT_FLOOR", 0)
+    monkeypatch.setattr(E, "_blas_threads", lambda: 1)
+    monkeypatch.setattr(E, "_workers", lambda tasks: max(1, min(tasks, 2)))
+    run, calls = E._SpanRunner.run, []
+
+    def counting(self, fn, spans):
+        calls.append((fn.__name__, len(spans), getattr(E._round, "active", False)))
+        return run(self, fn, spans)
+
+    monkeypatch.setattr(E._SpanRunner, "run", counting)
+    cfg = NetConfig(components=64, filter_len=128, stride=16, hidden_units=64)
+    frames = 3 * aet_net.BLOCK_FRAMES
+    w = Waveform(np.random.default_rng(14).standard_normal(cfg.filter_len + (frames - 1) * cfg.stride), 16000)
+    threads = threading.active_count()
+    assert len(separate(w, _blocked_params(14, cfg))) == len(w)
+    assert threading.active_count() == threads
+    assert [c for c in calls if c[0] == "synthesize"] == [("synthesize", 2, False), ("synthesize", 1, False)]
+    products = [c for c in calls if c[0] != "synthesize"]
+    assert products and all(c[1:] == (2, False) for c in products), products
 
 
 def test_halo_frames_only_feed_the_smoothing():
@@ -313,7 +337,7 @@ def test_separation_memory_is_flat_in_input_length(monkeypatch):
     params = init_params(0, cfg)
     block = 8 * aet_net.BLOCK_FRAMES * max(cfg.components, cfg.filter_len)
     for workers in (1, 2):
-        monkeypatch.setattr(aet_net, "_block_workers", lambda blocks, cap=workers: min(blocks, cap))
+        monkeypatch.setattr(E, "_workers", lambda blocks, cap=workers: min(blocks, cap))
         for n in (16000, 64000, 256000):
             w = Waveform(np.random.default_rng(n).standard_normal(n), 16000)
             tracemalloc.start()

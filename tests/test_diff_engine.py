@@ -1,3 +1,5 @@
+import threading
+import time
 import zlib
 
 import numpy as np
@@ -8,7 +10,7 @@ from sepcost.dsp import hann_periodic
 from sepcost.errors import NotScalar, ShapeError
 from sepcost.signal_io import resample_plan
 
-from reference import plan_rows
+from reference import plan_rows, run_on_one_blas_thread
 
 
 def fd_check(graph, inputs, wrt, tol=1e-6):
@@ -461,3 +463,121 @@ def test_constant_folding():
     c = E.conv1d(E.Tensor(np.arange(8.0)), E.parameter(np.ones((2, 4))), 2)
     x_grad, f_grad = c._backward(np.ones_like(c.data))
     assert x_grad is None and f_grad.shape == (2, 4)
+
+
+# m * k is kept above 3906, so a span of 256 columns holds more than the
+# 10^6 multiply-adds below which OpenBLAS switches to separate small-matrix
+# kernels; _SPLIT_FLOOR keeps every span of a real split far above that
+@pytest.mark.parametrize("layout", ["frames.T", "frames", "C", "x.T", "w.T"])
+def test_product_is_bitwise_a_at_b_for_any_worker_count(layout):
+    failures = run_on_one_blas_thread(
+        f"""
+        import json
+        import numpy as np
+        from sepcost import diff_engine as E
+
+        run, splits = E._SpanRunner.run, []
+        def counting(self, fn, spans):
+            splits.append(len(spans))
+            return run(self, fn, spans)
+        E._SpanRunner.run = counting
+
+        def operands(layout, m, k, n, rng):
+            # (a, b) in the layouts the dense call sites pass to _product
+            a = rng.standard_normal((m, k))
+            if layout == "frames.T":  # conv1d forward, conv1d_transpose coefficient gradient
+                return a, E._frames(rng.standard_normal(k + (n - 1) * 3), k, 3).T
+            if layout == "frames":  # conv1d and conv1d_transpose filter gradients
+                return a, E._frames(rng.standard_normal(k + n - 1), n, 1)
+            b = rng.standard_normal((k, n))
+            if layout == "C":  # affine_softplus forward, matmul
+                return a, b
+            if layout == "x.T":  # the w gradients of affine_softplus and matmul
+                return a, np.ascontiguousarray(b.T).T
+            return np.ascontiguousarray(a.T).T, b  # "w.T": fv.T, wv.T and a.T
+
+        failures = []
+        m, k = 40, 128
+        # n = 1, 2, 300 and 511 give one span on any worker count, 512 and
+        # 777 two at most; split in 128 + 172, 300 would change its last
+        # 4 columns, since their kernel path depends on the call's width
+        for n in (1, 2, 300, 511, 512, 777, 1985):
+            a, b = operands({layout!r}, m, k, n, np.random.default_rng(n))
+            for workers in (1, 2, 3):
+                E._workers = lambda tasks: max(1, min(tasks, workers))
+                expected = min(workers, n // E._MIN_SPAN)
+                # just below the floor, then at it
+                for floor, split in ((m * k * n + 1, False), (m * k * n, expected > 1)):
+                    E._SPLIT_FLOOR = floor
+                    splits.clear()
+                    got = E._product(a, b)
+                    if not np.array_equal(got, a @ b) or splits != ([expected] if split else []):
+                        failures.append([n, workers, floor, splits[:]])
+        print(json.dumps(failures))
+        """
+    )
+    assert failures == []
+
+
+def test_product_splits_from_its_floor_up_on_a_single_threaded_blas(monkeypatch):
+    # the default net's products are far above the floor, the smoke net's below it
+    assert 64 * 128 * 2000 < E._SPLIT_FLOOR < 1024 * 1024 * 1985
+    monkeypatch.setattr(E, "_workers", lambda tasks: max(1, min(tasks, 2)))
+    run, splits = E._SpanRunner.run, []
+
+    def counting(self, fn, spans):
+        splits.append(len(spans))
+        return run(self, fn, spans)
+
+    monkeypatch.setattr(E._SpanRunner, "run", counting)
+    rng = np.random.default_rng(30)
+    a, b = rng.standard_normal((40, 128)), rng.standard_normal((128, 600))
+    macs = 40 * 128 * 600
+    for var in E._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for floor, blas_threads, expected in (
+        (macs + 1, "1", []),
+        (macs, "1", [2]),
+        (macs, "2", []),  # a multi-threaded BLAS partitions the product itself
+        (macs, None, []),  # so does one left to choose its thread count
+    ):
+        monkeypatch.setattr(E, "_SPLIT_FLOOR", floor)
+        if blas_threads is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
+        splits.clear()
+        assert E._product(a, b).shape == (40, 600)
+        assert splits == expected, (floor, blas_threads)
+
+
+def test_span_runner_joins_its_pool_before_an_exception_propagates():
+    caller = threading.current_thread()
+    finished, marked = [], []
+
+    def span(i):
+        marked.append(E._round.active)
+        if i == 1:
+            raise FloatingPointError("span failed")
+        if i == 2:
+            time.sleep(0.05)  # still running when span 1 fails
+        finished.append((i, threading.current_thread() is caller))
+        return i * i
+
+    threads = threading.active_count()
+    with pytest.raises(FloatingPointError, match="span failed"):
+        with E._SpanRunner(3) as runner:
+            runner.run(span, [(0,), (1,), (2,)])
+    assert sorted(finished) == [(0, True), (2, False)]
+    assert threading.active_count() == threads
+    with E._SpanRunner(3) as runner:
+        assert runner.run(span, [(0,), (2,), (3,)]) == [0, 4, 9]
+        assert runner.run(span, [(4,), (5,)]) == [16, 25]
+    assert threading.active_count() == threads
+    # every span of a round of several is marked, and the caller's mark is cleared after it
+    assert marked == [True] * 8
+    assert not getattr(E._round, "active", False)
+    # a lone span runs on the caller, unmarked, and one worker starts no thread
+    with E._SpanRunner(1) as runner:
+        assert runner.run(lambda: getattr(E._round, "active", False), [()]) == [False]
+        assert threading.active_count() == threads

@@ -5,10 +5,12 @@ import io
 import json
 import math
 import re
+import threading
 
 import numpy as np
 import pytest
 
+from sepcost import diff_engine as E
 from sepcost import trainer
 from sepcost.aet_net import NetConfig, init_params
 from sepcost.errors import CorruptFile, IncompatibleCheckpoint, NoData, NumericalDivergence, SilentSignal
@@ -27,7 +29,7 @@ from sepcost.trainer import (
     write_log,
 )
 
-from reference import speechlike
+from reference import run_on_one_blas_thread, speechlike
 
 SMALL_NET = NetConfig(components=8, filter_len=64, stride=16, hidden_units=8, weight_sharing="shared")
 SMALL_STOI = StoiConfig(
@@ -599,6 +601,73 @@ def test_interrupted_writes_keep_previous_files(tmp_path, monkeypatch):
     for k in first.opt_state.m:
         np.testing.assert_array_equal(opt.m[k], first.opt_state.m[k])
         np.testing.assert_array_equal(opt.v[k], first.opt_state.v[k])
+
+
+def test_training_and_separation_are_bitwise_the_same_for_any_product_split(tmp_path):
+    # criterion 9's rerun determinism must not depend on the thread count.
+    # A smoke-net fit on 1 s utterances (993 frames, so the products over
+    # frames split in up to 3 spans), with every product at the floor: the
+    # log, the checkpoint and a separation in three 512-frame blocks (on
+    # 2 workers, a round of two, then a lone block whose products split)
+    # on 1, 2 and 3 workers
+    digests = run_on_one_blas_thread(
+        f"""
+        import hashlib, json
+        import numpy as np
+        from sepcost import aet_net, diff_engine as E
+        from sepcost.aet_net import NetConfig, separate_full_length
+        from sepcost.signal_io import Waveform
+        from sepcost.trainer import Dataset, fit, save_checkpoint
+        from test_trainer import make_pair, tiny_cfg
+
+        run, splits = E._SpanRunner.run, []
+        def counting(self, fn, spans):
+            splits.append((fn.__name__, len(spans)))
+            return run(self, fn, spans)
+        E._SpanRunner.run = counting
+        E._SPLIT_FLOOR = 0
+        net = NetConfig(components=64, filter_len=128, stride=16, hidden_units=64, weight_sharing="shared")
+        dataset = Dataset([make_pair(0, n=16000), make_pair(1, n=16000)])
+        cfg = tiny_cfg(cost="sdr:0.75+stoi:0.25", epochs=2)
+        mixture = Waveform(np.random.default_rng(5).standard_normal((3 * aet_net.BLOCK_FRAMES - 1) * 16), 16000)
+        out, digests = {str(tmp_path)!r}, []
+        for workers in (1, 2, 3):
+            E._workers = lambda tasks: max(1, min(tasks, workers))
+            splits.clear()
+            log, ckpt = f"{{out}}/log{{workers}}.jsonl", f"{{out}}/model{{workers}}.ckpt"
+            result = fit(dataset, cfg, net, log_path=log)
+            save_checkpoint(result.params, result.opt_state, ckpt, cfg, meta={{"steps_done": result.steps_done}})
+            fit_splits, splits[:] = max((n for _, n in splits), default=1), []
+            separated = separate_full_length(mixture, result.params).samples
+            product_splits = sum(name != "synthesize" for name, _ in splits)
+            files = [open(log, "rb").read(), open(ckpt, "rb").read(), separated.tobytes()]
+            digests.append([fit_splits, product_splits] + [hashlib.sha256(f).hexdigest() for f in files])
+        print(json.dumps(digests))
+        """
+    )
+    # the most spans of a fit's splits, and how many products split in separation
+    assert [d[0] for d in digests] == [1, 2, 3]
+    assert digests[0][1] == 0 and digests[1][1] > 0
+    assert digests[1][2:] == digests[0][2:] and digests[2][2:] == digests[0][2:]
+
+
+def test_no_thread_outlives_train_step(monkeypatch):
+    monkeypatch.setattr(E, "_SPLIT_FLOOR", 0)
+    monkeypatch.setattr(E, "_blas_threads", lambda: 1)
+    monkeypatch.setattr(E, "_workers", lambda tasks: max(1, min(tasks, 3)))
+    run, splits = E._SpanRunner.run, []
+
+    def counting(self, fn, spans):
+        splits.append(len(spans))
+        return run(self, fn, spans)
+
+    monkeypatch.setattr(E._SpanRunner, "run", counting)
+    params = init_params(0, NetConfig(components=64, filter_len=128, stride=16, hidden_units=64))
+    cost = normalize_cost_scales(parse_cost_spec("sdr"), [1.0])
+    threads = threading.active_count()
+    train_step(params, make_pair(0, n=16000), cost, tiny_cfg(), OptState())
+    assert threading.active_count() == threads
+    assert splits and max(splits) == 3
 
 
 def test_resume_matches_uninterrupted_run(tmp_path):
