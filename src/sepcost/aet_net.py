@@ -2,10 +2,12 @@
 
 Dataflow: a strided 1-D convolution bank turns the mixture waveform into
 an adaptive time-frequency representation X; a nonnegative smoothing
-kernel over |X| yields the modulation envelope M (an STFT-magnitude
-analogue) and the carrier P = X / M keeps the rapid variation (a phase
-analogue). Two softplus dense layers estimate the target's modulation
-from M; the estimate re-modulates the mixture carrier and a transposed
+kernel over |X|, plus a small floor, yields the modulation envelope M
+(an STFT-magnitude analogue, one `engine.modulation` node), and the
+carrier X / M keeps the rapid variation (a phase analogue). Two softplus
+dense layers estimate the target's modulation from M; the estimate
+re-modulates the mixture carrier (one `engine.remodulate` node, which
+forms X / M itself, so no carrier array is kept) and a transposed
 convolution bank synthesizes the output waveform.
 
 In shared mode the synthesis bank is storage-tied to the analysis bank:
@@ -28,6 +30,7 @@ dense products split the same way.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -58,10 +61,17 @@ class NetConfig:
     def __post_init__(self):
         if self.weight_sharing not in ("shared", "independent"):
             raise ValueError("weight_sharing must be 'shared' or 'independent'")
+        if self.components < 1:
+            raise ValueError(f"components must be at least 1, got {self.components}")
+        if self.hidden_units is not None and self.hidden_units < 1:
+            raise ValueError(f"hidden_units must be at least 1 or null, got {self.hidden_units}")
         if self.stride < 1 or self.filter_len < self.stride:
             raise ValueError("need filter_len >= stride >= 1")
         if self.smoothing_width < 1:
             raise ValueError("smoothing_width must be at least 1")
+        # the carrier divides by the modulation, which is the floor on silence
+        if not (math.isfinite(self.modulation_floor) and self.modulation_floor > 0):
+            raise ValueError(f"modulation_floor must be finite and positive, got {self.modulation_floor}")
 
     @property
     def hidden(self) -> int:
@@ -70,11 +80,19 @@ class NetConfig:
 
 @dataclass
 class AetRepresentation:
-    """Adaptive transform X, modulation M (> 0), carrier P = X / M."""
+    """Adaptive transform X and its modulation M (> 0).
+
+    The carrier X / M is not stored: `synthesis_forward` re-modulates
+    from X and M, and P computes it on request.
+    """
 
     X: Tensor
     M: Tensor
-    P: Tensor
+
+    @property
+    def P(self) -> Tensor:
+        """Carrier X / M, a new tensor on each access."""
+        return self.X / self.M
 
 
 @dataclass(eq=False)  # identity comparison: a generated __eq__ would compare Tensors
@@ -161,7 +179,7 @@ def _smoothing_pad(cfg: NetConfig) -> tuple[int, int]:
 
 
 def analysis_forward(w, params: SeparatorParams) -> AetRepresentation:
-    """Mixture waveform -> (X, M, P), one column per analysis frame."""
+    """Mixture waveform -> (X, M), one column per analysis frame."""
     cfg = params.cfg
     x = as_tensor(w.samples if isinstance(w, Waveform) else w)
     if x.data.size < cfg.filter_len:
@@ -170,9 +188,8 @@ def analysis_forward(w, params: SeparatorParams) -> AetRepresentation:
 
     # "same" convolution of |X| along frames, per component
     pad = _smoothing_pad(cfg)
-    M = engine.depthwise_conv(engine.abs_(X), params.smoothing_kernel(), pad) + cfg.modulation_floor
-    P = X / M
-    return AetRepresentation(X=X, M=M, P=P)
+    M = engine.modulation(X, params.smoothing_kernel(), pad, cfg.modulation_floor)
+    return AetRepresentation(X=X, M=M)
 
 
 def separator_forward(modulation, params: SeparatorParams) -> Tensor:
@@ -184,20 +201,16 @@ def separator_forward(modulation, params: SeparatorParams) -> Tensor:
     return engine.affine_softplus(params.w2, hidden, params.b2)
 
 
-def synthesis_forward(modulation_hat, carrier, params: SeparatorParams) -> Tensor:
-    """Re-modulate the carrier and synthesize a waveform by transposed convolution."""
-    m_hat = as_tensor(modulation_hat)
-    p = as_tensor(carrier)
-    if m_hat.data.shape != p.data.shape:
-        raise ShapeError(f"modulation {m_hat.data.shape} and carrier {p.data.shape} differ")
-    x_hat = m_hat * p
+def synthesis_forward(modulation_hat, rep: AetRepresentation, params: SeparatorParams) -> Tensor:
+    """Re-modulate rep's carrier X / M and synthesize a waveform by transposed convolution."""
+    x_hat = engine.remodulate(modulation_hat, rep.X, rep.M)
     return engine.conv1d_transpose(x_hat, params.synthesis_filters, params.cfg.stride)
 
 
 def forward(w, params: SeparatorParams) -> Tensor:
     """Full network composition; output length (L-1)*stride + filter_len for L frames."""
     rep = analysis_forward(w, params)
-    return synthesis_forward(separator_forward(rep.M, params), rep.P, params)
+    return synthesis_forward(separator_forward(rep.M, params), rep, params)
 
 
 def _separate_blocks(samples: np.ndarray, params: SeparatorParams) -> np.ndarray:
@@ -232,11 +245,10 @@ def _separate_blocks(samples: np.ndarray, params: SeparatorParams) -> np.ndarray
         lo, hi = max(0, a - pad[0]), min(frames, b + pad[1])
         rep = analysis_forward(samples[lo * stride : (hi - 1) * stride + taps], params)
         kept = slice(a - lo, b - lo)
-        modulation, carrier = rep.M[:, kept], rep.P[:, kept]
-        # the slices are copies: freeing the block's whole X, M and P
-        # here keeps them out of the separator's and synthesis' peak
-        del rep
-        return synthesis_forward(separator_forward(modulation, params), carrier, params).data
+        # the slices are copies, so the block's whole X and M are freed
+        # here and stay out of the separator's and synthesis' peak
+        rep = AetRepresentation(X=rep.X[:, kept], M=rep.M[:, kept])
+        return synthesis_forward(separator_forward(rep.M, params), rep, params).data
 
     out = np.zeros((frames - 1) * stride + taps)
     # the runner exits first, so helpers run only while recording is off

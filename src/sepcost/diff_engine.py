@@ -13,9 +13,10 @@ without `retain_grad`. Subtrees built purely from constants are folded
 time.
 
 The op set is exactly what the separation losses and network need:
-strided 1-D convolution and its transpose, a zero-padded depthwise
-temporal convolution, dense maps and the fused dense layer
-softplus(w @ x + b), softplus, elementwise arithmetic / min / abs /
+strided 1-D convolution and its transpose, the adaptive front end's
+modulation (a floor plus a zero-padded depthwise temporal convolution of
+|x|) and re-modulation (m_hat * x / m), dense maps and the fused dense
+layer softplus(w @ x + b), softplus, elementwise arithmetic / min /
 square / sqrt, inner products, L2 norms, axis reductions, basic slicing,
 sliding windows, a magnitude STFT, and the polyphase banded map of
 in-graph resampling (`gather_linear` over a `PolyphasePlan`). There is
@@ -256,13 +257,6 @@ def minimum(a, b) -> Tensor:
     take_a = a.data <= b.data
     out = np.where(take_a, a.data, b.data)
     return _result(out, (a, b), lambda g: (g * take_a, g * ~take_a))
-
-
-def abs_(x) -> Tensor:
-    """Elementwise |x|; the subgradient at 0 is 0."""
-    x = as_tensor(x)
-    sign = np.sign(x.data)
-    return _result(np.abs(x.data), (x,), lambda g: (g * sign,))
 
 
 def square(x) -> Tensor:
@@ -631,20 +625,39 @@ def conv1d_transpose(coeffs, filters, stride: int) -> Tensor:
     return _result(out, (coeffs, filters), bw)
 
 
-def depthwise_conv(x, kernel, pad: tuple[int, int]) -> Tensor:
-    """Per-row correlation of zero-padded x: (K, T), (K, width) -> (K, L).
+# elements per row block of modulation and remodulate, so that a block's
+# scratch arrays stay in cache
+_ROW_BLOCK = 1 << 15
 
-    out[k, l] = sum_d kernel[k, d] * xp[k, l + d], where xp is x with
-    pad[0] zeros before and pad[1] zeros after each row, and
-    L = T + pad[0] + pad[1] - width + 1. Forward and input backward are
-    one axpy over K x L per tap, summed in increasing d, and the kernel
-    gradient one row-wise dot per tap. Each tap reads only the columns
-    of x it overlaps, so neither xp nor a (K, width, L) array is made.
+
+def _row_blocks(n_rows: int, n_cols: int) -> tuple[int, list[slice]]:
+    """(rows, blocks): consecutive slices of n_rows rows, each at most rows long.
+
+    rows holds about _ROW_BLOCK elements of n_cols columns, at least one
+    row; only the last block may be shorter.
+    """
+    step = max(1, _ROW_BLOCK // max(n_cols, 1))
+    return min(step, n_rows), [slice(r, min(r + step, n_rows)) for r in range(0, n_rows, step)]
+
+
+def modulation(x, kernel, pad: tuple[int, int], floor: float) -> Tensor:
+    """floor + per-row correlation of zero-padded |x|: (K, T), (K, width) -> (K, L).
+
+    out[k, l] = floor + sum_d kernel[k, d] * |xp[k, l + d]|, where xp is x
+    with pad[0] zeros before and pad[1] zeros after each row, and
+    L = T + pad[0] + pad[1] - width + 1: the modulation envelope of the
+    adaptive front end. Forward and backward run over blocks of rows
+    (`_row_blocks`), forming |x| and sign(x) of one block at a time in
+    scratch, so the node keeps no array of its own but its output. Each
+    tap is one axpy summed in increasing d, the x gradient is that sum
+    times sign(x) (subgradient 0 at 0), and the kernel gradient is one
+    row-wise dot per tap. Each tap reads only the columns of x it
+    overlaps, so neither xp nor a (K, width, L) array is made.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
     xv, kv = x.data, kernel.data
     if xv.ndim != 2 or kv.ndim != 2 or kv.shape[0] != xv.shape[0]:
-        raise ShapeError(f"depthwise_conv shapes {xv.shape} and {kv.shape} do not align")
+        raise ShapeError(f"modulation shapes {xv.shape} and {kv.shape} do not align")
     left, right = pad
     n_rows, n_in = xv.shape
     width = kv.shape[1]
@@ -658,25 +671,76 @@ def depthwise_conv(x, kernel, pad: tuple[int, int]) -> Tensor:
         lo = max(0, left - d)
         hi = max(lo, min(n_out, n_in + left - d))
         taps.append((d, slice(lo, hi), slice(lo + d - left, hi + d - left)))
+    rows, blocks = _row_blocks(n_rows, max(n_in, n_out))
     out = np.zeros((n_rows, n_out))
-    term = np.empty_like(out)
-    for d, o, i in taps:
-        out[:, o] += np.multiply(kv[:, d : d + 1], xv[:, i], out=term[:, o])
+    mag, term = np.empty((rows, n_in)), np.empty((rows, n_out))
+    for r in blocks:
+        n = r.stop - r.start
+        a, ob = np.abs(xv[r], out=mag[:n]), out[r]
+        for d, o, i in taps:
+            ob[:, o] += np.multiply(kv[r, d : d + 1], a[:, i], out=term[:n, o])
+        ob += floor
 
     def bw(g):
-        gx = gk = None
-        if x.requires_grad:
-            gx = np.zeros_like(xv)
-            term = np.empty_like(g)
-            for d, o, i in taps:
-                gx[:, i] += np.multiply(kv[:, d : d + 1], g[:, o], out=term[:, o])
-        if kernel.requires_grad:
-            gk = np.empty_like(kv)
-            for d, o, i in taps:
-                gk[:, d] = np.einsum("kl,kl->k", g[:, o], xv[:, i])
+        gx = np.zeros_like(xv) if x.requires_grad else None
+        gk = np.empty_like(kv) if kernel.requires_grad else None
+        mag, term = np.empty((rows, n_in)), np.empty((rows, n_out))
+        for r in blocks:
+            n = r.stop - r.start
+            gb = g[r]
+            if gx is not None:
+                gxb = gx[r]
+                for d, o, i in taps:
+                    gxb[:, i] += np.multiply(kv[r, d : d + 1], gb[:, o], out=term[:n, o])
+                gxb *= np.sign(xv[r], out=mag[:n])
+            if gk is not None:
+                a = np.abs(xv[r], out=mag[:n])
+                for d, o, i in taps:
+                    gk[r, d] = np.einsum("kl,kl->k", gb[:, o], a[:, i])
         return gx, gk
 
     return _result(out, (x, kernel), bw)
+
+
+def remodulate(m_hat, x, m) -> Tensor:
+    """m_hat * (x / m) for three (K, L) tensors: a new modulation on the carrier x / m.
+
+    No implicit epsilon: m must be nonzero. The carrier is formed one
+    block of rows at a time (`_row_blocks`) in scratch, forward and
+    backward, so the node keeps no array of its own but its output. The
+    gradients are g * (x / m) for m_hat and, with gp = g * m_hat,
+    gp / m for x and (-gp) * x / (m * m) for m.
+    """
+    m_hat, x, m = as_tensor(m_hat), as_tensor(x), as_tensor(m)
+    hv, xv, mv = m_hat.data, x.data, m.data
+    if hv.ndim != 2 or hv.shape != xv.shape or hv.shape != mv.shape:
+        raise ShapeError(f"remodulate shapes {hv.shape}, {xv.shape} and {mv.shape} differ or are not 2-D")
+    rows, blocks = _row_blocks(*hv.shape)
+    out = np.empty_like(hv)
+    carrier = np.empty((rows, hv.shape[1]))
+    for r in blocks:
+        np.multiply(hv[r], np.divide(xv[r], mv[r], out=carrier[: r.stop - r.start]), out=out[r])
+
+    def bw(g):
+        gh = np.empty_like(hv) if m_hat.requires_grad else None
+        gx = np.empty_like(xv) if x.requires_grad else None
+        gm = np.empty_like(mv) if m.requires_grad else None
+        buf, gp = np.empty((2, rows, hv.shape[1]))
+        for r in blocks:
+            n = r.stop - r.start
+            gb, xb, mb = g[r], xv[r], mv[r]
+            if gh is not None:
+                np.multiply(gb, np.divide(xb, mb, out=buf[:n]), out=gh[r])
+            np.multiply(gb, hv[r], out=gp[:n])
+            if gx is not None:
+                np.divide(gp[:n], mb, out=gx[r])
+            if gm is not None:
+                np.negative(gp[:n], out=gp[:n])
+                gp[:n] *= xb
+                np.divide(gp[:n], np.multiply(mb, mb, out=buf[:n]), out=gm[r])
+        return gh, gx, gm
+
+    return _result(out, (m_hat, x, m), bw)
 
 
 class PolyphasePlan(NamedTuple):

@@ -32,6 +32,9 @@ MAX_HEADER_BYTES = 1 << 20
 # utterance's is silent, and is drawn again at most EXCERPT_DRAWS - 1 times
 SILENT_EXCERPT_RATIO = 1e-3
 EXCERPT_DRAWS = 8
+# elements per pass of the Adam update, so that its operands and
+# temporaries stay in cache across the update's passes
+_ADAM_CHUNK = 1 << 15
 
 
 @dataclass
@@ -72,8 +75,6 @@ class OptState:
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
-    # two flat buffers the Adam update reuses for its temporaries; not checkpointed
-    scratch: np.ndarray = field(default_factory=lambda: np.empty((2, 0)), repr=False, compare=False)
 
 
 @dataclass
@@ -169,11 +170,8 @@ def _excerpt_terms(
 
 def _apply_update(params: SeparatorParams, opt: OptState, cfg: TrainConfig) -> None:
     opt.step += 1
-    tensors = params.tensors()
-    largest = max(t.data.size for t in tensors.values())
-    if cfg.optimizer == "adam" and opt.scratch.shape[1] < largest:
-        opt.scratch = np.empty((2, largest))
-    for name, t in tensors.items():
+    scratch = np.empty((2, _ADAM_CHUNK)) if cfg.optimizer == "adam" else None
+    for name, t in params.tensors().items():
         g = t.grad
         if g is None:
             continue
@@ -183,24 +181,35 @@ def _apply_update(params: SeparatorParams, opt: OptState, cfg: TrainConfig) -> N
         if name not in opt.m:
             opt.m[name] = np.zeros_like(t.data)
             opt.v[name] = np.zeros_like(t.data)
-        m = opt.m[name]
-        v = opt.v[name]
-        a, b = (buf[: g.size].reshape(g.shape) for buf in opt.scratch)
-        # the same operations in the same order as the textbook form
-        #   m = beta1*m + (1-beta1)*g;  v = beta2*v + (1-beta2)*g*g
-        #   data -= lr * m_hat / (sqrt(v_hat) + eps)
-        # so parameters and moments are bitwise those of that form
-        m *= cfg.beta1
-        m += np.multiply(1.0 - cfg.beta1, g, out=a)
-        v *= cfg.beta2
-        np.multiply(1.0 - cfg.beta2, g, out=a)
-        v += np.multiply(a, g, out=a)
-        np.divide(v, 1.0 - cfg.beta2**opt.step, out=a)
-        np.sqrt(a, out=a)
-        a += cfg.eps_opt
-        np.divide(m, 1.0 - cfg.beta1**opt.step, out=b)
-        np.multiply(cfg.learning_rate, b, out=b)
-        t.data -= np.divide(b, a, out=b)
+        # flat views of the updated arrays (copy=False raises rather than
+        # update a copy); a strided gradient is read through a flat copy
+        data, m, v = (arr.reshape(-1, copy=False) for arr in (t.data, opt.m[name], opt.v[name]))
+        flat_g = g.reshape(-1)
+        for lo in range(0, data.size, _ADAM_CHUNK):
+            chunk = slice(lo, lo + _ADAM_CHUNK)
+            _adam_chunk(data[chunk], m[chunk], v[chunk], flat_g[chunk], scratch, opt.step, cfg)
+
+
+def _adam_chunk(data, m, v, g, scratch: np.ndarray, step: int, cfg: TrainConfig) -> None:
+    """One Adam update of 1-D data, m and v in place, with scratch's rows as temporaries.
+
+    The same operations in the same order as the textbook form
+      m = beta1*m + (1-beta1)*g;  v = beta2*v + (1-beta2)*g*g
+      data -= lr * m_hat / (sqrt(v_hat) + eps)
+    so parameters and moments are bitwise those of that form.
+    """
+    a, b = scratch[0, : g.size], scratch[1, : g.size]
+    m *= cfg.beta1
+    m += np.multiply(1.0 - cfg.beta1, g, out=a)
+    v *= cfg.beta2
+    np.multiply(1.0 - cfg.beta2, g, out=a)
+    v += np.multiply(a, g, out=a)
+    np.divide(v, 1.0 - cfg.beta2**step, out=a)
+    np.sqrt(a, out=a)
+    a += cfg.eps_opt
+    np.divide(m, 1.0 - cfg.beta1**step, out=b)
+    np.multiply(cfg.learning_rate, b, out=b)
+    data -= np.divide(b, a, out=b)
 
 
 def train_step(

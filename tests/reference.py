@@ -172,3 +172,67 @@ def plan_rows(plan, n_in):
     start[plan.edge_rows] = plan.edge_start
     weights[plan.edge_rows] = plan.edge_weights
     return start, weights
+
+
+# ---------------------------------------------------------------------------
+# adaptive front-end ops, element by element
+
+
+def modulation_reference(x, kernel, pad, floor, g):
+    """Loop form of diff_engine.modulation and its backward under output gradient g.
+
+    Returns (out, gx, gk) in the arithmetic order of the unfused graph
+    floor + depthwise(|x|): each output sums its taps from zero in
+    increasing d, skipping the zero padding, then adds the floor; each x
+    gradient sums kernel * g over its taps in increasing d, then takes
+    the sign of x; each kernel gradient is one dot product (np.einsum)
+    of a row of g with the row of |x| its tap reads.
+    """
+    left = pad[0]
+    rows, n_in = x.shape
+    width = kernel.shape[1]
+    n_out = n_in + pad[0] + pad[1] - width + 1
+    out = np.zeros((rows, n_out))
+    gx = np.zeros_like(x)
+    gk = np.zeros_like(kernel)
+    for k in range(rows):
+        xr, kr, gr = x[k].tolist(), kernel[k].tolist(), g[k].tolist()
+        for col in range(n_out):
+            acc = 0.0
+            for d in range(width):
+                j = col + d - left
+                if 0 <= j < n_in:
+                    acc += kr[d] * abs(xr[j])
+            out[k, col] = acc + floor
+        for j in range(n_in):
+            acc = 0.0
+            for d in range(width):
+                col = j - d + left
+                if 0 <= col < n_out:
+                    acc += kr[d] * gr[col]
+            gx[k, j] = acc * float(np.sign(xr[j]))
+        for d in range(width):
+            cols = [col for col in range(n_out) if 0 <= col + d - left < n_in]
+            if cols:
+                read = np.abs(x[k, cols[0] + d - left : cols[-1] + d - left + 1])
+                gk[k, d] = np.einsum("l,l->", g[k, cols[0] : cols[-1] + 1], read)
+    return out, gx, gk
+
+
+def remodulate_reference(m_hat, x, m, g):
+    """Loop form of diff_engine.remodulate and its backward under output gradient g.
+
+    Returns (out, g_m_hat, gx, gm) in the arithmetic order of the unfused
+    graph m_hat * (x / m): with p = x / m and gp = g * m_hat, the
+    gradients are g * p, gp / m and (-gp) * x / (m * m).
+    """
+    out, g_m_hat, gx, gm = (np.zeros_like(x) for _ in range(4))
+    for idx in np.ndindex(x.shape):
+        h, xv, mv, gv = float(m_hat[idx]), float(x[idx]), float(m[idx]), float(g[idx])
+        p = xv / mv
+        gp = gv * h
+        out[idx] = h * p
+        g_m_hat[idx] = gv * p
+        gx[idx] = gp / mv
+        gm[idx] = -gp * xv / (mv * mv)
+    return out, g_m_hat, gx, gm

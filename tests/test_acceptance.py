@@ -260,7 +260,7 @@ def test_criterion_7_overfit_smoke(smoke_pair, overfit_runs):
 
     with E.no_grad():
         rep = analysis_forward(smoke_pair.mixture.samples, sdr_result.params)
-        round_trip = synthesis_forward(rep.M, rep.P, sdr_result.params)
+        round_trip = synthesis_forward(rep.M, rep, sdr_result.params)
     energy_ratio = np.linalg.norm(round_trip.data) / np.linalg.norm(smoke_pair.mixture.samples)
     assert 0.05 < energy_ratio < 50.0, energy_ratio
 

@@ -45,6 +45,26 @@ def test_default_config_fan_bound():
     assert params.analysis.data.shape == (1024, 1024)
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        # a zero floor makes the carrier of a silent input 0/0
+        ("modulation_floor", 0.0),
+        ("modulation_floor", -1e-8),
+        ("modulation_floor", float("nan")),
+        ("modulation_floor", float("inf")),
+        # zero components divide by zero in init_params
+        ("components", 0),
+        ("hidden_units", 0),
+        ("hidden_units", -4),
+    ],
+)
+def test_net_config_rejects_out_of_range_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        NetConfig(**{field: value})
+    NetConfig(**{field: 1})  # the smallest accepted value of each
+
+
 def test_shared_mode_ties_synthesis_storage():
     p = init_params(0, SMALL)
     assert p.synthesis_filters is p.analysis
@@ -118,12 +138,12 @@ def test_synthesis_oracle_modulation():
     rng = np.random.default_rng(3)
     p = init_params(3, SMALL)
     rep = analysis_forward(rng.standard_normal(512), p)
-    out = synthesis_forward(rep.M, rep.P, p)
+    out = synthesis_forward(rep.M, rep, p)
     direct = E.conv1d_transpose(rep.X, p.synthesis_filters, SMALL.stride)
     np.testing.assert_allclose(out.data, direct.data, rtol=1e-9, atol=1e-12)
     assert out.data.size == (rep.X.data.shape[1] - 1) * 16 + 64
 
-    zero = synthesis_forward(E.Tensor(np.zeros_like(rep.M.data)), rep.P, p)
+    zero = synthesis_forward(E.Tensor(np.zeros_like(rep.M.data)), rep, p)
     assert not zero.data.any()
 
 

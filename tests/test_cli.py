@@ -326,6 +326,24 @@ def test_one_sample_stoi_frames_exit_2(tmp_path, data_dirs, capsys):
     assert not (tmp_path / "ckpt.json").exists()
 
 
+@pytest.mark.parametrize(
+    "network,flags,message",
+    [
+        ({"modulation_floor": 0.0}, {}, "modulation_floor"),
+        ({"modulation_floor": float("nan")}, {}, "modulation_floor"),
+        ({}, {"--components": "0"}, "components"),
+        ({}, {"--hidden-units": "0"}, "hidden_units"),
+    ],
+)
+def test_out_of_range_network_config_exits_2(tmp_path, data_dirs, capsys, network, flags, message):
+    tdir, idir = data_dirs
+    cfg_path = tmp_path / "net.json"
+    cfg_path.write_text(json.dumps({"network": network}))
+    assert main(train_args(tmp_path, tdir, idir, **{"--config": str(cfg_path)}, **flags)) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "ckpt.json").exists()
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps({"train": {"coost": "sdr"}}))

@@ -10,7 +10,7 @@ from sepcost.dsp import hann_periodic
 from sepcost.errors import NotScalar, ShapeError
 from sepcost.signal_io import resample_plan
 
-from reference import plan_rows, run_on_one_blas_thread
+from reference import modulation_reference, plan_rows, remodulate_reference, run_on_one_blas_thread
 
 
 def fd_check(graph, inputs, wrt, tol=1e-6):
@@ -71,7 +71,8 @@ def test_fd_of_square_matches_derivative():
         ("div", lambda t: E.sum_(t["a"] / (t["b"] * t["b"] + 1.0)), {"a": (6,), "b": (6,)}),
         ("minimum", lambda t: E.sum_(E.square(E.minimum(t["a"], t["b"]))), {"a": (40,), "b": (40,)}),
         ("sum_axis", lambda t: E.sum_(E.square(E.sum_(t["a"] * t["b"], axis=0))), {"a": (5, 6), "b": (5, 6)}),
-        ("abs", lambda t: E.sum_(E.abs_(t["a"]) * t["b"]), {"a": (20,), "b": (20,)}),
+        # a one-tap modulation is floor + k * |a|, so this entry checks the |a| subgradient
+        ("abs", lambda t: E.sum_(E.modulation(t["a"], t["k"], (0, 0), 0.5) * t["b"]), {"a": (2, 10), "k": (2, 1), "b": (2, 10)}),
         ("sqrt", lambda t: E.sum_(E.sqrt(E.square(t["a"]) + 0.1)), {"a": (12,)}),
         ("softplus", lambda t: E.sum_(E.square(E.softplus(t["a"]))), {"a": (15,)}),
         ("norm_axis", lambda t: E.sum_(E.norm(t["a"], axis=0) * t["b"]), {"a": (5, 7), "b": (7,)}),
@@ -80,7 +81,7 @@ def test_fd_of_square_matches_derivative():
         ("matmul", lambda t: E.sum_(E.square(E.matmul(t["a"], t["b"]))), {"a": (3, 5), "b": (5, 4)}),
         (
             "depthwise_pad",
-            lambda t: E.sum_(E.square(E.depthwise_conv(t["a"], t["k"], (1, 2))) * t["b"]),
+            lambda t: E.sum_(E.square(E.modulation(t["a"], t["k"], (1, 2), 0.25)) * t["b"]),
             {"a": (3, 7), "k": (3, 4), "b": (3, 7)},
         ),
         (
@@ -91,18 +92,24 @@ def test_fd_of_square_matches_derivative():
         ("mean_all", lambda t: E.mean(E.square(t["a"] - t["b"])), {"a": (3, 4), "b": (3, 4)}),
         (
             "depthwise_w5",
-            lambda t: E.sum_(E.square(E.depthwise_conv(t["a"], t["k"], (2, 2))) * t["b"]),
+            lambda t: E.sum_(E.square(E.modulation(t["a"], t["k"], (2, 2), 0.25)) * t["b"]),
             {"a": (3, 9), "k": (3, 5), "b": (3, 9)},
         ),
         (
             "depthwise_w1",
-            lambda t: E.sum_(E.square(E.depthwise_conv(t["a"], t["k"], (0, 0))) * t["b"]),
+            lambda t: E.sum_(E.square(E.modulation(t["a"], t["k"], (0, 0), 0.25)) * t["b"]),
             {"a": (2, 6), "k": (2, 1), "b": (2, 6)},
         ),
         (
             "affine_softplus",
             lambda t: E.sum_(E.square(E.affine_softplus(t["w"], t["x"], t["b"])) * t["c"]),
             {"w": (4, 3), "x": (3, 5), "b": (4, 1), "c": (4, 5)},
+        ),
+        (
+            "remodulate",
+            # the divisor m * m + 0.5 stays away from zero
+            lambda t: E.sum_(E.remodulate(t["h"], t["x"], E.square(t["m"]) + 0.5) * t["b"]),
+            {"h": (3, 5), "x": (3, 5), "m": (3, 5), "b": (3, 5)},
         ),
     ],
 )
@@ -275,25 +282,73 @@ def test_sliding_windows_wider_than_signal_rejected():
     [((4, 11), 5, (2, 2)), ((1, 9), 3, (0, 1)), ((3, 7), 4, (1, 2)), ((2, 6), 1, (0, 0)), ((2, 1), 4, (3, 0))],
 )
 def test_depthwise_conv_matches_composed_graph(shape, width, pad):
-    # the graph depthwise_conv replaced: windows of the padded input, times the kernel, summed over taps
+    # modulation's depthwise convolution against a graph of generic ops: windows of
+    # the padded |x| (as sqrt(x * x)), times the kernel, summed over taps, plus the floor
     rng = np.random.default_rng(22)
     x = rng.standard_normal(shape)
     kernel = rng.standard_normal((shape[0], width))
     n_out = shape[1] + sum(pad) - width + 1
     r = rng.standard_normal((shape[0], n_out))
+    floor = 0.25
 
     xt, kt = E.parameter(x), E.parameter(kernel)
-    out = E.depthwise_conv(xt, kt, pad)
+    out = E.modulation(xt, kt, pad, floor)
     E.sum_(out * r).backward()
 
     xp, kp = E.parameter(np.pad(x, [(0, 0), pad])), E.parameter(kernel)
-    ref = E.sum_(E.sliding_windows(xp, width) * kp[:, :, None], axis=1)
+    ref = E.sum_(E.sliding_windows(E.sqrt(E.square(xp)), width) * kp[:, :, None], axis=1) + floor
     E.sum_(ref * r).backward()
 
     np.testing.assert_allclose(out.data, ref.data, rtol=1e-12, atol=0.0)
-    np.testing.assert_allclose(out.data, (_windows_reference(x, width, pad) * kernel[:, :, None]).sum(axis=1), rtol=1e-12)
+    windows = _windows_reference(np.abs(x), width, pad)
+    np.testing.assert_allclose(out.data, (windows * kernel[:, :, None]).sum(axis=1) + floor, rtol=1e-12)
     np.testing.assert_allclose(xt.grad, xp.grad[:, pad[0] : pad[0] + shape[1]], rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(kt.grad, kp.grad, rtol=1e-12, atol=0.0)
+
+
+# The last case has several row blocks of modulation and remodulate, the
+# last of them short (checked in the test).
+FRONT_END_CASES = [((4, 11), 5, (2, 2)), ((1, 9), 3, (0, 1)), ((3, 7), 4, (1, 2)), ((2, 6), 1, (0, 0)),
+                   ((2, 1), 4, (3, 0)), ((69, 998), 5, (2, 2))]
+
+
+@pytest.mark.parametrize("shape,width,pad", FRONT_END_CASES)
+def test_modulation_is_bitwise_its_loop_reference(shape, width, pad):
+    rng = np.random.default_rng(26)
+    x = rng.standard_normal(shape)
+    x[:, ::4] = 0.0  # sign(0) = 0: no x gradient there
+    kernel = rng.uniform(0.0, 1.0, (shape[0], width))
+    n_out = shape[1] + sum(pad) - width + 1
+    g = rng.standard_normal((shape[0], n_out))
+    rows, blocks = E._row_blocks(shape[0], max(shape[1], n_out))
+    if (shape, width, pad) == FRONT_END_CASES[-1]:
+        assert len(blocks) >= 3 and blocks[-1].stop - blocks[-1].start < rows
+
+    xt, kt = E.parameter(x), E.parameter(kernel)
+    out = E.modulation(xt, kt, pad, 1e-3)
+    E.sum_(out * g).backward()
+
+    ref_out, ref_gx, ref_gk = modulation_reference(x, kernel, pad, 1e-3, g)
+    assert np.array_equal(out.data, ref_out)
+    assert np.array_equal(xt.grad, ref_gx)
+    assert np.array_equal(kt.grad, ref_gk)
+
+
+@pytest.mark.parametrize("shape", [case[0] for case in FRONT_END_CASES])
+def test_remodulate_is_bitwise_its_loop_reference(shape):
+    rng = np.random.default_rng(27)
+    m_hat, x, g = (rng.standard_normal(shape) for _ in range(3))
+    m = rng.uniform(1e-3, 2.0, shape)
+
+    ht, xt, mt = E.parameter(m_hat), E.parameter(x), E.parameter(m)
+    out = E.remodulate(ht, xt, mt)
+    E.sum_(out * g).backward()
+
+    ref_out, ref_gh, ref_gx, ref_gm = remodulate_reference(m_hat, x, m, g)
+    assert np.array_equal(out.data, ref_out)
+    assert np.array_equal(ht.grad, ref_gh)
+    assert np.array_equal(xt.grad, ref_gx)
+    assert np.array_equal(mt.grad, ref_gm)
 
 
 def test_affine_softplus_matches_composed_graph():
@@ -421,11 +476,21 @@ def test_shape_errors():
         E.matmul(E.Tensor(np.zeros((2, 3))), E.Tensor(np.zeros((2, 3))))
     with pytest.raises(ShapeError):
         E.conv1d(E.Tensor(np.zeros(8)), E.Tensor(np.zeros((1, 16))), 2)
-    E.depthwise_conv(E.Tensor(np.zeros((2, 3))), E.Tensor(np.zeros((2, 5))), (1, 1))  # exactly fits
+    E.modulation(E.Tensor(np.zeros((2, 3))), E.Tensor(np.zeros((2, 5))), (1, 1), 1.0)  # exactly fits
     with pytest.raises(ShapeError):
-        E.depthwise_conv(E.Tensor(np.zeros((2, 3))), E.Tensor(np.zeros((2, 6))), (1, 1))
+        E.modulation(E.Tensor(np.zeros((2, 3))), E.Tensor(np.zeros((2, 6))), (1, 1), 1.0)
     with pytest.raises(ShapeError):
-        E.depthwise_conv(E.Tensor(np.zeros((2, 3))), E.Tensor(np.zeros((3, 1))), (0, 0))
+        E.modulation(E.Tensor(np.zeros((2, 3))), E.Tensor(np.zeros((3, 1))), (0, 0), 1.0)
+    with pytest.raises(ShapeError):
+        E.modulation(E.Tensor(np.zeros(3)), E.Tensor(np.zeros((1, 1))), (0, 0), 1.0)
+    ones = E.Tensor(np.ones((2, 3)))
+    E.remodulate(ones, ones, ones)  # fits
+    with pytest.raises(ShapeError):
+        E.remodulate(ones, ones, E.Tensor(np.ones((2, 4))))
+    with pytest.raises(ShapeError):
+        E.remodulate(E.Tensor(np.ones((2, 4))), ones, ones)
+    with pytest.raises(ShapeError):
+        E.remodulate(E.Tensor(np.ones(3)), E.Tensor(np.ones(3)), E.Tensor(np.ones(3)))
     with pytest.raises(ShapeError):
         E.affine_softplus(E.Tensor(np.zeros((2, 3))), E.Tensor(np.zeros((3, 4))), E.Tensor(np.zeros(2)))
     with pytest.raises(ShapeError):

@@ -6,6 +6,7 @@ import json
 import math
 import re
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,16 +162,20 @@ def test_step_descends_on_mse():
 
 
 def test_adam_update_is_bitwise_the_textbook_form():
-    # the update runs in place on scratch buffers; the expression form is the reference
+    # the update runs in place over flat chunks with scratch buffers; the
+    # whole-array expression form is the reference. The analysis bank spans
+    # 2.5 chunks, and its gradient is a transposed (non-contiguous) array.
+    net = NetConfig(components=5 * trainer._ADAM_CHUNK // 1024, filter_len=512, stride=16, hidden_units=8)
     cfg = tiny_cfg(learning_rate=1e-2)
-    params, ref = init_params(3, SMALL_NET), init_params(3, SMALL_NET)
+    params, ref = init_params(3, net), init_params(3, net)
     opt = OptState()
     ref_m = {k: np.zeros_like(t.data) for k, t in ref.tensors().items()}
     ref_v = {k: np.zeros_like(t.data) for k, t in ref.tensors().items()}
     rng = np.random.default_rng(4)
     for step in range(1, 4):
         for (name, t), t_ref in zip(params.tensors().items(), ref.tensors().values()):
-            t.grad = rng.standard_normal(t.data.shape)
+            t.grad = rng.standard_normal(t.data.shape[::-1]).T if name == "analysis" else rng.standard_normal(t.data.shape)
+            assert t.grad.flags.c_contiguous == (name != "analysis")
             g = t.grad.copy()
             ref_m[name] = cfg.beta1 * ref_m[name] + (1.0 - cfg.beta1) * g
             ref_v[name] = cfg.beta2 * ref_v[name] + (1.0 - cfg.beta2) * g * g
@@ -182,6 +187,32 @@ def test_adam_update_is_bitwise_the_textbook_form():
         assert t.data.tobytes() == ref.tensors()[name].data.tobytes()
         assert opt.m[name].tobytes() == ref_m[name].tobytes()
         assert opt.v[name].tobytes() == ref_v[name].tobytes()
+
+
+def test_smoke_net_step_peak_memory():
+    # Traced peak of one step of the benchmark's smoke net (64 x 128 / 16,
+    # hidden 64) on a full 2 s utterance with the sdr+stoi cost: 17.3 MB
+    # since the modulation and re-modulation run as row-blocked nodes,
+    # 21.3 MB when |X|, sign(X), the smoothed S and the carrier P were
+    # whole arrays. Each such 64 x 1993 array is 1.02 MB, so the bound
+    # leaves room for none of them to come back.
+    fs = 16000
+    rng = np.random.default_rng(0)
+    y = speechlike(rng, 2 * fs, fs)
+    z = speechlike(rng, 2 * fs, fs, band=(2000.0, 6000.0))
+    pair = mix_at_snr(Waveform(y, fs), Waveform(z, fs), 0.0)
+    net = NetConfig(components=64, filter_len=128, stride=16, hidden_units=64, weight_sharing="shared")
+    cfg = TrainConfig(cost="sdr:0.75+stoi:0.25", excerpt_len=0)
+    cost = parse_cost_spec(cfg.cost)
+    params, opt = init_params(0, net), OptState()
+    train_step(params, pair, cost, cfg, opt)  # fills the resample-plan cache and the Adam moments
+    tracemalloc.start()
+    try:
+        train_step(params, pair, cost, cfg, opt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 17.8e6, peak
 
 
 def test_fit_zero_epochs_returns_initial_params():
