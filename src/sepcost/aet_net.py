@@ -22,24 +22,25 @@ syntheses: memory stays flat in the input length (one block's
 representation alive per worker thread), and the output equals the
 one-pass network up to roundoff (bitwise when one block holds every
 frame). Blocks run in rounds on the CPUs a single-threaded BLAS leaves
-idle, through the engine's worker rule and runner; a lone block splits
-its dense products over those CPUs instead. The output does not depend
-on how many threads ran it. Training runs the one-pass graph, whose
-dense products split the same way.
+idle, through the engine's worker rule and runner. A round of one block
+splits a dense product only from 512 output columns: at the default net,
+conv1d from 508 block frames (it also reads the halo) and the others
+from 512, so a lone block of fewer frames runs on one CPU. The output
+does not depend on how many threads ran it. Training runs the one-pass
+graph, whose dense products split over the idle CPUs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import diff_engine as engine
 from .diff_engine import Tensor, as_tensor, parameter
 from .errors import ShapeError, SignalTooShort
-from .signal_io import Waveform
+from .signal_io import Waveform, _write_atomic
 
 # analysis frames per separation block: about 0.5 s at stride 16 and 16 kHz,
 # so two blocks in flight hold about what one 1024-frame block held
@@ -83,16 +84,11 @@ class AetRepresentation:
     """Adaptive transform X and its modulation M (> 0).
 
     The carrier X / M is not stored: `synthesis_forward` re-modulates
-    from X and M, and P computes it on request.
+    from X and M.
     """
 
     X: Tensor
     M: Tensor
-
-    @property
-    def P(self) -> Tensor:
-        """Carrier X / M, a new tensor on each access."""
-        return self.X / self.M
 
 
 @dataclass(eq=False)  # identity comparison: a generated __eq__ would compare Tensors
@@ -311,7 +307,5 @@ def export_bases_csv(params: SeparatorParams, sample_rate: int, path) -> None:
     """
     perm, freqs = order_bases_by_dominant_frequency(params, sample_rate)
     bank = params.analysis.data
-    lines = []
-    for i in perm:
-        lines.append(",".join([repr(float(freqs[i]))] + [repr(float(v)) for v in bank[i]]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = (",".join([repr(float(freqs[i]))] + [repr(float(v)) for v in bank[i]]) + "\n" for i in perm)
+    _write_atomic(path, (row.encode("ascii") for row in rows))

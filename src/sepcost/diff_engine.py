@@ -277,7 +277,20 @@ def sqrt(x) -> Tensor:
     return _result(out, (x,), bw)
 
 
-_SOFTPLUS_CHUNK = 1 << 16  # elements per pass, so the temporary stays in cache
+# elements per row block of every cache-sized pass (softplus, modulation,
+# remodulate and the trainer's Adam update), so that a block's scratch
+# arrays stay in cache
+_ROW_BLOCK = 1 << 15
+
+
+def _row_blocks(n_rows: int, n_cols: int) -> tuple[int, list[slice]]:
+    """(rows, blocks): consecutive slices of n_rows rows, each at most rows long.
+
+    rows holds about _ROW_BLOCK elements of n_cols columns, at least one
+    row; only the last block may be shorter.
+    """
+    step = max(1, _ROW_BLOCK // max(n_cols, 1))
+    return min(step, n_rows), [slice(r, min(r + step, n_rows)) for r in range(0, n_rows, step)]
 
 
 def _softplus_into(z: np.ndarray) -> np.ndarray:
@@ -285,14 +298,15 @@ def _softplus_into(z: np.ndarray) -> np.ndarray:
 
     Overflow-safe, and within an ulp of np.logaddexp(0, z), but built on
     numpy's vectorised exp and log1p where logaddexp runs a scalar loop.
-    It runs over chunks of z with one small temporary, so it allocates
-    nothing of z's size.
+    It runs over row blocks (`_row_blocks`) of z's last axis with one
+    block-sized temporary.
     """
-    flat = z.reshape(-1)
-    buf = np.empty(min(flat.size, _SOFTPLUS_CHUNK))
-    for start in range(0, flat.size, _SOFTPLUS_CHUNK):
-        seg = flat[start : start + _SOFTPLUS_CHUNK]
-        tail = buf[: seg.size]
+    # a 0-d, 1-d or empty z is one row
+    rows = z.reshape(-1, z.shape[-1]) if z.ndim > 1 and z.size else z.reshape(1, -1)
+    n, blocks = _row_blocks(*rows.shape)
+    buf = np.empty((n, rows.shape[1]))
+    for r in blocks:
+        seg, tail = rows[r], buf[: r.stop - r.start]
         np.abs(seg, out=tail)
         np.negative(tail, out=tail)
         np.exp(tail, out=tail)
@@ -623,21 +637,6 @@ def conv1d_transpose(coeffs, filters, stride: int) -> Tensor:
         )
 
     return _result(out, (coeffs, filters), bw)
-
-
-# elements per row block of modulation and remodulate, so that a block's
-# scratch arrays stay in cache
-_ROW_BLOCK = 1 << 15
-
-
-def _row_blocks(n_rows: int, n_cols: int) -> tuple[int, list[slice]]:
-    """(rows, blocks): consecutive slices of n_rows rows, each at most rows long.
-
-    rows holds about _ROW_BLOCK elements of n_cols columns, at least one
-    row; only the last block may be shorter.
-    """
-    step = max(1, _ROW_BLOCK // max(n_cols, 1))
-    return min(step, n_rows), [slice(r, min(r + step, n_rows)) for r in range(0, n_rows, step)]
 
 
 def modulation(x, kernel, pad: tuple[int, int], floor: float) -> Tensor:

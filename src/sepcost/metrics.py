@@ -37,19 +37,11 @@ class EvalReport:
     stoi: float | None = None
 
 
-def _samples(x) -> np.ndarray:
-    if isinstance(x, Waveform):
-        return x.samples
-    return np.asarray(x, dtype=np.float64)
-
-
 def _triple(x, y, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    xs, ys, zs = _samples(x), _samples(y), _samples(z)
-    if not (xs.shape == ys.shape == zs.shape) or xs.ndim != 1:
-        raise ShapeError(f"need equal-length 1-D signals, got {xs.shape}, {ys.shape}, {zs.shape}")
-    rates = {s.sample_rate for s in (x, y, z) if isinstance(s, Waveform)}
-    if len(rates) > 1:
-        raise ShapeError(f"sample rates differ: {sorted(rates)}")
+    """Sample arrays of x, y, z (`losses._pair`'s checks), 1-D, with y and z not silent."""
+    xs, ys, zs = (t.data for t in losses._pair(x, y, z))
+    if xs.ndim != 1:
+        raise ShapeError(f"need 1-D signals, got shape {xs.shape}")
     for name, s in (("target", ys), ("interference", zs)):
         if math.sqrt(float(np.mean(s**2))) <= RMS_SILENCE_FLOOR:
             raise SilentSignal(f"{name} is silent")

@@ -7,9 +7,11 @@ RIFF/WAVE (PCM 16-bit or IEEE float 32-bit read, PCM 16-bit write).
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -136,11 +138,25 @@ def write_wav(w: Waveform, path) -> None:
         + struct.pack("<I", len(payload))
     )
     try:
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(payload)
+        _write_atomic(path, (header, payload))
     except OSError as exc:
         raise IoError(f"{path}: {exc}") from exc
+
+
+def _write_atomic(path, chunks) -> None:
+    """Write an iterable of bytes-like chunks to a temp file beside path, then rename it over path.
+
+    A write killed part-way leaves the previous file intact.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 # Polyphase blocks hold at least 32 outputs, and a phase matrix at most

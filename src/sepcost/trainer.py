@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -22,7 +21,7 @@ from .aet_net import NetConfig, SeparatorParams, init_params
 from .diff_engine import Tensor
 from .errors import CorruptFile, IncompatibleCheckpoint, NoData, NumericalDivergence, SilentSignal
 from .losses import CompositeCost, StoiConfig, normalize_cost_scales, parse_cost_spec
-from .signal_io import MixturePair, mix_at_snr, read_wav, resample
+from .signal_io import MixturePair, _write_atomic, mix_at_snr, read_wav, resample
 
 CHECKPOINT_VERSION = 2
 # longest first line load_checkpoint reads: a version-2 header is a few
@@ -32,9 +31,6 @@ MAX_HEADER_BYTES = 1 << 20
 # utterance's is silent, and is drawn again at most EXCERPT_DRAWS - 1 times
 SILENT_EXCERPT_RATIO = 1e-3
 EXCERPT_DRAWS = 8
-# elements per pass of the Adam update, so that its operands and
-# temporaries stay in cache across the update's passes
-_ADAM_CHUNK = 1 << 15
 
 
 @dataclass
@@ -170,35 +166,32 @@ def _excerpt_terms(
 
 def _apply_update(params: SeparatorParams, opt: OptState, cfg: TrainConfig) -> None:
     opt.step += 1
-    scratch = np.empty((2, _ADAM_CHUNK)) if cfg.optimizer == "adam" else None
-    for name, t in params.tensors().items():
-        g = t.grad
-        if g is None:
-            continue
-        if cfg.optimizer == "sgd":
-            t.data -= cfg.learning_rate * g
-            continue
+    trained = [(name, t) for name, t in params.tensors().items() if t.grad is not None]
+    if cfg.optimizer == "sgd":
+        for _, t in trained:
+            t.data -= cfg.learning_rate * t.grad
+        return
+    # Adam runs over row blocks of each 2-D parameter (engine._row_blocks),
+    # whose slices are views of any layout; one scratch serves every block
+    scratch = np.empty((2, max([engine._ROW_BLOCK] + [t.data.shape[1] for _, t in trained])))
+    for name, t in trained:
         if name not in opt.m:
             opt.m[name] = np.zeros_like(t.data)
             opt.v[name] = np.zeros_like(t.data)
-        # flat views of the updated arrays (copy=False raises rather than
-        # update a copy); a strided gradient is read through a flat copy
-        data, m, v = (arr.reshape(-1, copy=False) for arr in (t.data, opt.m[name], opt.v[name]))
-        flat_g = g.reshape(-1)
-        for lo in range(0, data.size, _ADAM_CHUNK):
-            chunk = slice(lo, lo + _ADAM_CHUNK)
-            _adam_chunk(data[chunk], m[chunk], v[chunk], flat_g[chunk], scratch, opt.step, cfg)
+        m, v = opt.m[name], opt.v[name]
+        for r in engine._row_blocks(*t.data.shape)[1]:
+            _adam_block(t.data[r], m[r], v[r], t.grad[r], scratch, opt.step, cfg)
 
 
-def _adam_chunk(data, m, v, g, scratch: np.ndarray, step: int, cfg: TrainConfig) -> None:
-    """One Adam update of 1-D data, m and v in place, with scratch's rows as temporaries.
+def _adam_block(data, m, v, g, scratch: np.ndarray, step: int, cfg: TrainConfig) -> None:
+    """One Adam update of a block of data, m and v in place, with scratch's rows as temporaries.
 
     The same operations in the same order as the textbook form
       m = beta1*m + (1-beta1)*g;  v = beta2*v + (1-beta2)*g*g
       data -= lr * m_hat / (sqrt(v_hat) + eps)
     so parameters and moments are bitwise those of that form.
     """
-    a, b = scratch[0, : g.size], scratch[1, : g.size]
+    a, b = (row[: g.size].reshape(g.shape) for row in scratch)
     m *= cfg.beta1
     m += np.multiply(1.0 - cfg.beta1, g, out=a)
     v *= cfg.beta2
@@ -351,22 +344,6 @@ def fit(
 def write_log(log: list[dict], path) -> None:
     """JSON-lines training log, one object per entry, replaced atomically."""
     _write_atomic(path, ((json.dumps(entry) + "\n").encode("ascii") for entry in log))
-
-
-def _write_atomic(path, chunks) -> None:
-    """Write an iterable of bytes-like chunks to a temp file beside path, then rename it over path.
-
-    A write killed part-way leaves the previous file intact.
-    """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 # ---------------------------------------------------------------------------

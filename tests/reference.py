@@ -178,6 +178,12 @@ def plan_rows(plan, n_in):
 # adaptive front-end ops, element by element
 
 
+def softplus_reference(z):
+    """diff_engine._softplus_into's numpy sequence, max(z, 0) + log1p(exp(-|z|)), on the whole of z at once."""
+    tail = np.log1p(np.exp(np.negative(np.abs(z))))
+    return np.maximum(z, 0.0) + tail
+
+
 def modulation_reference(x, kernel, pad, floor, g):
     """Loop form of diff_engine.modulation and its backward under output gradient g.
 

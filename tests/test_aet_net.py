@@ -92,7 +92,7 @@ def test_analysis_zero_input():
     rep = analysis_forward(np.zeros(256), p)
     assert not rep.X.data.any()
     np.testing.assert_array_equal(rep.M.data, np.full_like(rep.M.data, SMALL.modulation_floor))
-    assert not rep.P.data.any()
+    assert not (rep.X / rep.M).data.any()
 
 
 def test_frame_count_formula():
@@ -108,7 +108,7 @@ def test_modulation_carrier_identity():
     p = init_params(1, SMALL)
     rep = analysis_forward(rng.standard_normal(512), p)
     assert (rep.M.data > 0).all()
-    recon = rep.M.data * rep.P.data
+    recon = rep.M.data * (rep.X / rep.M).data
     np.testing.assert_allclose(recon, rep.X.data, rtol=1e-10, atol=1e-12)
 
 
@@ -319,8 +319,8 @@ def test_separation_rounds_of_several_blocks_start_no_product_pool(monkeypatch):
 
 def test_halo_frames_only_feed_the_smoothing():
     # the block loop's premise: analysing frames [lo, hi) of the input, the
-    # block [a, b) plus its halo, gives the full analysis's X, M and P at
-    # frames [a, b) bitwise
+    # block [a, b) plus its halo, gives the full analysis's X and M at
+    # frames [a, b) bitwise (so also the carrier X / M, elementwise in them)
     rng = np.random.default_rng(12)
     frames = 37
     for cfg in (SMALL, STRIDE8_W6):
@@ -332,7 +332,7 @@ def test_halo_frames_only_feed_the_smoothing():
         for a, b in ((0, frames), (0, 1), (0, 3), (2, 7), (5, 6), (11, 30), (30, frames), (frames - 1, frames)):
             lo, hi = max(0, a - before), min(frames, b + after)
             part = analysis_forward(x[lo * stride : (hi - 1) * stride + taps], params)
-            for name in ("X", "M", "P"):
+            for name in ("X", "M"):
                 got, want = getattr(part, name).data[:, a - lo : b - lo], getattr(full, name).data[:, a:b]
                 np.testing.assert_array_equal(got, want, err_msg=f"{cfg} {name} [{a}, {b})")
 

@@ -10,7 +10,7 @@ from sepcost.dsp import hann_periodic
 from sepcost.errors import NotScalar, ShapeError
 from sepcost.signal_io import resample_plan
 
-from reference import modulation_reference, plan_rows, remodulate_reference, run_on_one_blas_thread
+from reference import modulation_reference, plan_rows, remodulate_reference, run_on_one_blas_thread, softplus_reference
 
 
 def fd_check(graph, inputs, wrt, tol=1e-6):
@@ -349,6 +349,16 @@ def test_remodulate_is_bitwise_its_loop_reference(shape):
     assert np.array_equal(ht.grad, ref_gh)
     assert np.array_equal(xt.grad, ref_gx)
     assert np.array_equal(mt.grad, ref_gm)
+
+
+@pytest.mark.parametrize("shape", [(69, 998), (E._ROW_BLOCK // 998 + 1, 998), (3, 40, 998)])
+def test_softplus_row_blocks_are_bitwise_the_whole_array_sequence(shape):
+    # several row blocks of the last axis, the last of them short
+    rng = np.random.default_rng(28)
+    z = 30.0 * rng.standard_normal(shape)
+    rows, blocks = E._row_blocks(z.size // shape[-1], shape[-1])
+    assert len(blocks) >= 2 and blocks[-1].stop - blocks[-1].start < rows
+    assert np.array_equal(E._softplus_into(z.copy()), softplus_reference(z))
 
 
 def test_affine_softplus_matches_composed_graph():

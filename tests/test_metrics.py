@@ -69,6 +69,13 @@ def test_decompose_waveform_container_and_silence():
         bss_decompose(y, np.zeros(64) + 1e-12, z)
     with pytest.raises(ShapeError):
         bss_decompose(y[:10], y, z)
+    # losses' signal checks, then metrics' own 1-D check
+    with pytest.raises(ShapeError, match="rates"):
+        bss_eval_metrics(Waveform(y + z, 8000), Waveform(y, 16000), z)
+    with pytest.raises(ShapeError, match="lengths"):
+        bss_eval_metrics(y[:10], y, z)
+    with pytest.raises(ShapeError, match="1-D"):
+        bss_eval_metrics(np.stack([y + z] * 2), np.stack([y] * 2), np.stack([z] * 2))
 
 
 def test_all_infinite_for_perfect_estimate():

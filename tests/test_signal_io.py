@@ -1,12 +1,16 @@
+import builtins
+import errno
 import math
+import os
 import struct
 
 import numpy as np
 import pytest
 
 from sepcost import diff_engine as E
+from sepcost import signal_io
 from sepcost.diff_engine import gather_linear
-from sepcost.errors import CorruptFile, ShapeError, SilentSignal, UnsupportedFormat
+from sepcost.errors import CorruptFile, IoError, ShapeError, SilentSignal, UnsupportedFormat
 from sepcost.signal_io import (
     KAISER_BETA,
     SINC_TAPS,
@@ -67,6 +71,39 @@ def test_write_quantization(tmp_path):
     assert struct.unpack("<h", path.read_bytes()[-2:])[0] == 32767
     write_wav(Waveform(np.array([-1.0]), 8000), path)
     assert struct.unpack("<h", path.read_bytes()[-2:])[0] == -32768
+
+
+class _FullAfterFirstWrite:
+    """File stand-in that takes its first write, then fails as a full disk would."""
+
+    def __init__(self, path, mode="r"):
+        self.fh, self.writes = builtins.open(path, mode), 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes > 1:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return self.fh.write(data)
+
+
+def test_failed_write_keeps_the_previous_wav(tmp_path, monkeypatch):
+    # the header chunk goes through, the payload fails: the old file must
+    # stay byte for byte, and no temporary file may be left beside it
+    path = tmp_path / "out.wav"
+    write_wav(Waveform(np.linspace(-0.5, 0.5, 101), 8000), path)
+    before = path.read_bytes()
+    monkeypatch.setattr(signal_io, "open", _FullAfterFirstWrite, raising=False)
+    with pytest.raises(IoError, match="out.wav"):
+        write_wav(Waveform(np.linspace(0.5, -0.5, 77), 16000), path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out.wav"]
 
 
 def test_round_trip_within_half_lsb(tmp_path):

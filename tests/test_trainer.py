@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from sepcost import diff_engine as E
-from sepcost import trainer
+from sepcost import signal_io, trainer
 from sepcost.aet_net import NetConfig, init_params
 from sepcost.errors import CorruptFile, IncompatibleCheckpoint, NoData, NumericalDivergence, SilentSignal
 from sepcost.losses import StoiConfig, parse_cost_spec, normalize_cost_scales
@@ -162,12 +162,14 @@ def test_step_descends_on_mse():
 
 
 def test_adam_update_is_bitwise_the_textbook_form():
-    # the update runs in place over flat chunks with scratch buffers; the
+    # the update runs in place over row blocks with scratch buffers; the
     # whole-array expression form is the reference. The analysis bank spans
-    # 2.5 chunks, and its gradient is a transposed (non-contiguous) array.
-    net = NetConfig(components=5 * trainer._ADAM_CHUNK // 1024, filter_len=512, stride=16, hidden_units=8)
+    # 2.5 row blocks, and its gradient is a transposed (non-contiguous) array.
+    net = NetConfig(components=5 * E._ROW_BLOCK // 1024, filter_len=512, stride=16, hidden_units=8)
     cfg = tiny_cfg(learning_rate=1e-2)
     params, ref = init_params(3, net), init_params(3, net)
+    rows, blocks = E._row_blocks(*params.analysis.data.shape)
+    assert len(blocks) == 3 and blocks[-1].stop - blocks[-1].start < rows
     opt = OptState()
     ref_m = {k: np.zeros_like(t.data) for k, t in ref.tensors().items()}
     ref_v = {k: np.zeros_like(t.data) for k, t in ref.tensors().items()}
@@ -342,7 +344,7 @@ def test_checkpoint_bytes_match_whole_document_dumps(tmp_path, monkeypatch, chun
     opt = _moment_state(params, step=4)
     cfg = tiny_cfg()
     path = tmp_path / "ckpt"
-    monkeypatch.setattr(trainer, "open", lambda file, mode: io.BufferedWriter(_ShortWrites(file, chunk)), raising=False)
+    monkeypatch.setattr(signal_io, "open", lambda file, mode: io.BufferedWriter(_ShortWrites(file, chunk)), raising=False)
     save_checkpoint(params, opt, path, cfg, meta={"steps_done": 4})
     monkeypatch.undo()
 
@@ -618,7 +620,7 @@ def test_interrupted_writes_keep_previous_files(tmp_path, monkeypatch):
 
     second = fit(Dataset([pair]), tiny_cfg(epochs=2), SMALL_NET, SMALL_STOI)
     with monkeypatch.context() as m:
-        m.setattr(trainer, "open", _FailingWriter, raising=False)
+        m.setattr(signal_io, "open", _FailingWriter, raising=False)
         with pytest.raises(OSError):
             save_checkpoint(second.params, second.opt_state, ckpt, cfg)
         with pytest.raises(OSError):
