@@ -18,16 +18,27 @@ modulation (a floor plus a zero-padded depthwise temporal convolution of
 |x|) and re-modulation (m_hat * x / m), dense maps and the fused dense
 layer softplus(w @ x + b), softplus, elementwise arithmetic / min /
 square / sqrt, inner products, L2 norms, axis reductions, basic slicing,
-sliding windows, a magnitude STFT, and the polyphase banded map of
-in-graph resampling (`gather_linear` over a `PolyphasePlan`). There is
-no dynamic control flow and no higher-order differentiation.
+sliding windows, the intelligibility front end's band envelopes
+(`band_envelopes`: sqrt(bands @ |STFT|^2) as one op), and the polyphase
+banded map of in-graph resampling (`gather_linear` over a
+`PolyphasePlan`). There is no dynamic control flow and no higher-order
+differentiation.
+
+Signals may carry leading dims: `gather_linear`, `band_envelopes` and
+`sliding_windows` act on the last axis of a (..., T) stack, the
+elementwise ops broadcast, and the reductions take negative axes, so one
+graph scores a stack of signals, one score per leading index. The first
+two run one signal at a time in scratch reused from signal to signal,
+so a stack's values and gradients are bitwise those of its signals
+alone; `finite_difference_gradient(..., stacked=True)` feeds such graphs
+blocks of perturbed inputs.
 
 A closure may hand back an array it allocated without the walk copying
 it; views, broadcasts and an array handed to two parents are copied, so
 no two `.grad` fields share memory.
 
 Every framing op shares one scatter, `_overlap_add`: it is the backward
-of conv1d, stft_magnitude, sliding_windows and gather_linear and the
+of conv1d, band_envelopes, sliding_windows and gather_linear and the
 forward of conv1d_transpose. The STFT runs on numpy's FFT both ways,
 rfft forward and irfft for the adjoint.
 
@@ -343,9 +354,10 @@ def sum_(x, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def mean(x, axis=None, keepdims: bool = False) -> Tensor:
+    """Mean over all elements, one axis or a tuple of axes."""
     x = as_tensor(x)
     out = x.data.mean(axis=axis, keepdims=keepdims)
-    count = x.data.size if axis is None else x.data.shape[axis]
+    count = x.data.size if axis is None else int(np.prod([x.data.shape[a] for a in np.atleast_1d(axis)]))
     return _result(out, (x,), lambda g: (np.broadcast_to(_unreduce(g, axis, keepdims) / count, x.data.shape),))
 
 
@@ -576,10 +588,12 @@ def _overlap_add(fg: np.ndarray, stride: int, out_len: int) -> np.ndarray:
 
 
 def _frame_view(x: np.ndarray, taps: int, stride: int) -> np.ndarray:
-    """Read-only (frames, taps) view of 1-D x: row m is x[m*stride : m*stride + taps]."""
-    step = x.strides[0]
-    n_frames = (x.size - taps) // stride + 1
-    return np.lib.stride_tricks.as_strided(x, (n_frames, taps), (stride * step, step), writeable=False)
+    """Read-only (..., frames, taps) view of x's last axis: row m is x[..., m*stride : m*stride + taps]."""
+    step = x.strides[-1]
+    n_frames = (x.shape[-1] - taps) // stride + 1
+    return np.lib.stride_tricks.as_strided(
+        x, (*x.shape[:-1], n_frames, taps), (*x.strides[:-1], stride * step, step), writeable=False
+    )
 
 
 def _frames(x: np.ndarray, taps: int, stride: int) -> np.ndarray:
@@ -765,88 +779,130 @@ class PolyphasePlan(NamedTuple):
 
 
 def gather_linear(x, plan: PolyphasePlan) -> Tensor:
-    """The banded linear map of a PolyphasePlan: (plan.n_in,) -> (plan.out_len,).
+    """The banded linear map of a PolyphasePlan on the last axis: (..., plan.n_in) -> (..., plan.out_len).
 
     Used for in-graph band-limited resampling (`signal_io.resample_plan`).
-    x is copied once into a zero-padded buffer, the windows of its blocks
-    are framed with hop plan.stride as in conv1d, and one BLAS matmul
-    with phases.T gives every row; the edge rows are then overwritten by
-    their own banded sums. Backward is the conv1d adjoint: phases.T @ g
-    per block, overlap-added by `_overlap_add`, with the edge rows' share
-    of g zeroed there and scatter-added by a bincount over those rows
-    alone.
+    One signal runs at a time: it is copied into a zero-padded buffer
+    shared by every signal, the windows of its blocks are framed with hop
+    plan.stride as in conv1d, and one BLAS matmul with phases.T gives
+    every row; the edge rows are then overwritten by their own banded
+    sums. Backward is the conv1d adjoint: phases.T @ g per block,
+    overlap-added by `_overlap_add`, with the edge rows' share of g zeroed
+    there and scatter-added by a bincount over those rows alone. Each
+    signal's values and gradient are bitwise those of it alone.
     """
     x = as_tensor(x)
     xv = x.data
     rows, width = plan.phases.shape
     taps = plan.edge_weights.shape[-1]
-    if xv.ndim != 1 or xv.size != plan.n_in:
+    if xv.ndim < 1 or xv.shape[-1] != plan.n_in:
         raise ShapeError(f"gather_linear plan for {plan.n_in} samples does not fit shape {xv.shape}")
     edges = plan.edge_rows.shape
     if plan.edge_start.shape != edges or plan.edge_weights.shape[:-1] != edges:
         raise ShapeError(
             f"gather_linear plan edge shapes {edges}, {plan.edge_start.shape} and {plan.edge_weights.shape} do not align"
         )
-    n, lo = xv.size, -plan.offset
+    n, lo = plan.n_in, -plan.offset
     n_blocks = max(1, -(-plan.out_len // rows))
     span = (n_blocks - 1) * plan.stride + width  # samples the block frames read
     first = plan.edge_start + lo  # xp index of each edge row's first tap
     if first.min(initial=0) < 0:
         raise ShapeError(f"gather_linear plan has an edge row starting before its offset {plan.offset}")
+    signals = xv.reshape(-1, n)
     xp = np.zeros(max(span, lo + n, first.max(initial=0) + taps))
-    xp[lo : lo + n] = xv
-    out = (_frames(xp[:span], width, plan.stride) @ plan.phases.T).ravel()[: plan.out_len]
-    # each edge row reads one row of this strided view of xp
-    windows = _frame_view(xp, taps, 1)[first]
-    out[plan.edge_rows] = np.einsum("jk,jk->j", windows, plan.edge_weights)
+    # views of xp, which each signal in turn fills; each edge row reads one row of `taps`
+    frames, taps_view = _frame_view(xp[:span], width, plan.stride), _frame_view(xp, taps, 1)
+    # whole blocks of rows; the rows past out_len are cut off below
+    out = np.empty((signals.shape[0], n_blocks * rows))
+    for s, o in zip(signals, out):
+        xp[lo : lo + n] = s
+        np.matmul(np.ascontiguousarray(frames), plan.phases.T, out=o.reshape(n_blocks, rows))
+        o[plan.edge_rows] = np.einsum("jk,jk->j", taps_view[first], plan.edge_weights)
+    out = out[:, : plan.out_len]
 
     def bw(g):
+        gx = np.empty_like(signals)
         blocks = np.zeros((n_blocks, rows))
         flat = blocks.reshape(-1)
-        flat[: plan.out_len] = g
-        flat[plan.edge_rows] = 0.0
-        gx = _overlap_add(plan.phases.T @ blocks.T, plan.stride, xp.size)
-        scaled = plan.edge_weights * g[plan.edge_rows][:, None]
-        k = first[:, None] + np.arange(taps)
-        gx += np.bincount(k.ravel(), weights=scaled.ravel(), minlength=xp.size)
-        return (gx[lo : lo + n],)
+        k = (first[:, None] + np.arange(taps)).ravel()
+        for gs, gxs in zip(g.reshape(-1, plan.out_len), gx):
+            flat[: plan.out_len] = gs
+            flat[plan.edge_rows] = 0.0
+            full = _overlap_add(plan.phases.T @ blocks.T, plan.stride, xp.size)
+            scaled = plan.edge_weights * gs[plan.edge_rows][:, None]
+            full += np.bincount(k, weights=scaled.ravel(), minlength=xp.size)
+            gxs[:] = full[lo : lo + n]
+        return (gx.reshape(xv.shape),)
 
-    return _result(out, (x,), bw)
+    return _result(out.reshape(*xv.shape[:-1], plan.out_len), (x,), bw)
 
 
-def stft_magnitude(x, frame_len: int, fft_len: int, hop: int, window: np.ndarray) -> Tensor:
-    """|rfft| of windowed frames zero-padded to fft_len, shape (bins, frames).
+def band_envelopes(x, frame_len: int, fft_len: int, hop: int, window: np.ndarray, bands: np.ndarray) -> Tensor:
+    """Band envelopes sqrt(bands @ |STFT|^2) on the last axis: (..., T) -> (..., J, M).
 
-    fft_len must be at least frame_len, so no frame is cropped. Backward
-    is the exact adjoint on the inverse FFT (subgradient 0 at
-    zero-magnitude bins), then one overlap-add of the frame gradients.
+    Frames of frame_len samples every hop samples are windowed, zero-padded
+    to fft_len (at least frame_len, so no frame is cropped) and
+    transformed by rfft; bands (J, fft_len // 2 + 1) pools the squared
+    bin magnitudes of each frame, and the square root gives the envelope.
+    One signal runs at a time, its frames and magnitudes in scratch
+    reused from signal to signal, in the arithmetic order of the chain
+    magnitude STFT -> square -> bands @ -> sqrt, so values and gradients
+    are bitwise the chain's, and each signal's are bitwise those of it
+    alone. A node that records a
+    backward keeps each signal's spectrum, as the chain did; backward is
+    the chain's adjoint on the inverse FFT (subgradient 0 at zero
+    envelopes and zero-magnitude bins), then one overlap-add of the frame
+    gradients per signal.
     """
     x = as_tensor(x)
     xv = x.data
-    if xv.ndim != 1:
-        raise ShapeError("stft_magnitude expects a 1-D signal")
+    if xv.ndim < 1:
+        raise ShapeError("band_envelopes expects signals along a last axis")
     if fft_len < frame_len:
         raise ShapeError(f"fft_len {fft_len} would crop the {frame_len}-sample frames")
     if hop < 1:
         raise ShapeError(f"hop must be at least 1, got {hop}")
-    if xv.size < frame_len:
-        raise ShapeError(f"signal of {xv.size} samples shorter than one {frame_len}-sample frame")
-    frames = _frame_view(xv, frame_len, hop)
-    # windowed frames written straight into their zero padding
-    padded = np.zeros((frames.shape[0], fft_len))
-    np.multiply(frames, window, out=padded[:, :frame_len])
-    spec = np.fft.rfft(padded, axis=1)
-    mag = np.abs(spec).T  # (bins, frames)
+    n = xv.shape[-1]
+    if n < frame_len:
+        raise ShapeError(f"signal of {n} samples shorter than one {frame_len}-sample frame")
+    n_bins = fft_len // 2 + 1
+    if bands.ndim != 2 or bands.shape[1] != n_bins:
+        raise ShapeError(f"band matrix of shape {bands.shape} does not pool {n_bins} bins")
+    signals = xv.reshape(-1, n)
+    frames = _frame_view(signals, frame_len, hop)
+    n_frames = frames.shape[1]
+    keep = _grad_enabled and x.requires_grad
+    specs = []  # each signal's spectrum, for backward
+    padded = np.zeros((n_frames, fft_len))
+    # |spec| transposed to (bins, frames) is the chain's layout, which its product reads
+    mag = np.empty((n_frames, n_bins)).T
+    out = np.empty((signals.shape[0], bands.shape[0], n_frames))
+    for f, o in zip(frames, out):
+        # windowed frames written straight into their zero padding
+        np.multiply(f, window, out=padded[:, :frame_len])
+        spec = np.fft.rfft(padded, axis=1)
+        if keep:
+            specs.append(spec)
+        np.abs(spec.T, out=mag)
+        np.matmul(bands, np.multiply(mag, mag, out=mag), out=o)
+    np.sqrt(out, out=out)
 
     def bw(g):
+        gx = np.empty_like(signals)
+        g = g.reshape(out.shape)
         with np.errstate(divide="ignore", invalid="ignore"):
-            c = np.where(mag > 0.0, g / mag, 0.0).T * spec
-        # irfft counts every bin but DC and Nyquist twice
-        c[:, 1 : (fft_len + 1) // 2] *= 0.5
-        fg = np.fft.irfft(c, n=fft_len, axis=1)[:, :frame_len] * (fft_len * window)
-        return (_overlap_add(fg.T, hop, xv.size),)
+            d = np.where(out > 0.0, 0.5 / out, 0.0)
+            for i, spec in enumerate(specs):
+                mag = np.abs(spec).T
+                g_mag = (bands.T @ (g[i] * d[i])) * (2.0 * mag)
+                c = np.where(mag > 0.0, g_mag / mag, 0.0).T * spec
+                # irfft counts every bin but DC and Nyquist twice
+                c[:, 1 : (fft_len + 1) // 2] *= 0.5
+                fg = np.fft.irfft(c, n=fft_len, axis=1)[:, :frame_len] * (fft_len * window)
+                gx[i] = _overlap_add(fg.T, hop, n)
+        return (gx.reshape(xv.shape),)
 
-    return _result(mag, (x,), bw)
+    return _result(out.reshape(*xv.shape[:-1], *out.shape[1:]), (x,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -878,11 +934,22 @@ def evaluate_with_gradient(graph: Graph, inputs: Mapping[str, np.ndarray], wrt):
     return out.item(), grads
 
 
-def finite_difference_gradient(graph: Graph, inputs: Mapping[str, np.ndarray], wrt: str, step: float = 1e-5) -> np.ndarray:
+def finite_difference_gradient(
+    graph: Graph, inputs: Mapping[str, np.ndarray], wrt: str, step: float = 1e-5, *, stacked: bool = False
+) -> np.ndarray:
     """Central-difference gradient of a scalar graph w.r.t. one input.
 
     Per-coordinate step is step * max(1, |x_i|). This is the
     verification oracle: it never touches the reverse-mode path.
+
+    With stacked=True the graph takes wrt with one more leading axis and
+    returns one value per row. Each call then receives the stack
+    [x + h_i e_i ..., x - h_i e_i ...] of one block of coordinates i, in
+    blocks of `_row_blocks(x.size, x.size)`: about _ROW_BLOCK / x.size
+    coordinates, at least one. The stack is built once; each block
+    perturbs its entries in place and restores them. A graph that scores
+    each row bitwise as it scores that input alone gives bitwise the
+    serial result.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -892,20 +959,39 @@ def finite_difference_gradient(graph: Graph, inputs: Mapping[str, np.ndarray], w
     flat_x = x.ravel()
     flat_g = grad.ravel()
 
-    def value() -> float:
+    def evaluate(rows: np.ndarray) -> Tensor:
         with no_grad():
-            out = graph({name: Tensor(val) for name, val in base.items()})
-        return out.item()
+            return graph({name: Tensor(rows if name == wrt else val) for name, val in base.items()})
 
-    for i in range(flat_x.size):
-        orig = flat_x[i]
-        h = step * max(1.0, abs(orig))
-        flat_x[i] = orig + h
-        f_plus = value()
-        flat_x[i] = orig - h
-        f_minus = value()
-        flat_x[i] = orig
-        flat_g[i] = (f_plus - f_minus) / (2.0 * h)
+    if not stacked:
+        for i in range(flat_x.size):
+            orig = flat_x[i]
+            h = step * max(1.0, abs(orig))
+            flat_x[i] = orig + h
+            f_plus = evaluate(x).item()
+            flat_x[i] = orig - h
+            f_minus = evaluate(x).item()
+            flat_x[i] = orig
+            flat_g[i] = (f_plus - f_minus) / (2.0 * h)
+        return grad
+
+    per_call, blocks = _row_blocks(flat_x.size, flat_x.size)
+    stack = np.empty((2 * per_call, *x.shape))
+    stack[...] = x
+    flat_stack = stack.reshape(2 * per_call, -1)
+    for block in blocks:
+        coords = range(block.start, block.stop)
+        k = len(coords)
+        steps = [step * max(1.0, abs(flat_x[i])) for i in coords]
+        for j, (i, h) in enumerate(zip(coords, steps)):
+            flat_stack[j, i] = flat_x[i] + h
+            flat_stack[k + j, i] = flat_x[i] - h
+        f = evaluate(stack[: 2 * k]).data
+        if f.shape != (2 * k,):
+            raise ShapeError(f"a stacked graph must return one value per row, got shape {f.shape} for {2 * k} rows")
+        for j, (i, h) in enumerate(zip(coords, steps)):
+            flat_stack[j, i] = flat_stack[k + j, i] = flat_x[i]
+            flat_g[i] = (f[j] - f[k + j]) / (2.0 * h)
     return grad
 
 

@@ -1,8 +1,8 @@
 """Analysis window and one-third-octave band grouping.
 
 Constants of the intelligibility front end: the loss and the metric
-both run `diff_engine.stft_magnitude` with this window and pool its bins
-with this band matrix.
+both run `diff_engine.band_envelopes` with this window and this band
+matrix, which pools the squared bin magnitudes of each frame.
 """
 
 from __future__ import annotations

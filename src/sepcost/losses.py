@@ -124,35 +124,29 @@ def sar_loss(x, y, z) -> Tensor:
     return engine.dot(xt, xt) / (proj + EPS)
 
 
-def _band_frames_graph(t: Tensor, cfg: StoiConfig) -> Tensor:
-    """(J bands, M frames) envelope of a signal at the analysis rate.
-
-    Magnitude STFT (Hann frames zero-padded to fft_len) followed by the
-    one-third-octave band matrix applied in the power domain.
-    """
-    mag = engine.stft_magnitude(
-        t, cfg.frame_len, cfg.fft_len, cfg.hop, dsp.hann_periodic(cfg.frame_len)
-    )
-    bands = dsp.octave_band_matrix(cfg.analysis_rate, cfg.fft_len, cfg.num_bands, cfg.lowest_center)
-    return engine.sqrt(engine.matmul(bands.weights, engine.square(mag)))
-
-
 def _segments(t: Tensor, rate: int, cfg: StoiConfig) -> Tensor:
-    """(J bands, N frames, M' segments) band envelopes of a signal sampled at `rate`.
+    """(..., J bands, N frames, M' segments) band envelopes of signals sampled at `rate`.
 
-    The signal is resampled (in-graph) to cfg.analysis_rate first. [j, n, p]
-    is band j at frame p + n, so column p holds the segment ending at
-    frame p + N - 1.
+    The signals, along t's last axis, are resampled (in-graph) to
+    cfg.analysis_rate first, then run through the one front end,
+    `diff_engine.band_envelopes`: Hann frames zero-padded to fft_len, and
+    the one-third-octave band matrix applied in the power domain.
+    [..., j, n, p] is band j at frame p + n, so column p holds the
+    segment ending at frame p + N - 1.
     """
     if rate != cfg.analysis_rate:
-        t = engine.gather_linear(t, resample_plan(t.data.size, rate, cfg.analysis_rate))
-    n10 = t.data.size
+        t = engine.gather_linear(t, resample_plan(t.data.shape[-1], rate, cfg.analysis_rate))
+    n10 = t.data.shape[-1]
     if n10 < cfg.frame_len:
         raise SignalTooShort(f"{n10} samples at {cfg.analysis_rate} Hz is less than one frame")
     n_frames = (n10 - cfg.frame_len) // cfg.hop + 1
     if n_frames < cfg.segment_frames:
         raise SignalTooShort(f"{n_frames} frames < {cfg.segment_frames} needed for one segment")
-    return engine.sliding_windows(_band_frames_graph(t, cfg), cfg.segment_frames)
+    bands = dsp.octave_band_matrix(cfg.analysis_rate, cfg.fft_len, cfg.num_bands, cfg.lowest_center)
+    envelopes = engine.band_envelopes(
+        t, cfg.frame_len, cfg.fft_len, cfg.hop, dsp.hann_periodic(cfg.frame_len), bands.weights
+    )
+    return engine.sliding_windows(envelopes, cfg.segment_frames)
 
 
 @dataclass(frozen=True)
@@ -183,15 +177,15 @@ def stoi_reference(y, cfg: StoiConfig = StoiConfig(), sample_rate: int | None = 
     """
     yt, rate = _signal(y, sample_rate if sample_rate is not None else cfg.analysis_rate)
     seg_y = _segments(yt, rate, cfg)
-    yc = seg_y - engine.mean(seg_y, axis=1, keepdims=True)
+    yc = seg_y - engine.mean(seg_y, axis=-2, keepdims=True)
     return StoiReference(
         cfg,
         rate,
-        yt.data.size,
-        engine.norm(seg_y, axis=1, keepdims=True),
+        yt.data.shape[-1],
+        engine.norm(seg_y, axis=-2, keepdims=True),
         cfg.clip_factor * seg_y,
         yc,
-        engine.norm(yc, axis=1),
+        engine.norm(yc, axis=-2),
     )
 
 
@@ -205,6 +199,11 @@ def stoi_forward(x, y, cfg: StoiConfig = StoiConfig(), sample_rate: int | None =
     correlation. Returns (score, d) where score is the mean of the
     per-(band, frame) correlation matrix d.
 
+    Signals lie along the last axis of x. A stack of estimates, shape
+    (..., n), gives one score per leading index in one pass, d of shape
+    (..., J, M'), and each row's score and gradient are bitwise those of
+    that estimate alone.
+
     y is a target signal or a `StoiReference` prepared from one. A signal
     goes through `stoi_reference` (at x's rate if y has none), so both
     run the same ops in the same order. cfg must be the reference's, else
@@ -217,23 +216,23 @@ def stoi_forward(x, y, cfg: StoiConfig = StoiConfig(), sample_rate: int | None =
         raise ValueError("the STOI reference was prepared with a different StoiConfig")
     if rate is not None and rate != ref.rate:
         raise ShapeError(f"sample rates differ: {rate} vs {ref.rate}")
-    if xt.data.shape != (ref.n_in,):
+    if xt.data.shape[-1:] != (ref.n_in,):
         raise ShapeError(f"signal lengths differ: {xt.data.shape} vs {(ref.n_in,)}")
 
     seg_x = _segments(xt, ref.rate, cfg)
-    norm_x = engine.norm(seg_x, axis=1, keepdims=True)
+    norm_x = engine.norm(seg_x, axis=-2, keepdims=True)
     alpha = ref.norm_y / (norm_x + EPS)
     clipped = engine.minimum(alpha * seg_x, ref.clip_y)
 
-    xc = clipped - engine.mean(clipped, axis=1, keepdims=True)
-    num = engine.sum_(xc * ref.yc, axis=1)
-    den = engine.norm(xc, axis=1) * ref.norm_yc + EPS
+    xc = clipped - engine.mean(clipped, axis=-2, keepdims=True)
+    num = engine.sum_(xc * ref.yc, axis=-2)
+    den = engine.norm(xc, axis=-2) * ref.norm_yc + EPS
     d = num / den
-    return engine.mean(d), d
+    return engine.mean(d, axis=(-2, -1)), d
 
 
 def stoi_loss(x, y, cfg: StoiConfig = StoiConfig(), sample_rate: int | None = None) -> Tensor:
-    """1 - stoi_forward score (minimization form, range [0, 2]); y may be a StoiReference."""
+    """1 - stoi_forward score (minimization form, range [0, 2]), one per estimate; y may be a StoiReference."""
     score, _ = stoi_forward(x, y, cfg, sample_rate=sample_rate)
     return 1.0 - score
 

@@ -242,3 +242,33 @@ def remodulate_reference(m_hat, x, m, g):
         gx[idx] = gp / mv
         gm[idx] = -gp * xv / (mv * mv)
     return out, g_m_hat, gx, gm
+
+
+# ---------------------------------------------------------------------------
+# intelligibility front end
+
+
+def band_envelopes_reference(x, frame_len, fft_len, hop, window, bands, g):
+    """The chain magnitude STFT -> square -> bands @ -> sqrt on one 1-D signal, and its adjoint under g.
+
+    Returns (envelopes (J, M), gradient of <envelopes, g> w.r.t. x) in
+    the arithmetic order of the unfused engine graph: the rfft of each
+    windowed frame zero-padded to fft_len, |spec|.T squared and pooled by
+    one product, the square root; backward, 0.5 / envelope (0 at zero),
+    bands.T @, 2 * magnitude, the complex adjoint on the inverse FFT
+    (0 at zero-magnitude bins), and an overlap-add in which each sample
+    sums its frames' taps from the lowest tap up.
+    """
+    frames = np.lib.stride_tricks.sliding_window_view(x, frame_len)[::hop]
+    spec = np.fft.rfft(frames * window, n=fft_len, axis=1)
+    mag = np.abs(spec).T
+    env = np.sqrt(bands @ (mag * mag))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g_mag = (bands.T @ (g * np.where(env > 0.0, 0.5 / env, 0.0))) * (2.0 * mag)
+        c = np.where(mag > 0.0, g_mag / mag, 0.0).T * spec
+    c[:, 1 : (fft_len + 1) // 2] *= 0.5
+    fg = np.fft.irfft(c, n=fft_len, axis=1)[:, :frame_len] * (fft_len * window)
+    gx = np.zeros(x.size)
+    for m in reversed(range(fg.shape[0])):  # later frames hold a sample's lower taps
+        gx[m * hop : m * hop + frame_len] += fg[m]
+    return env, gx

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from sepcost import aet_net, diff_engine
+from sepcost import aet_net, cli, diff_engine
 from sepcost.cli import build_configs, main, merged_config
 from sepcost.signal_io import PCM_SCALE, Waveform, read_wav, write_wav
 from sepcost.trainer import OptState, load_checkpoint, save_checkpoint
@@ -232,11 +232,18 @@ def test_divergence_exits_3_with_last_good_checkpoint(tmp_path, data_dirs, capsy
     assert len([e for e in log if "step" in e]) == meta["steps_done"]
 
 
-def test_gradcheck_commands(capsys):
+def test_gradcheck_commands(capsys, monkeypatch):
     assert main(["gradcheck", "--loss", "mse", "--seed", "0"]) == 0
     out = capsys.readouterr().out
     assert "OK" in out
     assert main(["gradcheck", "--loss", "network", "--seed", "1"]) == 0
+    assert main(["gradcheck", "--loss", "stoi", "--seed", "0"]) == 0
+    assert "stoi: worst" in capsys.readouterr().out
+    # a NaN error fails the check and is reported as the worst, in either order
+    for errors in ({"a": 1e-9, "b": float("nan")}, {"b": float("nan"), "a": 1e-9}):
+        monkeypatch.setattr(cli, "gradcheck_cases", lambda loss, seed, errors=errors: errors)
+        assert main(["gradcheck", "--loss", "network"]) == 1
+        assert "network: worst nan (FAIL" in capsys.readouterr().out
 
 
 def test_export_bases(tmp_path, data_dirs):

@@ -6,11 +6,19 @@ import numpy as np
 import pytest
 
 from sepcost import diff_engine as E
-from sepcost.dsp import hann_periodic
+from sepcost.dsp import hann_periodic, octave_band_matrix
 from sepcost.errors import NotScalar, ShapeError
+from sepcost.losses import StoiConfig
 from sepcost.signal_io import resample_plan
 
-from reference import modulation_reference, plan_rows, remodulate_reference, run_on_one_blas_thread, softplus_reference
+from reference import (
+    band_envelopes_reference,
+    modulation_reference,
+    plan_rows,
+    remodulate_reference,
+    run_on_one_blas_thread,
+    softplus_reference,
+)
 
 
 def fd_check(graph, inputs, wrt, tol=1e-6):
@@ -173,9 +181,27 @@ def test_gather_linear_fd():
     rng = np.random.default_rng(15)
     for src_rate in GATHER_RATES:
         plan = resample_plan(120, src_rate, 10000)
-        inputs = {"x": rng.standard_normal(120)}
-        graph = lambda t: E.sum_(E.square(E.gather_linear(t["x"], plan)))
-        fd_check(graph, inputs, ["x"])
+        # one signal, and a (2, 3) stack of them along the leading dims
+        for shape in ((120,), (2, 3, 120)):
+            inputs = {"x": rng.standard_normal(shape)}
+            graph = lambda t: E.sum_(E.square(E.gather_linear(t["x"], plan)))
+            fd_check(graph, inputs, ["x"])
+
+
+def test_gather_linear_rows_match_single_signals():
+    rng = np.random.default_rng(20)
+    for src_rate in GATHER_RATES:
+        plan = resample_plan(2011, src_rate, 10000)
+        xs, g = rng.standard_normal((3, 2011)), rng.standard_normal((3, plan.out_len))
+        x = E.parameter(xs)
+        out = E.gather_linear(x, plan)
+        E.sum_(out * E.Tensor(g)).backward()
+        for row in range(3):
+            single = E.parameter(xs[row])
+            alone = E.gather_linear(single, plan)
+            E.dot(alone, E.Tensor(g[row])).backward()
+            np.testing.assert_array_equal(out.data[row], alone.data)
+            np.testing.assert_array_equal(x.grad[row], single.grad)
 
 
 def test_gather_linear_adjoint_identity():
@@ -207,36 +233,80 @@ def test_gather_linear_adjoint_identity():
     assert resample_plan(1, 10080, 10000).out_len == 1
 
 
-def test_stft_magnitude_fd():
+def identity_bands(fft_len):
+    """One band per bin: band_envelopes then gives the magnitude STFT itself.
+
+    Bitwise so: each product sums one exact square with exact zeros, and
+    sqrt(x * x) == |x| in binary64 when x * x neither overflows nor
+    underflows.
+    """
+    return np.eye(fft_len // 2 + 1)
+
+
+def test_band_envelopes_fd():
     rng = np.random.default_rng(16)
     # (63, 127, 31): odd lengths and a short last tap block; (64, 64, 32): no zero padding
     for frame_len, fft_len, hop in ((64, 128, 32), (63, 127, 31), (64, 64, 32)):
         inputs = {"x": rng.standard_normal(200)}
-        win = hann_periodic(frame_len)
-        graph = lambda t: E.sum_(E.square(E.stft_magnitude(t["x"], frame_len, fft_len, hop, win)))
+        win, bands = hann_periodic(frame_len), identity_bands(fft_len)
+        graph = lambda t: E.sum_(E.square(E.band_envelopes(t["x"], frame_len, fft_len, hop, win, bands)))
         fd_check(graph, inputs, ["x"])
 
 
-def test_stft_magnitude_rejects_cropping_fft_len():
+def test_band_envelopes_rejects_cropping_fft_len():
     # an fft_len below frame_len would crop every frame in the forward
     with pytest.raises(ShapeError, match="crop"):
-        E.stft_magnitude(E.Tensor(np.zeros(200)), 64, 48, 32, hann_periodic(64))
+        E.band_envelopes(E.Tensor(np.zeros(200)), 64, 48, 32, hann_periodic(64), identity_bands(48))
 
 
 @pytest.mark.parametrize("hop", [0, -2])
-def test_stft_magnitude_rejects_hop_below_one(hop):
+def test_band_envelopes_rejects_hop_below_one(hop):
     with pytest.raises(ShapeError, match="hop"):
-        E.stft_magnitude(E.Tensor(np.zeros(200)), 4, 8, hop, hann_periodic(4))
+        E.band_envelopes(E.Tensor(np.zeros(200)), 4, 8, hop, hann_periodic(4), identity_bands(8))
 
 
-def test_stft_magnitude_matches_rfft():
+def test_band_envelopes_rejects_mismatched_band_matrix():
+    with pytest.raises(ShapeError, match="bins"):
+        E.band_envelopes(E.Tensor(np.zeros(200)), 64, 128, 32, hann_periodic(64), identity_bands(64))
+
+
+def test_band_envelopes_matches_rfft():
     rng = np.random.default_rng(17)
     x = rng.standard_normal(300)
     win = hann_periodic(64)
-    mag = E.stft_magnitude(E.Tensor(x), 64, 128, 32, win).data
+    mag = E.band_envelopes(E.Tensor(x), 64, 128, 32, win, identity_bands(128)).data
     frames = np.lib.stride_tricks.sliding_window_view(x, 64)[::32]
     ref = np.abs(np.fft.rfft(frames * win, n=128, axis=1)).T
     np.testing.assert_array_equal(mag, ref)
+
+
+@pytest.mark.parametrize(
+    "cfg,n",
+    [(StoiConfig(frame_len=64, fft_len=128, num_bands=8, lowest_center=300.0, segment_frames=8, analysis_rate=4000), 400),
+     (StoiConfig(), 3968)],
+)
+def test_band_envelopes_bitwise_equal_to_chain(cfg, n):
+    # the fused op against the unfused chain, one signal and a (2, 3, n) stack
+    rng = np.random.default_rng(19)
+    bands = octave_band_matrix(cfg.analysis_rate, cfg.fft_len, cfg.num_bands, cfg.lowest_center).weights
+    args = (cfg.frame_len, cfg.fft_len, cfg.hop, hann_periodic(cfg.frame_len), bands)
+    xs = rng.standard_normal((2, 3, n))
+    xs[0, 1, :300] = 0.0  # zero envelopes and zero-magnitude bins take the subgradient 0
+    n_frames = (n - cfg.frame_len) // cfg.hop + 1
+    g = rng.standard_normal((2, 3, bands.shape[0], n_frames))
+    x = E.parameter(xs)
+    out = E.band_envelopes(x, *args)
+    E.sum_(out * E.Tensor(g)).backward()
+    assert out.data.shape == g.shape
+    for idx in np.ndindex(2, 3):
+        env, gx = band_envelopes_reference(xs[idx], *args, g[idx])
+        np.testing.assert_array_equal(out.data[idx], env)
+        np.testing.assert_array_equal(x.grad[idx], gx)
+        single = E.parameter(xs[idx])
+        alone = E.band_envelopes(single, *args)
+        E.sum_(alone * E.Tensor(g[idx])).backward()
+        np.testing.assert_array_equal(alone.data, env)
+        np.testing.assert_array_equal(single.grad, gx)
 
 
 @pytest.mark.parametrize("taps,stride", [(64, 32), (5, 3), (7, 7), (9, 1)])
@@ -251,6 +321,12 @@ def test_frames_match_sliding_window_view(taps, stride):
         frames = E._frames(x, taps, stride)
         np.testing.assert_array_equal(frames, expected)
         assert frames.flags.c_contiguous
+    # leading dims: each signal of a stack, or of a strided slice of one, frames as it would alone
+    stack = np.random.default_rng(19).standard_normal((2, 3, 301))
+    for xs in (stack, stack[:, ::2, ::3]):
+        view = E._frame_view(xs, taps, stride)
+        for idx in np.ndindex(xs.shape[:-1]):
+            np.testing.assert_array_equal(view[idx], E._frame_view(xs[idx], taps, stride))
 
 
 def _windows_reference(x, width, pad=(0, 0)):
@@ -507,10 +583,13 @@ def test_shape_errors():
         E.affine_softplus(E.Tensor(np.zeros((2, 3))), E.Tensor(np.zeros((2, 4))), E.Tensor(np.zeros((2, 1))))
     plan = resample_plan(8, 16000, 10000)
     E.gather_linear(E.Tensor(np.zeros(8)), plan)  # fits
+    E.gather_linear(E.Tensor(np.zeros((2, 8))), plan)  # so do leading dims
     with pytest.raises(ShapeError):
         E.gather_linear(E.Tensor(np.zeros(9)), plan)
     with pytest.raises(ShapeError):
         E.gather_linear(E.Tensor(np.zeros((2, 4))), plan)
+    with pytest.raises(ShapeError):
+        E.gather_linear(E.Tensor(np.float64(0.0)), plan)
     with pytest.raises(ShapeError):
         E.gather_linear(E.Tensor(np.zeros(8)), plan._replace(edge_start=plan.edge_start[:-1]))
     with pytest.raises(ShapeError):

@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
 
-from sepcost.diff_engine import Tensor, stft_magnitude
+from sepcost.diff_engine import Tensor, band_envelopes
 from sepcost.dsp import hann_periodic, octave_band_matrix
 from sepcost.errors import ShapeError
 
 
 def stft(x, frame_len=256, fft_len=512, hop=128):
-    """Magnitude STFT (bins, frames) as the intelligibility front end runs it."""
-    return stft_magnitude(Tensor(x), frame_len, fft_len, hop, hann_periodic(frame_len)).data
+    """Magnitude STFT (bins, frames) of the intelligibility front end.
+
+    The front end's band envelopes over one band per bin: bitwise the
+    magnitudes, since sqrt(1 * m * m) == m in binary64.
+    """
+    bands = np.eye(fft_len // 2 + 1)
+    return band_envelopes(Tensor(x), frame_len, fft_len, hop, hann_periodic(frame_len), bands).data
 
 
 def test_frame_count():

@@ -235,6 +235,48 @@ def test_stoi_reference_scores_like_fresh_forward(cfg, n, rate):
         assert metric + stoi_loss(x, ref, cfg).item() == 1.0
 
 
+STACK_CASES = [(SMALL_STOI, 400, 4000), (SMALL_STOI, 440, 4400), (StoiConfig(), 4000, 10080)]
+
+
+@pytest.mark.parametrize("cfg,n,rate", STACK_CASES)
+def test_stoi_stack_scores_rows_bitwise(cfg, n, rate):
+    # a (3, n) stack of estimates against one reference: one score per row,
+    # bitwise the row's own score, and the gradient of the summed losses
+    # bitwise each row's own gradient
+    rng = np.random.default_rng(14)
+    y = rng.standard_normal(n)
+    xs = y + rng.standard_normal((3, n))
+    ref = stoi_reference(y, cfg, sample_rate=rate)
+    scores, d = stoi_forward(xs, ref, cfg, sample_rate=rate)
+    assert scores.data.shape == (3,)
+    assert d.data.shape[0] == 3
+    _, g_stack = E.evaluate_with_gradient(lambda t: E.sum_(stoi_loss(t["x"], ref, cfg)), {"x": xs}, ["x"])
+    for row, x in enumerate(xs):
+        score, d_row = stoi_forward(x, ref, cfg, sample_rate=rate)
+        assert scores.data[row] == score.item()
+        np.testing.assert_array_equal(d.data[row], d_row.data)
+        _, g_row = E.evaluate_with_gradient(lambda t: stoi_loss(t["x"], ref, cfg), {"x": x}, ["x"])
+        np.testing.assert_array_equal(g_stack["x"][row], g_row["x"])
+
+
+@pytest.mark.parametrize("cfg,n,rate", [STACK_CASES[1], STACK_CASES[2]])
+def test_stacked_finite_differences_match_serial_oracle(cfg, n, rate):
+    # 440 samples leave a short last block of coordinates; the default case is
+    # the gradient check's (`cli.gradcheck_cases("stoi", ...)`)
+    rng = np.random.default_rng(21)
+    inputs = {"x": rng.standard_normal(n), "y": rng.standard_normal(n)}
+    ref = stoi_reference(inputs["y"], cfg, sample_rate=rate)
+    graph = lambda t: stoi_loss(t["x"], ref, cfg, sample_rate=rate)
+    stacked = E.finite_difference_gradient(graph, inputs, "x", stacked=True)
+    np.testing.assert_array_equal(stacked, E.finite_difference_gradient(graph, inputs, "x"))
+
+
+def test_stacked_finite_differences_need_one_value_per_row():
+    graph = lambda t: E.sum_(E.square(t["x"]))
+    with pytest.raises(ShapeError, match="one value per row"):
+        E.finite_difference_gradient(graph, {"x": np.ones(4)}, "x", stacked=True)
+
+
 def test_stoi_reference_rejects_mismatched_estimates():
     rng = np.random.default_rng(13)
     y = rng.standard_normal(440)
