@@ -105,7 +105,7 @@ def gradcheck_cases(loss: str, seed: int) -> dict[str, float]:
     of the STOI graph, and it evaluates the oracle stacked
     (`finite_difference_gradient(..., stacked=True)`): one STOI pass
     scores a block of perturbed estimates against that reference, one
-    score per row, bitwise the serial oracle's values.
+    score per row, bitwise the values of one call per row.
     """
     rng = np.random.default_rng([seed, 0])
     if loss == "network":

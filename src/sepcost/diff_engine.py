@@ -15,10 +15,10 @@ time.
 The op set is exactly what the separation losses and network need:
 strided 1-D convolution and its transpose, the adaptive front end's
 modulation (a floor plus a zero-padded depthwise temporal convolution of
-|x|) and re-modulation (m_hat * x / m), dense maps and the fused dense
-layer softplus(w @ x + b), softplus, elementwise arithmetic / min /
-square / sqrt, inner products, L2 norms, axis reductions, basic slicing,
-sliding windows, the intelligibility front end's band envelopes
+|x|) and re-modulation (m_hat * x / m), the fused dense layer
+softplus(w @ x + b), softplus, elementwise arithmetic / min / square,
+inner products, L2 norms, axis reductions, basic slicing, sliding
+windows, the intelligibility front end's band envelopes
 (`band_envelopes`: sqrt(bands @ |STFT|^2) as one op), and the polyphase
 banded map of in-graph resampling (`gather_linear` over a
 `PolyphasePlan`). There is no dynamic control flow and no higher-order
@@ -37,17 +37,18 @@ A closure may hand back an array it allocated without the walk copying
 it; views, broadcasts and an array handed to two parents are copied, so
 no two `.grad` fields share memory.
 
-Every framing op shares one scatter, `_overlap_add`: it is the backward
-of conv1d, band_envelopes, sliding_windows and gather_linear and the
-forward of conv1d_transpose. The STFT runs on numpy's FFT both ways,
-rfft forward and irfft for the adjoint.
+Every framing op frames through one view, `_frame_view`, and scatters
+through one adjoint, `_overlap_add`: the backward of conv1d,
+band_envelopes, sliding_windows and gather_linear and the forward of
+conv1d_transpose. The STFT runs on numpy's FFT both ways, rfft forward
+and irfft for the adjoint.
 
-Every dense product of conv1d, conv1d_transpose, affine_softplus and
-matmul, forward and backward, goes through `_product`. When the BLAS is
-set to one thread, a product of at least _SPLIT_FLOOR multiply-adds runs
-over column spans on the CPUs that thread leaves free (`_workers`),
-through the one runner `_SpanRunner`, which separation's block rounds
-use too. The split is bitwise equal to the whole product, so values and
+Every dense product of conv1d, conv1d_transpose and affine_softplus,
+forward and backward, goes through `_product`. When the BLAS is set to
+one thread, a product of at least _SPLIT_FLOOR multiply-adds runs over
+column spans on the CPUs that thread leaves free (`_workers`), through
+the one runner `_SpanRunner`, which separation's block rounds use too.
+The split is bitwise equal to the whole product, so values and
 gradients do not depend on the worker count, and no thread outlives the
 op that started it.
 """
@@ -275,19 +276,6 @@ def square(x) -> Tensor:
     return _result(x.data * x.data, (x,), lambda g: (g * (2.0 * x.data),))
 
 
-def sqrt(x) -> Tensor:
-    """Elementwise square root; the subgradient at 0 is 0."""
-    x = as_tensor(x)
-    out = np.sqrt(x.data)
-
-    def bw(g):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d = np.where(out > 0.0, 0.5 / out, 0.0)
-        return (g * d,)
-
-    return _result(out, (x,), bw)
-
-
 # elements per row block of every cache-sized pass (softplus, modulation,
 # remodulate and the trainer's Adam update), so that a block's scratch
 # arrays stay in cache
@@ -394,19 +382,15 @@ def sliding_windows(x, width: int) -> Tensor:
     """Sliding windows along the last axis: (..., T) -> (..., width, L).
 
     out[..., d, l] = x[..., l + d] with L = T - width + 1. The result is
-    a read-only strided view into a fresh copy of x, so it holds T
-    values, not width * L, and shares no memory with x. Backward
-    overlap-adds each window row.
+    the hop-1 `_frame_view` of a fresh copy of x with its last two axes
+    swapped: a read-only view that holds T values, not width * L, and
+    shares no memory with x. Backward overlap-adds each window row.
     """
     x = as_tensor(x)
     n_in = x.data.shape[-1]
     if width < 1 or n_in < width:
         raise ShapeError(f"{width}-wide windows do not fit {n_in} samples")
-    c = x.data.copy()
-    step = c.strides[-1]
-    out = np.lib.stride_tricks.as_strided(
-        c, (*c.shape[:-1], width, n_in - width + 1), (*c.strides[:-1], step, step), writeable=False
-    )
+    out = np.swapaxes(_frame_view(x.data.copy(), width, 1), -1, -2)
     return _result(out, (x,), lambda g: (_overlap_add(g, 1, n_in),))
 
 
@@ -531,15 +515,6 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # linear maps
-
-def matmul(a, b) -> Tensor:
-    """2-D matrix product (the dense map; add a bias tensor for affine)."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul shapes {a.data.shape} and {b.data.shape} do not align")
-    out = _product(a.data, b.data)
-    return _result(out, (a, b), lambda g: (_product(g, b.data.T), _product(a.data.T, g)))
-
 
 def affine_softplus(w, x, b) -> Tensor:
     """One dense layer, softplus(w @ x + b): (H, K), (K, L), (H, 1) -> (H, L).
@@ -942,14 +917,14 @@ def finite_difference_gradient(
     Per-coordinate step is step * max(1, |x_i|). This is the
     verification oracle: it never touches the reverse-mode path.
 
+    Coordinates go in blocks of `_row_blocks(x.size, x.size)`: about
+    _ROW_BLOCK / x.size coordinates, at least one. A stack built once
+    per call holds the rows [x + h_i e_i ..., x - h_i e_i ...] of one
+    block; each block perturbs its entries in place and restores them.
     With stacked=True the graph takes wrt with one more leading axis and
-    returns one value per row. Each call then receives the stack
-    [x + h_i e_i ..., x - h_i e_i ...] of one block of coordinates i, in
-    blocks of `_row_blocks(x.size, x.size)`: about _ROW_BLOCK / x.size
-    coordinates, at least one. The stack is built once; each block
-    perturbs its entries in place and restores them. A graph that scores
-    each row bitwise as it scores that input alone gives bitwise the
-    serial result.
+    scores a block in one call, one value per row; otherwise each row is
+    one call with wrt shaped as x. A graph that scores each row bitwise
+    as it scores that input alone gives the same result either way.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -963,18 +938,6 @@ def finite_difference_gradient(
         with no_grad():
             return graph({name: Tensor(rows if name == wrt else val) for name, val in base.items()})
 
-    if not stacked:
-        for i in range(flat_x.size):
-            orig = flat_x[i]
-            h = step * max(1.0, abs(orig))
-            flat_x[i] = orig + h
-            f_plus = evaluate(x).item()
-            flat_x[i] = orig - h
-            f_minus = evaluate(x).item()
-            flat_x[i] = orig
-            flat_g[i] = (f_plus - f_minus) / (2.0 * h)
-        return grad
-
     per_call, blocks = _row_blocks(flat_x.size, flat_x.size)
     stack = np.empty((2 * per_call, *x.shape))
     stack[...] = x
@@ -986,9 +949,12 @@ def finite_difference_gradient(
         for j, (i, h) in enumerate(zip(coords, steps)):
             flat_stack[j, i] = flat_x[i] + h
             flat_stack[k + j, i] = flat_x[i] - h
-        f = evaluate(stack[: 2 * k]).data
-        if f.shape != (2 * k,):
-            raise ShapeError(f"a stacked graph must return one value per row, got shape {f.shape} for {2 * k} rows")
+        if stacked:
+            f = evaluate(stack[: 2 * k]).data
+            if f.shape != (2 * k,):
+                raise ShapeError(f"a stacked graph must return one value per row, got shape {f.shape} for {2 * k} rows")
+        else:
+            f = [evaluate(row).item() for row in stack[: 2 * k]]
         for j, (i, h) in enumerate(zip(coords, steps)):
             flat_stack[j, i] = flat_stack[k + j, i] = flat_x[i]
             flat_g[i] = (f[j] - f[k + j]) / (2.0 * h)

@@ -8,7 +8,9 @@ product projections (no allowed-distortion filtering):
     e_artif  = x - s_target - e_interf
 
 SDR/SIR/SAR are energy ratios over that decomposition; vanishing error
-energies report +infinity, and a silent estimate raises SilentSignal.
+energies report +infinity, a vanishing numerator over a nonvanishing
+error energy (an estimate with no target component) reports -infinity,
+and a silent estimate raises SilentSignal.
 """
 
 from __future__ import annotations
@@ -71,6 +73,8 @@ def bss_decompose(x, y, z):
 def _ratio_db(num: float, den: float, floor: float) -> float:
     if den <= floor:
         return math.inf
+    if num == 0.0:
+        return -math.inf
     return 10.0 * math.log10(num / den)
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 import sepcost
-from sepcost.diff_engine import _BLAS_THREAD_VARS
+from sepcost.diff_engine import _BLAS_THREAD_VARS, Tensor, no_grad
 
 
 def run_on_one_blas_thread(code: str):
@@ -145,6 +145,40 @@ def fixture_speakers(fs=16000, seconds=2.0, seed=2024):
     low = speechlike(rng, n, fs, f0=112.0, band=(100.0, 1900.0), env_rate=3.1)
     high = speechlike(rng, n, fs, f0=283.0, band=(2300.0, 5800.0), env_rate=4.7)
     return low, high
+
+
+# ---------------------------------------------------------------------------
+# finite-difference oracle
+
+
+def finite_difference_reference(graph, inputs, wrt, step=1e-5):
+    """Central differences one coordinate at a time, perturbing x itself.
+
+    The reference for diff_engine.finite_difference_gradient, which
+    perturbs blocks of coordinates in the rows of a stack; for a graph
+    that scores each row as it scores that input alone, the two agree
+    bitwise.
+    """
+    base = {name: np.asarray(val, dtype=np.float64).copy() for name, val in inputs.items()}
+    x = base[wrt]
+    grad = np.zeros_like(x)
+    flat_x = x.ravel()
+    flat_g = grad.ravel()
+
+    def evaluate(rows):
+        with no_grad():
+            return graph({name: Tensor(rows if name == wrt else val) for name, val in base.items()})
+
+    for i in range(flat_x.size):
+        orig = flat_x[i]
+        h = step * max(1.0, abs(orig))
+        flat_x[i] = orig + h
+        f_plus = evaluate(x).item()
+        flat_x[i] = orig - h
+        f_minus = evaluate(x).item()
+        flat_x[i] = orig
+        flat_g[i] = (f_plus - f_minus) / (2.0 * h)
+    return grad
 
 
 # ---------------------------------------------------------------------------

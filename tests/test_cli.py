@@ -175,6 +175,27 @@ def test_evaluate_row(tmp_path, capsys):
     assert float(stoi) == pytest.approx(1.0, abs=1e-6)
 
 
+def test_evaluate_estimate_without_target_component_prints_minus_inf(tmp_path, capsys):
+    rng = np.random.default_rng(6)
+    fs = 10000
+    # disjoint time supports stay exactly orthogonal after PCM16 quantization
+    y = speechlike(rng, 11000, fs)
+    z = speechlike(rng, 11000, fs)
+    y[1::2] = 0.0
+    z[0::2] = 0.0
+    write_wav(Waveform(y, fs), tmp_path / "t.wav")
+    write_wav(Waveform(z, fs), tmp_path / "i.wav")
+    code = main([
+        "evaluate",
+        "--estimate", str(tmp_path / "i.wav"),
+        "--target", str(tmp_path / "t.wav"),
+        "--interference", str(tmp_path / "i.wav"),
+    ])
+    assert code == 0
+    _, sdr, sir, sar, _ = capsys.readouterr().out.strip().split(",")
+    assert (sdr, sir, sar) == ("-inf", "-inf", "inf")
+
+
 def test_evaluate_mixture_scores_zero_db(tmp_path, capsys):
     rng = np.random.default_rng(4)
     fs = 10000

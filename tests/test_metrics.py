@@ -87,6 +87,19 @@ def test_all_infinite_for_perfect_estimate():
     assert report.sar_db == math.inf
 
 
+def test_estimate_without_target_component_scores_minus_infinity():
+    # talkers in disjoint time spans: y @ z == 0 exactly, so x = z has no
+    # target component and no artifact
+    rng = np.random.default_rng(11)
+    y, z = rng.standard_normal(64), rng.standard_normal(64)
+    y[1::2] = 0.0
+    z[0::2] = 0.0
+    report = bss_eval_metrics(z, y, z)
+    assert report.sdr_db == -math.inf
+    assert report.sir_db == -math.inf
+    assert report.sar_db == math.inf
+
+
 def test_silent_estimate_raises_and_a_tiny_one_scores_as_at_full_scale():
     rng = np.random.default_rng(10)
     y, z = orthogonal_pair(rng, 64)
