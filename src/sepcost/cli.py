@@ -223,7 +223,9 @@ def cmd_export_bases(args) -> int:
 
 
 def cmd_print_config(args) -> int:
-    print(json.dumps(merged_config(args.config, args), indent=2, sort_keys=True))
+    merged = merged_config(args.config, args)
+    build_configs(merged)  # a config that would not build is not printed
+    print(json.dumps(merged, indent=2, sort_keys=True))
     return EXIT_OK
 
 

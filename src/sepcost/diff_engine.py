@@ -45,12 +45,12 @@ and irfft for the adjoint.
 
 Every dense product of conv1d, conv1d_transpose and affine_softplus,
 forward and backward, goes through `_product`. When the BLAS is set to
-one thread, a product of at least _SPLIT_FLOOR multiply-adds runs over
-column spans on the CPUs that thread leaves free (`_workers`), through
-the one runner `_SpanRunner`, which separation's block rounds use too.
-The split is bitwise equal to the whole product, so values and
-gradients do not depend on the worker count, and no thread outlives the
-op that started it.
+one thread, a product of at least _SPLIT_FLOOR multiply-adds maps its
+column spans over a thread pool the size of the CPUs that thread leaves
+free (`_workers`), joined before it returns. The split is bitwise equal
+to the whole product, so values and gradients do not depend on the
+worker count. Training's products split; separation's run whole, on the
+block threads it marks through `_whole_products`.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ import contextlib
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -412,8 +412,8 @@ _SPLIT_FLOOR = 1 << 26
 _SPAN_ALIGN = 64
 _MIN_SPAN = 256
 
-# marks the threads that run a round of two or more spans (see _SpanRunner.run)
-_round = threading.local()
+# `marked` on the threads whose products run whole: separation's block threads
+_whole_products = threading.local()
 
 
 def _blas_threads() -> int | None:
@@ -442,65 +442,23 @@ def _workers(tasks: int) -> int:
     return max(1, min(tasks, cpus // (_blas_threads() or cpus)))
 
 
-class _SpanRunner:
-    """Runs rounds of spans on the calling thread and a pool of workers - 1 threads.
-
-    Used as a context manager, whose exit joins the pool's threads, so
-    none outlives the `with` block, also when a span raises. One runner
-    serves every round of a call, so its threads start once per call.
-    """
-
-    def __init__(self, workers: int):
-        self._pool = ThreadPoolExecutor(workers - 1) if workers > 1 else None
-
-    def __enter__(self) -> "_SpanRunner":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-
-    def run(self, fn: Callable, spans: Sequence[tuple]) -> list:
-        """[fn(*span) for span in spans]: the caller runs the first span, the pool the rest.
-
-        At most workers spans a call; an exception from any span
-        propagates. While two or more spans run, each of their threads is
-        marked, and a product computed on a marked thread runs whole
-        (`_product`), so a round never starts a pool inside another and
-        no more threads run than `_workers` allowed the round.
-        """
-        if len(spans) < 2:
-            return [fn(*span) for span in spans]
-
-        def marked(span):
-            outer = getattr(_round, "active", False)
-            _round.active = True
-            try:
-                return fn(*span)
-            finally:
-                _round.active = outer
-
-        helpers = [self._pool.submit(marked, span) for span in spans[1:]]
-        first = marked(spans[0])
-        return [first] + [f.result() for f in helpers]
-
-
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b for 2-D float64 operands, bitwise, split over idle CPUs when large.
 
-    A product of at least _SPLIT_FLOOR multiply-adds, outside a round and
-    on a BLAS set to one thread, splits the output's columns into up to
-    _workers(n // _MIN_SPAN) near-equal spans, each written into one
-    preallocated output by np.matmul. Each output element sums over the
-    same contraction in the same order as in a @ b, so the result does
-    not depend on the split. A BLAS running several threads partitions
-    every call itself, in ways that move columns between kernel paths (its
+    A product of at least _SPLIT_FLOOR multiply-adds, on an unmarked
+    thread (`_whole_products`) and a BLAS set to one thread, splits the
+    output's columns into up to _workers(n // _MIN_SPAN) near-equal spans,
+    each written into one preallocated output by np.matmul on a pool
+    thread of its own. Each output element sums over the same
+    contraction in the same order as in a @ b, so the result does not
+    depend on the split. A BLAS running several threads partitions every
+    call itself, in ways that move columns between kernel paths (its
     results already differ with its thread count), so its products run
     whole. Only numpy arrays are touched, never a Tensor.
     """
     m, k = a.shape
     n = b.shape[1]
-    if m * k * n < _SPLIT_FLOOR or getattr(_round, "active", False) or _blas_threads() != 1:
+    if m * k * n < _SPLIT_FLOOR or getattr(_whole_products, "marked", False) or _blas_threads() != 1:
         return a @ b
     count = _workers(n // _MIN_SPAN)
     if count < 2:
@@ -508,8 +466,8 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     blocks = n // _SPAN_ALIGN
     bounds = [_SPAN_ALIGN * (blocks * i // count) for i in range(count)] + [n]
     out = np.empty((m, n))
-    with _SpanRunner(count) as runner:
-        runner.run(lambda lo, hi: np.matmul(a, b[:, lo:hi], out=out[:, lo:hi]), list(zip(bounds, bounds[1:])))
+    with ThreadPoolExecutor(count) as pool:
+        list(pool.map(lambda lo, hi: np.matmul(a, b[:, lo:hi], out=out[:, lo:hi]), bounds[:-1], bounds[1:]))
     return out
 
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the configs' field-type check."""
+
+from dataclasses import fields
 
 
 class SepcostError(Exception):
@@ -47,3 +49,13 @@ class NumericalDivergence(SepcostError):
 
 class IncompatibleCheckpoint(SepcostError):
     """Checkpoint format version does not match this build."""
+
+
+def check_field_types(cfg) -> None:
+    """ValueError unless each field of the config dataclass `cfg` holds its annotated type; a bool is no number."""
+    for field in fields(cfg):
+        value = getattr(cfg, field.name)
+        kind, _, optional = field.type.partition(" | ")
+        types = {"int": int, "float": (int, float), "str": str}[kind]
+        if not (value is None and optional == "None") and (isinstance(value, bool) or not isinstance(value, types)):
+            raise ValueError(f"{field.name} must be of type {field.type}, got {value!r}")

@@ -21,7 +21,7 @@ import numpy as np
 from . import diff_engine as engine
 from . import dsp
 from .diff_engine import Tensor, as_tensor
-from .errors import DegenerateScale, ShapeError, SignalTooShort
+from .errors import DegenerateScale, ShapeError, SignalTooShort, check_field_types
 from .signal_io import Waveform, resample_plan
 
 EPS = 1e-12
@@ -42,6 +42,9 @@ class StoiConfig:
     analysis_rate: int = 10000
 
     def __post_init__(self):
+        if not isinstance(self.analysis_rate, int) or self.analysis_rate <= 0:  # ahead of the type check, for its message
+            raise ValueError(f"analysis_rate must be a positive integer, got {self.analysis_rate!r}")
+        check_field_types(self)
         if self.segment_frames < 1:
             raise ValueError("segment_frames must be at least 1")
         if self.frame_len < 2:
@@ -50,8 +53,6 @@ class StoiConfig:
             raise ValueError(f"fft_len {self.fft_len} must be at least frame_len {self.frame_len}")
         if self.clip_db >= 0:
             raise ValueError("clip_db must be negative")
-        if not isinstance(self.analysis_rate, int) or self.analysis_rate <= 0:
-            raise ValueError(f"analysis_rate must be a positive integer, got {self.analysis_rate!r}")
 
     @property
     def hop(self) -> int:

@@ -19,7 +19,7 @@ from . import aet_net, losses
 from . import diff_engine as engine
 from .aet_net import NetConfig, SeparatorParams, init_params
 from .diff_engine import Tensor
-from .errors import CorruptFile, IncompatibleCheckpoint, NoData, NumericalDivergence, SilentSignal
+from .errors import CorruptFile, IncompatibleCheckpoint, NoData, NumericalDivergence, SilentSignal, check_field_types
 from .losses import CompositeCost, StoiConfig, normalize_cost_scales, parse_cost_spec
 from .signal_io import MixturePair, _write_atomic, mix_at_snr, read_wav, resample
 
@@ -49,6 +49,9 @@ class TrainConfig:
     sample_rate: int = 16000
 
     def __post_init__(self):
+        if not isinstance(self.sample_rate, int) or self.sample_rate <= 0:  # ahead of the type check, for its message
+            raise ValueError(f"sample_rate must be a positive integer, got {self.sample_rate!r}")
+        check_field_types(self)
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be nonnegative")
         if self.excerpt_len != 0 and self.excerpt_len < 4096:
@@ -57,8 +60,6 @@ class TrainConfig:
             raise ValueError("optimizer must be 'adam' or 'sgd'")
         if self.epochs < 0 or self.trim < 0:
             raise ValueError("epochs and trim must be nonnegative")
-        if not isinstance(self.sample_rate, int) or self.sample_rate <= 0:
-            raise ValueError(f"sample_rate must be a positive integer, got {self.sample_rate!r}")
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Independent reference implementations and signal generators for tests.
+"""Independent reference implementations, signal generators and test helpers.
 
 reference_stoi is a deliberately plain, loop-based reimplementation of
 the intelligibility pipeline (own band bookkeeping, own framing); it
@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,30 @@ def run_on_one_blas_thread(code: str):
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def counting_pool():
+    """A ThreadPoolExecutor subclass and the list of [fn name, threads, tasks] it keeps, one per pool.
+
+    Patched over `ThreadPoolExecutor` in sepcost.diff_engine and
+    sepcost.aet_net, it counts the pools that split products and run
+    separation blocks, and the tasks submitted to each (fn name None for
+    a pool given none); it runs them as the real pool does.
+    """
+    pools = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            super().__init__(max_workers, **kwargs)
+            self.record = [None, max_workers, 0]
+            pools.append(self.record)
+
+        def submit(self, fn, /, *args, **kwargs):
+            self.record[0] = fn.__name__
+            self.record[2] += 1
+            return super().submit(fn, *args, **kwargs)
+
+    return CountingPool, pools
 
 
 def reference_stoi(

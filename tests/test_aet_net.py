@@ -1,4 +1,5 @@
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from sepcost.aet_net import (
 from sepcost.errors import ShapeError, SignalTooShort
 from sepcost.losses import sdr_loss
 from sepcost.signal_io import Waveform
+
+from reference import counting_pool
 
 SMALL = NetConfig(components=8, filter_len=64, stride=16, hidden_units=8, weight_sharing="shared")
 SMALL_INDEP = NetConfig(components=8, filter_len=64, stride=16, hidden_units=8, weight_sharing="independent")
@@ -202,8 +205,8 @@ def test_separation_in_many_blocks_matches_the_one_pass_network(monkeypatch, cfg
     taps, stride, half = cfg.filter_len, cfg.stride, cfg.filter_len // 2
 
     def on_workers(run, *args):
-        # one worker, then 2 and 3, which leave a short last round when
-        # they do not divide the block count: the same bits each time
+        # one worker, then 2 and 3, which need not divide the block
+        # count: the same bits each time
         outputs = []
         for workers in (1, 2, 3):
             monkeypatch.setattr(E, "_workers", lambda blocks, cap=workers: min(blocks, cap))
@@ -276,13 +279,13 @@ def test_separation_threads_end_with_the_call_and_pass_on_a_block_failure(monkey
     caller = threading.current_thread()
     forward_block = aet_net.separator_forward
 
-    def fail_in_a_helper(modulation, params):
-        # the caller takes the first block of each round, a helper the second
+    def fail_in_a_pool_thread(modulation, params):
+        # the caller takes every other block, a pool thread the rest
         if threading.current_thread() is not caller:
             raise FloatingPointError("block failed")
         return forward_block(modulation, params)
 
-    monkeypatch.setattr(aet_net, "separator_forward", fail_in_a_helper)
+    monkeypatch.setattr(aet_net, "separator_forward", fail_in_a_pool_thread)
     with pytest.raises(FloatingPointError, match="block failed"):
         separate(w, params)
     assert threading.active_count() == threads
@@ -293,28 +296,71 @@ def test_separation_threads_end_with_the_call_and_pass_on_a_block_failure(monkey
     np.testing.assert_array_equal(params.w1.grad, 2 * params.w1.data)
 
 
-def test_separation_rounds_of_several_blocks_start_no_product_pool(monkeypatch):
-    # three full blocks: a round of two, then a lone block whose products
-    # split; a split inside the round of two would run 2 x 2 threads
+def test_separation_starts_one_pool_of_marked_threads_and_no_product_pool(monkeypatch):
+    # every product at the floor would split on an unmarked thread; one
+    # block and three full blocks, on 1, 2 and 3 workers: the caller takes
+    # every w-th block and a pool of w - 1 threads the others
     monkeypatch.setattr(E, "_SPLIT_FLOOR", 0)
     monkeypatch.setattr(E, "_blas_threads", lambda: 1)
-    monkeypatch.setattr(E, "_workers", lambda tasks: max(1, min(tasks, 2)))
-    run, calls = E._SpanRunner.run, []
+    pool, pools = counting_pool()
+    monkeypatch.setattr(E, "ThreadPoolExecutor", pool)
+    monkeypatch.setattr(aet_net, "ThreadPoolExecutor", pool)
+    caller, forward_block, blocks_run = threading.current_thread(), aet_net.separator_forward, []
 
-    def counting(self, fn, spans):
-        calls.append((fn.__name__, len(spans), getattr(E._round, "active", False)))
-        return run(self, fn, spans)
+    def recording(modulation, params):
+        blocks_run.append((threading.current_thread() is caller, getattr(E._whole_products, "marked", False)))
+        return forward_block(modulation, params)
 
-    monkeypatch.setattr(E._SpanRunner, "run", counting)
+    monkeypatch.setattr(aet_net, "separator_forward", recording)
     cfg = NetConfig(components=64, filter_len=128, stride=16, hidden_units=64)
-    frames = 3 * aet_net.BLOCK_FRAMES
-    w = Waveform(np.random.default_rng(14).standard_normal(cfg.filter_len + (frames - 1) * cfg.stride), 16000)
+    params = _blocked_params(14, cfg)
+    rng = np.random.default_rng(14)
+    for blocks in (1, 3):
+        frames = blocks * aet_net.BLOCK_FRAMES
+        w = Waveform(rng.standard_normal(cfg.filter_len + (frames - 1) * cfg.stride), 16000)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(E, "_workers", lambda tasks, cap=workers: max(1, min(tasks, cap)))
+            w_blocks = min(blocks, workers)
+            pooled = sum(i % w_blocks != 0 for i in range(blocks))
+            pools.clear()
+            blocks_run.clear()
+            threads = threading.active_count()
+            assert len(separate(w, params)) == len(w)
+            assert threading.active_count() == threads
+            assert pools == [["synthesize" if pooled else None, max(w_blocks - 1, 1), pooled]], (blocks, workers)
+            # every block on a marked thread, the caller's share on the caller
+            expected = [(i % w_blocks == 0, True) for i in range(blocks)]
+            assert sorted(blocks_run) == sorted(expected), (blocks, workers)
+            assert not getattr(E._whole_products, "marked", False)
+
+
+def test_a_failing_block_cancels_the_blocks_not_yet_started(monkeypatch):
+    # 40 blocks on the caller and one pool thread; the first block to start
+    # fails at once and the others take 20 ms, so each thread starts at
+    # most two more blocks before the failure reaches the caller, which
+    # cancels the rest
+    monkeypatch.setattr(aet_net, "BLOCK_FRAMES", 2)
+    monkeypatch.setattr(E, "_workers", lambda blocks: min(blocks, 2))
+    params = init_params(0, SMALL)
+    w = Waveform(np.random.default_rng(15).standard_normal(SMALL.filter_len + 79 * SMALL.stride), 16000)
+    forward_block, lock, started = aet_net.separator_forward, threading.Lock(), []
+
+    def fail_first(modulation, params):
+        with lock:
+            first = not started
+            started.append(threading.current_thread())
+        if first:
+            raise FloatingPointError("block failed")
+        time.sleep(0.02)
+        return forward_block(modulation, params)
+
+    monkeypatch.setattr(aet_net, "separator_forward", fail_first)
     threads = threading.active_count()
-    assert len(separate(w, _blocked_params(14, cfg))) == len(w)
+    with pytest.raises(FloatingPointError, match="block failed"):
+        separate(w, params)
     assert threading.active_count() == threads
-    assert [c for c in calls if c[0] == "synthesize"] == [("synthesize", 2, False), ("synthesize", 1, False)]
-    products = [c for c in calls if c[0] != "synthesize"]
-    assert products and all(c[1:] == (2, False) for c in products), products
+    assert 1 <= len(started) <= 5, started
+    assert not getattr(E._whole_products, "marked", False)
 
 
 def test_halo_frames_only_feed_the_smoothing():

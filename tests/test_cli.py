@@ -345,6 +345,50 @@ def test_float_rate_in_config_rejected(tmp_path, section, key):
         build_configs(merged_config(cfg_path))
 
 
+def test_train_config_value_of_the_wrong_type_exits_2(tmp_path, data_dirs, capsys):
+    tdir, idir = data_dirs
+    cfg_path = tmp_path / "epochs.json"
+    cfg_path.write_text(json.dumps({"train": {"epochs": "3"}}))
+    args = train_args(tmp_path, tdir, idir, **{"--config": str(cfg_path)})
+    i = args.index("--epochs")
+    del args[i : i + 2]  # the flag would override the file
+    assert main(args) == 2
+    assert "epochs must be of type int, got '3'" in capsys.readouterr().err
+    assert not (tmp_path / "ckpt.json").exists()
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ({"train": {"epochs": "3"}}, "epochs must be of type int"),
+        ({"network": {"stride": 16.5}}, "stride must be of type int"),
+        ({"network": {"hidden_units": True}}, "hidden_units must be of type int | None"),
+        ({"train": {"learning_rate": "0.1"}}, "learning_rate must be of type float"),
+        ({"stoi": {"clip_db": None}}, "clip_db must be of type float"),
+    ],
+    ids=["train_epochs_str", "network_stride_float", "network_hidden_bool", "train_rate_str", "stoi_clip_null"],
+)
+def test_print_config_rejects_a_value_of_the_wrong_type(tmp_path, capsys, doc, message):
+    cfg_path = tmp_path / "typed.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["print-config", "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
+def test_config_fields_take_their_annotated_types():
+    # an int is a float, None fills an optional field, a bool is no number
+    cfg = build_configs(merged_config())
+    assert cfg[0].learning_rate == 1e-3 and cfg[2].hidden_units is None
+    built = build_configs({"train": {"learning_rate": 1, "snr_db": -5}, "stoi": {"lowest_center": 150}, "network": {"hidden_units": 8}})
+    assert built[0].learning_rate == 1 and built[2].hidden_units == 8
+    for section, key in (("train", "seed"), ("stoi", "num_bands"), ("network", "modulation_floor")):
+        merged = merged_config()
+        merged[section][key] = True
+        with pytest.raises(ValueError, match=f"{key} must be of type"):
+            build_configs(merged)
+
+
 def test_one_sample_stoi_frames_exit_2(tmp_path, data_dirs, capsys):
     tdir, idir = data_dirs
     cfg_path = tmp_path / "frames.json"

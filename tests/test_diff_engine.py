@@ -1,5 +1,3 @@
-import threading
-import time
 import zlib
 
 import numpy as np
@@ -14,6 +12,7 @@ from sepcost.signal_io import resample_plan
 
 from reference import (
     band_envelopes_reference,
+    counting_pool,
     finite_difference_reference,
     modulation_reference,
     plan_rows,
@@ -650,12 +649,9 @@ def test_product_is_bitwise_a_at_b_for_any_worker_count(layout):
         import json
         import numpy as np
         from sepcost import diff_engine as E
+        from reference import counting_pool
 
-        run, splits = E._SpanRunner.run, []
-        def counting(self, fn, spans):
-            splits.append(len(spans))
-            return run(self, fn, spans)
-        E._SpanRunner.run = counting
+        E.ThreadPoolExecutor, pools = counting_pool()
 
         def operands(layout, m, k, n, rng):
             # (a, b) in the layouts the dense call sites pass to _product
@@ -684,10 +680,11 @@ def test_product_is_bitwise_a_at_b_for_any_worker_count(layout):
                 # just below the floor, then at it
                 for floor, split in ((m * k * n + 1, False), (m * k * n, expected > 1)):
                     E._SPLIT_FLOOR = floor
-                    splits.clear()
+                    pools.clear()
                     got = E._product(a, b)
-                    if not np.array_equal(got, a @ b) or splits != ([expected] if split else []):
-                        failures.append([n, workers, floor, splits[:]])
+                    # one pool of a thread per span, or none
+                    if not np.array_equal(got, a @ b) or pools != ([["<lambda>", expected, expected]] if split else []):
+                        failures.append([n, workers, floor, pools[:]])
         print(json.dumps(failures))
         """
     )
@@ -698,13 +695,8 @@ def test_product_splits_from_its_floor_up_on_a_single_threaded_blas(monkeypatch)
     # the default net's products are far above the floor, the smoke net's below it
     assert 64 * 128 * 2000 < E._SPLIT_FLOOR < 1024 * 1024 * 1985
     monkeypatch.setattr(E, "_workers", lambda tasks: max(1, min(tasks, 2)))
-    run, splits = E._SpanRunner.run, []
-
-    def counting(self, fn, spans):
-        splits.append(len(spans))
-        return run(self, fn, spans)
-
-    monkeypatch.setattr(E._SpanRunner, "run", counting)
+    pool, pools = counting_pool()
+    monkeypatch.setattr(E, "ThreadPoolExecutor", pool)
     rng = np.random.default_rng(30)
     a, b = rng.standard_normal((40, 128)), rng.standard_normal((128, 600))
     macs = 40 * 128 * 600
@@ -721,38 +713,7 @@ def test_product_splits_from_its_floor_up_on_a_single_threaded_blas(monkeypatch)
             monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
         else:
             monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
-        splits.clear()
+        pools.clear()
         assert E._product(a, b).shape == (40, 600)
-        assert splits == expected, (floor, blas_threads)
+        assert [tasks for _, _, tasks in pools] == expected, (floor, blas_threads)
 
-
-def test_span_runner_joins_its_pool_before_an_exception_propagates():
-    caller = threading.current_thread()
-    finished, marked = [], []
-
-    def span(i):
-        marked.append(E._round.active)
-        if i == 1:
-            raise FloatingPointError("span failed")
-        if i == 2:
-            time.sleep(0.05)  # still running when span 1 fails
-        finished.append((i, threading.current_thread() is caller))
-        return i * i
-
-    threads = threading.active_count()
-    with pytest.raises(FloatingPointError, match="span failed"):
-        with E._SpanRunner(3) as runner:
-            runner.run(span, [(0,), (1,), (2,)])
-    assert sorted(finished) == [(0, True), (2, False)]
-    assert threading.active_count() == threads
-    with E._SpanRunner(3) as runner:
-        assert runner.run(span, [(0,), (2,), (3,)]) == [0, 4, 9]
-        assert runner.run(span, [(4,), (5,)]) == [16, 25]
-    assert threading.active_count() == threads
-    # every span of a round of several is marked, and the caller's mark is cleared after it
-    assert marked == [True] * 8
-    assert not getattr(E._round, "active", False)
-    # a lone span runs on the caller, unmarked, and one worker starts no thread
-    with E._SpanRunner(1) as runner:
-        assert runner.run(lambda: getattr(E._round, "active", False), [()]) == [False]
-        assert threading.active_count() == threads

@@ -30,7 +30,7 @@ from sepcost.trainer import (
     write_log,
 )
 
-from reference import run_on_one_blas_thread, speechlike
+from reference import counting_pool, run_on_one_blas_thread, speechlike
 
 SMALL_NET = NetConfig(components=8, filter_len=64, stride=16, hidden_units=8, weight_sharing="shared")
 SMALL_STOI = StoiConfig(
@@ -491,13 +491,14 @@ def _edit_header(edit):
         _edit_header(lambda h: h.pop("tensors")),
         _edit_header(lambda h: h.pop("config")),
         _edit_header(lambda h: h["config"]["network"].update(components="8")),
+        _edit_header(lambda h: h["config"]["network"].update(components=8.0)),
         _edit_header(lambda h: h["config"].update(meta=3)),
     ],
     ids=[
         "empty", "array", "extra_data", "trailing_comma", "missing_colon", "number_key", "tensor_list",
         "shape_null", "shape_int", "shape_string", "shape_float", "shape_nested", "shape_negative",
         "shape_overflow", "shape_whole_floats", "duplicate_name", "entry_without_shape", "name_not_string", "missing_parameter",
-        "no_tensors", "no_config", "network_field_type", "meta_not_object",
+        "no_tensors", "no_config", "network_field_type", "network_field_whole_float", "meta_not_object",
     ],
 )
 def test_checkpoint_rejects_malformed_json(tmp_path, edit):
@@ -640,9 +641,8 @@ def test_training_and_separation_are_bitwise_the_same_for_any_product_split(tmp_
     # criterion 9's rerun determinism must not depend on the thread count.
     # A smoke-net fit on 1 s utterances (993 frames, so the products over
     # frames split in up to 3 spans), with every product at the floor: the
-    # log, the checkpoint and a separation in three 512-frame blocks (on
-    # 2 workers, a round of two, then a lone block whose products split)
-    # on 1, 2 and 3 workers
+    # log, the checkpoint and a separation in three 512-frame blocks, whose
+    # products run whole, on 1, 2 and 3 workers
     digests = run_on_one_blas_thread(
         f"""
         import hashlib, json
@@ -653,11 +653,10 @@ def test_training_and_separation_are_bitwise_the_same_for_any_product_split(tmp_
         from sepcost.trainer import Dataset, fit, save_checkpoint
         from test_trainer import make_pair, tiny_cfg
 
-        run, splits = E._SpanRunner.run, []
-        def counting(self, fn, spans):
-            splits.append((fn.__name__, len(spans)))
-            return run(self, fn, spans)
-        E._SpanRunner.run = counting
+        from reference import counting_pool
+
+        E.ThreadPoolExecutor, pools = counting_pool()
+        aet_net.ThreadPoolExecutor = E.ThreadPoolExecutor
         E._SPLIT_FLOOR = 0
         net = NetConfig(components=64, filter_len=128, stride=16, hidden_units=64, weight_sharing="shared")
         dataset = Dataset([make_pair(0, n=16000), make_pair(1, n=16000)])
@@ -666,13 +665,13 @@ def test_training_and_separation_are_bitwise_the_same_for_any_product_split(tmp_
         out, digests = {str(tmp_path)!r}, []
         for workers in (1, 2, 3):
             E._workers = lambda tasks: max(1, min(tasks, workers))
-            splits.clear()
+            pools.clear()
             log, ckpt = f"{{out}}/log{{workers}}.jsonl", f"{{out}}/model{{workers}}.ckpt"
             result = fit(dataset, cfg, net, log_path=log)
             save_checkpoint(result.params, result.opt_state, ckpt, cfg, meta={{"steps_done": result.steps_done}})
-            fit_splits, splits[:] = max((n for _, n in splits), default=1), []
+            fit_splits, pools[:] = max((tasks for _, _, tasks in pools), default=1), []
             separated = separate_full_length(mixture, result.params).samples
-            product_splits = sum(name != "synthesize" for name, _ in splits)
+            product_splits = sum(name == "<lambda>" for name, _, _ in pools)
             files = [open(log, "rb").read(), open(ckpt, "rb").read(), separated.tobytes()]
             digests.append([fit_splits, product_splits] + [hashlib.sha256(f).hexdigest() for f in files])
         print(json.dumps(digests))
@@ -680,7 +679,7 @@ def test_training_and_separation_are_bitwise_the_same_for_any_product_split(tmp_
     )
     # the most spans of a fit's splits, and how many products split in separation
     assert [d[0] for d in digests] == [1, 2, 3]
-    assert digests[0][1] == 0 and digests[1][1] > 0
+    assert [d[1] for d in digests] == [0, 0, 0]
     assert digests[1][2:] == digests[0][2:] and digests[2][2:] == digests[0][2:]
 
 
@@ -688,19 +687,14 @@ def test_no_thread_outlives_train_step(monkeypatch):
     monkeypatch.setattr(E, "_SPLIT_FLOOR", 0)
     monkeypatch.setattr(E, "_blas_threads", lambda: 1)
     monkeypatch.setattr(E, "_workers", lambda tasks: max(1, min(tasks, 3)))
-    run, splits = E._SpanRunner.run, []
-
-    def counting(self, fn, spans):
-        splits.append(len(spans))
-        return run(self, fn, spans)
-
-    monkeypatch.setattr(E._SpanRunner, "run", counting)
+    pool, pools = counting_pool()
+    monkeypatch.setattr(E, "ThreadPoolExecutor", pool)
     params = init_params(0, NetConfig(components=64, filter_len=128, stride=16, hidden_units=64))
     cost = normalize_cost_scales(parse_cost_spec("sdr"), [1.0])
     threads = threading.active_count()
     train_step(params, make_pair(0, n=16000), cost, tiny_cfg(), OptState())
     assert threading.active_count() == threads
-    assert splits and max(splits) == 3
+    assert pools and max(tasks for _, _, tasks in pools) == 3
 
 
 def test_resume_matches_uninterrupted_run(tmp_path):
