@@ -29,7 +29,6 @@ thread count. Training runs the one-pass graph, whose products split.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -244,18 +243,12 @@ def _separate_blocks(samples: np.ndarray, params: SeparatorParams) -> np.ndarray
 
     out = np.zeros((frames - 1) * stride + taps)
     workers = engine._workers(blocks)
-    mark = (engine._whole_products, "marked", True)
-    with engine.no_grad():  # process-wide, so the pool shuts down inside it
-        pool = ThreadPoolExecutor(max(workers - 1, 1), initializer=setattr, initargs=mark)
-        try:
-            engine._whole_products.marked = True
-            helped = {a: pool.submit(synthesize, a, b) for i, (a, b) in enumerate(zip(bounds, bounds[1:])) if i % workers}
-            for a, b in zip(bounds, bounds[1:]):
-                y = helped[a].result() if a in helped else synthesize(a, b)
-                out[a * stride : a * stride + y.size] += y
-        finally:
-            pool.shutdown(cancel_futures=True)
-            engine._whole_products.marked = False
+    # no_grad is process-wide, so the pool shuts down inside it
+    with engine.no_grad(), engine._marked_pool(workers) as pool:
+        helped = {a: pool.submit(synthesize, a, b) for i, (a, b) in enumerate(zip(bounds, bounds[1:])) if i % workers}
+        for a, b in zip(bounds, bounds[1:]):
+            y = helped[a].result() if a in helped else synthesize(a, b)
+            out[a * stride : a * stride + y.size] += y
     return out
 
 

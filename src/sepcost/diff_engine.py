@@ -49,8 +49,11 @@ one thread, a product of at least _SPLIT_FLOOR multiply-adds maps its
 column spans over a thread pool the size of the CPUs that thread leaves
 free (`_workers`), joined before it returns. The split is bitwise equal
 to the whole product, so values and gradients do not depend on the
-worker count. Training's products split; separation's run whole, on the
-block threads it marks through `_whole_products`.
+worker count. The same count also runs separation's blocks
+(`aet_net._separate_blocks`) and the stacked finite-difference oracle's
+chunks of coordinate blocks, each on the caller beside a `_marked_pool`,
+bitwise the same for any count. Training's products split; separation's
+and the oracle's run whole, on the threads that pool marks.
 """
 
 from __future__ import annotations
@@ -73,10 +76,13 @@ def no_grad():
     """Disable tape recording inside the block (forward values only).
 
     The flag is process-wide, not per thread: ops that other threads run
-    while the block is open record nothing either. Separation's helper
-    threads rely on this, running only inside their caller's block. The
-    helpers of a split product touch only numpy arrays and never create
-    a Tensor, so the flag does not concern them.
+    while the block is open record nothing either. Separation's and the
+    stacked oracle's helper threads rely on this, running only inside
+    their caller's block, which the caller enters once around its pool:
+    two threads entering and leaving it on their own could leave it
+    closed after both have left. The helpers of a split product touch
+    only numpy arrays and never create a Tensor, so the flag does not
+    concern them.
     """
     global _grad_enabled
     prev = _grad_enabled
@@ -412,7 +418,8 @@ _SPLIT_FLOOR = 1 << 26
 _SPAN_ALIGN = 64
 _MIN_SPAN = 256
 
-# `marked` on the threads whose products run whole: separation's block threads
+# `marked` on the threads whose products run whole: separation's block
+# threads and the stacked oracle's
 _whole_products = threading.local()
 
 
@@ -440,6 +447,25 @@ def _workers(tasks: int) -> int:
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
     return max(1, min(tasks, cpus // (_blas_threads() or cpus)))
+
+
+@contextlib.contextmanager
+def _marked_pool(workers: int):
+    """A pool of max(workers - 1, 1) threads to run blocks beside the caller.
+
+    Each pool thread is marked (`_whole_products`) when it starts and the
+    caller while the block is open, so products in the blocks run whole.
+    Leaving the block joins the pool, also when a block raised, and
+    cancels the tasks not yet started.
+    """
+    pool = ThreadPoolExecutor(max(workers - 1, 1), initializer=setattr, initargs=(_whole_products, "marked", True))
+    marked = getattr(_whole_products, "marked", False)
+    try:
+        _whole_products.marked = True
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
+        _whole_products.marked = marked
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -876,13 +902,22 @@ def finite_difference_gradient(
     verification oracle: it never touches the reverse-mode path.
 
     Coordinates go in blocks of `_row_blocks(x.size, x.size)`: about
-    _ROW_BLOCK / x.size coordinates, at least one. A stack built once
-    per call holds the rows [x + h_i e_i ..., x - h_i e_i ...] of one
-    block; each block perturbs its entries in place and restores them.
-    With stacked=True the graph takes wrt with one more leading axis and
-    scores a block in one call, one value per row; otherwise each row is
-    one call with wrt shaped as x. A graph that scores each row bitwise
-    as it scores that input alone gives the same result either way.
+    _ROW_BLOCK / x.size coordinates, at least one. A stack holds the rows
+    [x + h_i e_i ..., x - h_i e_i ...] of one block; each block perturbs
+    its entries in place and restores them. With stacked=True the graph
+    takes wrt with one more leading axis and scores a block in one call,
+    one value per row; otherwise each row is one call with wrt shaped as
+    x. A graph that scores each row bitwise as it scores that input alone
+    gives the same result either way.
+
+    Stacked, the blocks split into w = _workers(len(blocks)) contiguous
+    chunks, each run in order with a stack of its own: the caller runs
+    the first and a `_marked_pool` the rest, so when w > 1 products
+    inside the graph run whole. Each gradient entry comes from the same
+    rows through the same ops, so the result is bitwise the same for any
+    w. One call per row runs every block on the caller. `no_grad` is
+    entered once, on the caller, around the pool, and the pool is joined
+    before the call returns, also when a chunk raises.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -891,31 +926,43 @@ def finite_difference_gradient(
     grad = np.zeros_like(x)
     flat_x = x.ravel()
     flat_g = grad.ravel()
+    per_call, blocks = _row_blocks(flat_x.size, flat_x.size)
 
     def evaluate(rows: np.ndarray) -> Tensor:
-        with no_grad():
-            return graph({name: Tensor(rows if name == wrt else val) for name, val in base.items()})
+        return graph({name: Tensor(rows if name == wrt else val) for name, val in base.items()})
 
-    per_call, blocks = _row_blocks(flat_x.size, flat_x.size)
-    stack = np.empty((2 * per_call, *x.shape))
-    stack[...] = x
-    flat_stack = stack.reshape(2 * per_call, -1)
-    for block in blocks:
-        coords = range(block.start, block.stop)
-        k = len(coords)
-        steps = [step * max(1.0, abs(flat_x[i])) for i in coords]
-        for j, (i, h) in enumerate(zip(coords, steps)):
-            flat_stack[j, i] = flat_x[i] + h
-            flat_stack[k + j, i] = flat_x[i] - h
-        if stacked:
-            f = evaluate(stack[: 2 * k]).data
-            if f.shape != (2 * k,):
-                raise ShapeError(f"a stacked graph must return one value per row, got shape {f.shape} for {2 * k} rows")
-        else:
-            f = [evaluate(row).item() for row in stack[: 2 * k]]
-        for j, (i, h) in enumerate(zip(coords, steps)):
-            flat_stack[j, i] = flat_stack[k + j, i] = flat_x[i]
-            flat_g[i] = (f[j] - f[k + j]) / (2.0 * h)
+    def differences(chunk: list[slice]) -> None:
+        stack = np.empty((2 * per_call, *x.shape))
+        stack[...] = x
+        flat_stack = stack.reshape(2 * per_call, -1)
+        for block in chunk:
+            coords = range(block.start, block.stop)
+            k = len(coords)
+            steps = [step * max(1.0, abs(flat_x[i])) for i in coords]
+            for j, (i, h) in enumerate(zip(coords, steps)):
+                flat_stack[j, i] = flat_x[i] + h
+                flat_stack[k + j, i] = flat_x[i] - h
+            if stacked:
+                f = evaluate(stack[: 2 * k]).data
+                if f.shape != (2 * k,):
+                    raise ShapeError(f"a stacked graph must return one value per row, got shape {f.shape} for {2 * k} rows")
+            else:
+                f = [evaluate(row).item() for row in stack[: 2 * k]]
+            for j, (i, h) in enumerate(zip(coords, steps)):
+                flat_stack[j, i] = flat_stack[k + j, i] = flat_x[i]
+                flat_g[i] = (f[j] - f[k + j]) / (2.0 * h)
+
+    workers = _workers(len(blocks)) if stacked else 1
+    bounds = [len(blocks) * i // workers for i in range(workers + 1)]
+    with no_grad():  # process-wide, so entered once, around the pool
+        if workers == 1:
+            differences(blocks)
+            return grad
+        with _marked_pool(workers) as pool:
+            helped = [pool.submit(differences, blocks[a:b]) for a, b in zip(bounds[1:-1], bounds[2:])]
+            differences(blocks[: bounds[1]])
+            for future in helped:
+                future.result()
     return grad
 
 

@@ -26,9 +26,15 @@ SINC_TAPS = 64
 KAISER_BETA = 8.0
 
 
+def _check_rate(rate) -> None:
+    """Raise ValueError unless rate is a positive int (a bool is not one)."""
+    if isinstance(rate, bool) or not isinstance(rate, (int, np.integer)) or rate <= 0:
+        raise ValueError(f"sample rates must be positive integers, got {rate!r}")
+
+
 @dataclass
 class Waveform:
-    """A mono time-domain signal plus its sample rate in Hz."""
+    """A mono time-domain signal plus its sample rate in Hz, a positive int."""
 
     samples: np.ndarray
     sample_rate: int
@@ -37,8 +43,7 @@ class Waveform:
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 1 or self.samples.size < 1:
             raise ShapeError("waveform must be a non-empty 1-D signal")
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
+        _check_rate(self.sample_rate)
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("waveform samples must be finite")
 
@@ -235,8 +240,7 @@ def resample_plan(n_in: int, src_rate: int, dst_rate: int) -> engine.PolyphasePl
         ValueError: a rate is not a positive integer.
     """
     for rate in (src_rate, dst_rate):
-        if not isinstance(rate, (int, np.integer)) or rate <= 0:
-            raise ValueError(f"sample rates must be positive integers, got {rate!r}")
+        _check_rate(rate)
     kernels, phases = _phase_grid(src_rate, dst_rate)
     step = math.gcd(src_rate, dst_rate)
     n_phases, q = dst_rate // step, src_rate // step

@@ -113,24 +113,30 @@ def build_dataset(
 def _excerpt(pair: MixturePair, cfg: TrainConfig, rng=None):
     """Cut one training excerpt; rng=None takes the leading excerpt.
 
-    A random excerpt whose target RMS is below SILENT_EXCERPT_RATIO of
-    the whole target's is drawn again from the same rng, up to
-    EXCERPT_DRAWS draws in all, so a step never trains on silence; if
-    every draw is silent, SilentSignal is raised.
+    An excerpt whose target RMS is below SILENT_EXCERPT_RATIO of the
+    whole target's is silent, so a step never trains on silence and a
+    cost is never scaled by one. A random excerpt is drawn again from the
+    same rng, up to EXCERPT_DRAWS draws in all. A silent leading excerpt
+    gives way to the first one at a multiple of the excerpt length that
+    is not silent. If every draw, or every such excerpt, is silent,
+    SilentSignal is raised.
     """
     n = len(pair.mixture)
     length = n if cfg.excerpt_len == 0 else min(cfg.excerpt_len, n)
     max_offset = n - length
-    offset = 0
-    if rng is not None and max_offset > 0:
-        floor = SILENT_EXCERPT_RATIO * pair.target.rms()
-        for _ in range(EXCERPT_DRAWS):
-            offset = int(rng.integers(0, max_offset + 1))
-            y = pair.target.samples[offset : offset + length]
-            if np.sqrt(np.mean(y * y)) >= floor:
-                break
-        else:
-            raise SilentSignal(f"{EXCERPT_DRAWS} draws of a {length}-sample excerpt were all silent")
+    if rng is None:
+        offsets = range(0, max_offset + 1, length)
+    elif max_offset > 0:
+        offsets = (int(rng.integers(0, max_offset + 1)) for _ in range(EXCERPT_DRAWS))
+    else:
+        offsets = [0]
+    target = pair.target.samples
+    floor = SILENT_EXCERPT_RATIO * pair.target.rms()
+    offset = next((o for o in offsets if np.sqrt(np.mean(np.square(target[o : o + length]))) >= floor), None)
+    if offset is None:
+        if rng is None:
+            raise SilentSignal(f"every {length}-sample excerpt at a multiple of its length is silent")
+        raise SilentSignal(f"{EXCERPT_DRAWS} draws of a {length}-sample excerpt were all silent")
     window = slice(offset, offset + length)
     return (
         pair.mixture.samples[window],
@@ -245,13 +251,16 @@ def initial_component_means(
 ) -> dict[str, float]:
     """Average raw loss per component over the normalization batch.
 
-    Uses the leading excerpt of each pair with the given (initial)
-    parameters; no gradients are recorded.
+    Uses the leading excerpt of each pair (`_excerpt` with rng=None) with
+    the given (initial) parameters; no gradients are recorded.
     """
     sums = {c.kind: 0.0 for c in cost.components}
     with engine.no_grad():
-        for pair in pairs:
-            _, terms = _excerpt_terms(params, pair, cost, cfg, stoi_cfg, rng=None)
+        for index, pair in enumerate(pairs):
+            try:
+                _, terms = _excerpt_terms(params, pair, cost, cfg, stoi_cfg, rng=None)
+            except SilentSignal as exc:
+                raise SilentSignal(f"pair {index}: {exc}") from exc
             for kind, tensor in terms.items():
                 sums[kind] += tensor.item()
     return {kind: total / len(pairs) for kind, total in sums.items()}

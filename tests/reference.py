@@ -18,6 +18,13 @@ import numpy as np
 
 import sepcost
 from sepcost.diff_engine import _BLAS_THREAD_VARS, Tensor, no_grad
+from sepcost.losses import StoiConfig
+
+# a STOI configuration small enough for dense finite-difference checks
+SMALL_STOI = StoiConfig(
+    frame_len=64, fft_len=128, num_bands=8, lowest_center=300.0,
+    segment_frames=8, analysis_rate=4000,
+)
 
 
 def run_on_one_blas_thread(code: str):
@@ -40,10 +47,11 @@ def run_on_one_blas_thread(code: str):
 def counting_pool():
     """A ThreadPoolExecutor subclass and the list of [fn name, threads, tasks] it keeps, one per pool.
 
-    Patched over `ThreadPoolExecutor` in sepcost.diff_engine and
-    sepcost.aet_net, it counts the pools that split products and run
-    separation blocks, and the tasks submitted to each (fn name None for
-    a pool given none); it runs them as the real pool does.
+    Patched over `ThreadPoolExecutor` in sepcost.diff_engine, which
+    builds every pool, it counts the pools that split products and run
+    separation blocks or finite-difference chunks, and the tasks
+    submitted to each (fn name None for a pool given none); it runs them
+    as the real pool does.
     """
     pools = []
 

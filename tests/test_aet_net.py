@@ -304,7 +304,6 @@ def test_separation_starts_one_pool_of_marked_threads_and_no_product_pool(monkey
     monkeypatch.setattr(E, "_blas_threads", lambda: 1)
     pool, pools = counting_pool()
     monkeypatch.setattr(E, "ThreadPoolExecutor", pool)
-    monkeypatch.setattr(aet_net, "ThreadPoolExecutor", pool)
     caller, forward_block, blocks_run = threading.current_thread(), aet_net.separator_forward, []
 
     def recording(modulation, params):

@@ -1,3 +1,6 @@
+import sys
+import threading
+import time
 import zlib
 
 import numpy as np
@@ -7,10 +10,11 @@ from sepcost import cli
 from sepcost import diff_engine as E
 from sepcost.dsp import hann_periodic, octave_band_matrix
 from sepcost.errors import NotScalar, ShapeError
-from sepcost.losses import StoiConfig, sdr_loss
+from sepcost.losses import StoiConfig, sdr_loss, stoi_loss, stoi_reference
 from sepcost.signal_io import resample_plan
 
 from reference import (
+    SMALL_STOI,
     band_envelopes_reference,
     counting_pool,
     finite_difference_reference,
@@ -72,7 +76,11 @@ def test_fd_of_square_matches_derivative():
     assert abs(fd[0] - 6.0) <= 1e-8
 
 
-def test_finite_differences_are_bitwise_the_serial_reference():
+def on_workers(monkeypatch, workers):
+    monkeypatch.setattr(E, "_workers", lambda tasks: max(1, min(tasks, workers)))
+
+
+def test_finite_differences_are_bitwise_the_serial_reference(monkeypatch):
     # every parameter tensor of the network gradient check (several blocks of
     # coordinates each), a 2-D input of the op table, and the SDR loss
     graph, inputs, wrt = cli._network_check_case(0)
@@ -85,6 +93,103 @@ def test_finite_differences_are_bitwise_the_serial_reference():
     for graph, inputs, name in cases:
         fd = E.finite_difference_gradient(graph, inputs, name)
         assert fd.tobytes() == finite_difference_reference(graph, inputs, name).tobytes(), name
+    # the STOI check stacked, its blocks in chunks on 1, 2 and 3 threads: 440
+    # samples make 6 blocks, the last one short; the default case is the
+    # gradient check's (`cli.gradcheck_cases("stoi", ...)`), 500 blocks
+    for cfg, n, rate in ((SMALL_STOI, 440, 4400), (StoiConfig(), 4000, 10080)):
+        inputs = {"x": rng.standard_normal(n), "y": rng.standard_normal(n)}
+        ref = stoi_reference(inputs["y"], cfg, sample_rate=rate)
+        graph = lambda t, ref=ref, cfg=cfg, rate=rate: stoi_loss(t["x"], ref, cfg, sample_rate=rate)
+        expected = finite_difference_reference(graph, inputs, "x").tobytes()
+        for workers in (1, 2, 3):
+            on_workers(monkeypatch, workers)
+            assert E.finite_difference_gradient(graph, inputs, "x", stacked=True).tobytes() == expected, (n, workers)
+
+
+def row_squares(t):
+    # one value per row of a stacked input
+    return E.sum_(E.square(t["x"]), axis=-1)
+
+
+def test_stacked_finite_differences_leave_gradients_on_and_marks_off(monkeypatch):
+    # no_grad is process-wide: entered and left by each thread on its own, it
+    # could stay closed after the call; every scoring thread is marked
+    seen = []
+
+    def graph(t):
+        seen.append((E._grad_enabled, getattr(E._whole_products, "marked", False), threading.get_ident()))
+        time.sleep(1e-4)  # lets the threads' calls interleave
+        return row_squares(t)
+
+    x = np.random.default_rng(32).standard_normal(1000)  # 31 blocks of 32 coordinates and one of 8
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # frequent switches; a lost gradient entry would stay 0
+    try:
+        for workers in (1, 2, 3):
+            on_workers(monkeypatch, workers)
+            for _ in range(20):
+                seen.clear()
+                grad = E.finite_difference_gradient(graph, {"x": x}, "x", stacked=True)
+                np.testing.assert_allclose(grad, 2.0 * x, atol=1e-6)
+                assert E._grad_enabled and not getattr(E._whole_products, "marked", False)
+                # one call per block; the caller runs the first chunk, and a
+                # pool thread that is done may take a second
+                threads = {ident for _, _, ident in seen}
+                assert len(seen) == 32 and threading.get_ident() in threads
+                assert len(threads) == 1 if workers == 1 else 1 < len(threads) <= workers
+                assert not any(enabled for enabled, _, _ in seen)
+                # alone, the caller may split products; with helpers, every thread is marked
+                assert all(marked == (workers > 1) for _, marked, _ in seen)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_stacked_finite_differences_raise_a_chunks_error_and_join_the_pool(monkeypatch):
+    x = np.ones(300)  # 3 blocks
+    caller = threading.get_ident()
+    for fails_on_caller in (False, True):
+
+        def graph(t):
+            if (threading.get_ident() == caller) == fails_on_caller:
+                raise RuntimeError("chunk failed")
+            return row_squares(t)
+
+        for workers in (2, 3):
+            on_workers(monkeypatch, workers)
+            threads = threading.active_count()
+            with pytest.raises(RuntimeError, match="chunk failed"):
+                E.finite_difference_gradient(graph, {"x": x}, "x", stacked=True)
+            assert threading.active_count() == threads
+            assert E._grad_enabled and not getattr(E._whole_products, "marked", False)
+
+
+def test_finite_differences_start_only_their_own_pool(monkeypatch):
+    # a graph with a 128 x 512 x 512 product, which splits on an unmarked thread
+    w = np.random.default_rng(33).standard_normal((512, 512))
+    graph = lambda t: E.sum_(E.affine_softplus(t["x"], w, np.zeros((t["x"].shape[0], 1))), axis=-1)
+    x = np.random.default_rng(34).standard_normal(512)  # 8 blocks of 64 coordinates
+    monkeypatch.setattr(E, "_SPLIT_FLOOR", 0)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    pool, pools = counting_pool()
+    monkeypatch.setattr(E, "ThreadPoolExecutor", pool)
+    results = []
+    for workers in (1, 2, 3):
+        on_workers(monkeypatch, workers)
+        pools.clear()
+        with E.no_grad():
+            graph({"x": E.Tensor(np.ones((128, 512)))})
+        assert pools == ([["<lambda>", 2, 2]] if workers > 1 else [])
+        pools.clear()
+        results.append(E.finite_difference_gradient(graph, {"x": x}, "x", stacked=True).tobytes())
+        # the oracle's own pool of w - 1 helpers, one chunk each, and no product pool
+        assert pools == ([["differences", workers - 1, workers - 1]] if workers > 1 else [])
+        # the serial mode starts no pool of its own
+        pools.clear()
+        row = lambda t: E.sum_(E.square(t["x"]))
+        E.finite_difference_gradient(row, {"x": x}, "x")
+        assert pools == []
+    # each block's rows go through the same product on any worker count
+    assert results[1] == results[0] and results[2] == results[0]
 
 
 @pytest.mark.parametrize(
@@ -304,8 +409,7 @@ def test_band_envelopes_matches_rfft():
 
 @pytest.mark.parametrize(
     "cfg,n",
-    [(StoiConfig(frame_len=64, fft_len=128, num_bands=8, lowest_center=300.0, segment_frames=8, analysis_rate=4000), 400),
-     (StoiConfig(), 3968)],
+    [(SMALL_STOI, 400), (StoiConfig(), 3968)],
 )
 def test_band_envelopes_bitwise_equal_to_chain(cfg, n):
     # the fused op against the unfused chain, one signal and a (2, 3, n) stack

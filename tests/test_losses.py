@@ -22,12 +22,7 @@ from sepcost.losses import (
 from sepcost.metrics import bss_eval_metrics, stoi_metric
 from sepcost.signal_io import Waveform
 
-from reference import speechlike
-
-SMALL_STOI = StoiConfig(
-    frame_len=64, fft_len=128, num_bands=8, lowest_center=300.0,
-    segment_frames=8, analysis_rate=4000,
-)
+from reference import SMALL_STOI, speechlike
 
 
 def test_mse_examples():

@@ -394,5 +394,12 @@ def test_waveform_validation():
         Waveform(np.array([np.nan]), 8000)
     with pytest.raises(ValueError):
         Waveform(np.array([0.0]), 0)
+    # write_wav would fail on these with struct.error, and resample_plan rejects them
+    for rate in (16000.5, 16000.0, True):
+        with pytest.raises(ValueError, match="positive integers"):
+            Waveform(np.array([0.0]), rate)
+        with pytest.raises(ValueError, match="positive integers"):
+            resample_plan(100, 16000, rate)
+    assert Waveform(np.array([0.0]), np.int64(8000)).sample_rate == 8000
     with pytest.raises(ShapeError):
         Waveform(np.zeros((2, 2)), 8000)

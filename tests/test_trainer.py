@@ -15,7 +15,7 @@ from sepcost import diff_engine as E
 from sepcost import signal_io, trainer
 from sepcost.aet_net import NetConfig, init_params
 from sepcost.errors import CorruptFile, IncompatibleCheckpoint, NoData, NumericalDivergence, SilentSignal
-from sepcost.losses import StoiConfig, parse_cost_spec, normalize_cost_scales
+from sepcost.losses import parse_cost_spec, normalize_cost_scales
 from sepcost.signal_io import Waveform, mix_at_snr, write_wav
 from sepcost.trainer import (
     Dataset,
@@ -30,13 +30,9 @@ from sepcost.trainer import (
     write_log,
 )
 
-from reference import counting_pool, run_on_one_blas_thread, speechlike
+from reference import SMALL_STOI, counting_pool, run_on_one_blas_thread, speechlike
 
 SMALL_NET = NetConfig(components=8, filter_len=64, stride=16, hidden_units=8, weight_sharing="shared")
-SMALL_STOI = StoiConfig(
-    frame_len=64, fft_len=128, num_bands=8, lowest_center=300.0,
-    segment_frames=8, analysis_rate=4000,
-)
 
 
 def tiny_cfg(**kw):
@@ -91,6 +87,27 @@ def test_fit_raises_silent_signal_naming_the_pair():
     # excerpt holds it with probability 4 / 19905 per draw
     pairs = [make_pair(n=24000), _pair_with_target(slice(0, 4))]
     with pytest.raises(SilentSignal, match="pair 1: 8 draws"):
+        fit(Dataset(pairs), tiny_cfg(excerpt_len=4096), SMALL_NET, SMALL_STOI)
+
+
+def test_leading_excerpt_skips_a_silent_start():
+    # the normalisation pass scores each pair's leading excerpt; on this
+    # target's silent first 1.25 s it read an SDR loss of about 2.5e16, and
+    # the SDR term's scale of about 4e-17 dropped it from the whole run
+    pair = _pair_with_target(slice(20000, 40000), n=40000)
+    cfg = tiny_cfg(excerpt_len=16384)
+    mix, y, z = trainer._excerpt(pair, cfg)
+    np.testing.assert_array_equal(mix, pair.mixture.samples[16384:32768])
+    np.testing.assert_array_equal(z, pair.interference.samples[16384:32768])
+    cost = parse_cost_spec("sdr:0.5+stoi:0.5")
+    initial = initial_component_means(init_params(0, SMALL_NET), [pair], cost, cfg, SMALL_STOI)
+    assert 0.0 < initial["sdr"] < 10.0
+    # a leading excerpt that is not silent stays at offset 0
+    loud = make_pair(n=40000)
+    np.testing.assert_array_equal(trainer._excerpt(loud, cfg)[1], loud.target.samples[:16384])
+    # sound only past the last multiple of the length: every leading candidate is silent
+    pairs = [make_pair(n=24000), _pair_with_target(slice(21000, 24000))]
+    with pytest.raises(SilentSignal, match="pair 1: every 4096-sample excerpt"):
         fit(Dataset(pairs), tiny_cfg(excerpt_len=4096), SMALL_NET, SMALL_STOI)
 
 
@@ -656,7 +673,6 @@ def test_training_and_separation_are_bitwise_the_same_for_any_product_split(tmp_
         from reference import counting_pool
 
         E.ThreadPoolExecutor, pools = counting_pool()
-        aet_net.ThreadPoolExecutor = E.ThreadPoolExecutor
         E._SPLIT_FLOOR = 0
         net = NetConfig(components=64, filter_len=128, stride=16, hidden_units=64, weight_sharing="shared")
         dataset = Dataset([make_pair(0, n=16000), make_pair(1, n=16000)])
