@@ -21,9 +21,9 @@ each with only those neighbours as a halo, and overlap-adds the blocks'
 syntheses: memory stays flat in the input length (one block's
 representation alive per worker thread), and the output equals the
 one-pass network up to roundoff (bitwise when one block holds every
-frame). Blocks run on the CPUs a single-threaded BLAS leaves idle, each
-with its dense products whole, and the output does not depend on the
-thread count. Training runs the one-pass graph, whose products split.
+frame). Blocks run beside the caller under the engine's thread rule
+(`engine._beside`), and the output does not depend on the thread count.
+Training runs the one-pass graph.
 """
 
 from __future__ import annotations
@@ -215,13 +215,9 @@ def _separate_blocks(samples: np.ndarray, params: SeparatorParams) -> np.ndarray
     synthesis is overlap-added at sample a * stride, so only one block's
     representation per worker is alive at once.
 
-    The caller computes every w-th block, w = engine._workers(blocks), and
-    a pool of w - 1 threads the rest (w pool threads kept one more malloc
-    arena of freed block memory: separate-eval peak RSS 146 -> 171 MB on
-    2 vCPUs). All are marked (engine._whole_products), so their products
-    run whole. A failing block cancels those not yet started, and the pool
-    is joined before the call returns or raises. The caller adds the
-    syntheses in block order, so the output is bitwise the same for any w.
+    The blocks run through engine._beside (the engine's thread rule),
+    which yields their syntheses in block order, and the caller adds them
+    in that order, so the output is bitwise the same for any worker count.
     """
     cfg = params.cfg
     taps, stride = cfg.filter_len, cfg.stride
@@ -232,7 +228,8 @@ def _separate_blocks(samples: np.ndarray, params: SeparatorParams) -> np.ndarray
     bounds = [frames * i // blocks for i in range(blocks + 1)]
     pad = _smoothing_pad(cfg)
 
-    def synthesize(a: int, b: int) -> np.ndarray:
+    def synthesize(span: tuple[int, int]) -> np.ndarray:
+        a, b = span
         lo, hi = max(0, a - pad[0]), min(frames, b + pad[1])
         rep = analysis_forward(samples[lo * stride : (hi - 1) * stride + taps], params)
         kept = slice(a - lo, b - lo)
@@ -242,13 +239,9 @@ def _separate_blocks(samples: np.ndarray, params: SeparatorParams) -> np.ndarray
         return synthesis_forward(separator_forward(rep.M, params), rep, params).data
 
     out = np.zeros((frames - 1) * stride + taps)
-    workers = engine._workers(blocks)
-    # no_grad is process-wide, so the pool shuts down inside it
-    with engine.no_grad(), engine._marked_pool(workers) as pool:
-        helped = {a: pool.submit(synthesize, a, b) for i, (a, b) in enumerate(zip(bounds, bounds[1:])) if i % workers}
-        for a, b in zip(bounds, bounds[1:]):
-            y = helped[a].result() if a in helped else synthesize(a, b)
-            out[a * stride : a * stride + y.size] += y
+    spans = list(zip(bounds, bounds[1:]))
+    for (a, _), y in zip(spans, engine._beside(synthesize, spans)):
+        out[a * stride : a * stride + y.size] += y
     return out
 
 

@@ -49,11 +49,15 @@ one thread, a product of at least _SPLIT_FLOOR multiply-adds maps its
 column spans over a thread pool the size of the CPUs that thread leaves
 free (`_workers`), joined before it returns. The split is bitwise equal
 to the whole product, so values and gradients do not depend on the
-worker count. The same count also runs separation's blocks
+worker count.
+
+The thread rule: only `_product` and `_beside` start threads.
+`_beside` runs independent tasks, separation's blocks
 (`aet_net._separate_blocks`) and the stacked finite-difference oracle's
-chunks of coordinate blocks, each on the caller beside a `_marked_pool`,
-bitwise the same for any count. Training's products split; separation's
-and the oracle's run whole, on the threads that pool marks.
+chunks of coordinate blocks, on the caller and beside it on the same
+count of CPUs. Work inside `_beside` records no tape and runs its
+products whole; training's products split. Either way the results are
+bitwise the same for any worker count.
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ import contextlib
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -76,13 +80,9 @@ def no_grad():
     """Disable tape recording inside the block (forward values only).
 
     The flag is process-wide, not per thread: ops that other threads run
-    while the block is open record nothing either. Separation's and the
-    stacked oracle's helper threads rely on this, running only inside
-    their caller's block, which the caller enters once around its pool:
-    two threads entering and leaving it on their own could leave it
-    closed after both have left. The helpers of a split product touch
-    only numpy arrays and never create a Tensor, so the flag does not
-    concern them.
+    while the block is open record nothing either. So threads that build
+    Tensors run only inside `_beside`, which switches it once, around
+    its pool (the module's thread rule).
     """
     global _grad_enabled
     prev = _grad_enabled
@@ -418,8 +418,7 @@ _SPLIT_FLOOR = 1 << 26
 _SPAN_ALIGN = 64
 _MIN_SPAN = 256
 
-# `marked` on the threads whose products run whole: separation's block
-# threads and the stacked oracle's
+# `marked` on the threads inside a `_beside` call, whose products run whole
 _whole_products = threading.local()
 
 
@@ -449,23 +448,38 @@ def _workers(tasks: int) -> int:
     return max(1, min(tasks, cpus // (_blas_threads() or cpus)))
 
 
-@contextlib.contextmanager
-def _marked_pool(workers: int):
-    """A pool of max(workers - 1, 1) threads to run blocks beside the caller.
+def _beside(fn: Callable, tasks: Sequence) -> Iterator:
+    """Yield fn(task) for each task in task order, computed on the caller and beside it.
 
-    Each pool thread is marked (`_whole_products`) when it starts and the
-    caller while the block is open, so products in the blocks run whole.
-    Leaving the block joins the pool, also when a block raised, and
-    cancels the tasks not yet started.
+    This is the module's thread rule. With w = _workers(len(tasks)), the
+    caller computes every w-th task and a pool of w - 1 threads the rest,
+    all submitted at once; w = 1 builds no pool. (A pool of w threads
+    beside an idle caller kept one more malloc arena of freed block
+    memory: separate-eval peak RSS 146 -> 171 MB on 2 vCPUs.) For the
+    whole call the caller and the pool threads are marked
+    (`_whole_products`), so their products run whole, and tape recording
+    is off (`no_grad`, switched once, around the pool), also for the
+    consumer between yields. On a thread already inside `_beside` (a
+    marked one) the tasks run in order on that thread, touching neither
+    the flag nor the marks. A failing task cancels the tasks not yet
+    started, and the pool is joined before the generator ends. Each pool
+    result is released once it has been yielded.
     """
-    pool = ThreadPoolExecutor(max(workers - 1, 1), initializer=setattr, initargs=(_whole_products, "marked", True))
-    marked = getattr(_whole_products, "marked", False)
-    try:
+    if getattr(_whole_products, "marked", False):
+        yield from map(fn, tasks)
+        return
+    w = _workers(len(tasks))
+    pool = ThreadPoolExecutor(w - 1, initializer=setattr, initargs=(_whole_products, "marked", True)) if w > 1 else None
+    with no_grad():
         _whole_products.marked = True
-        yield pool
-    finally:
-        pool.shutdown(cancel_futures=True)
-        _whole_products.marked = marked
+        try:
+            helped = {i: pool.submit(fn, task) for i, task in enumerate(tasks) if i % w}
+            for i, task in enumerate(tasks):
+                yield helped.pop(i).result() if i % w else fn(task)
+        finally:
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
+            _whole_products.marked = False
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -911,13 +925,11 @@ def finite_difference_gradient(
     gives the same result either way.
 
     Stacked, the blocks split into w = _workers(len(blocks)) contiguous
-    chunks, each run in order with a stack of its own: the caller runs
-    the first and a `_marked_pool` the rest, so when w > 1 products
-    inside the graph run whole. Each gradient entry comes from the same
+    chunks, one task each, every chunk run in order with a stack of its
+    own; one call per row is one task. The tasks run through `_beside`
+    (the module's thread rule). Each gradient entry comes from the same
     rows through the same ops, so the result is bitwise the same for any
-    w. One call per row runs every block on the caller. `no_grad` is
-    entered once, on the caller, around the pool, and the pool is joined
-    before the call returns, also when a chunk raises.
+    w.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -936,33 +948,25 @@ def finite_difference_gradient(
         stack[...] = x
         flat_stack = stack.reshape(2 * per_call, -1)
         for block in chunk:
-            coords = range(block.start, block.stop)
-            k = len(coords)
-            steps = [step * max(1.0, abs(flat_x[i])) for i in coords]
-            for j, (i, h) in enumerate(zip(coords, steps)):
-                flat_stack[j, i] = flat_x[i] + h
-                flat_stack[k + j, i] = flat_x[i] - h
+            k = block.stop - block.start
+            rows, coords, xs = np.arange(k), np.arange(block.start, block.stop), flat_x[block]
+            h = step * np.maximum(1.0, np.abs(xs))
+            flat_stack[rows, coords] = xs + h
+            flat_stack[k + rows, coords] = xs - h
             if stacked:
                 f = evaluate(stack[: 2 * k]).data
                 if f.shape != (2 * k,):
                     raise ShapeError(f"a stacked graph must return one value per row, got shape {f.shape} for {2 * k} rows")
             else:
-                f = [evaluate(row).item() for row in stack[: 2 * k]]
-            for j, (i, h) in enumerate(zip(coords, steps)):
-                flat_stack[j, i] = flat_stack[k + j, i] = flat_x[i]
-                flat_g[i] = (f[j] - f[k + j]) / (2.0 * h)
+                f = np.array([evaluate(row).item() for row in stack[: 2 * k]])
+            flat_stack[rows, coords] = flat_stack[k + rows, coords] = xs
+            flat_g[block] = (f[:k] - f[k:]) / (2.0 * h)
 
     workers = _workers(len(blocks)) if stacked else 1
     bounds = [len(blocks) * i // workers for i in range(workers + 1)]
-    with no_grad():  # process-wide, so entered once, around the pool
-        if workers == 1:
-            differences(blocks)
-            return grad
-        with _marked_pool(workers) as pool:
-            helped = [pool.submit(differences, blocks[a:b]) for a, b in zip(bounds[1:-1], bounds[2:])]
-            differences(blocks[: bounds[1]])
-            for future in helped:
-                future.result()
+    # each chunk writes its own coordinates' entries of grad
+    for _ in _beside(differences, [blocks[a:b] for a, b in zip(bounds, bounds[1:])]):
+        pass
     return grad
 
 

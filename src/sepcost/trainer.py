@@ -19,7 +19,8 @@ from . import aet_net, losses
 from . import diff_engine as engine
 from .aet_net import NetConfig, SeparatorParams, init_params
 from .diff_engine import Tensor
-from .errors import CorruptFile, IncompatibleCheckpoint, NoData, NumericalDivergence, SilentSignal, check_field_types
+from .errors import CorruptFile, IncompatibleCheckpoint, NoData, NumericalDivergence, ShapeError, SilentSignal
+from .errors import check_field_types
 from .losses import CompositeCost, StoiConfig, normalize_cost_scales, parse_cost_spec
 from .signal_io import MixturePair, _write_atomic, mix_at_snr, read_wav, resample
 
@@ -164,7 +165,14 @@ def _excerpt_terms(
     stoi_cfg: StoiConfig,
     rng,
 ):
-    """Run one excerpt through the network and the cost: (total, {kind: raw})."""
+    """Run one excerpt through the network and the cost: (total, {kind: raw}).
+
+    ShapeError if the pair is not sampled at cfg.sample_rate, the rate the
+    STOI cost and the checkpoint assume.
+    """
+    rates = sorted({w.sample_rate for w in (pair.mixture, pair.target, pair.interference)})
+    if rates != [cfg.sample_rate]:
+        raise ShapeError(f"pair sampled at {'/'.join(map(str, rates))} Hz, training at {cfg.sample_rate} Hz")
     mix, y, z = _excerpt(pair, cfg, rng)
     estimate = aet_net.forward(Tensor(mix), params)
     x_al, y_al, z_al = _aligned_loss_inputs(estimate, y, z, cfg.trim)
@@ -259,8 +267,8 @@ def initial_component_means(
         for index, pair in enumerate(pairs):
             try:
                 _, terms = _excerpt_terms(params, pair, cost, cfg, stoi_cfg, rng=None)
-            except SilentSignal as exc:
-                raise SilentSignal(f"pair {index}: {exc}") from exc
+            except (SilentSignal, ShapeError) as exc:
+                raise type(exc)(f"pair {index}: {exc}") from exc
             for kind, tensor in terms.items():
                 sums[kind] += tensor.item()
     return {kind: total / len(pairs) for kind, total in sums.items()}
@@ -333,8 +341,8 @@ def fit(
         step_rng = np.random.default_rng([cfg.seed, epoch, position])
         try:
             loss_value, raw = train_step(params, dataset.pairs[index], cost, cfg, opt_state, stoi_cfg, step_rng)
-        except SilentSignal as exc:
-            raise SilentSignal(f"pair {index}: {exc}") from exc
+        except (SilentSignal, ShapeError) as exc:
+            raise type(exc)(f"pair {index}: {exc}") from exc
         except NumericalDivergence as exc:
             exc.result = FitResult(params, opt_state, cost, log, global_step)
             if log_path is not None:

@@ -299,7 +299,7 @@ def test_separation_threads_end_with_the_call_and_pass_on_a_block_failure(monkey
 def test_separation_starts_one_pool_of_marked_threads_and_no_product_pool(monkeypatch):
     # every product at the floor would split on an unmarked thread; one
     # block and three full blocks, on 1, 2 and 3 workers: the caller takes
-    # every w-th block and a pool of w - 1 threads the others
+    # every w-th block and a pool of w - 1 threads the others (none at w = 1)
     monkeypatch.setattr(E, "_SPLIT_FLOOR", 0)
     monkeypatch.setattr(E, "_blas_threads", lambda: 1)
     pool, pools = counting_pool()
@@ -326,7 +326,7 @@ def test_separation_starts_one_pool_of_marked_threads_and_no_product_pool(monkey
             threads = threading.active_count()
             assert len(separate(w, params)) == len(w)
             assert threading.active_count() == threads
-            assert pools == [["synthesize" if pooled else None, max(w_blocks - 1, 1), pooled]], (blocks, workers)
+            assert pools == ([["synthesize", w_blocks - 1, pooled]] if w_blocks > 1 else []), (blocks, workers)
             # every block on a marked thread, the caller's share on the caller
             expected = [(i % w_blocks == 0, True) for i in range(blocks)]
             assert sorted(blocks_run) == sorted(expected), (blocks, workers)

@@ -138,8 +138,8 @@ def test_stacked_finite_differences_leave_gradients_on_and_marks_off(monkeypatch
                 assert len(seen) == 32 and threading.get_ident() in threads
                 assert len(threads) == 1 if workers == 1 else 1 < len(threads) <= workers
                 assert not any(enabled for enabled, _, _ in seen)
-                # alone, the caller may split products; with helpers, every thread is marked
-                assert all(marked == (workers > 1) for _, marked, _ in seen)
+                # every scoring thread is marked, the caller alone too
+                assert all(marked for _, marked, _ in seen)
     finally:
         sys.setswitchinterval(interval)
 
@@ -190,6 +190,44 @@ def test_finite_differences_start_only_their_own_pool(monkeypatch):
         assert pools == []
     # each block's rows go through the same product on any worker count
     assert results[1] == results[0] and results[2] == results[0]
+
+
+def marked():
+    return getattr(E._whole_products, "marked", False)
+
+
+def test_beside_yields_in_task_order_and_runs_nested_calls_in_place(monkeypatch):
+    # tasks of uneven length finish out of order; each runs a nested _beside
+    pool, pools = counting_pool()
+    monkeypatch.setattr(E, "ThreadPoolExecutor", pool)
+    delays = np.random.default_rng(35).uniform(0.0, 2e-3, 12)
+    caller = threading.get_ident()
+
+    def task(i):
+        if i == fails:
+            raise RuntimeError("task failed")
+        time.sleep(delays[i])
+        inner = list(E._beside(lambda j: (threading.get_ident(), E._grad_enabled, marked()), range(3)))
+        # on the task's own thread, still marked and not recording afterwards
+        assert inner == [(threading.get_ident(), False, True)] * 3
+        return i, threading.get_ident(), E._grad_enabled, marked()
+
+    for workers in (1, 2, 3):
+        on_workers(monkeypatch, workers)
+        threads = threading.active_count()
+        fails = None
+        pools.clear()
+        got = list(E._beside(task, range(12)))
+        assert [i for i, _, _, _ in got] == list(range(12))
+        # the caller computes every w-th task, one pool of w - 1 threads the rest
+        assert [ident == caller for _, ident, _, _ in got] == [i % workers == 0 for i in range(12)]
+        assert pools == ([["task", workers - 1, 12 - len(range(0, 12, workers))]] if workers > 1 else [])
+        assert all(not enabled and mark for _, _, enabled, mark in got)
+        assert E._grad_enabled and not marked() and threading.active_count() == threads
+        for fails in (0, 5):  # on the caller, and on a pool thread when w > 1
+            with pytest.raises(RuntimeError, match="task failed"):
+                list(E._beside(task, range(12)))
+            assert E._grad_enabled and not marked() and threading.active_count() == threads
 
 
 @pytest.mark.parametrize(

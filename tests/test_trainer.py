@@ -14,7 +14,7 @@ import pytest
 from sepcost import diff_engine as E
 from sepcost import signal_io, trainer
 from sepcost.aet_net import NetConfig, init_params
-from sepcost.errors import CorruptFile, IncompatibleCheckpoint, NoData, NumericalDivergence, SilentSignal
+from sepcost.errors import CorruptFile, IncompatibleCheckpoint, NoData, NumericalDivergence, ShapeError, SilentSignal
 from sepcost.losses import parse_cost_spec, normalize_cost_scales
 from sepcost.signal_io import Waveform, mix_at_snr, write_wav
 from sepcost.trainer import (
@@ -88,6 +88,25 @@ def test_fit_raises_silent_signal_naming_the_pair():
     pairs = [make_pair(n=24000), _pair_with_target(slice(0, 4))]
     with pytest.raises(SilentSignal, match="pair 1: 8 draws"):
         fit(Dataset(pairs), tiny_cfg(excerpt_len=4096), SMALL_NET, SMALL_STOI)
+
+
+def test_training_refuses_a_pair_at_another_rate():
+    # STOI would score an 8 kHz pair as 16 kHz audio, and the checkpoint
+    # would record 16000, so separation would then refuse 8 kHz input
+    cfg = tiny_cfg(cost="sdr:0.5+stoi:0.5")
+    net = NetConfig(components=16, filter_len=64, stride=16, hidden_units=16)
+    slow = make_pair(seed=5, fs=8000)
+    # in the normalisation pass, then in a step after ten good pairs
+    for pairs, index in (([make_pair(), slow], 1), ([make_pair(seed) for seed in range(10)] + [slow], 10)):
+        with pytest.raises(ShapeError, match=f"pair {index}: pair sampled at 8000 Hz, training at 16000 Hz"):
+            fit(Dataset(pairs), cfg, net, SMALL_STOI)
+    # a step refuses it before any update
+    params, opt = init_params(0, net), OptState()
+    before = {name: t.data.copy() for name, t in params.tensors().items()}
+    with pytest.raises(ShapeError, match="8000 Hz"):
+        train_step(params, slow, parse_cost_spec(cfg.cost), cfg, opt, SMALL_STOI)
+    assert opt.step == 0
+    assert all(np.array_equal(t.data, before[name]) for name, t in params.tensors().items())
 
 
 def test_leading_excerpt_skips_a_silent_start():
