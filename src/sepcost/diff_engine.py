@@ -43,21 +43,23 @@ band_envelopes, sliding_windows and gather_linear and the forward of
 conv1d_transpose. The STFT runs on numpy's FFT both ways, rfft forward
 and irfft for the adjoint.
 
-Every dense product of conv1d, conv1d_transpose and affine_softplus,
-forward and backward, goes through `_product`. When the BLAS is set to
-one thread, a product of at least _SPLIT_FLOOR multiply-adds maps its
-column spans over a thread pool the size of the CPUs that thread leaves
-free (`_workers`), joined before it returns. The split is bitwise equal
-to the whole product, so values and gradients do not depend on the
+The thread rule: only `_beside` starts threads. It runs independent
+tasks on the caller and beside it, on the CPUs a single-threaded BLAS
+leaves free (`_workers`), and joins them before it returns. What splits
+into such tasks:
+- separation's blocks (`aet_net._separate_blocks`);
+- the stacked finite-difference oracle's chunks of coordinate blocks;
+- the column spans of a dense product of conv1d, conv1d_transpose or
+  affine_softplus, forward or backward, of at least _SPLIT_FLOOR
+  multiply-adds (`_product`);
+- the row passes (`_row_pass`) of at least _CHUNK_FLOOR elements, in
+  contiguous chunks of row blocks: modulation and remodulate, forward
+  and backward, affine_softplus's bias add and softplus and its
+  g * sigmoid backward chain, and the trainer's Adam update.
+Work inside `_beside` records no tape and splits no further, so
+separation and the oracle run their products and passes whole, while
+training's split. Either way the results are bitwise the same for any
 worker count.
-
-The thread rule: only `_product` and `_beside` start threads.
-`_beside` runs independent tasks, separation's blocks
-(`aet_net._separate_blocks`) and the stacked finite-difference oracle's
-chunks of coordinate blocks, on the caller and beside it on the same
-count of CPUs. Work inside `_beside` records no tape and runs its
-products whole; training's products split. Either way the results are
-bitwise the same for any worker count.
 """
 
 from __future__ import annotations
@@ -282,9 +284,8 @@ def square(x) -> Tensor:
     return _result(x.data * x.data, (x,), lambda g: (g * (2.0 * x.data),))
 
 
-# elements per row block of every cache-sized pass (softplus, modulation,
-# remodulate and the trainer's Adam update), so that a block's scratch
-# arrays stay in cache
+# elements per row block of every row pass (`_row_pass`), so that a
+# block's scratch arrays stay in cache
 _ROW_BLOCK = 1 << 15
 
 
@@ -298,26 +299,143 @@ def _row_blocks(n_rows: int, n_cols: int) -> tuple[int, list[slice]]:
     return min(step, n_rows), [slice(r, min(r + step, n_rows)) for r in range(0, n_rows, step)]
 
 
-def _softplus_into(z: np.ndarray) -> np.ndarray:
-    """z <- log(1 + exp(z)) in place for a C-contiguous z, as max(z, 0) + log1p(exp(-|z|)).
+# ---------------------------------------------------------------------------
+# threads on the CPUs a single-threaded BLAS leaves idle
+
+# environment variables through which a BLAS takes its thread count
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# elements below which a row pass runs as one chunk: on 2 vCPUs, the
+# front end's passes (modulation and remodulate, forward and backward,
+# and a softplus) in two chunks took 1.06-1.12x the time of one chunk at
+# 0.5M elements, 0.71-1.27x at 0.75M-1M and 0.63-0.65x at 2M, the
+# default net's size, in two of three runs (1.5x in one where the host
+# gave no second CPU)
+_CHUNK_FLOOR = 1 << 20
+
+# `marked` on the threads inside a `_beside` call, whose work runs whole
+_whole_products = threading.local()
+
+
+def _blas_threads() -> int | None:
+    """The largest positive integer among _BLAS_THREAD_VARS, or None when none holds one."""
+    counts = []
+    for var in _BLAS_THREAD_VARS:
+        try:
+            counts.append(int(os.environ.get(var, "")))
+        except ValueError:
+            pass
+    return max((n for n in counts if n > 0), default=None)
+
+
+def _workers(tasks: int) -> int:
+    """Threads to run `tasks` independent tasks on: the CPUs BLAS threads leave free.
+
+    min(tasks, cpus // blas_threads), at least 1. cpus is this process's
+    CPU affinity; blas_threads is _blas_threads(), or cpus when that is
+    None, since a BLAS left to itself runs a thread per CPU and more
+    threads on top of it would only compete with it.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(tasks, cpus // (_blas_threads() or cpus)))
+
+
+def _beside(fn: Callable, tasks: Sequence) -> Iterator:
+    """Yield fn(task) for each task in task order, computed on the caller and beside it.
+
+    This is the module's thread rule: no other code starts a thread. With
+    w = _workers(len(tasks)), the caller computes every w-th task and a
+    pool of w - 1 threads the rest, all submitted at once; w = 1 builds
+    no pool. (A pool of w threads beside an idle caller kept one more
+    malloc arena of freed block memory: separate-eval peak RSS 146 -> 171
+    MB on 2 vCPUs.) For the whole call the caller and the pool threads
+    are marked (`_whole_products`), so the work they run splits no
+    further, and tape recording is off (`no_grad`, switched once, around
+    the pool), also for the consumer between yields. On a thread already
+    inside `_beside` (a marked one) the tasks run in order on that
+    thread, touching neither the flag nor the marks. A failing task
+    cancels the tasks not yet started, and the pool is joined before the
+    generator ends. Each pool result is released once it has been
+    yielded. The module docstring lists the work that runs through it.
+    """
+    if getattr(_whole_products, "marked", False):
+        yield from map(fn, tasks)
+        return
+    w = _workers(len(tasks))
+    pool = ThreadPoolExecutor(w - 1, initializer=setattr, initargs=(_whole_products, "marked", True)) if w > 1 else None
+    with no_grad():
+        _whole_products.marked = True
+        try:
+            helped = {i: pool.submit(fn, task) for i, task in enumerate(tasks) if i % w}
+            for i, task in enumerate(tasks):
+                yield helped.pop(i).result() if i % w else fn(task)
+        finally:
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
+            _whole_products.marked = False
+
+
+def _chunks(blocks: list, split: bool) -> list[list]:
+    """blocks as _workers(len(blocks)) contiguous near-equal chunks when split, else as one chunk."""
+    w = _workers(len(blocks)) if split else 1
+    bounds = [len(blocks) * i // w for i in range(w + 1)]
+    return [blocks[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _row_pass(block: Callable, blocks: list, size: int, *scratch: tuple) -> None:
+    """Call block(b, *arrays) for each b in blocks, in contiguous chunks beside the caller.
+
+    A pass over at least _CHUNK_FLOOR elements (size) splits its blocks
+    into `_chunks`, one `_beside` task each, so inside `_beside` they run
+    in order on the calling thread; a smaller pass is one chunk. Each
+    chunk runs its blocks in order on arrays of the scratch shapes of its
+    own, which the caller allocates, as it allocates every output, so
+    pool threads allocate no large array. The blocks write disjoint parts
+    of the outputs with the same numpy calls on any split, so the results
+    are bitwise the same for any worker count.
+    """
+    chunks = _chunks(blocks, size >= _CHUNK_FLOOR)
+    arrays = [[np.empty(shape) for shape in scratch] for _ in chunks]
+
+    def run_chunk(i: int) -> None:
+        for b in chunks[i]:
+            block(b, *arrays[i])
+
+    # one chunk skips _beside, whose set-up tripled a 64 x 5 softplus's 9 us
+    if len(chunks) == 1:
+        run_chunk(0)
+        return
+    for _ in _beside(run_chunk, range(len(chunks))):
+        pass
+
+
+def _softplus_into(z: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
+    """z <- log(1 + exp(z + bias)) in place for a C-contiguous z, as max(z, 0) + log1p(exp(-|z|)).
 
     Overflow-safe, and within an ulp of np.logaddexp(0, z), but built on
     numpy's vectorised exp and log1p where logaddexp runs a scalar loop.
-    It runs over row blocks (`_row_blocks`) of z's last axis with one
-    block-sized temporary.
+    It is a row pass (`_row_pass`) over row blocks (`_row_blocks`) of z's
+    last axis, with one block-sized temporary per chunk. A bias of one
+    value per row of a 2-D z is added to each block first.
     """
     # a 0-d, 1-d or empty z is one row
     rows = z.reshape(-1, z.shape[-1]) if z.ndim > 1 and z.size else z.reshape(1, -1)
     n, blocks = _row_blocks(*rows.shape)
-    buf = np.empty((n, rows.shape[1]))
-    for r in blocks:
+
+    def block(r: slice, buf: np.ndarray) -> None:
         seg, tail = rows[r], buf[: r.stop - r.start]
+        if bias is not None:
+            seg += bias[r]
         np.abs(seg, out=tail)
         np.negative(tail, out=tail)
         np.exp(tail, out=tail)
         np.log1p(tail, out=tail)
         np.maximum(seg, 0.0, out=seg)
         seg += tail
+
+    _row_pass(block, blocks, rows.size, (n, rows.shape[1]))
     return z
 
 
@@ -401,10 +519,8 @@ def sliding_windows(x, width: int) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# dense products on the CPUs a single-threaded BLAS leaves idle
+# dense products
 
-# environment variables through which a BLAS takes its thread count
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # multiply-adds below which a product runs whole: with two threads on a
 # 2-vCPU host, a split of 16M took 1.05-1.27x the whole product, 34M
 # 0.87-0.97x, 67M 0.71-0.80x and 134M or more about 0.6x
@@ -418,69 +534,6 @@ _SPLIT_FLOOR = 1 << 26
 _SPAN_ALIGN = 64
 _MIN_SPAN = 256
 
-# `marked` on the threads inside a `_beside` call, whose products run whole
-_whole_products = threading.local()
-
-
-def _blas_threads() -> int | None:
-    """The largest positive integer among _BLAS_THREAD_VARS, or None when none holds one."""
-    counts = []
-    for var in _BLAS_THREAD_VARS:
-        try:
-            counts.append(int(os.environ.get(var, "")))
-        except ValueError:
-            pass
-    return max((n for n in counts if n > 0), default=None)
-
-
-def _workers(tasks: int) -> int:
-    """Threads to run `tasks` independent tasks on: the CPUs BLAS threads leave free.
-
-    min(tasks, cpus // blas_threads), at least 1. cpus is this process's
-    CPU affinity; blas_threads is _blas_threads(), or cpus when that is
-    None, since a BLAS left to itself runs a thread per CPU and more
-    threads on top of it would only compete with it.
-    """
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return max(1, min(tasks, cpus // (_blas_threads() or cpus)))
-
-
-def _beside(fn: Callable, tasks: Sequence) -> Iterator:
-    """Yield fn(task) for each task in task order, computed on the caller and beside it.
-
-    This is the module's thread rule. With w = _workers(len(tasks)), the
-    caller computes every w-th task and a pool of w - 1 threads the rest,
-    all submitted at once; w = 1 builds no pool. (A pool of w threads
-    beside an idle caller kept one more malloc arena of freed block
-    memory: separate-eval peak RSS 146 -> 171 MB on 2 vCPUs.) For the
-    whole call the caller and the pool threads are marked
-    (`_whole_products`), so their products run whole, and tape recording
-    is off (`no_grad`, switched once, around the pool), also for the
-    consumer between yields. On a thread already inside `_beside` (a
-    marked one) the tasks run in order on that thread, touching neither
-    the flag nor the marks. A failing task cancels the tasks not yet
-    started, and the pool is joined before the generator ends. Each pool
-    result is released once it has been yielded.
-    """
-    if getattr(_whole_products, "marked", False):
-        yield from map(fn, tasks)
-        return
-    w = _workers(len(tasks))
-    pool = ThreadPoolExecutor(w - 1, initializer=setattr, initargs=(_whole_products, "marked", True)) if w > 1 else None
-    with no_grad():
-        _whole_products.marked = True
-        try:
-            helped = {i: pool.submit(fn, task) for i, task in enumerate(tasks) if i % w}
-            for i, task in enumerate(tasks):
-                yield helped.pop(i).result() if i % w else fn(task)
-        finally:
-            if pool is not None:
-                pool.shutdown(cancel_futures=True)
-            _whole_products.marked = False
-
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b for 2-D float64 operands, bitwise, split over idle CPUs when large.
@@ -488,13 +541,13 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     A product of at least _SPLIT_FLOOR multiply-adds, on an unmarked
     thread (`_whole_products`) and a BLAS set to one thread, splits the
     output's columns into up to _workers(n // _MIN_SPAN) near-equal spans,
-    each written into one preallocated output by np.matmul on a pool
-    thread of its own. Each output element sums over the same
-    contraction in the same order as in a @ b, so the result does not
-    depend on the split. A BLAS running several threads partitions every
-    call itself, in ways that move columns between kernel paths (its
-    results already differ with its thread count), so its products run
-    whole. Only numpy arrays are touched, never a Tensor.
+    each written into one preallocated output by np.matmul, one span per
+    `_beside` task (the module's thread rule). Each output element sums
+    over the same contraction in the same order as in a @ b, so the
+    result does not depend on the split. A BLAS running several threads
+    partitions every call itself, in ways that move columns between
+    kernel paths (its results already differ with its thread count), so
+    its products run whole. Only numpy arrays are touched, never a Tensor.
     """
     m, k = a.shape
     n = b.shape[1]
@@ -506,8 +559,12 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     blocks = n // _SPAN_ALIGN
     bounds = [_SPAN_ALIGN * (blocks * i // count) for i in range(count)] + [n]
     out = np.empty((m, n))
-    with ThreadPoolExecutor(count) as pool:
-        list(pool.map(lambda lo, hi: np.matmul(a, b[:, lo:hi], out=out[:, lo:hi]), bounds[:-1], bounds[1:]))
+
+    def span(i: int) -> None:
+        np.matmul(a, b[:, bounds[i] : bounds[i + 1]], out=out[:, bounds[i] : bounds[i + 1]])
+
+    for _ in _beside(span, range(count)):
+        pass
     return out
 
 
@@ -518,21 +575,27 @@ def affine_softplus(w, x, b) -> Tensor:
     """One dense layer, softplus(w @ x + b): (H, K), (K, L), (H, 1) -> (H, L).
 
     The node keeps only its output: backward forms sigmoid(w @ x + b)
-    from it as 1 - exp(-out), which stays accurate in both tails.
+    from it as 1 - exp(-out), which stays accurate in both tails. The
+    bias add and softplus, and backward's g * sigmoid, are row passes
+    (`_row_pass`) around the products.
     """
     w, x, b = as_tensor(w), as_tensor(x), as_tensor(b)
     wv, xv = w.data, x.data
     if wv.ndim != 2 or xv.ndim != 2 or wv.shape[1] != xv.shape[0] or b.data.shape != (wv.shape[0], 1):
         raise ShapeError(f"affine_softplus shapes {wv.shape}, {xv.shape} and {b.data.shape} do not align")
-    out = _product(wv, xv)
-    out += b.data
-    _softplus_into(out)
+    out = _softplus_into(_product(wv, xv), b.data)
+    blocks = _row_blocks(*out.shape)[1]
 
     def bw(g):
-        s = np.negative(out)
-        np.expm1(s, out=s)
-        s *= g
-        np.negative(s, out=s)  # g * sigmoid
+        s = np.empty_like(out)
+
+        def sigmoid_times_g(r: slice) -> None:
+            sb = np.negative(out[r], out=s[r])
+            np.expm1(sb, out=sb)
+            sb *= g[r]
+            np.negative(sb, out=sb)  # g * sigmoid
+
+        _row_pass(sigmoid_times_g, blocks, out.size)
         return (
             _product(s, xv.T) if w.requires_grad else None,
             _product(wv.T, s) if x.requires_grad else None,
@@ -632,13 +695,14 @@ def modulation(x, kernel, pad: tuple[int, int], floor: float) -> Tensor:
     out[k, l] = floor + sum_d kernel[k, d] * |xp[k, l + d]|, where xp is x
     with pad[0] zeros before and pad[1] zeros after each row, and
     L = T + pad[0] + pad[1] - width + 1: the modulation envelope of the
-    adaptive front end. Forward and backward run over blocks of rows
-    (`_row_blocks`), forming |x| and sign(x) of one block at a time in
-    scratch, so the node keeps no array of its own but its output. Each
-    tap is one axpy summed in increasing d, the x gradient is that sum
-    times sign(x) (subgradient 0 at 0), and the kernel gradient is one
-    row-wise dot per tap. Each tap reads only the columns of x it
-    overlaps, so neither xp nor a (K, width, L) array is made.
+    adaptive front end. Forward and backward are row passes
+    (`_row_pass`) over blocks of rows (`_row_blocks`), forming |x| and
+    sign(x) of one block at a time in scratch, so the node keeps no array
+    of its own but its output. Each tap is one axpy summed in increasing
+    d, the x gradient is that sum times sign(x) (subgradient 0 at 0), and
+    the kernel gradient is one row-wise dot per tap. Each tap reads only
+    the columns of x it overlaps, so neither xp nor a (K, width, L) array
+    is made.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
     xv, kv = x.data, kernel.data
@@ -658,20 +722,23 @@ def modulation(x, kernel, pad: tuple[int, int], floor: float) -> Tensor:
         hi = max(lo, min(n_out, n_in + left - d))
         taps.append((d, slice(lo, hi), slice(lo + d - left, hi + d - left)))
     rows, blocks = _row_blocks(n_rows, max(n_in, n_out))
+    size, scratch = n_rows * max(n_in, n_out), ((rows, n_in), (rows, n_out))
     out = np.zeros((n_rows, n_out))
-    mag, term = np.empty((rows, n_in)), np.empty((rows, n_out))
-    for r in blocks:
+
+    def forward(r: slice, mag: np.ndarray, term: np.ndarray) -> None:
         n = r.stop - r.start
         a, ob = np.abs(xv[r], out=mag[:n]), out[r]
         for d, o, i in taps:
             ob[:, o] += np.multiply(kv[r, d : d + 1], a[:, i], out=term[:n, o])
         ob += floor
 
+    _row_pass(forward, blocks, size, *scratch)
+
     def bw(g):
         gx = np.zeros_like(xv) if x.requires_grad else None
         gk = np.empty_like(kv) if kernel.requires_grad else None
-        mag, term = np.empty((rows, n_in)), np.empty((rows, n_out))
-        for r in blocks:
+
+        def backward(r: slice, mag: np.ndarray, term: np.ndarray) -> None:
             n = r.stop - r.start
             gb = g[r]
             if gx is not None:
@@ -683,6 +750,8 @@ def modulation(x, kernel, pad: tuple[int, int], floor: float) -> Tensor:
                 a = np.abs(xv[r], out=mag[:n])
                 for d, o, i in taps:
                     gk[r, d] = np.einsum("kl,kl->k", gb[:, o], a[:, i])
+
+        _row_pass(backward, blocks, size, *scratch)
         return gx, gk
 
     return _result(out, (x, kernel), bw)
@@ -693,9 +762,9 @@ def remodulate(m_hat, x, m) -> Tensor:
 
     No implicit epsilon: m must be nonzero. The carrier is formed one
     block of rows at a time (`_row_blocks`) in scratch, forward and
-    backward, so the node keeps no array of its own but its output. The
-    gradients are g * (x / m) for m_hat and, with gp = g * m_hat,
-    gp / m for x and (-gp) * x / (m * m) for m.
+    backward, each a row pass (`_row_pass`), so the node keeps no array
+    of its own but its output. The gradients are g * (x / m) for m_hat
+    and, with gp = g * m_hat, gp / m for x and (-gp) * x / (m * m) for m.
     """
     m_hat, x, m = as_tensor(m_hat), as_tensor(x), as_tensor(m)
     hv, xv, mv = m_hat.data, x.data, m.data
@@ -703,17 +772,19 @@ def remodulate(m_hat, x, m) -> Tensor:
         raise ShapeError(f"remodulate shapes {hv.shape}, {xv.shape} and {mv.shape} differ or are not 2-D")
     rows, blocks = _row_blocks(*hv.shape)
     out = np.empty_like(hv)
-    carrier = np.empty((rows, hv.shape[1]))
-    for r in blocks:
+
+    def forward(r: slice, carrier: np.ndarray) -> None:
         np.multiply(hv[r], np.divide(xv[r], mv[r], out=carrier[: r.stop - r.start]), out=out[r])
+
+    _row_pass(forward, blocks, hv.size, (rows, hv.shape[1]))
 
     def bw(g):
         gh = np.empty_like(hv) if m_hat.requires_grad else None
         gx = np.empty_like(xv) if x.requires_grad else None
         gm = np.empty_like(mv) if m.requires_grad else None
-        buf, gp = np.empty((2, rows, hv.shape[1]))
-        for r in blocks:
-            n = r.stop - r.start
+
+        def backward(r: slice, scratch: np.ndarray) -> None:
+            n, (buf, gp) = r.stop - r.start, scratch
             gb, xb, mb = g[r], xv[r], mv[r]
             if gh is not None:
                 np.multiply(gb, np.divide(xb, mb, out=buf[:n]), out=gh[r])
@@ -724,6 +795,8 @@ def remodulate(m_hat, x, m) -> Tensor:
                 np.negative(gp[:n], out=gp[:n])
                 gp[:n] *= xb
                 np.divide(gp[:n], np.multiply(mb, mb, out=buf[:n]), out=gm[r])
+
+        _row_pass(backward, blocks, hv.size, (2, rows, hv.shape[1]))
         return gh, gx, gm
 
     return _result(out, (m_hat, x, m), bw)
@@ -925,11 +998,11 @@ def finite_difference_gradient(
     gives the same result either way.
 
     Stacked, the blocks split into w = _workers(len(blocks)) contiguous
-    chunks, one task each, every chunk run in order with a stack of its
-    own; one call per row is one task. The tasks run through `_beside`
-    (the module's thread rule). Each gradient entry comes from the same
-    rows through the same ops, so the result is bitwise the same for any
-    w.
+    chunks (`_chunks`), one task each, every chunk run in order with a
+    stack of its own; one call per row is one task. The tasks run through
+    `_beside` (the module's thread rule). Each gradient entry comes from
+    the same rows through the same ops, so the result is bitwise the same
+    for any w.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -962,10 +1035,8 @@ def finite_difference_gradient(
             flat_stack[rows, coords] = flat_stack[k + rows, coords] = xs
             flat_g[block] = (f[:k] - f[k:]) / (2.0 * h)
 
-    workers = _workers(len(blocks)) if stacked else 1
-    bounds = [len(blocks) * i // workers for i in range(workers + 1)]
     # each chunk writes its own coordinates' entries of grad
-    for _ in _beside(differences, [blocks[a:b] for a, b in zip(bounds, bounds[1:])]):
+    for _ in _beside(differences, _chunks(blocks, stacked)):
         pass
     return grad
 

@@ -178,7 +178,8 @@ def test_finite_differences_start_only_their_own_pool(monkeypatch):
         pools.clear()
         with E.no_grad():
             graph({"x": E.Tensor(np.ones((128, 512)))})
-        assert pools == ([["<lambda>", 2, 2]] if workers > 1 else [])
+        # two column spans, one on the caller and one on a pool thread
+        assert pools == ([["span", 1, 1]] if workers > 1 else [])
         pools.clear()
         results.append(E.finite_difference_gradient(graph, {"x": x}, "x", stacked=True).tobytes())
         # the oracle's own pool of w - 1 helpers, one chunk each, and no product pool
@@ -629,6 +630,79 @@ def test_affine_softplus_saturation():
     np.testing.assert_allclose(x.grad, logistic, rtol=1e-13, atol=0.0)
 
 
+# the ops with row passes, on inputs of three row blocks, the last one short
+ROW_PASS_OPS = {
+    "modulation": (lambda a: E.modulation(a[0], a[1], (2, 2), 1e-3), [(69, 998), (69, 5)]),
+    "remodulate": (lambda a: E.remodulate(*a), [(69, 998)] * 3),
+    "affine_softplus": (lambda a: E.affine_softplus(*a), [(69, 40), (40, 998), (69, 1)]),
+}
+
+
+@pytest.mark.parametrize("name", ROW_PASS_OPS)
+def test_row_passes_are_bitwise_the_same_for_any_worker_count(monkeypatch, name):
+    op, shapes = ROW_PASS_OPS[name]
+    monkeypatch.setattr(E, "_CHUNK_FLOOR", 0)
+    pool, pools = counting_pool()
+    monkeypatch.setattr(E, "ThreadPoolExecutor", pool)
+    rng = np.random.default_rng(36)
+    values = [rng.standard_normal(shape) for shape in shapes]
+    values[0][:, ::4] = 0.0  # modulation's sign(0) = 0
+    if name == "remodulate":
+        values[2] = rng.uniform(1e-3, 2.0, shapes[2])
+    g = rng.standard_normal((69, 998))
+    results = []
+    for workers in (1, 2, 3):
+        on_workers(monkeypatch, workers)
+        threads = threading.active_count()
+        pools.clear()
+        inputs = [E.parameter(v) for v in values]
+        out = op(inputs)
+        assert E._grad_enabled and not marked() and threading.active_count() == threads
+        E.sum_(out * g).backward()
+        assert E._grad_enabled and not marked() and threading.active_count() == threads
+        results.append([out.data.tobytes()] + [t.grad.tobytes() for t in inputs])
+        # forward and backward each split three blocks in w chunks: the
+        # caller's and one task each on a pool of w - 1 threads
+        assert pools == ([["run_chunk", workers - 1, workers - 1]] * 2 if workers > 1 else [])
+    assert results[1] == results[0] and results[2] == results[0]
+
+    # on a marked thread the passes of the forward and of the closure
+    # recorded above run whole, starting no pool
+    def inside(_):
+        return [op([E.Tensor(v) for v in values]).data.tobytes()] + [a.tobytes() for a in out._backward(g)]
+
+    pools.clear()
+    assert list(E._beside(inside, [0])) == [results[0]] and pools == []
+
+
+def test_row_pass_splits_from_its_floor_up_and_raises_a_chunks_error(monkeypatch):
+    # the default net's passes are at or above the floor, the smoke net's below it
+    assert 64 * 2000 < E._CHUNK_FLOOR <= 1024 * 1985
+    pool, pools = counting_pool()
+    monkeypatch.setattr(E, "ThreadPoolExecutor", pool)
+    on_workers(monkeypatch, 2)
+    blocks = [slice(i, i + 1) for i in range(6)]
+    for size, expected in ((E._CHUNK_FLOOR - 1, []), (E._CHUNK_FLOOR, [["run_chunk", 1, 1]])):
+        pools.clear()
+        E._row_pass(lambda r, scratch: None, blocks, size, (1, 4))
+        assert pools == expected, size
+    monkeypatch.setattr(E, "_CHUNK_FLOOR", 0)
+    caller = threading.get_ident()
+    for fails_on_caller in (False, True):
+
+        def block(r, scratch):
+            if (threading.get_ident() == caller) == fails_on_caller:
+                raise RuntimeError("chunk failed")
+
+        for workers in (2, 3):
+            on_workers(monkeypatch, workers)
+            threads = threading.active_count()
+            with pytest.raises(RuntimeError, match="chunk failed"):
+                E._row_pass(block, blocks, len(blocks), (1, 4))
+            assert threading.active_count() == threads
+            assert E._grad_enabled and not marked()
+
+
 def _accum_always_copying(t, g):
     if g is None or not t.requires_grad:
         return
@@ -824,8 +898,8 @@ def test_product_is_bitwise_a_at_b_for_any_worker_count(layout):
                     E._SPLIT_FLOOR = floor
                     pools.clear()
                     got = E._product(a, b)
-                    # one pool of a thread per span, or none
-                    if not np.array_equal(got, a @ b) or pools != ([["<lambda>", expected, expected]] if split else []):
+                    # the caller's span and one pool of a thread per other span, or none
+                    if not np.array_equal(got, a @ b) or pools != ([["span", expected - 1, expected - 1]] if split else []):
                         failures.append([n, workers, floor, pools[:]])
         print(json.dumps(failures))
         """
@@ -844,9 +918,10 @@ def test_product_splits_from_its_floor_up_on_a_single_threaded_blas(monkeypatch)
     macs = 40 * 128 * 600
     for var in E._BLAS_THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
+    # the pool's tasks: the caller takes the first of two spans
     for floor, blas_threads, expected in (
         (macs + 1, "1", []),
-        (macs, "1", [2]),
+        (macs, "1", [1]),
         (macs, "2", []),  # a multi-threaded BLAS partitions the product itself
         (macs, None, []),  # so does one left to choose its thread count
     ):

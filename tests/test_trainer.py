@@ -96,10 +96,13 @@ def test_training_refuses_a_pair_at_another_rate():
     cfg = tiny_cfg(cost="sdr:0.5+stoi:0.5")
     net = NetConfig(components=16, filter_len=64, stride=16, hidden_units=16)
     slow = make_pair(seed=5, fs=8000)
-    # in the normalisation pass, then in a step after ten good pairs
+    # among the normalisation pass's pairs, and as the 11th pair, past
+    # them: either way before the first step
+    steps = []
     for pairs, index in (([make_pair(), slow], 1), ([make_pair(seed) for seed in range(10)] + [slow], 10)):
         with pytest.raises(ShapeError, match=f"pair {index}: pair sampled at 8000 Hz, training at 16000 Hz"):
-            fit(Dataset(pairs), cfg, net, SMALL_STOI)
+            fit(Dataset(pairs), cfg, net, SMALL_STOI, step_callback=lambda *args: steps.append(args))
+        assert steps == []
     # a step refuses it before any update
     params, opt = init_params(0, net), OptState()
     before = {name: t.data.copy() for name, t in params.tensors().items()}
@@ -226,6 +229,40 @@ def test_adam_update_is_bitwise_the_textbook_form():
         assert opt.m[name].tobytes() == ref_m[name].tobytes()
         assert opt.v[name].tobytes() == ref_v[name].tobytes()
 
+
+
+def test_adam_update_is_bitwise_the_same_for_any_worker_count(monkeypatch):
+    # a row pass per parameter: the analysis bank's 2.5 blocks split, each
+    # smaller tensor's one block runs on the caller
+    monkeypatch.setattr(E, "_CHUNK_FLOOR", 0)
+    pool, pools = counting_pool()
+    monkeypatch.setattr(E, "ThreadPoolExecutor", pool)
+    net = NetConfig(components=5 * E._ROW_BLOCK // 1024, filter_len=512, stride=16, hidden_units=8)
+    cfg = tiny_cfg(learning_rate=1e-2)
+
+    def three_updates(_=None):
+        params, opt, rng = init_params(3, net), OptState(), np.random.default_rng(4)
+        for _ in range(3):
+            for t in params.tensors().values():
+                t.grad = rng.standard_normal(t.data.shape)
+            trainer._apply_update(params, opt, cfg)
+        return [a.tobytes() for name, t in params.tensors().items() for a in (t.data, opt.m[name], opt.v[name])]
+
+    results = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(E, "_workers", lambda tasks, cap=workers: max(1, min(tasks, cap)))
+        threads = threading.active_count()
+        pools.clear()
+        results.append(three_updates())
+        assert threading.active_count() == threads
+        assert E._grad_enabled and not getattr(E._whole_products, "marked", False)
+        # each update: the caller's chunk of the analysis bank and one task
+        # each on a pool of w - 1 threads
+        assert pools == ([["run_chunk", workers - 1, workers - 1]] * 3 if workers > 1 else [])
+    assert results[1] == results[0] and results[2] == results[0]
+    # on a marked thread each update is one chunk
+    pools.clear()
+    assert list(E._beside(three_updates, [0])) == [results[0]] and pools == []
 
 def test_smoke_net_step_peak_memory():
     # Traced peak of one step of the benchmark's smoke net (64 x 128 / 16,
@@ -676,9 +713,9 @@ def test_interrupted_writes_keep_previous_files(tmp_path, monkeypatch):
 def test_training_and_separation_are_bitwise_the_same_for_any_product_split(tmp_path):
     # criterion 9's rerun determinism must not depend on the thread count.
     # A smoke-net fit on 1 s utterances (993 frames, so the products over
-    # frames split in up to 3 spans), with every product at the floor: the
-    # log, the checkpoint and a separation in three 512-frame blocks, whose
-    # products run whole, on 1, 2 and 3 workers
+    # frames split in up to 3 spans), with every product and row pass at its
+    # floor: the log, the checkpoint and a separation in three 512-frame
+    # blocks, whose products and row passes run whole, on 1, 2 and 3 workers
     digests = run_on_one_blas_thread(
         f"""
         import hashlib, json
@@ -692,7 +729,7 @@ def test_training_and_separation_are_bitwise_the_same_for_any_product_split(tmp_
         from reference import counting_pool
 
         E.ThreadPoolExecutor, pools = counting_pool()
-        E._SPLIT_FLOOR = 0
+        E._SPLIT_FLOOR = E._CHUNK_FLOOR = 0
         net = NetConfig(components=64, filter_len=128, stride=16, hidden_units=64, weight_sharing="shared")
         dataset = Dataset([make_pair(0, n=16000), make_pair(1, n=16000)])
         cfg = tiny_cfg(cost="sdr:0.75+stoi:0.25", epochs=2)
@@ -704,15 +741,16 @@ def test_training_and_separation_are_bitwise_the_same_for_any_product_split(tmp_
             log, ckpt = f"{{out}}/log{{workers}}.jsonl", f"{{out}}/model{{workers}}.ckpt"
             result = fit(dataset, cfg, net, log_path=log)
             save_checkpoint(result.params, result.opt_state, ckpt, cfg, meta={{"steps_done": result.steps_done}})
-            fit_splits, pools[:] = max((tasks for _, _, tasks in pools), default=1), []
+            # the caller takes one part of each split, a pool thread each other part
+            fit_splits, pools[:] = 1 + max((tasks for _, _, tasks in pools), default=0), []
             separated = separate_full_length(mixture, result.params).samples
-            product_splits = sum(name == "<lambda>" for name, _, _ in pools)
+            product_splits = sum(name != "synthesize" for name, _, _ in pools)
             files = [open(log, "rb").read(), open(ckpt, "rb").read(), separated.tobytes()]
             digests.append([fit_splits, product_splits] + [hashlib.sha256(f).hexdigest() for f in files])
         print(json.dumps(digests))
         """
     )
-    # the most spans of a fit's splits, and how many products split in separation
+    # the most parts of a fit's splits, and how many products and row passes split in separation
     assert [d[0] for d in digests] == [1, 2, 3]
     assert [d[1] for d in digests] == [0, 0, 0]
     assert digests[1][2:] == digests[0][2:] and digests[2][2:] == digests[0][2:]
@@ -720,6 +758,7 @@ def test_training_and_separation_are_bitwise_the_same_for_any_product_split(tmp_
 
 def test_no_thread_outlives_train_step(monkeypatch):
     monkeypatch.setattr(E, "_SPLIT_FLOOR", 0)
+    monkeypatch.setattr(E, "_CHUNK_FLOOR", 0)
     monkeypatch.setattr(E, "_blas_threads", lambda: 1)
     monkeypatch.setattr(E, "_workers", lambda tasks: max(1, min(tasks, 3)))
     pool, pools = counting_pool()
@@ -729,7 +768,11 @@ def test_no_thread_outlives_train_step(monkeypatch):
     threads = threading.active_count()
     train_step(params, make_pair(0, n=16000), cost, tiny_cfg(), OptState())
     assert threading.active_count() == threads
-    assert pools and max(tasks for _, _, tasks in pools) == 3
+    # products and row passes split in up to three parts: the caller's and
+    # those of a pool of up to two threads, one task each
+    assert {name for name, _, _ in pools} == {"span", "run_chunk"}
+    assert max(threads for _, threads, _ in pools) == 2
+    assert all(tasks == threads for _, threads, tasks in pools)
 
 
 def test_resume_matches_uninterrupted_run(tmp_path):
