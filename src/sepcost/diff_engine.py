@@ -39,9 +39,11 @@ no two `.grad` fields share memory.
 
 Every framing op frames through one view, `_frame_view`, and scatters
 through one adjoint, `_overlap_add`: the backward of conv1d,
-band_envelopes, sliding_windows and gather_linear and the forward of
-conv1d_transpose. The STFT runs on numpy's FFT both ways, rfft forward
-and irfft for the adjoint.
+band_envelopes and sliding_windows and the forward of conv1d_transpose.
+gather_linear instead reads each group of its rows through one strided
+view of a padded buffer, which BLAS reads in place, and its backward
+adds each group's product back as one contiguous run. The STFT runs on
+numpy's FFT both ways, rfft forward and irfft for the adjoint.
 
 The thread rule: only `_beside` starts threads. It runs independent
 tasks on the caller and beside it, on the CPUs a single-threaded BLAS
@@ -803,22 +805,31 @@ def remodulate(m_hat, x, m) -> Tensor:
 
 
 class PolyphasePlan(NamedTuple):
-    """A banded linear map whose rows repeat every phases.shape[0] rows.
+    """A banded linear map whose rows repeat in blocks, each block's rows in groups.
 
-    Rows go in blocks of R = phases.shape[0]: output b * R + r is
-    phases[r] dotted with the window of phases.shape[1] samples that
-    starts at x[b * stride + offset], taps outside x reading zero. The
-    edge rows are the exceptions: edge row e is the dot product of
-    edge_weights[e] with the samples from x[edge_start[e]], and
-    edge_start[e] is at least offset. A plan whose rows are all edge rows
-    may carry a 1 x 1 zero phase matrix and stride 1.
+    Rows go in blocks of R = n_groups * G rows, groups.shape = (n_groups,
+    width, G): row k * G + i of block b is groups[k, :, i] dotted with
+    the `width` samples from x[b * stride + k * group_stride + offset],
+    taps outside x reading zero. The edge rows are the exceptions: edge
+    row e is the dot product of edge_weights[e] with the samples from
+    x[edge_start[e]], and edge_start[e] is at least offset. A plan whose
+    rows are all edge rows may carry a 1 x 1 x 1 zero `groups` and
+    strides 1.
+
+    width is at most stride: a group's windows are then one matrix whose
+    rows lie `stride` samples apart without overlapping, which BLAS reads
+    in place. `signal_io.resample_plan` picks m and G per rate pair by
+    the rule of `signal_io._phase_grid`, and `groups` takes R * width * 8
+    bytes per rate pair (88,000 at 10080 -> 10000 Hz, 31,200 at
+    16 -> 10 kHz).
     """
 
     n_in: int
     out_len: int
-    phases: np.ndarray  # (R, W), shared by every input length
+    groups: np.ndarray  # (n_groups, width, G), shared by every input length
     stride: int  # input samples per block of R rows
-    offset: int  # first tap of row 0, at most 0
+    group_stride: int  # input samples from one group's window to the next
+    offset: int  # first sample of block 0's first window, at most 0
     edge_rows: np.ndarray  # int64 (E,)
     edge_start: np.ndarray  # int64 (E,), may be negative or run past x
     edge_weights: np.ndarray  # (E, taps)
@@ -829,17 +840,22 @@ def gather_linear(x, plan: PolyphasePlan) -> Tensor:
 
     Used for in-graph band-limited resampling (`signal_io.resample_plan`).
     One signal runs at a time: it is copied into a zero-padded buffer
-    shared by every signal, the windows of its blocks are framed with hop
-    plan.stride as in conv1d, and one BLAS matmul with phases.T gives
-    every row; the edge rows are then overwritten by their own banded
-    sums. Backward is the conv1d adjoint: phases.T @ g per block,
-    overlap-added by `_overlap_add`, with the edge rows' share of g zeroed
-    there and scatter-added by a bincount over those rows alone. Each
-    signal's values and gradient are bitwise those of it alone.
+    shared by every signal. The windows of every group of every block are
+    one read-only (n_groups, blocks, width) strided view of that buffer,
+    and one BLAS matmul with `groups` writes every row through a
+    transposed view of the signal's output. BLAS reads the view in place,
+    so no frame is copied. The edge rows are then overwritten by their
+    own banded sums. Backward is the adjoint of the same grouped map: one
+    product of each group's (blocks, G) share of g with its weights, then
+    one contiguous add per group into the padded gradient, with the edge
+    rows' share of g zeroed there and scatter-added by a bincount over
+    those rows alone. Each signal's values and gradient are bitwise those
+    of it alone.
     """
     x = as_tensor(x)
     xv = x.data
-    rows, width = plan.phases.shape
+    n_groups, width, group_rows = plan.groups.shape
+    rows = n_groups * group_rows
     taps = plan.edge_weights.shape[-1]
     if xv.ndim < 1 or xv.shape[-1] != plan.n_in:
         raise ShapeError(f"gather_linear plan for {plan.n_in} samples does not fit shape {xv.shape}")
@@ -848,21 +864,27 @@ def gather_linear(x, plan: PolyphasePlan) -> Tensor:
         raise ShapeError(
             f"gather_linear plan edge shapes {edges}, {plan.edge_start.shape} and {plan.edge_weights.shape} do not align"
         )
+    if width > plan.stride:
+        raise ShapeError(f"gather_linear plan windows of {width} samples overlap at stride {plan.stride}")
     n, lo = plan.n_in, -plan.offset
     n_blocks = max(1, -(-plan.out_len // rows))
-    span = (n_blocks - 1) * plan.stride + width  # samples the block frames read
+    span = (n_blocks - 1) * plan.stride + (n_groups - 1) * plan.group_stride + width  # samples the windows read
     first = plan.edge_start + lo  # xp index of each edge row's first tap
     if first.min(initial=0) < 0:
         raise ShapeError(f"gather_linear plan has an edge row starting before its offset {plan.offset}")
     signals = xv.reshape(-1, n)
     xp = np.zeros(max(span, lo + n, first.max(initial=0) + taps))
     # views of xp, which each signal in turn fills; each edge row reads one row of `taps`
-    frames, taps_view = _frame_view(xp[:span], width, plan.stride), _frame_view(xp, taps, 1)
+    step = xp.strides[0]
+    windows = np.lib.stride_tricks.as_strided(
+        xp, (n_groups, n_blocks, width), (plan.group_stride * step, plan.stride * step, step), writeable=False
+    )
+    taps_view = _frame_view(xp, taps, 1)
     # whole blocks of rows; the rows past out_len are cut off below
     out = np.empty((signals.shape[0], n_blocks * rows))
     for s, o in zip(signals, out):
         xp[lo : lo + n] = s
-        np.matmul(np.ascontiguousarray(frames), plan.phases.T, out=o.reshape(n_blocks, rows))
+        np.matmul(windows, plan.groups, out=o.reshape(n_blocks, n_groups, group_rows).transpose(1, 0, 2))
         o[plan.edge_rows] = np.einsum("jk,jk->j", taps_view[first], plan.edge_weights)
     out = out[:, : plan.out_len]
 
@@ -870,13 +892,22 @@ def gather_linear(x, plan: PolyphasePlan) -> Tensor:
         gx = np.empty_like(signals)
         blocks = np.zeros((n_blocks, rows))
         flat = blocks.reshape(-1)
+        by_group = blocks.reshape(n_blocks, n_groups, group_rows).transpose(1, 0, 2)
+        # a group's product fills the first `width` columns of each stride-long
+        # row, the rest staying zero, so it adds back as one contiguous run
+        lines = np.zeros((n_blocks, plan.stride))
+        term = lines[:, :width]
+        full = np.empty(max(xp.size, (n_groups - 1) * plan.group_stride + lines.size))
         k = (first[:, None] + np.arange(taps)).ravel()
-        for gs, gxs in zip(g.reshape(-1, plan.out_len), gx):
+        for gs, gxs in zip(g.reshape(signals.shape[0], plan.out_len), gx):
             flat[: plan.out_len] = gs
             flat[plan.edge_rows] = 0.0
-            full = _overlap_add(plan.phases.T @ blocks.T, plan.stride, xp.size)
+            full[:] = 0.0
+            for i, (gk, weights) in enumerate(zip(by_group, plan.groups)):
+                np.matmul(gk, weights.T, out=term)
+                full[i * plan.group_stride :][: lines.size] += lines.reshape(-1)
             scaled = plan.edge_weights * gs[plan.edge_rows][:, None]
-            full += np.bincount(k, weights=scaled.ravel(), minlength=xp.size)
+            full[: xp.size] += np.bincount(k, weights=scaled.ravel(), minlength=xp.size)
             gxs[:] = full[lo : lo + n]
         return (gx.reshape(xv.shape),)
 

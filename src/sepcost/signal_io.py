@@ -164,29 +164,57 @@ def _write_atomic(path, chunks) -> None:
         tmp.unlink(missing_ok=True)
 
 
-# Polyphase blocks hold at least 32 outputs, and a phase matrix at most
-# 2**20 entries (8 MB of float64). A pair past that limit gets the 1 x 1
-# zero matrix below, and all its rows are edge rows.
+# Polyphase blocks hold at least 32 outputs, in groups of at least 8 rows
+# (the width of a BLAS register tile) whose windows should hold at most 1.5
+# kernels. A pair whose block band or grouped plan would exceed 2**20
+# entries (8 MB of float64) gets the 1 x 1 x 1 zero plan below, and all its
+# rows are edge rows.
 MIN_BLOCK_ROWS = 32
+MIN_GROUP_ROWS = 8
+MAX_GROUP_WIDTH = SINC_TAPS + SINC_TAPS // 2
 MAX_PHASE_ENTRIES = 1 << 20
-_NO_PHASES = np.zeros((1, 1))
+_NO_PHASES = np.zeros((1, 1, 1))
 _NO_PHASES.setflags(write=False)
+
+
+def _group_width(n_phases: int, q: int, rows: int, group_rows: int) -> int:
+    """Window width of each group of group_rows consecutive rows in a block of `rows` rows.
+
+    Row r reads SINC_TAPS samples from block column (r * Q) // P, and group
+    k's window starts at column k * ((group_rows * Q) // P), so a window
+    spans its rows' taps plus the drift of that floor over k groups.
+    """
+    r = np.arange(rows)
+    return int((r * q // n_phases - r // group_rows * (group_rows * q // n_phases)).max()) + SINC_TAPS
 
 
 @lru_cache(maxsize=8)
 def _phase_grid(src_rate: int, dst_rate: int):
-    """(kernels, phases) of one rate pair, shared by every input length.
+    """(kernels, groups, stride, group_stride) of one rate pair, shared by every input length.
 
-    kernels[p] is the un-normalised kernel of phase p in [0, P). phases is
-    the (m * P, W) block matrix of gather_linear: row r holds the
-    normalised kernel of phase (r * Q) mod P from column (r * Q) // P,
-    or _NO_PHASES when that matrix would exceed MAX_PHASE_ENTRIES.
+    kernels[p] is the un-normalised kernel of phase p in [0, P). A block of
+    R = m * P rows reads its input from column b * stride, stride = m * Q;
+    row r holds the normalised kernel of phase (r * Q) mod P from column
+    (r * Q) // P. The block's rows go in R / G groups of G consecutive
+    rows, and groups[k] is the (width, G) weights of group k over its
+    window, which starts at column k * group_stride, group_stride =
+    (G * Q) // P.
+
+    The rule: m is the smallest integer with R >= MIN_BLOCK_ROWS for which
+    some divisor G >= MIN_GROUP_ROWS of R has width <= stride, so that one
+    group's windows do not overlap from block to block and BLAS reads them
+    in place. Among those divisors G is the largest whose window is at
+    most MAX_GROUP_WIDTH, so at most a third of a group's multiply-adds
+    meet zeros while its products stay as wide and as few as that allows;
+    when none is that narrow, G has the narrowest window (the larger G on
+    a tie). groups is _NO_PHASES when the dense band of a block of m0 * P
+    rows, m0 = ceil(32 / P), which spans floor((m0 * P - 1) * Q / P) +
+    SINC_TAPS samples, or the grouped weights (R * width entries) would
+    exceed MAX_PHASE_ENTRIES.
     """
     half = SINC_TAPS // 2
     step = math.gcd(src_rate, dst_rate)
     n_phases, q = dst_rate // step, src_rate // step
-    rows = -(-MIN_BLOCK_ROWS // n_phases) * n_phases
-    width = (rows - 1) * q // n_phases + SINC_TAPS
     taps = np.arange(SINC_TAPS)
     # t[p, m] = p / P + half - 1 - m, one rounding from an exact integer ratio
     t = (np.arange(n_phases)[:, None] + (half - 1 - taps) * n_phases) / n_phases
@@ -196,15 +224,34 @@ def _phase_grid(src_rate: int, dst_rate: int):
     window /= np.i0(KAISER_BETA)
     kernels = cutoff * np.sinc(cutoff * t) * window
     kernels.setflags(write=False)
-    if rows * width > MAX_PHASE_ENTRIES:
-        return kernels, _NO_PHASES
-    column, phase = np.divmod(np.arange(rows) * q, n_phases)
+    m = -(-MIN_BLOCK_ROWS // n_phases)
+    band = m * n_phases * ((m * n_phases - 1) * q // n_phases + SINC_TAPS)
+    m = max(m, -(-SINC_TAPS // q))  # a stride below SINC_TAPS fits no window
+    # every window spans SINC_TAPS samples or more, so past
+    # MAX_PHASE_ENTRIES / SINC_TAPS rows no grouped plan fits the cap
+    fits = []
+    while not fits and band <= MAX_PHASE_ENTRIES and m * n_phases * SINC_TAPS <= MAX_PHASE_ENTRIES:
+        rows, stride = m * n_phases, m * q
+        sizes = np.arange(MIN_GROUP_ROWS, rows + 1)
+        for g in sizes[rows % sizes == 0].tolist():
+            if (width := _group_width(n_phases, q, rows, g)) <= stride:
+                fits.append((width, g))
+        m += 1
+    if fits:
+        narrow = [fit for fit in fits if fit[0] <= MAX_GROUP_WIDTH]
+        width, g = max(narrow, key=lambda fit: fit[1]) if narrow else min(fits, key=lambda fit: (fit[0], -fit[1]))
+    if not fits or rows * width > MAX_PHASE_ENTRIES:
+        return kernels, _NO_PHASES, 1, 1
+    r = np.arange(rows)
+    column, phase = np.divmod(r * q, n_phases)
     h = kernels[phase]
     h /= h.sum(axis=1, keepdims=True)
-    phases = np.zeros((rows, width))
-    phases[np.arange(rows)[:, None], column[:, None] + taps] = h
-    phases.setflags(write=False)
-    return kernels, phases
+    group, i = np.divmod(r, g)
+    group_stride = g * q // n_phases
+    groups = np.zeros((rows // g, width, g))
+    groups[group[:, None], (column - group * group_stride)[:, None] + taps, i[:, None]] = h
+    groups.setflags(write=False)
+    return kernels, groups, stride, group_stride
 
 
 @lru_cache(maxsize=32)
@@ -219,29 +266,38 @@ def resample_plan(n_in: int, src_rate: int, dst_rate: int) -> engine.PolyphasePl
     reading zero. Tap offsets depend on p alone, so the Kaiser-windowed
     sinc is evaluated on the P x SINC_TAPS phase grid (P kernels; 5 for
     16 -> 10 kHz), and the outputs repeat with period P (Smith & Gossett,
-    ICASSP 1984): a block of P' = m * P outputs, m = ceil(32 / P), reads
-    one window of W = floor((P' - 1) * Q / P) + SINC_TAPS samples, and
-    the next block's window starts m * Q samples later. The phase matrix
-    holds a block's P' kernels, each normalised to sum 1, at column
-    offsets floor(r * Q / P): P' * W * 8 bytes (35 x 118 for 16 -> 10 kHz,
-    33 KB), cached per rate pair and shared by every input length. The
-    rows whose taps overrun x, about 63 * P / Q of them, are kept apart
-    with their out-of-range taps masked and the rest renormalised, so DC
-    is preserved exactly; at 8 * (SINC_TAPS + 2) bytes each they are the
+    ICASSP 1984): each block of R = m * P outputs reads its input m * Q
+    samples after the block before it.
+
+    The block's rows go in groups of G consecutive rows (`_phase_grid`
+    gives the rule that picks m and G). A group's weights span only the
+    window its rows read, w ~ (G - 1) * Q / P + SINC_TAPS samples, where
+    a dense block matrix would span (R - 1) * Q / P + SINC_TAPS columns,
+    SINC_TAPS of them non-zero in each row. w never exceeds the block stride
+    m * Q, so each group's windows are a strided view that BLAS reads in
+    place. The grouped weights, each kernel normalised to sum 1, take
+    R * w * 8 bytes, cached per rate pair and shared by every input
+    length: 5 groups of 25 rows, w = 88, at 10080 -> 10000 Hz (88,000
+    bytes); 5 of 10, w = 78, at 16 -> 10 kHz (31,200); 10 of 10,
+    w = 104, at 44.1 -> 10 kHz (83,200). The rows whose taps
+    overrun x, about 63 * P / Q of them, are kept apart with their
+    out-of-range taps masked and the rest renormalised, so DC is
+    preserved exactly; at 8 * (SINC_TAPS + 2) bytes each they are the
     plan's only per-length part.
 
-    The phase matrix is capped at 2**20 entries (8 MB). Every pair of the
-    common rates from 8 to 96 kHz fits; a pair past the cap, such as
-    44100 -> 10007 Hz, gets a 1 x 1 zero matrix and every output becomes
-    an edge row, the per-row banded sum at 8 * (SINC_TAPS + 2) bytes per
-    output sample.
+    The plan is capped at 2**20 entries (8 MB), both as the band of one
+    block of ceil(32 / P) * P rows and as the grouped weights. Every pair
+    of the common rates from 8 to 96 kHz fits; a pair past the cap, such
+    as 44100 -> 10007 Hz, gets a 1 x 1 x 1 zero plan and every output
+    becomes an edge row, the per-row banded sum at 8 * (SINC_TAPS + 2)
+    bytes per output sample.
 
     Raises:
         ValueError: a rate is not a positive integer.
     """
     for rate in (src_rate, dst_rate):
         _check_rate(rate)
-    kernels, phases = _phase_grid(src_rate, dst_rate)
+    kernels, groups, stride, group_stride = _phase_grid(src_rate, dst_rate)
     step = math.gcd(src_rate, dst_rate)
     n_phases, q = dst_rate // step, src_rate // step
     out_len = int(round(n_in * dst_rate / src_rate))
@@ -249,7 +305,7 @@ def resample_plan(n_in: int, src_rate: int, dst_rate: int) -> engine.PolyphasePl
     # output j's first tap base - half + 1 is below 0 for j < left and
     # its last tap past n_in - 1 for j >= right
     left = min(out_len, -(-(half - 1) * n_phases // q))
-    if phases is _NO_PHASES:
+    if groups is _NO_PHASES:
         left = out_len
     right = max(left, -(-(n_in - half) * n_phases // q))
     edge = np.r_[0:left, right:out_len].astype(np.int64)
@@ -261,8 +317,7 @@ def resample_plan(n_in: int, src_rate: int, dst_rate: int) -> engine.PolyphasePl
     h /= h.sum(axis=1, keepdims=True)
     for a in (edge, start, h):
         a.setflags(write=False)
-    stride = max(1, phases.shape[0] // n_phases * q)
-    return engine.PolyphasePlan(n_in, out_len, phases, stride, 1 - half, edge, start, h)
+    return engine.PolyphasePlan(n_in, out_len, groups, stride, group_stride, 1 - half, edge, start, h)
 
 
 def resample(w: Waveform, target_rate: int) -> Waveform:

@@ -222,20 +222,29 @@ def plan_rows(plan, n_in):
 
     Returns (start, weights): output j = sum_k x[start[j] + k] * weights[j, k],
     taps outside x reading zero, with weights of shape (out_len, taps).
-    Row r of a block holds its kernel from phase-matrix column
-    floor(r * stride / rows), which is floor(r * Q / P).
+    Row r = k * G + i of a block of R rows sits at block column
+    floor(r * stride / R), which is floor(r * Q / P), and its first tap is
+    taps // 2 - 1 samples before that; its kernel is the `taps` entries of
+    groups[k, :, i] from that tap's place in group k's window, and every
+    other entry of groups[k, :, i] is zero.
     """
     assert plan.n_in == n_in
-    rows = plan.phases.shape[0]
+    n_groups, width, group_rows = plan.groups.shape
+    rows = n_groups * group_rows
     taps = plan.edge_weights.shape[1]
     start = np.zeros(plan.out_len, dtype=np.int64)
     weights = np.zeros((plan.out_len, taps))
     inner = np.ones(plan.out_len, dtype=bool)
     inner[plan.edge_rows] = False
     block, r = np.divmod(np.flatnonzero(inner), rows)
-    column = r * plan.stride // rows
-    start[inner] = block * plan.stride + plan.offset + column
-    weights[inner] = plan.phases[r[:, None], column[:, None] + np.arange(taps)]
+    group, i = np.divmod(r, group_rows)
+    start[inner] = block * plan.stride + r * plan.stride // rows - taps // 2 + 1
+    place = start[inner] - (block * plan.stride + group * plan.group_stride + plan.offset)
+    assert ((place >= 0) & (place + taps <= width)).all()
+    band = (place[:, None] <= np.arange(width)) & (np.arange(width) < place[:, None] + taps)
+    column = plan.groups[group, :, i]  # (rows, width): each row's weights over its group's window
+    assert not column[~band].any()
+    weights[inner] = column[band].reshape(-1, taps)
     start[plan.edge_rows] = plan.edge_start
     weights[plan.edge_rows] = plan.edge_weights
     return start, weights

@@ -11,7 +11,7 @@ from sepcost import diff_engine as E
 from sepcost.dsp import hann_periodic, octave_band_matrix
 from sepcost.errors import NotScalar, ShapeError
 from sepcost.losses import StoiConfig, sdr_loss, stoi_loss, stoi_reference
-from sepcost.signal_io import resample_plan
+from sepcost.signal_io import SINC_TAPS, resample_plan
 
 from reference import (
     SMALL_STOI,
@@ -339,8 +339,9 @@ def test_conv_transpose_is_conv_adjoint():
 
 
 # 5 phases down, 125 phases down (the gradcheck rate), 5 phases up (repeated
-# starts), and 400 phases down (a one-block phase matrix of 400 rows)
-GATHER_RATES = (16000, 10080, 8000, 11025)
+# starts), 400 phases down (one block of 400 rows in 40 groups), and the
+# large steps Q / P = 4.41 and 4.8 of 44.1 and 48 kHz (groups of 10 and 8)
+GATHER_RATES = (16000, 10080, 8000, 11025, 44100, 48000)
 
 
 def test_gather_linear_fd():
@@ -397,6 +398,36 @@ def test_gather_linear_adjoint_identity():
             if n_in < 64:
                 assert plan.edge_rows.size == plan.out_len
     assert resample_plan(1, 10080, 10000).out_len == 1
+
+
+def test_gather_linear_reads_the_signal_in_place():
+    # A steady 16-row gather at the gradcheck rate allocates its output and
+    # its padded buffer, and beyond them only the edge rows' (62, 64) tap
+    # gather (31.7 KB) and einsum's buffers: a 44 KB slack. A copy of one
+    # signal's frames, 32 blocks of the 188 samples a dense block of 125
+    # rows spans (48.1 KB), would not fit in it.
+    tracemalloc = pytest.importorskip("tracemalloc")
+    plan = resample_plan(4000, 10080, 10000)
+    n_groups, width, group_rows = plan.groups.shape
+    assert width <= plan.stride  # one group's windows do not overlap
+    n_blocks = -(-plan.out_len // (n_groups * group_rows))
+    span = (n_blocks - 1) * plan.stride + (n_groups - 1) * plan.group_stride + width
+    padded = max(span, plan.n_in - plan.offset, plan.edge_start.max() - plan.offset + SINC_TAPS) * 8
+    out_bytes = 16 * n_blocks * n_groups * group_rows * 8
+    slack = 44 * 1024
+    assert slack < n_blocks * ((125 - 1) * 126 // 125 + SINC_TAPS) * 8
+    xs = np.random.default_rng(21).standard_normal((16, 4000))
+    with E.no_grad():
+        E.gather_linear(xs, plan)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = E.gather_linear(xs, plan)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    assert out.data.shape == (16, 3968)
+    assert peak <= out_bytes + padded + slack, (peak, out_bytes, padded)
 
 
 def identity_bands(fft_len):
@@ -832,6 +863,8 @@ def test_shape_errors():
         E.gather_linear(E.Tensor(np.zeros(8)), plan._replace(edge_weights=plan.edge_weights[:-1]))
     with pytest.raises(ShapeError):
         E.gather_linear(E.Tensor(np.zeros(8)), plan._replace(edge_start=plan.edge_start + plan.offset - 1))
+    with pytest.raises(ShapeError, match="overlap"):
+        E.gather_linear(E.Tensor(np.zeros(8)), plan._replace(stride=plan.groups.shape[1] - 1))
 
 
 def test_no_grad_suppresses_recording():

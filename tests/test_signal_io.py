@@ -199,12 +199,23 @@ def test_resample_plan_idx_matches_float_positions(src_rate, dst_rate):
     overrun = np.flatnonzero((start < 0) | (start + SINC_TAPS > n_in))
     np.testing.assert_array_equal(plan.edge_rows, overrun)
     assert plan.edge_start.dtype == np.int64 and plan.edge_rows.dtype == np.int64
-    for a in (plan.phases, plan.edge_rows, plan.edge_start, plan.edge_weights):
+    for a in (plan.groups, plan.edge_rows, plan.edge_start, plan.edge_weights):
         assert not a.flags.writeable
 
 
 def _per_length_bytes(plan):
     return plan.edge_rows.nbytes + plan.edge_start.nbytes + plan.edge_weights.nbytes
+
+
+# Each pair's grouped layout: (groups, window width, rows per group, block
+# stride, group stride). A block holds groups * rows-per-group outputs.
+PINNED_LAYOUTS = {
+    (16000, 10000): (5, 78, 10, 80, 16),
+    (10080, 10000): (5, 88, 25, 126, 25),
+    (16000, 11025): (49, 78, 9, 640, 13),
+    (44100, 16000): (20, 84, 8, 441, 22),
+    (8000, 10000): (9, 71, 10, 72, 8),
+}
 
 
 @pytest.mark.parametrize("src_rate,dst_rate", PLAN_RATES)
@@ -213,25 +224,63 @@ def test_resample_plan_bytes_pinned(src_rate, dst_rate):
     short = resample_plan(2 * src_rate + 5, src_rate, dst_rate)
     long = resample_plan(60 * src_rate + 5, src_rate, dst_rate)
     assert _per_length_bytes(short) == _per_length_bytes(long) < 100_000
-    # one phase matrix per rate pair: P' = m * P rows, m = ceil(32 / P), and
-    # W = floor((P' - 1) * Q / P) + SINC_TAPS columns of float64
-    assert long.phases is short.phases
+    # one grouped plan per rate pair: a block of R = m * P rows in groups of
+    # G rows, stride m * Q and group stride floor(G * Q / P), and each window
+    # no wider than the stride, so BLAS reads a group's windows in place
+    assert long.groups is short.groups
+    n_groups, width, group_rows, stride, group_stride = PINNED_LAYOUTS[src_rate, dst_rate]
+    assert short.groups.shape == (n_groups, width, group_rows)
+    assert short.groups.nbytes == n_groups * width * group_rows * 8
+    assert (short.stride, short.group_stride) == (stride, group_stride)
     g = math.gcd(src_rate, dst_rate)
     p, q = dst_rate // g, src_rate // g
-    rows = -(-32 // p) * p
-    width = (rows - 1) * q // p + SINC_TAPS
-    assert short.phases.shape == (rows, width)
-    assert short.phases.nbytes == rows * width * 8
-    assert short.stride == rows // p * q
+    rows = n_groups * group_rows
+    assert rows % p == 0 and rows >= 32 and group_rows >= 8
+    assert stride == rows // p * q and group_stride == group_rows * q // p
+    assert width <= stride
+
+
+def _group_width(p, q, rows, group_rows):
+    """Window width of groups of group_rows rows: the last tap any row reads, from its group's start."""
+    r = np.arange(rows)
+    first = r * q // p - r // group_rows * (group_rows * q // p)
+    return int(first.max()) + SINC_TAPS
+
+
+@pytest.mark.parametrize("dst_rate", [10000, 16000])
+def test_resample_plan_groups_follow_the_rule(dst_rate):
+    # m is the smallest integer with R = m * P >= 32 rows that has an in-place
+    # group (G >= 8 dividing R, width <= m * Q); G is the largest of those
+    # with a window of at most 1.5 kernels, or else has the narrowest window,
+    # the larger G on a tie
+    for src_rate in STANDARD_RATES:
+        plan = resample_plan(1000, src_rate, dst_rate)
+        g = math.gcd(src_rate, dst_rate)
+        p, q = dst_rate // g, src_rate // g
+        candidates, m = [], -(-32 // p)
+        while not candidates:
+            rows = m * p
+            for k in range(8, rows + 1):
+                if rows % k == 0 and _group_width(p, q, rows, k) <= m * q:
+                    candidates.append((_group_width(p, q, rows, k), k))
+            m += 1
+        narrow = [c for c in candidates if c[0] <= 96]
+        if narrow:
+            width, group_rows = max(narrow, key=lambda c: c[1])
+        else:
+            width, group_rows = min(candidates, key=lambda c: (c[0], -c[1]))
+        assert plan.groups.shape == (rows // group_rows, width, group_rows), (src_rate, dst_rate)
+        assert plan.stride == rows // p * q
 
 
 def test_resample_plan_phase_matrix_size_limit():
-    # 44100 -> 10007 Hz would need a 10007 x 44163 phase matrix: every row
-    # is an edge row, summed per row as the oracle does
+    # 44100 -> 10007 Hz has a 10007-row block whose dense band would span
+    # 10007 x 44163 entries: every row is an edge row, summed per row as the
+    # oracle does
     rng = np.random.default_rng(10007)
     x = rng.standard_normal(4410)
     plan = resample_plan(x.size, 44100, 10007)
-    assert plan.phases.shape == (1, 1)
+    assert plan.groups.shape == (1, 1, 1)
     assert plan.out_len == 1001
     np.testing.assert_array_equal(plan.edge_rows, np.arange(plan.out_len))
     start, weights = plan_rows(plan, x.size)
@@ -248,9 +297,10 @@ def test_resample_plan_phase_matrix_size_limit():
     for src_rate in STANDARD_RATES:
         for dst_rate in STANDARD_RATES:
             plan = resample_plan(1000, src_rate, dst_rate)
-            assert plan.phases.shape[0] >= 32
-            largest = max(largest, plan.phases.size)
-    assert largest == 1280 * 504  # 11025 -> 32000 Hz
+            n_groups, width, group_rows = plan.groups.shape
+            assert n_groups * group_rows >= 32 and width <= plan.stride
+            largest = max(largest, plan.groups.size)
+    assert largest == 5 * 94 * 256  # 11025 -> 96000 Hz
     assert largest <= 1 << 20
 
 
@@ -344,6 +394,26 @@ def test_banded_gather_matches_index_array_oracle_bitwise(src_rate, dst_rate, n_
     np.testing.assert_array_equal(out.data[plan.edge_rows], ref_out[plan.edge_rows])
     assert np.abs(out.data - ref_out).max() <= 1e-14 * np.abs(ref_out).max()
     assert np.abs(xt.grad - ref_grad).max() <= 1e-14 * np.abs(ref_grad).max()
+
+
+@pytest.mark.parametrize("dst_rate", [10000, 16000])
+@pytest.mark.parametrize("src_rate", STANDARD_RATES)
+def test_gather_linear_matches_dense_plan_rows(src_rate, dst_rate):
+    # every standard pair's grouped gather against plan_rows's dense rows:
+    # edge rows bitwise, interior rows (summed in BLAS order over the group
+    # window's zeros too) within 1e-14 of the sum of their terms' magnitudes
+    n_in = 3001
+    x = np.random.default_rng(src_rate + dst_rate).standard_normal(n_in)
+    plan = resample_plan(n_in, src_rate, dst_rate)
+    start, weights = plan_rows(plan, n_in)
+    xp = np.concatenate([np.zeros(SINC_TAPS), x, np.zeros(2 * SINC_TAPS)])
+    windows = np.lib.stride_tricks.sliding_window_view(xp, SINC_TAPS)[start + SINC_TAPS]
+    expected = np.einsum("jk,jk->j", windows, weights)
+    magnitude = np.einsum("jk,jk->j", np.abs(windows), np.abs(weights))
+    out = gather_linear(x, plan).data
+    assert plan.edge_rows.size < plan.out_len
+    np.testing.assert_array_equal(out[plan.edge_rows], expected[plan.edge_rows])
+    assert (np.abs(out - expected) <= 1e-14 * magnitude).all()
 
 
 def test_mix_scale_from_rms_ratio():
