@@ -188,6 +188,24 @@ def _group_width(n_phases: int, q: int, rows: int, group_rows: int) -> int:
     return int((r * q // n_phases - r // group_rows * (group_rows * q // n_phases)).max()) + SINC_TAPS
 
 
+def _kernels(src_rate: int, dst_rate: int, phases: np.ndarray) -> np.ndarray:
+    """Un-normalised Kaiser-windowed sinc kernels of the given phases, one row of SINC_TAPS taps each.
+
+    Phase p in [0, P) reads its taps at offsets t = p / P + half - 1 - m,
+    one rounding from an exact integer ratio. Every step is elementwise,
+    so a phase's row is bitwise the same whichever other phases are asked
+    for.
+    """
+    half = SINC_TAPS // 2
+    n_phases = dst_rate // math.gcd(src_rate, dst_rate)
+    t = (phases[:, None] + (half - 1 - np.arange(SINC_TAPS)) * n_phases) / n_phases
+    cutoff = min(1.0, dst_rate / src_rate)
+    u = t / half
+    window = np.where(np.abs(u) < 1.0, np.i0(KAISER_BETA * np.sqrt(np.maximum(0.0, 1.0 - u**2))), 0.0)
+    window /= np.i0(KAISER_BETA)
+    return cutoff * np.sinc(cutoff * t) * window
+
+
 @lru_cache(maxsize=8)
 def _phase_grid(src_rate: int, dst_rate: int):
     """(kernels, groups, stride, group_stride) of one rate pair, shared by every input length.
@@ -210,20 +228,12 @@ def _phase_grid(src_rate: int, dst_rate: int):
     a tie). groups is _NO_PHASES when the dense band of a block of m0 * P
     rows, m0 = ceil(32 / P), which spans floor((m0 * P - 1) * Q / P) +
     SINC_TAPS samples, or the grouped weights (R * width entries) would
-    exceed MAX_PHASE_ENTRIES.
+    exceed MAX_PHASE_ENTRIES. The rule reads only P and Q, so such a
+    fallback pair evaluates no kernel here and caches no array: kernels is
+    None.
     """
-    half = SINC_TAPS // 2
     step = math.gcd(src_rate, dst_rate)
     n_phases, q = dst_rate // step, src_rate // step
-    taps = np.arange(SINC_TAPS)
-    # t[p, m] = p / P + half - 1 - m, one rounding from an exact integer ratio
-    t = (np.arange(n_phases)[:, None] + (half - 1 - taps) * n_phases) / n_phases
-    cutoff = min(1.0, dst_rate / src_rate)
-    u = t / half
-    window = np.where(np.abs(u) < 1.0, np.i0(KAISER_BETA * np.sqrt(np.maximum(0.0, 1.0 - u**2))), 0.0)
-    window /= np.i0(KAISER_BETA)
-    kernels = cutoff * np.sinc(cutoff * t) * window
-    kernels.setflags(write=False)
     m = -(-MIN_BLOCK_ROWS // n_phases)
     band = m * n_phases * ((m * n_phases - 1) * q // n_phases + SINC_TAPS)
     m = max(m, -(-SINC_TAPS // q))  # a stride below SINC_TAPS fits no window
@@ -241,7 +251,9 @@ def _phase_grid(src_rate: int, dst_rate: int):
         narrow = [fit for fit in fits if fit[0] <= MAX_GROUP_WIDTH]
         width, g = max(narrow, key=lambda fit: fit[1]) if narrow else min(fits, key=lambda fit: (fit[0], -fit[1]))
     if not fits or rows * width > MAX_PHASE_ENTRIES:
-        return kernels, _NO_PHASES, 1, 1
+        return None, _NO_PHASES, 1, 1
+    kernels = _kernels(src_rate, dst_rate, np.arange(n_phases))
+    kernels.setflags(write=False)
     r = np.arange(rows)
     column, phase = np.divmod(r * q, n_phases)
     h = kernels[phase]
@@ -249,7 +261,7 @@ def _phase_grid(src_rate: int, dst_rate: int):
     group, i = np.divmod(r, g)
     group_stride = g * q // n_phases
     groups = np.zeros((rows // g, width, g))
-    groups[group[:, None], (column - group * group_stride)[:, None] + taps, i[:, None]] = h
+    groups[group[:, None], (column - group * group_stride)[:, None] + np.arange(SINC_TAPS), i[:, None]] = h
     groups.setflags(write=False)
     return kernels, groups, stride, group_stride
 
@@ -290,7 +302,8 @@ def resample_plan(n_in: int, src_rate: int, dst_rate: int) -> engine.PolyphasePl
     of the common rates from 8 to 96 kHz fits; a pair past the cap, such
     as 44100 -> 10007 Hz, gets a 1 x 1 x 1 zero plan and every output
     becomes an edge row, the per-row banded sum at 8 * (SINC_TAPS + 2)
-    bytes per output sample.
+    bytes per output sample. Such a pair caches no phase grid: each plan
+    evaluates the kernels of just the phases its rows use.
 
     Raises:
         ValueError: a rate is not a positive integer.
@@ -312,6 +325,9 @@ def resample_plan(n_in: int, src_rate: int, dst_rate: int) -> engine.PolyphasePl
     base, phase = np.divmod(edge * q, n_phases)
     start = base - half + 1
     k = start[:, None] + np.arange(SINC_TAPS)
+    if kernels is None:  # a fallback pair evaluates only the phases its edge rows use
+        phases, phase = np.unique(phase, return_inverse=True)
+        kernels = _kernels(src_rate, dst_rate, phases)
     h = kernels[phase]
     h *= (k >= 0) & (k < n_in)
     h /= h.sum(axis=1, keepdims=True)

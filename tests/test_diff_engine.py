@@ -765,6 +765,58 @@ def test_leaf_gradients_own_their_memory(graph, monkeypatch):
     assert gx.tobytes() == rx.tobytes() and gy.tobytes() == ry.tobytes()
 
 
+def test_in_place_gradients_are_bitwise_the_copying_walk(monkeypatch):
+    # m and h are interior and receive three gradients each, the leaf x
+    # four; modulation, remodulate and affine_softplus write into the g the
+    # walk hands them
+    rng = np.random.default_rng(27)
+    values = [rng.standard_normal(shape) for shape in ((6, 40), (6, 5), (6, 6), (6, 1))]
+
+    def run():
+        x, k, w, b = leaves = [E.parameter(v) for v in values]
+        m = E.modulation(x, k, (2, 2), 1e-3)
+        h = E.affine_softplus(w, m, b)
+        loss = E.sum_(E.remodulate(h, x, m) * x) + E.sum_(E.affine_softplus(w, h, b) * m) + E.sum_(h * x)
+        loss.backward()
+        first = [t.grad for t in leaves]
+        held = [a.copy() for a in first]
+        loss.backward()
+        # a second walk adds into new leaf arrays, leaving the ones held unchanged
+        assert all(a.tobytes() == c.tobytes() for a, c in zip(first, held))
+        assert all(t.grad is not a for t, a in zip(leaves, first))
+        return [a.tobytes() for a in held] + [t.grad.tobytes() for t in leaves]
+
+    result = run()
+    monkeypatch.setattr(E, "_accum", _accum_always_copying)
+    monkeypatch.setattr(E, "_owned", lambda g, like: np.empty_like(like))
+    assert run() == result
+
+
+@pytest.mark.parametrize("name", ROW_PASS_OPS)
+def test_closures_writing_into_g_match_a_read_only_g_bitwise(name):
+    op, shapes = ROW_PASS_OPS[name]
+    rng = np.random.default_rng(28)
+    values = [rng.standard_normal(shape) for shape in shapes]
+    if name == "remodulate":
+        values[2] = rng.uniform(1e-3, 2.0, shapes[2])
+    out = op([E.parameter(v) for v in values])
+    g = rng.standard_normal(out.shape)
+    read_only = g.copy()
+    read_only.setflags(write=False)
+    expected = [a.tobytes() for a in out._backward(read_only)]
+    # a writeable view does not own its data, so it is left alone too
+    base = g.copy()
+    assert [a.tobytes() for a in out._backward(base[:, :])] == expected
+    assert base.tobytes() == g.tobytes()
+    owned = g.copy()
+    grads = out._backward(owned)
+    assert [a.tobytes() for a in grads] == expected
+    # the closure wrote an output gradient into the owned g; modulation and
+    # remodulate hand it back as their first parent's
+    assert owned.tobytes() != g.tobytes()
+    assert (grads[0] is owned) == (name != "affine_softplus")
+
+
 def test_backward_keeps_only_leaf_gradients():
     x = E.parameter([1.0, 3.0])
     y = x * x  # one parameter used twice

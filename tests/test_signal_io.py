@@ -304,6 +304,27 @@ def test_resample_plan_phase_matrix_size_limit():
     assert largest <= 1 << 20
 
 
+def test_fallback_pair_caches_no_grid_and_matches_it_bitwise():
+    # the fallback is decided from P and Q alone, so such a pair keeps no
+    # P x 64 kernel grid (5.1 MB at 44100 -> 10007 Hz, 98 MB at
+    # 11111 -> 192000 Hz) in the rate-pair cache
+    for src_rate, dst_rate in ((44100, 10007), (11111, 192000)):
+        entry = signal_io._phase_grid(src_rate, dst_rate)
+        assert entry[1] is signal_io._NO_PHASES
+        assert sum(a.nbytes for a in entry if isinstance(a, np.ndarray)) < 1 << 20
+    # each plan evaluates only the phases its rows use (1001 of 10007 here),
+    # bitwise the rows of the full grid, masked and renormalised
+    n_in, p = 4410, 10007
+    plan = resample_plan(n_in, 44100, p)
+    grid = signal_io._kernels(44100, p, np.arange(p))
+    phase = plan.edge_rows * 44100 % p
+    assert np.unique(phase).size == plan.out_len < p
+    k = plan.edge_start[:, None] + np.arange(SINC_TAPS)
+    h = grid[phase] * ((k >= 0) & (k < n_in))
+    h /= h.sum(axis=1, keepdims=True)
+    assert h.tobytes() == plan.edge_weights.tobytes()
+
+
 @pytest.mark.parametrize("src_rate,dst_rate", [(16000, 10000.0), (16000.0, 10000), (16000, 0), (-8000, 10000)])
 def test_resample_plan_rejects_non_integer_rates(src_rate, dst_rate):
     with pytest.raises(ValueError, match="positive integers"):

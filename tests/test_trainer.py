@@ -264,30 +264,50 @@ def test_adam_update_is_bitwise_the_same_for_any_worker_count(monkeypatch):
     pools.clear()
     assert list(E._beside(three_updates, [0])) == [results[0]] and pools == []
 
-def test_smoke_net_step_peak_memory():
-    # Traced peak of one step of the benchmark's smoke net (64 x 128 / 16,
-    # hidden 64) on a full 2 s utterance with the sdr+stoi cost: 17.3 MB
-    # since the modulation and re-modulation run as row-blocked nodes,
-    # 21.3 MB when |X|, sign(X), the smoothed S and the carrier P were
-    # whole arrays. Each such 64 x 1993 array is 1.02 MB, so the bound
-    # leaves room for none of them to come back.
+def _traced_step_peak(net: NetConfig) -> int:
+    """Traced peak bytes of one step of net on a full 2 s utterance with the sdr+stoi cost.
+
+    A first step fills the resample-plan cache and the Adam moments.
+    """
     fs = 16000
     rng = np.random.default_rng(0)
     y = speechlike(rng, 2 * fs, fs)
     z = speechlike(rng, 2 * fs, fs, band=(2000.0, 6000.0))
     pair = mix_at_snr(Waveform(y, fs), Waveform(z, fs), 0.0)
-    net = NetConfig(components=64, filter_len=128, stride=16, hidden_units=64, weight_sharing="shared")
     cfg = TrainConfig(cost="sdr:0.75+stoi:0.25", excerpt_len=0)
     cost = parse_cost_spec(cfg.cost)
     params, opt = init_params(0, net), OptState()
-    train_step(params, pair, cost, cfg, opt)  # fills the resample-plan cache and the Adam moments
+    train_step(params, pair, cost, cfg, opt)
     tracemalloc.start()
     try:
         train_step(params, pair, cost, cfg, opt)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_smoke_net_step_peak_memory():
+    # The benchmark's smoke net (64 x 128 / 16, hidden 64): 17.3 MB since
+    # the modulation and re-modulation run as row-blocked nodes, 21.3 MB
+    # when |X|, sign(X), the smoothed S and the carrier P were whole
+    # arrays. Each such 64 x 1993 array is 1.02 MB, so the bound leaves
+    # room for none of them to come back.
+    net = NetConfig(components=64, filter_len=128, stride=16, hidden_units=64, weight_sharing="shared")
+    peak = _traced_step_peak(net)
     assert peak < 17.8e6, peak
+
+
+def test_step_peak_memory_in_analysis_arrays():
+    # A 256 x 256 / 16 net, whose (K, L) arrays dominate: 10.4 of them at
+    # the peak since conv1d frames its input again in backward and backward
+    # reuses the gradient buffers it owns, 12.4 when conv1d kept its
+    # (L, taps) frame matrix and g * sigmoid, the m_hat and modulation x
+    # gradients and each later gradient of an interior node had arrays of
+    # their own.
+    net = NetConfig(components=256, filter_len=256, stride=16, weight_sharing="shared")
+    frames = (2 * 16000 - 256) // 16 + 1
+    peak = _traced_step_peak(net)
+    assert peak <= 11 * 256 * frames * 8, peak / (256 * frames * 8)
 
 
 def test_fit_zero_epochs_returns_initial_params():
