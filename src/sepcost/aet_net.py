@@ -6,9 +6,10 @@ kernel over |X|, plus a small floor, yields the modulation envelope M
 (an STFT-magnitude analogue, one `engine.modulation` node), and the
 carrier X / M keeps the rapid variation (a phase analogue). Two softplus
 dense layers estimate the target's modulation from M; the estimate
-re-modulates the mixture carrier (one `engine.remodulate` node, which
-forms X / M itself, so no carrier array is kept) and a transposed
-convolution bank synthesizes the output waveform.
+re-modulates the mixture carrier and a transposed convolution bank
+synthesizes the output waveform, both in one `engine.conv1d_transpose`
+node (its carrier=(X, M)), which forms X / M and the re-modulated
+coefficients itself, so the tape keeps neither.
 
 In shared mode the synthesis bank is storage-tied to the analysis bank:
 conv1d_transpose applies filters as their transpose, so passing the same
@@ -196,8 +197,7 @@ def separator_forward(modulation, params: SeparatorParams) -> Tensor:
 
 def synthesis_forward(modulation_hat, rep: AetRepresentation, params: SeparatorParams) -> Tensor:
     """Re-modulate rep's carrier X / M and synthesize a waveform by transposed convolution."""
-    x_hat = engine.remodulate(modulation_hat, rep.X, rep.M)
-    return engine.conv1d_transpose(x_hat, params.synthesis_filters, params.cfg.stride)
+    return engine.conv1d_transpose(modulation_hat, params.synthesis_filters, params.cfg.stride, carrier=(rep.X, rep.M))
 
 
 def forward(w, params: SeparatorParams) -> Tensor:

@@ -13,9 +13,10 @@ without `retain_grad`. Subtrees built purely from constants are folded
 time.
 
 The op set is exactly what the separation losses and network need:
-strided 1-D convolution and its transpose, the adaptive front end's
-modulation (a floor plus a zero-padded depthwise temporal convolution of
-|x|) and re-modulation (m_hat * x / m), the fused dense layer
+strided 1-D convolution and its transpose, which can synthesise from
+re-modulated coefficients (m_hat * x / m, formed inside the op), the
+adaptive front end's modulation (a floor plus a zero-padded depthwise
+temporal convolution of |x|), the fused dense layer
 softplus(w @ x + b), softplus, elementwise arithmetic / min / square,
 inner products, L2 norms, axis reductions, basic slicing, sliding
 windows, the intelligibility front end's band envelopes
@@ -36,20 +37,24 @@ blocks of perturbed inputs.
 The ownership rule: the walk hands each closure a g that only the walk
 holds and drops it right after the call, so a closure may write an
 output gradient of g's shape into g, and changes no other array
-(`_owned`): affine_softplus forms g * sigmoid there, remodulate its
-m_hat gradient and modulation its x gradient. A closure may hand back
-an array it allocated, g included, without the walk copying it; views,
-broadcasts and an array handed to two parents are copied, so no two
-`.grad` fields share memory and a later gradient is added into an
-interior node's `.grad` in place. A leaf's sum is a new array, so a
-`.grad` taken from an earlier `backward()` never changes. conv1d frames
-its input again in backward rather than keep the frame matrix
-(recompute what is cheap: Chen et al., "Training Deep Nets with
-Sublinear Memory Cost", 2016). With these, the tracemalloc peak of one
-training step fell from 208.6 to 176.0 MB on the default net (1024 x
-1024 taps, stride 16, a 32768-sample excerpt: 12.8 to 10.8 arrays of
-the (K, L) analysis shape), and from 50.6 to 42.5 MB on a 256 x 256
-net on a 2 s utterance.
+(`_owned`): affine_softplus forms g * sigmoid there and, when x has
+g's shape, writes its x gradient over g * sigmoid once the w and b
+gradients are formed from it; modulation writes its x gradient there.
+A closure may hand back an array it allocated, g included, without the
+walk copying it; views, broadcasts and an array handed to two parents
+are copied, so no two `.grad` fields share memory and a later gradient
+is added into an interior node's `.grad` in place. A leaf's sum is a
+new array, so a `.grad` taken from an earlier `backward()` never
+changes. What is cheap is recomputed rather than kept (Chen et al.,
+"Training Deep Nets with Sublinear Memory Cost", 2016): conv1d frames
+its input again in backward rather than keep the frame matrix, and
+conv1d_transpose forms its re-modulated coefficients again rather than
+keep them on the tape. With these, the tracemalloc peak of one training
+step fell from 208.6 to 176.0 MB and then 152.0 MB on the default net
+(1024 x 1024 taps, stride 16, a 32768-sample excerpt: 12.8 to 10.8 and
+then 9.35 arrays of the (K, L) analysis shape), and from 50.6 to 42.5
+and then 36.4 MB on a 256 x 256 net on a 2 s utterance (8.96 arrays).
+conv1d's re-framed (L, taps) copy now sets the default net's peak.
 
 Every framing op frames through one view, `_frame_view`, and scatters
 through one adjoint, `_overlap_add`: the backward of conv1d,
@@ -69,9 +74,10 @@ into such tasks:
   affine_softplus, forward or backward, of at least _SPLIT_FLOOR
   multiply-adds (`_product`);
 - the row passes (`_row_pass`) of at least _CHUNK_FLOOR elements, in
-  contiguous chunks of row blocks: modulation and remodulate, forward
-  and backward, affine_softplus's bias add and softplus and its
-  g * sigmoid backward chain, and the trainer's Adam update.
+  contiguous chunks of row blocks: modulation and conv1d_transpose's
+  re-modulation, forward and backward, affine_softplus's bias add and
+  softplus and its g * sigmoid backward chain, and the trainer's Adam
+  update.
 Work inside `_beside` records no tape and splits no further, so
 separation and the oracle run their products and passes whole, while
 training's split. Either way the results are bitwise the same for any
@@ -293,20 +299,32 @@ def add(a, b) -> Tensor:
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = a.data - b.data
-    return _result(out, (a, b), lambda g: (g, -g))
+    return _result(out, (a, b), lambda g: (g if a.requires_grad else None, -g if b.requires_grad else None))
+
+
+def _products_with(g, a: Tensor, b: Tensor) -> tuple:
+    """(g * b, g * a), the gradients of a * b and of a dot product, None for a constant parent."""
+    return g * b.data if a.requires_grad else None, g * a.data if b.requires_grad else None
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = a.data * b.data
-    return _result(out, (a, b), lambda g: (g * b.data, g * a.data))
+    return _result(out, (a, b), lambda g: _products_with(g, a, b))
 
 
 def div(a, b) -> Tensor:
     """Elementwise division. No implicit epsilon: callers guard denominators."""
     a, b = as_tensor(a), as_tensor(b)
     out = a.data / b.data
-    return _result(out, (a, b), lambda g: (g / b.data, -g * a.data / (b.data * b.data)))
+
+    def bw(g):
+        return (
+            g / b.data if a.requires_grad else None,
+            -g * a.data / (b.data * b.data) if b.requires_grad else None,
+        )
+
+    return _result(out, (a, b), bw)
 
 
 def minimum(a, b) -> Tensor:
@@ -314,7 +332,11 @@ def minimum(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     take_a = a.data <= b.data
     out = np.where(take_a, a.data, b.data)
-    return _result(out, (a, b), lambda g: (g * take_a, g * ~take_a))
+
+    def bw(g):
+        return g * take_a if a.requires_grad else None, g * ~take_a if b.requires_grad else None
+
+    return _result(out, (a, b), bw)
 
 
 def square(x) -> Tensor:
@@ -343,7 +365,7 @@ def _row_blocks(n_rows: int, n_cols: int) -> tuple[int, list[slice]]:
 # environment variables through which a BLAS takes its thread count
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # elements below which a row pass runs as one chunk: on 2 vCPUs, the
-# front end's passes (modulation and remodulate, forward and backward,
+# front end's passes (modulation and re-modulation, forward and backward,
 # and a softplus) in two chunks took 1.06-1.12x the time of one chunk at
 # 0.5M elements, 0.71-1.27x at 0.75M-1M and 0.63-0.65x at 2M, the
 # default net's size, in two of three runs (1.5x in one where the host
@@ -494,7 +516,7 @@ def dot(a, b) -> Tensor:
     if a.data.ndim != 1 or b.data.ndim != 1 or a.data.size != b.data.size:
         raise ShapeError(f"dot needs equal-length vectors, got {a.data.shape} and {b.data.shape}")
     out = a.data @ b.data
-    return _result(out, (a, b), lambda g: (g * b.data, g * a.data))
+    return _result(out, (a, b), lambda g: _products_with(g, a, b))
 
 
 def sum_(x, axis=None, keepdims: bool = False) -> Tensor:
@@ -573,7 +595,7 @@ _SPAN_ALIGN = 64
 _MIN_SPAN = 256
 
 
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _product(a: np.ndarray, b: np.ndarray, over_b: bool = False) -> np.ndarray:
     """a @ b for 2-D float64 operands, bitwise, split over idle CPUs when large.
 
     A product of at least _SPLIT_FLOOR multiply-adds, on an unmarked
@@ -586,23 +608,49 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     partitions every call itself, in ways that move columns between
     kernel paths (its results already differ with its thread count), so
     its products run whole. Only numpy arrays are touched, never a Tensor.
+
+    over_b, for a square a and a b that the caller owns and a does not
+    overlap, writes a product of at least _SPLIT_FLOOR multiply-adds
+    over b and returns b, so it needs no output array. Each span, or the
+    whole product as one span, goes one column block at a time: the
+    block is copied into the task's scratch of fewer than 2 * _MIN_SPAN
+    columns and multiplied back into its columns of b. The blocks of a
+    span start _MIN_SPAN columns apart and only its last is wider, so
+    they keep the spans' alignment rule and, on a single-threaded BLAS,
+    the result is bitwise a @ b. A smaller product is a new a @ b, and b
+    is left alone.
     """
     m, k = a.shape
     n = b.shape[1]
-    if m * k * n < _SPLIT_FLOOR or getattr(_whole_products, "marked", False) or _blas_threads() != 1:
+    if m * k * n < _SPLIT_FLOOR:
         return a @ b
-    count = _workers(n // _MIN_SPAN)
-    if count < 2:
+    whole = getattr(_whole_products, "marked", False) or _blas_threads() != 1
+    count = 1 if whole else _workers(n // _MIN_SPAN)
+    if count < 2 and not over_b:
         return a @ b
     blocks = n // _SPAN_ALIGN
     bounds = [_SPAN_ALIGN * (blocks * i // count) for i in range(count)] + [n]
-    out = np.empty((m, n))
+    # the caller allocates every array, as for a row pass
+    out = b if over_b else np.empty((m, n))
+    scratch = [np.empty((k, min(n, 2 * _MIN_SPAN - 1))) for _ in range(count)] if over_b else []
 
     def span(i: int) -> None:
-        np.matmul(a, b[:, bounds[i] : bounds[i + 1]], out=out[:, bounds[i] : bounds[i + 1]])
+        lo, hi = bounds[i], bounds[i + 1]
+        if not over_b:
+            np.matmul(a, b[:, lo:hi], out=out[:, lo:hi])
+            return
+        # blocks of _MIN_SPAN columns from lo, the last one taking the rest too
+        starts = [lo + _MIN_SPAN * j for j in range(max(1, (hi - lo) // _MIN_SPAN))] + [hi]
+        for c0, c1 in zip(starts, starts[1:]):
+            block = scratch[i][:, : c1 - c0]
+            np.copyto(block, b[:, c0:c1])
+            np.matmul(a, block, out=b[:, c0:c1])
 
-    for _ in _beside(span, range(count)):
-        pass
+    if count == 1:
+        span(0)
+    else:
+        for _ in _beside(span, range(count)):
+            pass
     return out
 
 
@@ -617,7 +665,9 @@ def affine_softplus(w, x, b) -> Tensor:
     bias add and softplus, and backward's g * sigmoid, are row passes
     (`_row_pass`) around the products; g * sigmoid is formed in g when
     the walk hands it over (`_owned`), so backward makes no (H, L) array
-    but the x gradient.
+    but the x gradient. When x has that shape too (H == K), a large x
+    gradient is written over g * sigmoid once the w and b gradients are
+    formed from it (`_product`'s over_b), and backward makes none.
     """
     w, x, b = as_tensor(w), as_tensor(x), as_tensor(b)
     wv, xv = w.data, x.data
@@ -636,11 +686,11 @@ def affine_softplus(w, x, b) -> Tensor:
             np.negative(sb, out=sb)  # g * sigmoid
 
         _row_pass(sigmoid_times_g, blocks, out.size, (rows, out.shape[1]))
-        return (
-            _product(s, xv.T) if w.requires_grad else None,
-            _product(wv.T, s) if x.requires_grad else None,
-            s.sum(axis=1, keepdims=True) if b.requires_grad else None,
-        )
+        gw = _product(s, xv.T) if w.requires_grad else None
+        gb = s.sum(axis=1, keepdims=True) if b.requires_grad else None
+        # last, since it may overwrite s
+        gx = _product(wv.T, s, over_b=xv.shape == s.shape) if x.requires_grad else None
+        return gw, gx, gb
 
     return _result(out, (w, x, b), bw)
 
@@ -706,11 +756,23 @@ def conv1d(x, filters, stride: int) -> Tensor:
     return _result(out, (x, filters), bw)
 
 
-def conv1d_transpose(coeffs, filters, stride: int) -> Tensor:
+def conv1d_transpose(coeffs, filters, stride: int, carrier=None) -> Tensor:
     """Transposed strided 1-D convolution (overlap-add synthesis).
 
     coeffs: (K, L), filters: (K, taps) -> (T,) with T = (L-1)*stride + taps.
     Adjoint of conv1d with the same filters and stride.
+
+    carrier=(x, m), two more (K, L) tensors, synthesises from the
+    re-modulated coefficients coeffs * (x / m), a new modulation on the
+    carrier x / m (no implicit epsilon: m must be nonzero). A row pass
+    (`_row_pass`) forms them, the carrier one block of rows (`_row_blocks`)
+    at a time in scratch, and they are dropped after the product, so the
+    node keeps no (K, L) array of its own. Backward forms the coefficient
+    gradient gc, then the coefficients again, for the filter gradient, in
+    the array that becomes the x gradient, and then, with gp = gc * coeffs,
+    the gradients gc * (x / m) for coeffs, written over gc, gp / m for x
+    and (-gp) * x / (m * m) for m, in a second row pass. The parents are
+    (coeffs, filters, x, m).
     """
     coeffs, filters = as_tensor(coeffs), as_tensor(filters)
     cv, fv = coeffs.data, filters.data
@@ -720,16 +782,62 @@ def conv1d_transpose(coeffs, filters, stride: int) -> Tensor:
         raise ValueError("stride must be positive")
     taps = fv.shape[1]
     out_len = (cv.shape[1] - 1) * stride + taps
-    out = _overlap_add(_product(fv.T, cv), stride, out_len)
+    if carrier is None:
+        out = _overlap_add(_product(fv.T, cv), stride, out_len)
+
+        def bw(g):
+            g_frames = _frames(np.asarray(g), taps, stride)
+            return (
+                _product(fv, g_frames.T) if coeffs.requires_grad else None,
+                _product(cv, g_frames) if filters.requires_grad else None,
+            )
+
+        return _result(out, (coeffs, filters), bw)
+
+    x, m = as_tensor(carrier[0]), as_tensor(carrier[1])
+    xv, mv = x.data, m.data
+    if xv.shape != cv.shape or mv.shape != cv.shape:
+        raise ShapeError(f"conv1d_transpose carrier shapes {xv.shape} and {mv.shape} differ from {cv.shape}")
+    rows, blocks = _row_blocks(*cv.shape)
+
+    def remodulated(c: np.ndarray) -> np.ndarray:
+        def block(r: slice, p: np.ndarray) -> None:
+            np.multiply(cv[r], np.divide(xv[r], mv[r], out=p[: r.stop - r.start]), out=c[r])
+
+        _row_pass(block, blocks, cv.size, (rows, cv.shape[1]))
+        return c
+
+    out = _overlap_add(_product(fv.T, remodulated(np.empty_like(cv))), stride, out_len)
 
     def bw(g):
         g_frames = _frames(np.asarray(g), taps, stride)
-        return (
-            _product(fv, g_frames.T) if coeffs.requires_grad else None,
-            _product(cv, g_frames) if filters.requires_grad else None,
-        )
+        gc = _product(fv, g_frames.T) if coeffs.requires_grad or x.requires_grad or m.requires_grad else None
+        gx = np.empty_like(xv) if x.requires_grad or filters.requires_grad else None
+        gf = _product(remodulated(gx), g_frames) if filters.requires_grad else None
+        del g_frames
+        if gc is None:
+            return None, gf, None, None
+        gh = gc if coeffs.requires_grad else None
+        gx = gx if x.requires_grad else None
+        gm = np.empty_like(mv) if m.requires_grad else None
 
-    return _result(out, (coeffs, filters), bw)
+        def backward(r: slice, scratch: np.ndarray) -> None:
+            n, (buf, gp) = r.stop - r.start, scratch
+            gb, xb, mb = gc[r], xv[r], mv[r]
+            np.multiply(gb, cv[r], out=gp[:n])
+            if gx is not None:
+                np.divide(gp[:n], mb, out=gx[r])
+            if gm is not None:
+                np.negative(gp[:n], out=gp[:n])
+                gp[:n] *= xb
+                np.divide(gp[:n], np.multiply(mb, mb, out=buf[:n]), out=gm[r])
+            if gh is not None:  # last, since gh is gc itself
+                np.multiply(gb, np.divide(xb, mb, out=buf[:n]), out=gh[r])
+
+        _row_pass(backward, blocks, cv.size, (2, rows, cv.shape[1]))
+        return gh, gf, gx, gm
+
+    return _result(out, (coeffs, filters, x, m), bw)
 
 
 def modulation(x, kernel, pad: tuple[int, int], floor: float) -> Tensor:
@@ -800,53 +908,6 @@ def modulation(x, kernel, pad: tuple[int, int], floor: float) -> Tensor:
         return gx, gk
 
     return _result(out, (x, kernel), bw)
-
-
-def remodulate(m_hat, x, m) -> Tensor:
-    """m_hat * (x / m) for three (K, L) tensors: a new modulation on the carrier x / m.
-
-    No implicit epsilon: m must be nonzero. The carrier is formed one
-    block of rows at a time (`_row_blocks`) in scratch, forward and
-    backward, each a row pass (`_row_pass`), so the node keeps no array
-    of its own but its output. The gradients are g * (x / m) for m_hat
-    and, with gp = g * m_hat, gp / m for x and (-gp) * x / (m * m) for m.
-    The m_hat gradient is written into g when the walk hands it over
-    (`_owned`), each block's last.
-    """
-    m_hat, x, m = as_tensor(m_hat), as_tensor(x), as_tensor(m)
-    hv, xv, mv = m_hat.data, x.data, m.data
-    if hv.ndim != 2 or hv.shape != xv.shape or hv.shape != mv.shape:
-        raise ShapeError(f"remodulate shapes {hv.shape}, {xv.shape} and {mv.shape} differ or are not 2-D")
-    rows, blocks = _row_blocks(*hv.shape)
-    out = np.empty_like(hv)
-
-    def forward(r: slice, carrier: np.ndarray) -> None:
-        np.multiply(hv[r], np.divide(xv[r], mv[r], out=carrier[: r.stop - r.start]), out=out[r])
-
-    _row_pass(forward, blocks, hv.size, (rows, hv.shape[1]))
-
-    def bw(g):
-        gh = _owned(g, hv) if m_hat.requires_grad else None
-        gx = np.empty_like(xv) if x.requires_grad else None
-        gm = np.empty_like(mv) if m.requires_grad else None
-
-        def backward(r: slice, scratch: np.ndarray) -> None:
-            n, (buf, gp) = r.stop - r.start, scratch
-            gb, xb, mb = g[r], xv[r], mv[r]
-            np.multiply(gb, hv[r], out=gp[:n])
-            if gx is not None:
-                np.divide(gp[:n], mb, out=gx[r])
-            if gm is not None:
-                np.negative(gp[:n], out=gp[:n])
-                gp[:n] *= xb
-                np.divide(gp[:n], np.multiply(mb, mb, out=buf[:n]), out=gm[r])
-            if gh is not None:  # last, since gh may be g itself
-                np.multiply(gb, np.divide(xb, mb, out=buf[:n]), out=gh[r])
-
-        _row_pass(backward, blocks, hv.size, (2, rows, hv.shape[1]))
-        return gh, gx, gm
-
-    return _result(out, (m_hat, x, m), bw)
 
 
 class PolyphasePlan(NamedTuple):
@@ -934,7 +995,7 @@ def gather_linear(x, plan: PolyphasePlan) -> Tensor:
     out = out[:, : plan.out_len]
 
     def bw(g):
-        gx = np.empty_like(signals)
+        gx = np.empty(xv.shape)  # owned, so the walk keeps it uncopied
         blocks = np.zeros((n_blocks, rows))
         flat = blocks.reshape(-1)
         by_group = blocks.reshape(n_blocks, n_groups, group_rows).transpose(1, 0, 2)
@@ -944,7 +1005,7 @@ def gather_linear(x, plan: PolyphasePlan) -> Tensor:
         term = lines[:, :width]
         full = np.empty(max(xp.size, (n_groups - 1) * plan.group_stride + lines.size))
         k = (first[:, None] + np.arange(taps)).ravel()
-        for gs, gxs in zip(g.reshape(signals.shape[0], plan.out_len), gx):
+        for gs, gxs in zip(g.reshape(signals.shape[0], plan.out_len), gx.reshape(signals.shape)):
             flat[: plan.out_len] = gs
             flat[plan.edge_rows] = 0.0
             full[:] = 0.0
@@ -954,7 +1015,7 @@ def gather_linear(x, plan: PolyphasePlan) -> Tensor:
             scaled = plan.edge_weights * gs[plan.edge_rows][:, None]
             full[: xp.size] += np.bincount(k, weights=scaled.ravel(), minlength=xp.size)
             gxs[:] = full[lo : lo + n]
-        return (gx.reshape(xv.shape),)
+        return (gx,)
 
     return _result(out.reshape(*xv.shape[:-1], plan.out_len), (x,), bw)
 
@@ -1010,7 +1071,8 @@ def band_envelopes(x, frame_len: int, fft_len: int, hop: int, window: np.ndarray
     np.sqrt(out, out=out)
 
     def bw(g):
-        gx = np.empty_like(signals)
+        gx = np.empty(xv.shape)  # owned, so the walk keeps it uncopied
+        rows = gx.reshape(signals.shape)
         g = g.reshape(out.shape)
         with np.errstate(divide="ignore", invalid="ignore"):
             d = np.where(out > 0.0, 0.5 / out, 0.0)
@@ -1021,8 +1083,8 @@ def band_envelopes(x, frame_len: int, fft_len: int, hop: int, window: np.ndarray
                 # irfft counts every bin but DC and Nyquist twice
                 c[:, 1 : (fft_len + 1) // 2] *= 0.5
                 fg = np.fft.irfft(c, n=fft_len, axis=1)[:, :frame_len] * (fft_len * window)
-                gx[i] = _overlap_add(fg.T, hop, n)
-        return (gx.reshape(xv.shape),)
+                rows[i] = _overlap_add(fg.T, hop, n)
+        return (gx,)
 
     return _result(out.reshape(*xv.shape[:-1], *out.shape[1:]), (x,), bw)
 

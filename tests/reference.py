@@ -302,9 +302,10 @@ def modulation_reference(x, kernel, pad, floor, g):
 
 
 def remodulate_reference(m_hat, x, m, g):
-    """Loop form of diff_engine.remodulate and its backward under output gradient g.
+    """Loop form of the re-modulation in diff_engine.conv1d_transpose's carrier path.
 
-    Returns (out, g_m_hat, gx, gm) in the arithmetic order of the unfused
+    Returns the coefficients out = m_hat * (x / m) and, under their
+    gradient g, (g_m_hat, gx, gm) in the arithmetic order of the unfused
     graph m_hat * (x / m): with p = x / m and gp = g * m_hat, the
     gradients are g * p, gp / m and (-gp) * x / (m * m).
     """

@@ -281,9 +281,9 @@ def test_beside_yields_in_task_order_and_runs_nested_calls_in_place(monkeypatch)
         ),
         (
             "remodulate",
-            # the divisor m * m + 0.5 stays away from zero
-            lambda t: E.sum_(E.remodulate(t["h"], t["x"], E.square(t["m"]) + 0.5) * t["b"]),
-            {"h": (3, 5), "x": (3, 5), "m": (3, 5), "b": (3, 5)},
+            # conv1d_transpose's carrier path; the divisor m * m + 0.5 stays away from zero
+            lambda t: E.sum_(E.conv1d_transpose(t["h"], t["f"], 2, carrier=(t["x"], E.square(t["m"]) + 0.5)) * t["b"]),
+            {"h": (3, 5), "f": (3, 4), "x": (3, 5), "m": (3, 5), "b": (12,)},
         ),
     ],
 )
@@ -428,6 +428,42 @@ def test_gather_linear_reads_the_signal_in_place():
             tracemalloc.stop()
     assert out.data.shape == (16, 3968)
     assert peak <= out_bytes + padded + slack, (peak, out_bytes, padded)
+
+
+def _signal_op(name):
+    if name == "gather_linear":
+        plan = resample_plan(2011, 16000, 10000)
+        return lambda x: E.gather_linear(x, plan)
+    bands = octave_band_matrix(SMALL_STOI.analysis_rate, SMALL_STOI.fft_len, SMALL_STOI.num_bands,
+                               SMALL_STOI.lowest_center).weights
+    args = (SMALL_STOI.frame_len, SMALL_STOI.fft_len, SMALL_STOI.hop, hann_periodic(SMALL_STOI.frame_len), bands)
+    return lambda x: E.band_envelopes(x, *args)
+
+
+@pytest.mark.parametrize("name", ["gather_linear", "band_envelopes"])
+def test_signal_op_gradients_are_owned_and_stored_uncopied(monkeypatch, name):
+    # the x gradient of one signal and of a (2, 3) stack owns its memory,
+    # so the walk stores it without a copy; each row is bitwise the
+    # signal's own
+    op = _signal_op(name)
+    xs = np.random.default_rng(31).standard_normal((2, 3, 2011))
+    accum, seen = E._accum, []
+
+    def spy(t, g):
+        accum(t, g)
+        if t._backward is None:  # the leaf x
+            seen.append((g, t.grad))
+
+    monkeypatch.setattr(E, "_accum", spy)
+    grads = []
+    for x in (xs[1, 2], xs):
+        seen.clear()
+        xt = E.parameter(x)
+        E.sum_(E.square(op(xt))).backward()
+        ((g, stored),) = seen
+        assert g.flags.owndata and stored is g and g.shape == x.shape
+        grads.append(stored)
+    assert np.array_equal(grads[1][1, 2], grads[0])
 
 
 def identity_bands(fft_len):
@@ -578,8 +614,9 @@ def test_depthwise_conv_matches_composed_graph(shape, width, pad):
     np.testing.assert_allclose(kt.grad, kp.grad, rtol=1e-12, atol=0.0)
 
 
-# The last case has several row blocks of modulation and remodulate, the
-# last of them short (checked in the test).
+# The last case has several row blocks of modulation and of the
+# re-modulation of conv1d_transpose's carrier path, the last of them short
+# (checked in the test).
 FRONT_END_CASES = [((4, 11), 5, (2, 2)), ((1, 9), 3, (0, 1)), ((3, 7), 4, (1, 2)), ((2, 6), 1, (0, 0)),
                    ((2, 1), 4, (3, 0)), ((69, 998), 5, (2, 2))]
 
@@ -608,16 +645,26 @@ def test_modulation_is_bitwise_its_loop_reference(shape, width, pad):
 
 @pytest.mark.parametrize("shape", [case[0] for case in FRONT_END_CASES])
 def test_remodulate_is_bitwise_its_loop_reference(shape):
+    # conv1d_transpose's carrier path is the plain op on the loop
+    # reference's coefficients, and its coeffs, x and m gradients are the
+    # reference's under the plain op's coefficient gradient
     rng = np.random.default_rng(27)
-    m_hat, x, g = (rng.standard_normal(shape) for _ in range(3))
+    m_hat, x = rng.standard_normal(shape), rng.standard_normal(shape)
     m = rng.uniform(1e-3, 2.0, shape)
+    filters, stride = rng.standard_normal((shape[0], 8)), 4
+    g = rng.standard_normal((shape[1] - 1) * stride + 8)
 
-    ht, xt, mt = E.parameter(m_hat), E.parameter(x), E.parameter(m)
-    out = E.remodulate(ht, xt, mt)
+    ht, ft, xt, mt = (E.parameter(v) for v in (m_hat, filters, x, m))
+    out = E.conv1d_transpose(ht, ft, stride, carrier=(xt, mt))
     E.sum_(out * g).backward()
 
-    ref_out, ref_gh, ref_gx, ref_gm = remodulate_reference(m_hat, x, m, g)
-    assert np.array_equal(out.data, ref_out)
+    coeffs = E.parameter(remodulate_reference(m_hat, x, m, np.zeros(shape))[0])
+    plain_filters = E.parameter(filters)
+    plain = E.conv1d_transpose(coeffs, plain_filters, stride)
+    E.sum_(plain * g).backward()
+    _, ref_gh, ref_gx, ref_gm = remodulate_reference(m_hat, x, m, coeffs.grad)
+    assert np.array_equal(out.data, plain.data)
+    assert np.array_equal(ft.grad, plain_filters.grad)
     assert np.array_equal(ht.grad, ref_gh)
     assert np.array_equal(xt.grad, ref_gx)
     assert np.array_equal(mt.grad, ref_gm)
@@ -661,10 +708,14 @@ def test_affine_softplus_saturation():
     np.testing.assert_allclose(x.grad, logistic, rtol=1e-13, atol=0.0)
 
 
-# the ops with row passes, on inputs of three row blocks, the last one short
+# the ops with row passes, on inputs of three row blocks, the last one
+# short; "remodulate" is conv1d_transpose's carrier path
 ROW_PASS_OPS = {
     "modulation": (lambda a: E.modulation(a[0], a[1], (2, 2), 1e-3), [(69, 998), (69, 5)]),
-    "remodulate": (lambda a: E.remodulate(*a), [(69, 998)] * 3),
+    "remodulate": (
+        lambda a: E.conv1d_transpose(a[0], a[1], 4, carrier=(a[2], a[3])),
+        [(69, 998), (69, 8), (69, 998), (69, 998)],
+    ),
     "affine_softplus": (lambda a: E.affine_softplus(*a), [(69, 40), (40, 998), (69, 1)]),
 }
 
@@ -679,8 +730,8 @@ def test_row_passes_are_bitwise_the_same_for_any_worker_count(monkeypatch, name)
     values = [rng.standard_normal(shape) for shape in shapes]
     values[0][:, ::4] = 0.0  # modulation's sign(0) = 0
     if name == "remodulate":
-        values[2] = rng.uniform(1e-3, 2.0, shapes[2])
-    g = rng.standard_normal((69, 998))
+        values[3] = rng.uniform(1e-3, 2.0, shapes[3])
+    g = rng.standard_normal(op([E.Tensor(v) for v in values]).shape)
     results = []
     for workers in (1, 2, 3):
         on_workers(monkeypatch, workers)
@@ -692,9 +743,12 @@ def test_row_passes_are_bitwise_the_same_for_any_worker_count(monkeypatch, name)
         E.sum_(out * g).backward()
         assert E._grad_enabled and not marked() and threading.active_count() == threads
         results.append([out.data.tobytes()] + [t.grad.tobytes() for t in inputs])
-        # forward and backward each split three blocks in w chunks: the
-        # caller's and one task each on a pool of w - 1 threads
-        assert pools == ([["run_chunk", workers - 1, workers - 1]] * 2 if workers > 1 else [])
+        # each pass splits three blocks in w chunks: the caller's and one
+        # task each on a pool of w - 1 threads; forward runs one pass, and
+        # backward one, or two in the carrier path, which forms the
+        # coefficients again before their gradients
+        passes = 3 if name == "remodulate" else 2
+        assert pools == ([["run_chunk", workers - 1, workers - 1]] * passes if workers > 1 else [])
     assert results[1] == results[0] and results[2] == results[0]
 
     # on a marked thread the passes of the forward and of the closure
@@ -766,17 +820,21 @@ def test_leaf_gradients_own_their_memory(graph, monkeypatch):
 
 
 def test_in_place_gradients_are_bitwise_the_copying_walk(monkeypatch):
-    # m and h are interior and receive three gradients each, the leaf x
-    # four; modulation, remodulate and affine_softplus write into the g the
-    # walk hands them
+    # m, h and the leaf x receive three gradients each; modulation and
+    # affine_softplus write into the g the walk hands them, the carrier
+    # path of conv1d_transpose writes the h gradient over its own product,
+    # and affine_softplus, its floor lowered to 0, writes its x gradient
+    # over g * sigmoid
+    monkeypatch.setattr(E, "_SPLIT_FLOOR", 0)
     rng = np.random.default_rng(27)
-    values = [rng.standard_normal(shape) for shape in ((6, 40), (6, 5), (6, 6), (6, 1))]
+    values = [rng.standard_normal(shape) for shape in ((6, 40), (6, 5), (6, 6), (6, 1), (6, 8))]
 
     def run():
-        x, k, w, b = leaves = [E.parameter(v) for v in values]
+        x, k, w, b, f = leaves = [E.parameter(v) for v in values]
         m = E.modulation(x, k, (2, 2), 1e-3)
         h = E.affine_softplus(w, m, b)
-        loss = E.sum_(E.remodulate(h, x, m) * x) + E.sum_(E.affine_softplus(w, h, b) * m) + E.sum_(h * x)
+        synthesis = E.conv1d_transpose(h, f, 4, carrier=(x, m))
+        loss = E.sum_(E.square(synthesis)) + E.sum_(E.affine_softplus(w, h, b) * m) + E.sum_(h * x)
         loss.backward()
         first = [t.grad for t in leaves]
         held = [a.copy() for a in first]
@@ -798,7 +856,7 @@ def test_closures_writing_into_g_match_a_read_only_g_bitwise(name):
     rng = np.random.default_rng(28)
     values = [rng.standard_normal(shape) for shape in shapes]
     if name == "remodulate":
-        values[2] = rng.uniform(1e-3, 2.0, shapes[2])
+        values[3] = rng.uniform(1e-3, 2.0, shapes[3])
     out = op([E.parameter(v) for v in values])
     g = rng.standard_normal(out.shape)
     read_only = g.copy()
@@ -806,15 +864,16 @@ def test_closures_writing_into_g_match_a_read_only_g_bitwise(name):
     expected = [a.tobytes() for a in out._backward(read_only)]
     # a writeable view does not own its data, so it is left alone too
     base = g.copy()
-    assert [a.tobytes() for a in out._backward(base[:, :])] == expected
+    assert [a.tobytes() for a in out._backward(base[...])] == expected
     assert base.tobytes() == g.tobytes()
     owned = g.copy()
     grads = out._backward(owned)
     assert [a.tobytes() for a in grads] == expected
-    # the closure wrote an output gradient into the owned g; modulation and
-    # remodulate hand it back as their first parent's
-    assert owned.tobytes() != g.tobytes()
-    assert (grads[0] is owned) == (name != "affine_softplus")
+    # modulation and affine_softplus wrote an output gradient into the
+    # owned g, and modulation hands it back as its first parent's; the
+    # carrier path's g is a waveform's, which no gradient it forms fits
+    assert (owned.tobytes() != g.tobytes()) == (name != "remodulate")
+    assert (grads[0] is owned) == (name == "modulation")
 
 
 def test_backward_keeps_only_leaf_gradients():
@@ -888,14 +947,16 @@ def test_shape_errors():
         E.modulation(E.Tensor(np.zeros((2, 3))), E.Tensor(np.zeros((3, 1))), (0, 0), 1.0)
     with pytest.raises(ShapeError):
         E.modulation(E.Tensor(np.zeros(3)), E.Tensor(np.zeros((1, 1))), (0, 0), 1.0)
-    ones = E.Tensor(np.ones((2, 3)))
-    E.remodulate(ones, ones, ones)  # fits
+    ones, filters = E.Tensor(np.ones((2, 3))), E.Tensor(np.ones((2, 4)))
+    E.conv1d_transpose(ones, filters, 2, carrier=(ones, ones))  # fits
     with pytest.raises(ShapeError):
-        E.remodulate(ones, ones, E.Tensor(np.ones((2, 4))))
+        E.conv1d_transpose(ones, filters, 2, carrier=(ones, E.Tensor(np.ones((2, 4)))))
     with pytest.raises(ShapeError):
-        E.remodulate(E.Tensor(np.ones((2, 4))), ones, ones)
+        E.conv1d_transpose(ones, filters, 2, carrier=(E.Tensor(np.ones((2, 4))), ones))
     with pytest.raises(ShapeError):
-        E.remodulate(E.Tensor(np.ones(3)), E.Tensor(np.ones(3)), E.Tensor(np.ones(3)))
+        E.conv1d_transpose(E.Tensor(np.ones((2, 4))), filters, 2, carrier=(ones, ones))
+    with pytest.raises(ShapeError):
+        E.conv1d_transpose(E.Tensor(np.ones(3)), filters, 2, carrier=(E.Tensor(np.ones(3)), E.Tensor(np.ones(3))))
     with pytest.raises(ShapeError):
         E.affine_softplus(E.Tensor(np.zeros((2, 3))), E.Tensor(np.zeros((3, 4))), E.Tensor(np.zeros(2)))
     with pytest.raises(ShapeError):
@@ -938,6 +999,24 @@ def test_constant_folding():
     c = E.conv1d(E.Tensor(np.arange(8.0)), E.parameter(np.ones((2, 4))), 2)
     x_grad, f_grad = c._backward(np.ones_like(c.data))
     assert x_grad is None and f_grad.shape == (2, 4)
+
+
+@pytest.mark.parametrize("name", ["mul", "div", "sub", "minimum", "dot"])
+def test_closures_skip_constant_parents(name):
+    # a closure forms no gradient for a constant parent, and the other
+    # parent's is bitwise the one it forms when both need one
+    op = getattr(E, name)
+    rng = np.random.default_rng(32)
+    a, b = rng.standard_normal(6), rng.uniform(0.5, 2.0, 6)
+    a[1] = b[1]  # a tie in minimum
+    g = rng.standard_normal(() if name == "dot" else 6)
+    both = op(E.parameter(a), E.parameter(b))._backward(g.copy())
+    for const in (0, 1):
+        parents = [E.parameter(a), E.parameter(b)]
+        parents[const] = E.Tensor(parents[const].data)
+        grads = op(*parents)._backward(g.copy())
+        assert grads[const] is None
+        assert grads[1 - const].tobytes() == both[1 - const].tobytes()
 
 
 # m * k is kept above 3906, so a span of 256 columns holds more than the
@@ -986,6 +1065,50 @@ def test_product_is_bitwise_a_at_b_for_any_worker_count(layout):
                     # the caller's span and one pool of a thread per other span, or none
                     if not np.array_equal(got, a @ b) or pools != ([["span", expected - 1, expected - 1]] if split else []):
                         failures.append([n, workers, floor, pools[:]])
+        print(json.dumps(failures))
+        """
+    )
+    assert failures == []
+
+
+def test_product_over_b_is_bitwise_a_at_b_for_any_worker_count():
+    failures = run_on_one_blas_thread(
+        """
+        import json
+        import numpy as np
+        from sepcost import diff_engine as E
+        from reference import counting_pool
+
+        E.ThreadPoolExecutor, pools = counting_pool()
+        failures = []
+        k = 128
+        a = np.ascontiguousarray(np.random.default_rng(0).standard_normal((k, k)).T).T  # wv.T
+        # 1 and 200 columns are one block of their own width; 300, 511 and
+        # 777 one span of blocks of 256 columns whose last block is wider,
+        # at most 511; 1985, the default net's width, splits in up to 3
+        # spans of such blocks
+        for n in (1, 200, 300, 511, 777, 1985):
+            b = np.random.default_rng(n).standard_normal((k, n))
+            for workers in (1, 2, 3):
+                E._workers = lambda tasks: max(1, min(tasks, workers))
+                spans = max(1, min(workers, n // E._MIN_SPAN))
+                # just below the floor a new a @ b, at it a @ b over b
+                for floor, over in ((k * k * n + 1, False), (k * k * n, True)):
+                    E._SPLIT_FLOOR = floor
+                    pools.clear()
+                    given = b.copy()
+                    got = E._product(a, given, over_b=True)
+                    ok = np.array_equal(got, a @ b) and (got is given) == over
+                    ok &= over or np.array_equal(given, b)
+                    # the caller's span and one pool of a thread per other span, or none
+                    ok &= pools == ([["span", spans - 1, spans - 1]] if over and spans > 1 else [])
+                    # inside _beside the product is one span of blocks, with no pool
+                    pools.clear()
+                    given = b.copy()
+                    (inside,) = E._beside(lambda _: E._product(a, given, over_b=True), [0])
+                    ok &= np.array_equal(inside, a @ b) and (inside is given) == over and pools == []
+                    if not ok:
+                        failures.append([n, workers, floor])
         print(json.dumps(failures))
         """
     )
