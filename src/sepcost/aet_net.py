@@ -22,7 +22,10 @@ each with only those neighbours as a halo, and overlap-adds the blocks'
 syntheses: memory stays flat in the input length (one block's
 representation alive per worker thread), and the output equals the
 one-pass network up to roundoff (bitwise when one block holds every
-frame). Blocks run beside the caller under the engine's thread rule
+frame). A block records no tape, so it forms the carrier over its own X
+and re-modulates the separator's output in place, in conv1d_transpose's
+carrier arithmetic, then synthesizes with the plain transposed
+convolution. Blocks run beside the caller under the engine's thread rule
 (`engine._beside`), and the output does not depend on the thread count.
 Training runs the one-pass graph.
 """
@@ -39,9 +42,10 @@ from .diff_engine import Tensor, as_tensor, parameter
 from .errors import ShapeError, SignalTooShort, check_field_types
 from .signal_io import Waveform, _write_atomic
 
-# analysis frames per separation block: about 0.5 s at stride 16 and 16 kHz,
-# so two blocks in flight hold about what one 1024-frame block held
-BLOCK_FRAMES = 512
+# analysis frames per separation block: about 0.26 s at stride 16 and
+# 16 kHz, so with one BLAS thread the two blocks in flight, one per CPU,
+# together hold about what one 512-frame block held
+BLOCK_FRAMES = 256
 # zero-padded DFT length for finding each analysis filter's spectral peak
 BASIS_DFT_LEN = 4096
 
@@ -206,14 +210,21 @@ def forward(w, params: SeparatorParams) -> Tensor:
     return synthesis_forward(separator_forward(rep.M, params), rep, params)
 
 
-def _separate_blocks(samples: np.ndarray, params: SeparatorParams) -> np.ndarray:
-    """forward(samples) without gradient recording, over blocks of frames.
+def _separate_blocks(samples: np.ndarray, params: SeparatorParams, edge: int = 0) -> np.ndarray:
+    """forward(samples with `edge` zeros on each side) without gradient recording, over blocks of frames.
 
     The L analysis frames split into ceil(L / BLOCK_FRAMES) near-equal
-    blocks. Block [a, b) is analysed with the smoothing pad's neighbour
-    frames as a halo, which is dropped before the separator, and its
-    synthesis is overlap-added at sample a * stride, so only one block's
-    representation per worker is alive at once.
+    blocks. Block [a, b) is analysed from its own zero-padded slice of
+    the input, with the smoothing pad's neighbour frames as a halo, and
+    its synthesis is overlap-added at sample a * stride, so only one
+    block's representation per worker is alive at once, and the padded
+    input is never formed whole.
+
+    A block keeps X and M of its kept frames as views, writes the carrier
+    X / M over X, runs the separator on M and re-modulates the separator's
+    output in place, in the arithmetic of conv1d_transpose's carrier
+    path. It records no tape and is the only holder of these arrays, so it
+    neither copies nor allocates beside them.
 
     The blocks run through engine._beside (the engine's thread rule),
     which yields their syntheses in block order, and the caller adds them
@@ -221,9 +232,10 @@ def _separate_blocks(samples: np.ndarray, params: SeparatorParams) -> np.ndarray
     """
     cfg = params.cfg
     taps, stride = cfg.filter_len, cfg.stride
-    if samples.size < taps:
-        raise SignalTooShort(f"need at least {taps} samples, got {samples.size}")
-    frames = (samples.size - taps) // stride + 1
+    n = samples.size + 2 * edge
+    if n < taps:
+        raise SignalTooShort(f"need at least {taps} samples, got {n}")
+    frames = (n - taps) // stride + 1
     blocks = -(-frames // BLOCK_FRAMES)
     bounds = [frames * i // blocks for i in range(blocks + 1)]
     pad = _smoothing_pad(cfg)
@@ -231,12 +243,22 @@ def _separate_blocks(samples: np.ndarray, params: SeparatorParams) -> np.ndarray
     def synthesize(span: tuple[int, int]) -> np.ndarray:
         a, b = span
         lo, hi = max(0, a - pad[0]), min(frames, b + pad[1])
-        rep = analysis_forward(samples[lo * stride : (hi - 1) * stride + taps], params)
+        # the block's slice of the input with `edge` zeros on each side
+        start = lo * stride - edge
+        x = np.zeros((hi - 1 - lo) * stride + taps)
+        part = samples[max(start, 0) : start + x.size]
+        x[max(-start, 0) : max(-start, 0) + part.size] = part
+        rep = analysis_forward(x, params)
         kept = slice(a - lo, b - lo)
-        # the slices are copies, so the block's whole X and M are freed
-        # here and stay out of the separator's and synthesis' peak
-        rep = AetRepresentation(X=rep.X[:, kept], M=rep.M[:, kept])
-        return synthesis_forward(separator_forward(rep.M, params), rep, params).data
+        # views of the kept frames: each array is freed with its last view
+        carrier, M = rep.X.data[:, kept], rep.M.data[:, kept]
+        del rep
+        np.divide(carrier, M, out=carrier)
+        coeffs = separator_forward(M, params).data
+        del M
+        coeffs *= carrier
+        del carrier
+        return engine.conv1d_transpose(coeffs, params.synthesis_filters, stride).data
 
     out = np.zeros((frames - 1) * stride + taps)
     spans = list(zip(bounds, bounds[1:]))
@@ -249,9 +271,9 @@ def separate(w_mix: Waveform, params: SeparatorParams) -> Waveform:
     """Run the network without gradient recording, in blocks of frames.
 
     Equals forward(w_mix) up to roundoff, bitwise when the input has at
-    most BLOCK_FRAMES frames, and bitwise the same however many threads
-    run the blocks; memory does not grow with the input beyond the output
-    itself and one block's working set per thread.
+    most BLOCK_FRAMES (256) frames, and bitwise the same however many
+    threads run the blocks; memory does not grow with the input beyond
+    the output itself and one block's working set per thread.
     """
     return Waveform(_separate_blocks(w_mix.samples, params), w_mix.sample_rate)
 
@@ -259,20 +281,19 @@ def separate(w_mix: Waveform, params: SeparatorParams) -> Waveform:
 def separate_full_length(w_mix: Waveform, params: SeparatorParams) -> Waveform:
     """Length-preserving separation: pad, separate, cut the synthesis edges.
 
-    The input is zero-padded by half a filter length on each side so the
-    synthesis covers the whole original extent; the output is then the
-    slice aligned with the input samples. Separation runs in blocks of
-    frames as in separate, so besides one block's working set per thread
-    it holds only the padded input, the synthesis and the returned slice.
+    The network runs on the input zero-padded by half a filter length on
+    each side, so the synthesis covers the whole original extent; the
+    output is the view of the synthesis aligned with the input samples.
+    Separation runs in blocks of frames as in separate, each block padding
+    its own slice, so besides one block's working set per thread it holds
+    only the synthesis, about one input size.
     """
     cfg = params.cfg
     half = cfg.filter_len // 2
     if cfg.stride > half:
         raise ValueError("length-preserving separation needs stride <= filter_len/2")
     n = len(w_mix)
-    padded = np.concatenate([np.zeros(half), w_mix.samples, np.zeros(half)])
-    out = _separate_blocks(padded, params)
-    return Waveform(out[half : half + n].copy(), w_mix.sample_rate)
+    return Waveform(_separate_blocks(w_mix.samples, params, half)[half : half + n], w_mix.sample_rate)
 
 
 def order_bases_by_dominant_frequency(params: SeparatorParams, sample_rate: int):

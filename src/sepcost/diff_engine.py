@@ -54,7 +54,10 @@ step fell from 208.6 to 176.0 MB and then 152.0 MB on the default net
 (1024 x 1024 taps, stride 16, a 32768-sample excerpt: 12.8 to 10.8 and
 then 9.35 arrays of the (K, L) analysis shape), and from 50.6 to 42.5
 and then 36.4 MB on a 256 x 256 net on a 2 s utterance (8.96 arrays).
-conv1d's re-framed (L, taps) copy now sets the default net's peak.
+The walk runs each closure in a frame of its own (`_backward_step`), so
+a returned gradient that was added into an existing `.grad` is freed
+before the next closure runs. The first dense layer's x-gradient
+product, written over g * sigmoid, sets the default net's peak.
 
 Every framing op frames through one view, `_frame_view`, and scatters
 through one adjoint, `_overlap_add`: the backward of conv1d,
@@ -164,20 +167,8 @@ class Tensor:
                     stack.append((parent, False))
         _accum(self, np.ones_like(self.data))
         for node in reversed(topo):
-            if node._backward is None:
-                continue  # a leaf keeps its accumulated .grad
-            g, node.grad = node.grad, None
-            grads = node._backward(g)
-            del g  # the closure may have written into g; what it returned is all that is left
-            taken = []
-            for parent, pg in zip(node._parents, grads):
-                if pg is None or not parent.requires_grad:
-                    continue
-                # one array handed to two parents (add's (g, g)) must not become two .grad
-                if any(pg is q for q in taken):
-                    pg = np.array(pg)
-                taken.append(pg)
-                _accum(parent, pg)
+            if node._backward is not None:  # a leaf keeps its accumulated .grad
+                _backward_step(node)
 
     # operator sugar; scalars and arrays are wrapped as constants
     def __add__(self, other):
@@ -212,6 +203,27 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+
+
+def _backward_step(node: Tensor) -> None:
+    """Run node's closure on its .grad and accumulate what it returns into its parents.
+
+    The returned gradients live only in this frame, so one that `_accum`
+    added into an existing .grad is freed before the walk runs the next
+    closure.
+    """
+    g, node.grad = node.grad, None
+    grads = node._backward(g)
+    del g  # the closure may have written into g; what it returned is all that is left
+    taken = []
+    for parent, pg in zip(node._parents, grads):
+        if pg is None or not parent.requires_grad:
+            continue
+        # one array handed to two parents (add's (g, g)) must not become two .grad
+        if any(pg is q for q in taken):
+            pg = np.array(pg)
+        taken.append(pg)
+        _accum(parent, pg)
 
 
 # A graph is a scalar-valued function of named input tensors.

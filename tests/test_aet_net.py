@@ -393,9 +393,10 @@ def test_separate_too_short_raises_before_the_block_loop(monkeypatch):
 
 
 def test_separation_memory_is_flat_in_input_length(monkeypatch):
-    # traced peak: the padded input, the synthesis accumulator and the
-    # returned slice (3 input sizes) plus one block's working set per
-    # worker; a one-pass forward holds about 22 input sizes at every length
+    # traced peak: the synthesis, which the returned view holds (about 1
+    # input size; each block pads its own slice of the input), plus one
+    # block's working set per worker; a one-pass forward holds about 22
+    # input sizes at every length
     tracemalloc = pytest.importorskip("tracemalloc")
     monkeypatch.setattr(aet_net, "BLOCK_FRAMES", 128)
     cfg = NetConfig(components=64, filter_len=128, stride=16, hidden_units=64)
@@ -412,7 +413,27 @@ def test_separation_memory_is_flat_in_input_length(monkeypatch):
             finally:
                 tracemalloc.stop()
             assert len(out) == n
-            assert peak < 3 * w.samples.nbytes + 8 * block * workers, (workers, n, peak)
+            assert peak < w.samples.nbytes + 8 * block * workers, (workers, n, peak)
+
+
+def test_default_net_separation_peak_is_bounded(monkeypatch):
+    # traced peak of 2 s at the default net on 2 workers: two 256-frame
+    # blocks in flight, each holding X and M with their halo, the
+    # separator's hidden layer and output, the synthesis product and the
+    # block's input frames, about 17.5 MB in all; 512-frame blocks that
+    # copied X and M read 37.6-41.6 MB
+    tracemalloc = pytest.importorskip("tracemalloc")
+    monkeypatch.setattr(E, "_workers", lambda blocks: min(blocks, 2))
+    params = init_params(0, NetConfig())
+    w = Waveform(np.random.default_rng(16).standard_normal(32000), 16000)
+    tracemalloc.start()
+    try:
+        out = separate_full_length(w, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out) == len(w) and np.all(np.isfinite(out.samples))
+    assert peak < 21e6, peak
 
 
 def test_stride_shift_covariance_of_analysis():

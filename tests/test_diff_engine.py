@@ -1,6 +1,7 @@
 import sys
 import threading
 import time
+import weakref
 import zlib
 
 import numpy as np
@@ -890,6 +891,30 @@ def test_backward_keeps_only_leaf_gradients():
     out.backward()
     out.backward()
     np.testing.assert_array_equal(x.grad, [4.0, 4.0])
+
+
+def test_backward_frees_an_added_in_gradient_before_the_next_closure():
+    # t receives two fresh gradients: the first becomes t.grad, the second
+    # is added into it and is garbage from then on, so it must be gone
+    # when the next closure (t's own) runs
+    x = E.parameter(np.arange(4.0))
+    emitted, alive = [], []
+
+    def emit(g):
+        pg = np.array(g) * 3.0
+        emitted.append(weakref.ref(pg))
+        return (pg,)
+
+    def spy(g):
+        alive.append([ref() is not None for ref in emitted])
+        return (g,)
+
+    t = E._result(x.data.copy(), (x,), spy)
+    a, b = E._result(t.data.copy(), (t,), emit), E._result(t.data.copy(), (t,), emit)
+    E.sum_(a + b).backward()
+    # the first is the g that t's closure receives
+    assert alive == [[True, False]]
+    np.testing.assert_array_equal(x.grad, np.full(4, 6.0))
 
 
 def test_minimum_tie_goes_to_first():
