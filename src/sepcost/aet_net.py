@@ -221,10 +221,11 @@ def _separate_blocks(samples: np.ndarray, params: SeparatorParams, edge: int = 0
     input is never formed whole.
 
     A block keeps X and M of its kept frames as views, writes the carrier
-    X / M over X, runs the separator on M and re-modulates the separator's
-    output in place, in the arithmetic of conv1d_transpose's carrier
-    path. It records no tape and is the only holder of these arrays, so it
-    neither copies nor allocates beside them.
+    X / M over X, runs the separator's two dense layers on M, freeing M
+    before the second, and re-modulates the separator's output in place,
+    in the arithmetic of conv1d_transpose's carrier path. It records no
+    tape and is the only holder of these arrays, so it neither copies nor
+    allocates beside them.
 
     The blocks run through engine._beside (the engine's thread rule),
     which yields their syntheses in block order, and the caller adds them
@@ -254,8 +255,11 @@ def _separate_blocks(samples: np.ndarray, params: SeparatorParams, edge: int = 0
         carrier, M = rep.X.data[:, kept], rep.M.data[:, kept]
         del rep
         np.divide(carrier, M, out=carrier)
-        coeffs = separator_forward(M, params).data
+        # separator_forward's two layers, with M freed before the second
+        hidden = engine.affine_softplus(params.w1, M, params.b1).data
         del M
+        coeffs = engine.affine_softplus(params.w2, hidden, params.b2).data
+        del hidden
         coeffs *= carrier
         del carrier
         return engine.conv1d_transpose(coeffs, params.synthesis_filters, stride).data

@@ -26,7 +26,7 @@ from .diff_engine import (
 from .errors import NumericalDivergence, SepcostError
 from .losses import StoiConfig
 from .metrics import evaluate, format_report_row
-from .signal_io import Waveform, read_wav, resample, write_wav
+from .signal_io import read_wav, resample, write_wav
 from .trainer import TrainConfig, build_dataset, fit, load_checkpoint, save_checkpoint
 
 EXIT_OK = 0
@@ -173,11 +173,14 @@ def cmd_separate(args) -> int:
             f"input rate {mix.sample_rate} does not match checkpoint rate {train_meta['sample_rate']}"
         )
     estimate = separate_full_length(mix, params)
+    del mix
     # scale-free losses leave the output level arbitrary: bring over-full-scale
-    # estimates back under 1.0 so the PCM16 write cannot clip them
-    peak = float(np.abs(estimate.samples).max())
+    # estimates back under 1.0 so the PCM16 write cannot clip them; the
+    # synthesis is this command's own, so it is rescaled in place
+    samples = estimate.samples
+    peak = float(max(-samples.min(), samples.max()))
     if peak > 1.0:
-        estimate = Waveform(estimate.samples / peak, estimate.sample_rate)
+        np.divide(samples, peak, out=samples)
         print(f"peak {peak:.3g} rescaled to full scale")
     write_wav(estimate, args.output)
     print(f"wrote {args.output} ({len(estimate)} samples)")

@@ -18,20 +18,23 @@ re-modulated coefficients (m_hat * x / m, formed inside the op), the
 adaptive front end's modulation (a floor plus a zero-padded depthwise
 temporal convolution of |x|), the fused dense layer
 softplus(w @ x + b), softplus, elementwise arithmetic / min / square,
-inner products, L2 norms, axis reductions, basic slicing, sliding
-windows, the intelligibility front end's band envelopes
-(`band_envelopes`: sqrt(bands @ |STFT|^2) as one op), and the polyphase
-banded map of in-graph resampling (`gather_linear` over a
+inner products, L2 norms, axis reductions, basic slicing, the
+intelligibility cost's band envelopes (`band_envelopes`: sqrt(bands @
+|STFT|^2) as one op) and its clipped correlation of envelope segments
+(`segment_correlation`, also one op, which stores no segment array), and
+the polyphase banded map of in-graph resampling (`gather_linear` over a
 `PolyphasePlan`). There is no dynamic control flow and no higher-order
 differentiation.
 
-Signals may carry leading dims: `gather_linear`, `band_envelopes` and
-`sliding_windows` act on the last axis of a (..., T) stack, the
-elementwise ops broadcast, and the reductions take negative axes, so one
-graph scores a stack of signals, one score per leading index. The first
-two run one signal at a time in scratch reused from signal to signal,
-so a stack's values and gradients are bitwise those of its signals
-alone; `finite_difference_gradient(..., stacked=True)` feeds such graphs
+Signals may carry leading dims: `gather_linear` and `band_envelopes`
+act on the last axis of a (..., T) stack, `segment_correlation` on the
+last two of a (..., J, F) stack of envelopes, the elementwise ops
+broadcast, and the reductions take negative axes, so one graph scores a
+stack of signals, one score per leading index. The first two run one
+signal at a time in scratch reused from signal to signal, and the third
+the same numpy calls on blocks of rows, so a stack's values and
+gradients are bitwise those of its signals alone;
+`finite_difference_gradient(..., stacked=True)` feeds such graphs
 blocks of perturbed inputs.
 
 The ownership rule: the walk hands each closure a g that only the walk
@@ -61,7 +64,8 @@ product, written over g * sigmoid, sets the default net's peak.
 
 Every framing op frames through one view, `_frame_view`, and scatters
 through one adjoint, `_overlap_add`: the backward of conv1d,
-band_envelopes and sliding_windows and the forward of conv1d_transpose.
+band_envelopes and segment_correlation (whose forward frames too) and
+the forward of conv1d_transpose.
 gather_linear instead reads each group of its rows through one strided
 view of a padded buffer, which BLAS reads in place, and its backward
 adds each group's product back as one contiguous run. The STFT runs on
@@ -574,22 +578,6 @@ def getitem(x, key) -> Tensor:
     return _result(out.copy(), (x,), bw)
 
 
-def sliding_windows(x, width: int) -> Tensor:
-    """Sliding windows along the last axis: (..., T) -> (..., width, L).
-
-    out[..., d, l] = x[..., l + d] with L = T - width + 1. The result is
-    the hop-1 `_frame_view` of a fresh copy of x with its last two axes
-    swapped: a read-only view that holds T values, not width * L, and
-    shares no memory with x. Backward overlap-adds each window row.
-    """
-    x = as_tensor(x)
-    n_in = x.data.shape[-1]
-    if width < 1 or n_in < width:
-        raise ShapeError(f"{width}-wide windows do not fit {n_in} samples")
-    out = np.swapaxes(_frame_view(x.data.copy(), width, 1), -1, -2)
-    return _result(out, (x,), lambda g: (_overlap_add(g, 1, n_in),))
-
-
 # ---------------------------------------------------------------------------
 # dense products
 
@@ -991,7 +979,8 @@ def gather_linear(x, plan: PolyphasePlan) -> Tensor:
     if first.min(initial=0) < 0:
         raise ShapeError(f"gather_linear plan has an edge row starting before its offset {plan.offset}")
     signals = xv.reshape(-1, n)
-    xp = np.zeros(max(span, lo + n, first.max(initial=0) + taps))
+    n_xp = max(span, lo + n, first.max(initial=0) + taps)  # backward keeps the size, not the buffer
+    xp = np.zeros(n_xp)
     # views of xp, which each signal in turn fills; each edge row reads one row of `taps`
     step = xp.strides[0]
     windows = np.lib.stride_tricks.as_strided(
@@ -1015,7 +1004,7 @@ def gather_linear(x, plan: PolyphasePlan) -> Tensor:
         # row, the rest staying zero, so it adds back as one contiguous run
         lines = np.zeros((n_blocks, plan.stride))
         term = lines[:, :width]
-        full = np.empty(max(xp.size, (n_groups - 1) * plan.group_stride + lines.size))
+        full = np.empty(max(n_xp, (n_groups - 1) * plan.group_stride + lines.size))
         k = (first[:, None] + np.arange(taps)).ravel()
         for gs, gxs in zip(g.reshape(signals.shape[0], plan.out_len), gx.reshape(signals.shape)):
             flat[: plan.out_len] = gs
@@ -1025,7 +1014,7 @@ def gather_linear(x, plan: PolyphasePlan) -> Tensor:
                 np.matmul(gk, weights.T, out=term)
                 full[i * plan.group_stride :][: lines.size] += lines.reshape(-1)
             scaled = plan.edge_weights * gs[plan.edge_rows][:, None]
-            full[: xp.size] += np.bincount(k, weights=scaled.ravel(), minlength=xp.size)
+            full[:n_xp] += np.bincount(k, weights=scaled.ravel(), minlength=n_xp)
             gxs[:] = full[lo : lo + n]
         return (gx,)
 
@@ -1043,11 +1032,14 @@ def band_envelopes(x, frame_len: int, fft_len: int, hop: int, window: np.ndarray
     reused from signal to signal, in the arithmetic order of the chain
     magnitude STFT -> square -> bands @ -> sqrt, so values and gradients
     are bitwise the chain's, and each signal's are bitwise those of it
-    alone. A node that records a
-    backward keeps each signal's spectrum, as the chain did; backward is
-    the chain's adjoint on the inverse FFT (subgradient 0 at zero
-    envelopes and zero-magnitude bins), then one overlap-add of the frame
-    gradients per signal.
+    alone. A node that records a backward keeps each signal's spectrum,
+    as the chain did. Without a tape, the padded frames and the spectrum
+    go in blocks of `_row_blocks` frames (256 KB each at fft_len 512, in
+    place of 77 MB each on 240 s at 10 kHz); the magnitudes and the band
+    product stay whole, since a product over a block of columns need not
+    be bitwise the whole one. Backward is the chain's adjoint on the
+    inverse FFT (subgradient 0 at zero envelopes and zero-magnitude
+    bins), then one overlap-add of the frame gradients per signal.
     """
     x = as_tensor(x)
     xv = x.data
@@ -1068,17 +1060,22 @@ def band_envelopes(x, frame_len: int, fft_len: int, hop: int, window: np.ndarray
     n_frames = frames.shape[1]
     keep = _grad_enabled and x.requires_grad
     specs = []  # each signal's spectrum, for backward
-    padded = np.zeros((n_frames, fft_len))
+    # without a tape, the frames go through the FFT in blocks
+    rows, blocks = (n_frames, [slice(0, n_frames)]) if keep else _row_blocks(n_frames, fft_len)
+    padded = np.zeros((rows, fft_len))
     # |spec| transposed to (bins, frames) is the chain's layout, which its product reads
     mag = np.empty((n_frames, n_bins)).T
     out = np.empty((signals.shape[0], bands.shape[0], n_frames))
+    # each block's frames, its padded rows, their leading frame_len columns and its magnitudes
+    parts = [(b, padded[: b.stop - b.start], padded[: b.stop - b.start, :frame_len], mag[:, b]) for b in blocks]
     for f, o in zip(frames, out):
-        # windowed frames written straight into their zero padding
-        np.multiply(f, window, out=padded[:, :frame_len])
-        spec = np.fft.rfft(padded, axis=1)
-        if keep:
-            specs.append(spec)
-        np.abs(spec.T, out=mag)
+        for b, block, windowed, m in parts:
+            # windowed frames written straight into their zero padding
+            np.multiply(f[b], window, out=windowed)
+            spec = np.fft.rfft(block, axis=1)
+            if keep:
+                specs.append(spec)
+            np.abs(spec.T, out=m)
         np.matmul(bands, np.multiply(mag, mag, out=mag), out=o)
     np.sqrt(out, out=out)
 
@@ -1099,6 +1096,137 @@ def band_envelopes(x, frame_len: int, fft_len: int, hop: int, window: np.ndarray
         return (gx,)
 
     return _result(out.reshape(*xv.shape[:-1], *out.shape[1:]), (x,), bw)
+
+
+def segment_correlation(xe, ye, width: int, clip_factor: float, eps: float) -> Tensor:
+    """STOI's correlation of every pair of envelope segments: (..., J, F) and (J, F) -> (..., J, M').
+
+    xe holds an estimate's band envelopes and ye the target's, F frames
+    per band. Segment p of a band is its `width` frames from frame p, so
+    M' = F - width + 1. For a pair of segments sx and sy, sx is scaled to
+    sy's norm and clipped from above, clipped = min(|sy| / (|sx| + eps) *
+    sx, clip_factor * sy) with ties to the scaled segment, both are
+    centred (xc and yc), and d = <xc, yc> / (|xc| |yc| + eps) (Taal et
+    al., IEEE TASLP 19(7), 2011).
+
+    The pairs run in blocks of about _ROW_BLOCK segment values
+    (`_row_blocks`): whole rows of x's leading dims, or bands of one row
+    when a row holds more. A block views its segments through
+    `_frame_view` and computes in scratch reused from block to block: the
+    elementwise arithmetic of the same graph built from generic ops (norm,
+    div, mul, minimum, mean, sub and sum_ on a (..., J, width, M') array
+    of segments, `tests/reference.py::stoi_chain`), and that graph's
+    reductions over the segment axis on arrays of its layout. So d is bitwise the chain's, and each row's is
+    bitwise that of it alone. The node keeps its two parents and
+    (..., J, M') statistics: |sx|, the clipped segments' mean, |xc|, <xc,
+    yc> and the denominator, and the target's mean, |sy| and |yc|.
+    Backward forms each block's segments again from them and overlap-adds
+    (`_overlap_add`) the segment gradients onto the envelopes. The
+    target's gradient is summed over x's leading dims, and skipped when
+    ye needs none. A norm takes the subgradient 0 at zero.
+    """
+    xe, ye = as_tensor(xe), as_tensor(ye)
+    x_shape, yv = xe.data.shape, np.ascontiguousarray(ye.data)
+    if yv.ndim != 2 or x_shape[-2:] != yv.shape:
+        raise ShapeError(f"envelopes of shape {x_shape} do not pair with target envelopes of shape {yv.shape}")
+    n_bands, n_frames = yv.shape
+    if width < 1 or n_frames < width:
+        raise ShapeError(f"{width}-frame segments do not fit {n_frames} frames")
+    n_seg = n_frames - width + 1
+    xv = np.ascontiguousarray(xe.data).reshape(-1, n_bands, n_frames)
+    # [..., j, n, p] is frame p + n of band j
+    sx_all, sy_all = (np.swapaxes(_frame_view(e, width, 1), -1, -2) for e in (xv, yv))
+    # whole rows of x when one fits a block (then all bands go in one), else bands of one row
+    s_rows, s_blocks = _row_blocks(xv.shape[0], n_bands * width * n_seg)
+    j_rows, j_blocks = _row_blocks(n_bands, width * n_seg)
+    blocks = [(s, j) for s in s_blocks for j in j_blocks]
+
+    def scratch(count: int) -> list:
+        """count block-sized arrays of x's segment shape, a clip mask and one of the target's shape."""
+        shape = (s_rows, j_rows, width, n_seg)
+        return [np.empty(shape) for _ in range(count)] + [np.empty(shape, dtype=bool), np.empty(shape[1:])]
+
+    def views(arrays: list, s: slice, j: slice) -> list:
+        """The block's leading part of each scratch array, C-contiguous since only one of s and j splits."""
+        return [a[: s.stop - s.start, : j.stop - j.start] if a.ndim == 4 else a[: j.stop - j.start] for a in arrays]
+
+    # the target's segment means and norms (J, 1, M') and norms once centred (J, M')
+    y_mean, y_norm, yc_norm = np.empty((n_bands, 1, n_seg)), np.empty((n_bands, 1, n_seg)), np.empty((n_bands, n_seg))
+    t_buf = np.empty((j_rows, width, n_seg))
+    for j in j_blocks:
+        sy, t = sy_all[j], t_buf[: j.stop - j.start]
+        y_mean[j] = sy.mean(axis=-2, keepdims=True)
+        np.sqrt(np.multiply(sy, sy, out=t).sum(axis=-2, keepdims=True), out=y_norm[j])
+        np.subtract(sy, y_mean[j], out=t)
+        np.sqrt(np.multiply(t, t, out=t).sum(axis=-2), out=yc_norm[j])
+    del t_buf
+
+    def clip(s: slice, j: slice, a, c, over) -> None:
+        """The block's clipped segments into a, with over marking where clip_factor * sy, in c, won."""
+        np.multiply(y_norm[j] / (x_norm[s, j] + eps), sx_all[s, j], out=a)
+        np.multiply(clip_factor, sy_all[j], out=c)
+        np.logical_not(np.less_equal(a, c, out=over), out=over)
+        np.copyto(a, c, where=over)
+
+    # the estimate's segment norms and clipped means (..., J, 1, M'), and |xc| and <xc, yc> (..., J, M')
+    x_norm, x_mean = np.empty((*xv.shape[:-1], 1, n_seg)), np.empty((*xv.shape[:-1], 1, n_seg))
+    xc_norm, num = np.empty((*xv.shape[:-1], n_seg)), np.empty((*xv.shape[:-1], n_seg))
+    arrays = scratch(2)
+    for s, j in blocks:
+        a, t, over, c = views(arrays, s, j)
+        sx = sx_all[s, j]
+        np.sqrt(np.multiply(sx, sx, out=t).sum(axis=-2, keepdims=True), out=x_norm[s, j])
+        clip(s, j, a, c, over)
+        x_mean[s, j] = mean_ = a.mean(axis=-2, keepdims=True)
+        np.subtract(a, mean_, out=a)
+        np.subtract(sy_all[j], y_mean[j], out=c)
+        num[s, j] = np.multiply(a, c, out=t).sum(axis=-2)
+        np.sqrt(np.multiply(a, a, out=t).sum(axis=-2), out=xc_norm[s, j])
+    den = xc_norm * yc_norm + eps
+    d = num / den
+
+    def bw(g):
+        gx = np.empty(x_shape) if xe.requires_grad else None  # owned, so the walk keeps it uncopied
+        gy = np.zeros(yv.shape) if ye.requires_grad else None
+        g = np.reshape(g, d.shape)
+        g_num = (g / den)[..., None, :]
+        g_den = -g * num / (den * den)
+        arrays = scratch(3)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # |xc|'s term: the coefficient of xc in xc's gradient
+            kx = np.where(xc_norm > 0.0, g_den * yc_norm / xc_norm, 0.0)[..., None, :]
+            for s, j in blocks:
+                a, t, gs, over, c = views(arrays, s, j)
+                sx, sy = sx_all[s, j], sy_all[j]
+                clip(s, j, a, c, over)
+                np.subtract(a, x_mean[s, j], out=a)  # xc
+                np.subtract(sy, y_mean[j], out=c)  # yc
+                # xc's gradient, then the clipped segments'
+                np.multiply(c, g_num[s, j], out=gs)
+                gs += np.multiply(a, kx[s, j], out=t)
+                gs -= gs.mean(axis=-2, keepdims=True)
+                if gy is not None:
+                    # yc's gradient summed over the block's rows, then sy's through yc and the clip
+                    g_sy = np.multiply(a, g_num[s, j], out=t).sum(axis=0)
+                    g_norm = (g_den[s, j] * xc_norm[s, j]).sum(axis=0)
+                    g_sy += np.where(yc_norm[j] > 0.0, g_norm / yc_norm[j], 0.0)[:, None, :] * c
+                    g_sy -= g_sy.mean(axis=-2, keepdims=True)
+                    g_sy += clip_factor * np.multiply(gs, over, out=t).sum(axis=0)
+                np.copyto(gs, 0.0, where=over)  # the scaled segments' gradient
+                g_alpha = np.multiply(gs, sx, out=t).sum(axis=-2, keepdims=True)
+                x_eps = x_norm[s, j] + eps
+                if gy is not None:
+                    g_norm = (g_alpha / x_eps).sum(axis=0)
+                    g_sy += np.where(y_norm[j] > 0.0, g_norm / y_norm[j], 0.0) * sy
+                    gy[j] += _overlap_add(g_sy, 1, n_frames)
+                if gx is not None:
+                    g_norm = -g_alpha * y_norm[j] / (x_eps * x_eps)
+                    gs *= y_norm[j] / x_eps
+                    gs += np.multiply(sx, np.where(x_norm[s, j] > 0.0, g_norm / x_norm[s, j], 0.0), out=t)
+                    gx.reshape(xv.shape)[s, j] = _overlap_add(gs, 1, n_frames)
+        return gx, gy
+
+    return _result(d.reshape(*x_shape[:-1], n_seg), (xe, ye), bw)
 
 
 # ---------------------------------------------------------------------------

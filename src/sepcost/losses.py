@@ -125,15 +125,15 @@ def sar_loss(x, y, z) -> Tensor:
     return engine.dot(xt, xt) / (proj + EPS)
 
 
-def _segments(t: Tensor, rate: int, cfg: StoiConfig) -> Tensor:
-    """(..., J bands, N frames, M' segments) band envelopes of signals sampled at `rate`.
+def _envelopes(t: Tensor, rate: int, cfg: StoiConfig) -> Tensor:
+    """(..., J bands, F frames) band envelopes of signals sampled at `rate`.
 
     The signals, along t's last axis, are resampled (in-graph) to
     cfg.analysis_rate first, then run through the one front end,
     `diff_engine.band_envelopes`: Hann frames zero-padded to fft_len, and
     the one-third-octave band matrix applied in the power domain.
-    [..., j, n, p] is band j at frame p + n, so column p holds the
-    segment ending at frame p + N - 1.
+    SignalTooShort unless F holds at least one segment of
+    cfg.segment_frames frames.
     """
     if rate != cfg.analysis_rate:
         t = engine.gather_linear(t, resample_plan(t.data.shape[-1], rate, cfg.analysis_rate))
@@ -144,10 +144,9 @@ def _segments(t: Tensor, rate: int, cfg: StoiConfig) -> Tensor:
     if n_frames < cfg.segment_frames:
         raise SignalTooShort(f"{n_frames} frames < {cfg.segment_frames} needed for one segment")
     bands = dsp.octave_band_matrix(cfg.analysis_rate, cfg.fft_len, cfg.num_bands, cfg.lowest_center)
-    envelopes = engine.band_envelopes(
+    return engine.band_envelopes(
         t, cfg.frame_len, cfg.fft_len, cfg.hop, dsp.hann_periodic(cfg.frame_len), bands.weights
     )
-    return engine.sliding_windows(envelopes, cfg.segment_frames)
 
 
 @dataclass(frozen=True)
@@ -155,18 +154,15 @@ class StoiReference:
     """The target half of stoi_forward, which depends on the target y alone.
 
     Made by `stoi_reference`; pass it as `y` to score any number of
-    estimates of the same length and rate against one target. The
-    tensors stay on y's tape, so y is differentiated through them when
-    it requires a gradient.
+    estimates of the same length and rate against one target. It holds
+    the target's band envelopes, which stay on y's tape, so y is
+    differentiated through them when it requires a gradient.
     """
 
     cfg: StoiConfig
     rate: int  # sample rate of y, and of every estimate scored against it
     n_in: int  # samples of y
-    norm_y: Tensor  # (J, 1, M') segment norms
-    clip_y: Tensor  # (J, N, M') clip_factor * segments, the clipping ceiling
-    yc: Tensor  # (J, N, M') centred segments
-    norm_yc: Tensor  # (J, M') norms of yc
+    envelopes: Tensor  # (J, F) band envelopes of y
 
 
 def stoi_reference(y, cfg: StoiConfig = StoiConfig(), sample_rate: int | None = None) -> StoiReference:
@@ -177,28 +173,19 @@ def stoi_reference(y, cfg: StoiConfig = StoiConfig(), sample_rate: int | None = 
     segment at the analysis rate.
     """
     yt, rate = _signal(y, sample_rate if sample_rate is not None else cfg.analysis_rate)
-    seg_y = _segments(yt, rate, cfg)
-    yc = seg_y - engine.mean(seg_y, axis=-2, keepdims=True)
-    return StoiReference(
-        cfg,
-        rate,
-        yt.data.shape[-1],
-        engine.norm(seg_y, axis=-2, keepdims=True),
-        cfg.clip_factor * seg_y,
-        yc,
-        engine.norm(yc, axis=-2),
-    )
+    return StoiReference(cfg, rate, yt.data.shape[-1], _envelopes(yt, rate, cfg))
 
 
 def stoi_forward(x, y, cfg: StoiConfig = StoiConfig(), sample_rate: int | None = None):
     """Short-time octave-band envelope correlation between estimate and target.
 
-    Both signals are resampled (in-graph) to cfg.analysis_rate, framed,
-    pooled into one-third-octave bands, cut into overlapping
-    segment_frames-long segments, and the estimate segments are
-    normalized to the target scale and clipped before the centered
-    correlation. Returns (score, d) where score is the mean of the
-    per-(band, frame) correlation matrix d.
+    Both signals are resampled (in-graph) to cfg.analysis_rate, framed
+    and pooled into one-third-octave band envelopes; one engine op,
+    `diff_engine.segment_correlation`, cuts them into overlapping
+    segment_frames-long segments, normalizes each estimate segment to the
+    target's scale, clips it and correlates the two once centred. Returns
+    (score, d) where score is the mean of the per-(band, segment)
+    correlation matrix d.
 
     Signals lie along the last axis of x. A stack of estimates, shape
     (..., n), gives one score per leading index in one pass, d of shape
@@ -220,15 +207,9 @@ def stoi_forward(x, y, cfg: StoiConfig = StoiConfig(), sample_rate: int | None =
     if xt.data.shape[-1:] != (ref.n_in,):
         raise ShapeError(f"signal lengths differ: {xt.data.shape} vs {(ref.n_in,)}")
 
-    seg_x = _segments(xt, ref.rate, cfg)
-    norm_x = engine.norm(seg_x, axis=-2, keepdims=True)
-    alpha = ref.norm_y / (norm_x + EPS)
-    clipped = engine.minimum(alpha * seg_x, ref.clip_y)
-
-    xc = clipped - engine.mean(clipped, axis=-2, keepdims=True)
-    num = engine.sum_(xc * ref.yc, axis=-2)
-    den = engine.norm(xc, axis=-2) * ref.norm_yc + EPS
-    d = num / den
+    d = engine.segment_correlation(
+        _envelopes(xt, ref.rate, cfg), ref.envelopes, cfg.segment_frames, cfg.clip_factor, EPS
+    )
     return engine.mean(d, axis=(-2, -1)), d
 
 

@@ -101,6 +101,11 @@ def bss_eval_metrics(x, y, z) -> EvalReport:
 def stoi_metric(x, y, cfg: StoiConfig = StoiConfig(), sample_rate: int | None = None) -> float:
     """Intelligibility score; same code path as the loss, no gradient recording.
 
+    Without a tape, `band_envelopes` transforms its frames in blocks and
+    `segment_correlation` works in blocks of bands, so a 60 s or 240 s
+    pair at 16 kHz peaks at 16 or 63 MB traced, mostly one signal's
+    resampling buffers and magnitude array.
+
     y is a target signal or a `losses.StoiReference` prepared from one,
     which scores several estimates against one target without redoing
     the target's half. Defined as the exact complement of the

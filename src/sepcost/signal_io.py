@@ -19,6 +19,8 @@ from . import diff_engine as engine
 from .errors import CorruptFile, IoError, ShapeError, SilentSignal, UnsupportedFormat
 
 PCM_SCALE = 32768.0
+# samples per block of write_wav's float64 scratch (512 KB)
+WRITE_BLOCK = 1 << 16
 RMS_SILENCE_FLOOR = 1e-8
 
 # Windowed-sinc resampler: 64-tap kernel under a Kaiser window.
@@ -129,18 +131,29 @@ def read_wav(path) -> Waveform:
 def write_wav(w: Waveform, path) -> None:
     """Write a mono PCM 16-bit WAV.
 
-    Samples are clamped to [-1, 1] and quantized round-to-nearest.
+    Samples are clamped to [-1, 1] and quantized round-to-nearest. They
+    go through one float64 scratch of WRITE_BLOCK samples into the int16
+    payload, whose buffer is written as it is, so the write holds 2 bytes
+    per sample beyond the waveform.
     """
-    q = np.clip(np.rint(np.clip(w.samples, -1.0, 1.0) * PCM_SCALE), -32768, 32767)
-    payload = q.astype("<i2").tobytes()
+    payload = np.empty(w.samples.size, dtype="<i2")
+    scratch = np.empty(min(WRITE_BLOCK, payload.size))
+    for start in range(0, payload.size, WRITE_BLOCK):
+        part = w.samples[start : start + WRITE_BLOCK]
+        q = scratch[: part.size]
+        np.clip(part, -1.0, 1.0, out=q)
+        q *= PCM_SCALE
+        np.rint(q, out=q)
+        np.clip(q, -32768, 32767, out=q)
+        payload[start : start + part.size] = q
     header = (
         b"RIFF"
-        + struct.pack("<I", 36 + len(payload))
+        + struct.pack("<I", 36 + payload.nbytes)
         + b"WAVE"
         + b"fmt "
         + struct.pack("<IHHIIHH", 16, 1, 1, w.sample_rate, w.sample_rate * 2, 2, 16)
         + b"data"
-        + struct.pack("<I", len(payload))
+        + struct.pack("<I", payload.nbytes)
     )
     try:
         _write_atomic(path, (header, payload))

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 import sepcost
+from sepcost import diff_engine as E
 from sepcost.diff_engine import _BLAS_THREAD_VARS, Tensor, no_grad
 from sepcost.losses import StoiConfig
 
@@ -349,3 +350,41 @@ def band_envelopes_reference(x, frame_len, fft_len, hop, window, bands, g):
     for m in reversed(range(fg.shape[0])):  # later frames hold a sample's lower taps
         gx[m * hop : m * hop + frame_len] += fg[m]
     return env, gx
+
+
+def windows(t, width):
+    """Sliding windows (..., T) -> (..., width, T - width + 1) built from generic engine ops.
+
+    [..., n, p] is t[..., p + n]: the sum over n of the slice starting at
+    n, placed in row n by a one-hot column. Each entry sums one exact
+    product by 1 with exact zeros, so the values are t's own, and the
+    gradient comes from getitem, mul and add alone.
+    """
+    n_out = t.shape[-1] - width + 1
+    rows = np.eye(width)
+    out = None
+    for n in range(width):
+        term = t[..., None, n : n + n_out] * rows[:, n : n + 1]
+        out = term if out is None else out + term
+    return out
+
+
+def stoi_chain(xe, ye, width, clip_factor, eps):
+    """STOI's segment correlations d (..., J, M') from band envelopes as a chain of generic engine ops.
+
+    The graph `diff_engine.segment_correlation` fuses: the target's
+    segment norms, clipping ceiling and centred segments, then the
+    estimate's segments scaled to the target's norms, clipped, centred
+    and correlated (norm, div, mul, minimum, mean, sub, sum_).
+    """
+    seg_y, seg_x = windows(ye, width), windows(xe, width)
+    yc = seg_y - E.mean(seg_y, axis=-2, keepdims=True)
+    norm_y = E.norm(seg_y, axis=-2, keepdims=True)
+    clip_y = clip_factor * seg_y
+    norm_yc = E.norm(yc, axis=-2)
+    alpha = norm_y / (E.norm(seg_x, axis=-2, keepdims=True) + eps)
+    clipped = E.minimum(alpha * seg_x, clip_y)
+    xc = clipped - E.mean(clipped, axis=-2, keepdims=True)
+    num = E.sum_(xc * yc, axis=-2)
+    den = E.norm(xc, axis=-2) * norm_yc + eps
+    return num / den

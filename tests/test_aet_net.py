@@ -277,15 +277,15 @@ def test_separation_threads_end_with_the_call_and_pass_on_a_block_failure(monkey
     assert threading.active_count() == threads
 
     caller = threading.current_thread()
-    forward_block = aet_net.separator_forward
+    forward_block = aet_net.analysis_forward  # called once per block
 
-    def fail_in_a_pool_thread(modulation, params):
+    def fail_in_a_pool_thread(x, params):
         # the caller takes every other block, a pool thread the rest
         if threading.current_thread() is not caller:
             raise FloatingPointError("block failed")
-        return forward_block(modulation, params)
+        return forward_block(x, params)
 
-    monkeypatch.setattr(aet_net, "separator_forward", fail_in_a_pool_thread)
+    monkeypatch.setattr(aet_net, "analysis_forward", fail_in_a_pool_thread)
     with pytest.raises(FloatingPointError, match="block failed"):
         separate(w, params)
     assert threading.active_count() == threads
@@ -304,13 +304,14 @@ def test_separation_starts_one_pool_of_marked_threads_and_no_product_pool(monkey
     monkeypatch.setattr(E, "_blas_threads", lambda: 1)
     pool, pools = counting_pool()
     monkeypatch.setattr(E, "ThreadPoolExecutor", pool)
-    caller, forward_block, blocks_run = threading.current_thread(), aet_net.separator_forward, []
+    # analysis_forward is called once per block
+    caller, forward_block, blocks_run = threading.current_thread(), aet_net.analysis_forward, []
 
-    def recording(modulation, params):
+    def recording(x, params):
         blocks_run.append((threading.current_thread() is caller, getattr(E._whole_products, "marked", False)))
-        return forward_block(modulation, params)
+        return forward_block(x, params)
 
-    monkeypatch.setattr(aet_net, "separator_forward", recording)
+    monkeypatch.setattr(aet_net, "analysis_forward", recording)
     cfg = NetConfig(components=64, filter_len=128, stride=16, hidden_units=64)
     params = _blocked_params(14, cfg)
     rng = np.random.default_rng(14)
@@ -342,18 +343,19 @@ def test_a_failing_block_cancels_the_blocks_not_yet_started(monkeypatch):
     monkeypatch.setattr(E, "_workers", lambda blocks: min(blocks, 2))
     params = init_params(0, SMALL)
     w = Waveform(np.random.default_rng(15).standard_normal(SMALL.filter_len + 79 * SMALL.stride), 16000)
-    forward_block, lock, started = aet_net.separator_forward, threading.Lock(), []
+    # analysis_forward is called once per block
+    forward_block, lock, started = aet_net.analysis_forward, threading.Lock(), []
 
-    def fail_first(modulation, params):
+    def fail_first(x, params):
         with lock:
             first = not started
             started.append(threading.current_thread())
         if first:
             raise FloatingPointError("block failed")
         time.sleep(0.02)
-        return forward_block(modulation, params)
+        return forward_block(x, params)
 
-    monkeypatch.setattr(aet_net, "separator_forward", fail_first)
+    monkeypatch.setattr(aet_net, "analysis_forward", fail_first)
     threads = threading.active_count()
     with pytest.raises(FloatingPointError, match="block failed"):
         separate(w, params)
@@ -418,10 +420,11 @@ def test_separation_memory_is_flat_in_input_length(monkeypatch):
 
 def test_default_net_separation_peak_is_bounded(monkeypatch):
     # traced peak of 2 s at the default net on 2 workers: two 256-frame
-    # blocks in flight, each holding X and M with their halo, the
-    # separator's hidden layer and output, the synthesis product and the
-    # block's input frames, about 17.5 MB in all; 512-frame blocks that
-    # copied X and M read 37.6-41.6 MB
+    # blocks in flight, each holding X (the carrier) with its halo and
+    # at most two of M, the separator's hidden layer and its output, as
+    # M is freed before the second layer, about 13.2-13.5 MB in all; with
+    # M alive through both layers it read 17.3-17.6 MB, and 512-frame
+    # blocks that copied X and M read 37.6-41.6 MB
     tracemalloc = pytest.importorskip("tracemalloc")
     monkeypatch.setattr(E, "_workers", lambda blocks: min(blocks, 2))
     params = init_params(0, NetConfig())
@@ -433,7 +436,7 @@ def test_default_net_separation_peak_is_bounded(monkeypatch):
     finally:
         tracemalloc.stop()
     assert len(out) == len(w) and np.all(np.isfinite(out.samples))
-    assert peak < 21e6, peak
+    assert peak < 14.5e6, peak
 
 
 def test_stride_shift_covariance_of_analysis():

@@ -11,7 +11,7 @@ from sepcost import cli
 from sepcost import diff_engine as E
 from sepcost.dsp import hann_periodic, octave_band_matrix
 from sepcost.errors import NotScalar, ShapeError
-from sepcost.losses import StoiConfig, sdr_loss, stoi_loss, stoi_reference
+from sepcost.losses import StoiConfig, _envelopes, sdr_loss, stoi_loss, stoi_reference
 from sepcost.signal_io import SINC_TAPS, resample_plan
 
 from reference import (
@@ -24,6 +24,8 @@ from reference import (
     remodulate_reference,
     run_on_one_blas_thread,
     softplus_reference,
+    stoi_chain,
+    windows,
 )
 
 
@@ -259,10 +261,11 @@ def test_beside_yields_in_task_order_and_runs_nested_calls_in_place(monkeypatch)
             lambda t: E.sum_(E.square(E.modulation(t["a"], t["k"], (1, 2), 0.25)) * t["b"]),
             {"a": (3, 7), "k": (3, 4), "b": (3, 7)},
         ),
+        # a clip factor of 1.5 clips some of the scaled segments
         (
-            "windows_3d",
-            lambda t: E.sum_(E.square(E.sliding_windows(t["a"], 3)) * t["b"]),
-            {"a": (2, 3, 9), "b": (2, 3, 3, 7)},
+            "segment_correlation",
+            lambda t: E.sum_(E.segment_correlation(t["a"], t["b"], 3, 1.5, 1e-12) * t["c"]),
+            {"a": (2, 3, 9), "b": (3, 9), "c": (2, 3, 7)},
         ),
         ("mean_all", lambda t: E.mean(E.square(t["a"] - t["b"])), {"a": (3, 4), "b": (3, 4)}),
         (
@@ -542,6 +545,90 @@ def test_band_envelopes_bitwise_equal_to_chain(cfg, n):
         np.testing.assert_array_equal(single.grad, gx)
 
 
+def test_band_envelopes_without_a_tape_transform_in_blocks():
+    # 60 s at 10 kHz without a tape: the padded frames and the spectrum go in
+    # blocks, so the peak is the whole magnitude array, the output and a little
+    # scratch (11.0 MB here; 48.7 MB with both whole); values are bitwise
+    # those of the recording path, for one signal and for a stack
+    tracemalloc = pytest.importorskip("tracemalloc")
+    cfg = StoiConfig()
+    bands = octave_band_matrix(cfg.analysis_rate, cfg.fft_len, cfg.num_bands, cfg.lowest_center).weights
+    args = (cfg.frame_len, cfg.fft_len, cfg.hop, hann_periodic(cfg.frame_len), bands)
+    x = np.random.default_rng(27).standard_normal(600_077)
+    n_frames = (x.size - cfg.frame_len) // cfg.hop + 1
+    with E.no_grad():
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = E.band_envelopes(x, *args).data
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    mag_bytes = n_frames * (cfg.fft_len // 2 + 1) * 8
+    assert peak <= mag_bytes + out.nbytes + 1.5e6, (peak, mag_bytes)
+    np.testing.assert_array_equal(out, E.band_envelopes(E.parameter(x), *args).data)
+    stack = x[: 2 * 40_000].reshape(2, 40_000)
+    with E.no_grad():
+        blocked = E.band_envelopes(stack, *args).data
+    np.testing.assert_array_equal(blocked, E.band_envelopes(E.parameter(stack), *args).data)
+
+
+@pytest.mark.parametrize(
+    "cfg,n,rate,stack",
+    # with and without resampling; 20000 samples split each row's bands
+    # into two blocks, and 80 rows of 30 frames fill two blocks of rows
+    [
+        (SMALL_STOI, 400, 4000, (2, 3)),
+        (SMALL_STOI, 440, 4400, (2, 3)),
+        (StoiConfig(), 20000, 10000, (2, 3)),
+        (StoiConfig(), 4000, 10080, (2, 40)),
+    ],
+)
+def test_segment_correlation_matches_generic_chain(cfg, n, rate, stack):
+    # d bitwise the chain's, for one row and for a stack, and the gradients
+    # of x and y through the front end within 1e-13 of the chain's
+    rng = np.random.default_rng(23)
+    y = rng.standard_normal(n)
+    xs = y + rng.standard_normal((*stack, n))
+    xs[0, 1, : n * 3 // 4] = 0.0  # zero segments take the norms' subgradient 0
+    args = (cfg.segment_frames, cfg.clip_factor, 1e-12)
+    for x in (xs[0, 1], xs[1, 2], xs):
+        grads = []
+        for op in (E.segment_correlation, stoi_chain):
+            xt, yt = E.parameter(x), E.parameter(y)
+            d = op(_envelopes(xt, rate, cfg), _envelopes(yt, rate, cfg), *args)
+            g = np.random.default_rng(24).standard_normal(d.data.shape)
+            E.sum_(d * g).backward()
+            grads.append((d.data, xt.grad, yt.grad))
+        (d, gx, gy), (d_chain, gx_chain, gy_chain) = grads
+        np.testing.assert_array_equal(d, d_chain)
+        assert E.max_relative_error(gx, gx_chain) <= 1e-13
+        assert E.max_relative_error(gy, gy_chain) <= 1e-13
+
+
+def test_segment_correlation_skips_a_constant_target():
+    rng = np.random.default_rng(25)
+    xe = E.parameter(np.abs(rng.standard_normal((2, 3, 12))))
+    ye = E.Tensor(np.abs(rng.standard_normal((3, 12))))
+    d = E.segment_correlation(xe, ye, 4, 1.5, 1e-12)
+    assert d.data.shape == (2, 3, 9)
+    assert d._parents == (xe, ye)
+    assert d._backward(np.ones((2, 3, 9)))[1] is None
+    with E.no_grad():
+        assert not E.segment_correlation(xe, ye, 4, 1.5, 1e-12).requires_grad
+
+
+def test_segment_correlation_rejects_mismatched_shapes():
+    env = E.Tensor(np.ones((3, 12)))
+    E.segment_correlation(env, env, 12, 1.5, 1e-12)  # exactly fits: one segment
+    with pytest.raises(ShapeError, match="segments"):
+        E.segment_correlation(env, env, 13, 1.5, 1e-12)
+    with pytest.raises(ShapeError, match="pair"):
+        E.segment_correlation(env, E.Tensor(np.ones((3, 11))), 4, 1.5, 1e-12)
+    with pytest.raises(ShapeError, match="pair"):
+        E.segment_correlation(env, E.Tensor(np.ones((2, 3, 12))), 4, 1.5, 1e-12)
+
+
 @pytest.mark.parametrize("taps,stride", [(64, 32), (5, 3), (7, 7), (9, 1)])
 def test_frames_match_sliding_window_view(taps, stride):
     # a contiguous signal, a strided slice and a zero-stride broadcast
@@ -564,25 +651,7 @@ def test_frames_match_sliding_window_view(taps, stride):
 
 def _windows_reference(x, width, pad=(0, 0)):
     xp = np.pad(x, [(0, 0)] * (x.ndim - 1) + [pad])
-    n_out = xp.shape[-1] - width + 1
-    return np.stack([xp[..., d : d + n_out] for d in range(width)], axis=-2)
-
-
-@pytest.mark.parametrize("shape,width", [((2, 3, 40), 30), ((9,), 3)])
-def test_sliding_windows_match_stacked_slices(shape, width):
-    x = np.random.default_rng(20).standard_normal(shape)
-    out = E.sliding_windows(E.Tensor(x), width).data
-    np.testing.assert_array_equal(out, _windows_reference(x, width))
-    assert not np.shares_memory(out, x)
-    assert not out.flags.writeable
-
-
-def test_sliding_windows_wider_than_signal_rejected():
-    E.sliding_windows(E.Tensor(np.zeros((2, 3))), 3)  # exactly fits: one window
-    with pytest.raises(ShapeError):
-        E.sliding_windows(E.Tensor(np.zeros((2, 3))), 4)
-    with pytest.raises(ShapeError):
-        E.sliding_windows(E.Tensor(np.zeros(4)), 5)
+    return np.swapaxes(np.lib.stride_tricks.sliding_window_view(xp, width, axis=-1), -1, -2)
 
 
 @pytest.mark.parametrize(
@@ -605,12 +674,12 @@ def test_depthwise_conv_matches_composed_graph(shape, width, pad):
     E.sum_(out * r).backward()
 
     xp, kp = E.parameter(np.pad(x, [(0, 0), pad])), E.parameter(kernel)
-    ref = E.sum_(E.sliding_windows(E.norm(xp[..., None], axis=-1), width) * kp[:, :, None], axis=1) + floor
+    ref = E.sum_(windows(E.norm(xp[..., None], axis=-1), width) * kp[:, :, None], axis=1) + floor
     E.sum_(ref * r).backward()
 
     np.testing.assert_allclose(out.data, ref.data, rtol=1e-12, atol=0.0)
-    windows = _windows_reference(np.abs(x), width, pad)
-    np.testing.assert_allclose(out.data, (windows * kernel[:, :, None]).sum(axis=1) + floor, rtol=1e-12)
+    frames = _windows_reference(np.abs(x), width, pad)
+    np.testing.assert_allclose(out.data, (frames * kernel[:, :, None]).sum(axis=1) + floor, rtol=1e-12)
     np.testing.assert_allclose(xt.grad, xp.grad[:, pad[0] : pad[0] + shape[1]], rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(kt.grad, kp.grad, rtol=1e-12, atol=0.0)
 

@@ -289,6 +289,27 @@ def test_stoi_reference_rejects_mismatched_estimates():
         stoi_reference(np.zeros(1000), sample_rate=10000)
 
 
+def test_stoi_term_tape_keeps_envelopes_not_segments():
+    # a 2 s, 16 kHz STOI term with x on the tape: the segment stage keeps the
+    # envelopes and (J, M') statistics, not (J, 30, M') segment arrays, so
+    # what the tape holds after forward is mostly the front end's spectrum
+    # (0.98 MB here; 4.05 MB with the segment arrays of the generic-op chain)
+    tracemalloc = pytest.importorskip("tracemalloc")
+    rng = np.random.default_rng(26)
+    y = rng.standard_normal(32000)
+    x = E.parameter(y + rng.standard_normal(32000))
+    stoi_loss(x, y, sample_rate=16000)  # fills the resample-plan and band caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss = stoi_loss(x, y, sample_rate=16000)
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert loss.requires_grad
+    assert kept <= 1.5e6, kept
+
+
 def test_monotone_link_between_sdr_loss_and_metric():
     rng = np.random.default_rng(11)
     y = rng.standard_normal(64)

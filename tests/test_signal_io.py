@@ -73,6 +73,31 @@ def test_write_quantization(tmp_path):
     assert struct.unpack("<h", path.read_bytes()[-2:])[0] == -32768
 
 
+def test_write_wav_converts_in_blocks(tmp_path):
+    # the PCM bytes of the whole-array conversion, across block boundaries
+    # and past full scale, from a write that holds the int16 payload and one
+    # block of float64 scratch: 0.93 MB here, where the whole-array chain
+    # and its bytes copy read 3.15 MB
+    tracemalloc = pytest.importorskip("tracemalloc")
+    n = 3 * signal_io.WRITE_BLOCK + 123
+    x = 1.2 * np.random.default_rng(28).uniform(-1.0, 1.0, n)
+    x[:4] = np.array([0.5, -0.5, 1.5, 32767.5]) / 32768.0  # ties round to even
+    path = tmp_path / "blocks.wav"
+    w = Waveform(x, 16000)
+    tracemalloc.start()
+    try:
+        write_wav(w, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    data = path.read_bytes()
+    expected = np.clip(np.rint(np.clip(x, -1.0, 1.0) * 32768.0), -32768, 32767).astype("<i2")
+    assert data[44:] == expected.tobytes()
+    assert struct.unpack("<I", data[40:44]) == (2 * n,)
+    assert struct.unpack("<I", data[4:8]) == (36 + 2 * n,)
+    assert peak <= 2 * n + 8 * signal_io.WRITE_BLOCK + 50_000, peak
+
+
 class _FullAfterFirstWrite:
     """File stand-in that takes its first write, then fails as a full disk would."""
 
