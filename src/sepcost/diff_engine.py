@@ -17,14 +17,16 @@ strided 1-D convolution and its transpose, which can synthesise from
 re-modulated coefficients (m_hat * x / m, formed inside the op), the
 adaptive front end's modulation (a floor plus a zero-padded depthwise
 temporal convolution of |x|), the fused dense layer
-softplus(w @ x + b), softplus, elementwise arithmetic / min / square,
-inner products, L2 norms, axis reductions, basic slicing, the
+softplus(w @ x + b), softplus, elementwise arithmetic and square,
+inner products, sums and means over axes, basic slicing, the
 intelligibility cost's band envelopes (`band_envelopes`: sqrt(bands @
 |STFT|^2) as one op) and its clipped correlation of envelope segments
 (`segment_correlation`, also one op, which stores no segment array), and
 the polyphase banded map of in-graph resampling (`gather_linear` over a
 `PolyphasePlan`). There is no dynamic control flow and no higher-order
-differentiation.
+differentiation. `tests/test_op_census.py` holds the set to that: every
+public function here that creates a node must be reached by a product
+path (training, separation, evaluation or the gradient check).
 
 Signals may carry leading dims: `gather_linear` and `band_envelopes`
 act on the last axis of a (..., T) stack, `segment_correlation` on the
@@ -52,15 +54,11 @@ changes. What is cheap is recomputed rather than kept (Chen et al.,
 "Training Deep Nets with Sublinear Memory Cost", 2016): conv1d frames
 its input again in backward rather than keep the frame matrix, and
 conv1d_transpose forms its re-modulated coefficients again rather than
-keep them on the tape. With these, the tracemalloc peak of one training
-step fell from 208.6 to 176.0 MB and then 152.0 MB on the default net
-(1024 x 1024 taps, stride 16, a 32768-sample excerpt: 12.8 to 10.8 and
-then 9.35 arrays of the (K, L) analysis shape), and from 50.6 to 42.5
-and then 36.4 MB on a 256 x 256 net on a 2 s utterance (8.96 arrays).
-The walk runs each closure in a frame of its own (`_backward_step`), so
-a returned gradient that was added into an existing `.grad` is freed
-before the next closure runs. The first dense layer's x-gradient
-product, written over g * sigmoid, sets the default net's peak.
+keep them on the tape. The walk runs each closure in a frame of its own
+(`_backward_step`), so a returned gradient that was added into an
+existing `.grad` is freed before the next closure runs. The first dense
+layer's x-gradient product, written over g * sigmoid, sets the default
+net's peak.
 
 Every framing op frames through one view, `_frame_view`, and scatters
 through one adjoint, `_overlap_add`: the backward of conv1d,
@@ -343,18 +341,6 @@ def div(a, b) -> Tensor:
     return _result(out, (a, b), bw)
 
 
-def minimum(a, b) -> Tensor:
-    """Elementwise min; on exact ties the gradient goes to the first argument."""
-    a, b = as_tensor(a), as_tensor(b)
-    take_a = a.data <= b.data
-    out = np.where(take_a, a.data, b.data)
-
-    def bw(g):
-        return g * take_a if a.requires_grad else None, g * ~take_a if b.requires_grad else None
-
-    return _result(out, (a, b), bw)
-
-
 def square(x) -> Tensor:
     x = as_tensor(x)
     return _result(x.data * x.data, (x,), lambda g: (g * (2.0 * x.data),))
@@ -549,25 +535,20 @@ def mean(x, axis=None, keepdims: bool = False) -> Tensor:
     return _result(out, (x,), lambda g: (np.broadcast_to(_unreduce(g, axis, keepdims) / count, x.data.shape),))
 
 
-def norm(x, axis=None, keepdims: bool = False) -> Tensor:
-    """L2 norm, optionally along one axis; the subgradient at 0 is 0."""
-    x = as_tensor(x)
-    out = np.sqrt((x.data**2).sum(axis=axis, keepdims=keepdims))
-
-    def bw(g):
-        n = _unreduce(out, axis, keepdims)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d = np.where(n > 0.0, x.data / n, 0.0)
-        return (_unreduce(g, axis, keepdims) * d,)
-
-    return _result(out, (x,), bw)
-
-
 # ---------------------------------------------------------------------------
 # shape ops
 
 def getitem(x, key) -> Tensor:
+    """x[key] for basic slicing only: an int, a slice, None, Ellipsis or a tuple of these.
+
+    Any other key (an integer array, a list or a boolean mask) raises
+    IndexError, since it may repeat an element and backward's scatter
+    keeps one write per element.
+    """
     x = as_tensor(x)
+    for k in key if isinstance(key, tuple) else (key,):
+        if isinstance(k, (bool, np.bool_)) or not (k is None or k is Ellipsis or isinstance(k, (int, np.integer, slice))):
+            raise IndexError(f"getitem takes basic slices only (int, slice, None, Ellipsis), got {type(k).__name__}")
     out = x.data[key]
 
     def bw(g):
@@ -1115,11 +1096,13 @@ def segment_correlation(xe, ye, width: int, clip_factor: float, eps: float) -> T
     `_frame_view` and computes in scratch reused from block to block: the
     elementwise arithmetic of the same graph built from generic ops (norm,
     div, mul, minimum, mean, sub and sum_ on a (..., J, width, M') array
-    of segments, `tests/reference.py::stoi_chain`), and that graph's
-    reductions over the segment axis on arrays of its layout. So d is bitwise the chain's, and each row's is
-    bitwise that of it alone. The node keeps its two parents and
-    (..., J, M') statistics: |sx|, the clipped segments' mean, |xc|, <xc,
-    yc> and the denominator, and the target's mean, |sy| and |yc|.
+    of segments, `tests/reference.py::stoi_chain`; norm and minimum, which
+    no product path needs, live in `tests/reference.py` too), and that
+    graph's reductions over the segment axis on arrays of its layout. So d
+    is bitwise the chain's, and each row's is bitwise that of it alone.
+    The node keeps its two parents and (..., J, M') statistics: |sx|, the
+    clipped segments' mean, |xc|, <xc, yc> and the denominator, and the
+    target's mean, |sy| and |yc|.
     Backward forms each block's segments again from them and overlap-adds
     (`_overlap_add`) the segment gradients onto the envelopes. The
     target's gradient is summed over x's leading dims, and skipped when

@@ -1,5 +1,10 @@
 """Independent reference implementations, signal generators and test helpers.
 
+norm and minimum are engine ops that no product path calls; they are
+built here on diff_engine's own node constructor (`_result`) for the
+generic reference graphs, such as stoi_chain, that the fused ops are
+checked against.
+
 reference_stoi is a deliberately plain, loop-based reimplementation of
 the intelligibility pipeline (own band bookkeeping, own framing); it
 exists to cross-check the library's vectorized graph implementation and
@@ -18,8 +23,12 @@ import numpy as np
 
 import sepcost
 from sepcost import diff_engine as E
+from sepcost.aet_net import NetConfig
 from sepcost.diff_engine import _BLAS_THREAD_VARS, Tensor, no_grad
 from sepcost.losses import StoiConfig
+
+# criterion 7's reduced-size network: 64 filters of 128 taps, stride 16
+SMOKE_NET = NetConfig(components=64, filter_len=128, stride=16, hidden_units=64, weight_sharing="shared")
 
 # a STOI configuration small enough for dense finite-difference checks
 SMALL_STOI = StoiConfig(
@@ -352,6 +361,36 @@ def band_envelopes_reference(x, frame_len, fft_len, hop, window, bands, g):
     return env, gx
 
 
+# ---------------------------------------------------------------------------
+# generic ops of the reference graphs
+
+
+def minimum(a, b):
+    """Elementwise min; on exact ties the gradient goes to the first argument."""
+    a, b = E.as_tensor(a), E.as_tensor(b)
+    take_a = a.data <= b.data
+    out = np.where(take_a, a.data, b.data)
+
+    def bw(g):
+        return g * take_a if a.requires_grad else None, g * ~take_a if b.requires_grad else None
+
+    return E._result(out, (a, b), bw)
+
+
+def norm(x, axis=None, keepdims=False):
+    """L2 norm, optionally along one axis; the subgradient at 0 is 0."""
+    x = E.as_tensor(x)
+    out = np.sqrt((x.data**2).sum(axis=axis, keepdims=keepdims))
+
+    def bw(g):
+        n = E._unreduce(out, axis, keepdims)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d = np.where(n > 0.0, x.data / n, 0.0)
+        return (E._unreduce(g, axis, keepdims) * d,)
+
+    return E._result(out, (x,), bw)
+
+
 def windows(t, width):
     """Sliding windows (..., T) -> (..., width, T - width + 1) built from generic engine ops.
 
@@ -375,16 +414,17 @@ def stoi_chain(xe, ye, width, clip_factor, eps):
     The graph `diff_engine.segment_correlation` fuses: the target's
     segment norms, clipping ceiling and centred segments, then the
     estimate's segments scaled to the target's norms, clipped, centred
-    and correlated (norm, div, mul, minimum, mean, sub, sum_).
+    and correlated (norm and minimum from this module; div, mul, mean,
+    sub and sum_ from the engine).
     """
     seg_y, seg_x = windows(ye, width), windows(xe, width)
     yc = seg_y - E.mean(seg_y, axis=-2, keepdims=True)
-    norm_y = E.norm(seg_y, axis=-2, keepdims=True)
+    norm_y = norm(seg_y, axis=-2, keepdims=True)
     clip_y = clip_factor * seg_y
-    norm_yc = E.norm(yc, axis=-2)
-    alpha = norm_y / (E.norm(seg_x, axis=-2, keepdims=True) + eps)
-    clipped = E.minimum(alpha * seg_x, clip_y)
+    norm_yc = norm(yc, axis=-2)
+    alpha = norm_y / (norm(seg_x, axis=-2, keepdims=True) + eps)
+    clipped = minimum(alpha * seg_x, clip_y)
     xc = clipped - E.mean(clipped, axis=-2, keepdims=True)
     num = E.sum_(xc * yc, axis=-2)
-    den = E.norm(xc, axis=-2) * norm_yc + eps
+    den = norm(xc, axis=-2) * norm_yc + eps
     return num / den

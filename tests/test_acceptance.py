@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from sepcost import diff_engine as E
-from sepcost.aet_net import NetConfig, init_params, separate
+from sepcost.aet_net import init_params, separate
 from sepcost.cli import GRADCHECK_TOLERANCE, gradcheck_cases
 from sepcost.losses import sar_loss, sdr_loss, sir_loss, stoi_forward, stoi_loss
 from sepcost.metrics import bss_eval_metrics, stoi_metric
@@ -26,9 +26,8 @@ from sepcost.trainer import (
     save_checkpoint,
 )
 
-from reference import fixture_speakers, speechlike
+from reference import SMOKE_NET, fixture_speakers, speechlike
 
-SMOKE_NET = NetConfig(components=64, filter_len=128, stride=16, hidden_units=64, weight_sharing="shared")
 SMOKE_EPOCHS = 500  # single-pair dataset: one step per epoch
 
 COST_CONFIGS = {

@@ -19,7 +19,9 @@ from reference import (
     band_envelopes_reference,
     counting_pool,
     finite_difference_reference,
+    minimum,
     modulation_reference,
+    norm,
     plan_rows,
     remodulate_reference,
     run_on_one_blas_thread,
@@ -240,14 +242,14 @@ def test_beside_yields_in_task_order_and_runs_nested_calls_in_place(monkeypatch)
         ("add_bcast", lambda t: E.sum_(E.square(t["a"] + t["b"])), {"a": (3, 1), "b": (3, 4)}),
         ("sub_mul", lambda t: E.sum_(E.square((t["a"] - t["b"]) * t["a"])), {"a": (8,), "b": (8,)}),
         ("div", lambda t: E.sum_(t["a"] / (t["b"] * t["b"] + 1.0)), {"a": (6,), "b": (6,)}),
-        ("minimum", lambda t: E.sum_(E.square(E.minimum(t["a"], t["b"]))), {"a": (40,), "b": (40,)}),
+        ("minimum", lambda t: E.sum_(E.square(minimum(t["a"], t["b"]))), {"a": (40,), "b": (40,)}),
         ("sum_axis", lambda t: E.sum_(E.square(E.sum_(t["a"] * t["b"], axis=0))), {"a": (5, 6), "b": (5, 6)}),
         # a one-tap modulation is floor + k * |a|, so this entry checks the |a| subgradient
         ("abs", lambda t: E.sum_(E.modulation(t["a"], t["k"], (0, 0), 0.5) * t["b"]), {"a": (2, 10), "k": (2, 1), "b": (2, 10)}),
         # |a| as a norm over a new last axis, as in the depthwise-conv composed-graph test
-        ("norm_newaxis", lambda t: E.sum_(E.norm(t["a"][..., None], axis=-1) * t["b"]), {"a": (12,), "b": (12,)}),
+        ("norm_newaxis", lambda t: E.sum_(norm(t["a"][..., None], axis=-1) * t["b"]), {"a": (12,), "b": (12,)}),
         ("softplus", lambda t: E.sum_(E.square(E.softplus(t["a"]))), {"a": (15,)}),
-        ("norm_axis", lambda t: E.sum_(E.norm(t["a"], axis=0) * t["b"]), {"a": (5, 7), "b": (7,)}),
+        ("norm_axis", lambda t: E.sum_(norm(t["a"], axis=0) * t["b"]), {"a": (5, 7), "b": (7,)}),
         ("mean_keep", lambda t: E.sum_(E.square(t["a"] - E.mean(t["a"], axis=1, keepdims=True))), {"a": (4, 6)}),
         ("dot", lambda t: E.dot(t["a"], t["b"]) / (E.dot(t["a"], t["a"]) + 1.0), {"a": (16,), "b": (16,)}),
         # a dense product from slicing, broadcasting and a sum, as in the affine_softplus composed-graph test
@@ -674,7 +676,7 @@ def test_depthwise_conv_matches_composed_graph(shape, width, pad):
     E.sum_(out * r).backward()
 
     xp, kp = E.parameter(np.pad(x, [(0, 0), pad])), E.parameter(kernel)
-    ref = E.sum_(windows(E.norm(xp[..., None], axis=-1), width) * kp[:, :, None], axis=1) + floor
+    ref = E.sum_(windows(norm(xp[..., None], axis=-1), width) * kp[:, :, None], axis=1) + floor
     E.sum_(ref * r).backward()
 
     np.testing.assert_allclose(out.data, ref.data, rtol=1e-12, atol=0.0)
@@ -986,10 +988,31 @@ def test_backward_frees_an_added_in_gradient_before_the_next_closure():
     np.testing.assert_array_equal(x.grad, np.full(4, 6.0))
 
 
+def test_getitem_takes_basic_keys_only():
+    # a fancy key may read an element twice, and backward's scatter would keep one of its gradients
+    x = E.parameter(np.arange(24.0).reshape(2, 3, 4))
+    for key in (np.array([0, 0, 1]), [0, 0, 1], np.array([True, False]), True, np.True_, (slice(None), np.array([1])),
+                (0, [1, 1])):
+        with pytest.raises(IndexError, match="basic slices"):
+            x[key]
+    # each basic key reads numpy's values, and each entry's gradient is the sum of g over the reads of it
+    index = np.arange(x.data.size).reshape(x.data.shape)
+    rng = np.random.default_rng(36)
+    for key in (1, np.int64(-1), slice(1, None), (Ellipsis, None, slice(0, 4, 2)), (0, slice(None), 2), ()):
+        x.zero_grad()
+        out = x[key]
+        assert out.data.tobytes() == x.data[key].tobytes()
+        g = rng.standard_normal(out.data.shape)
+        E.sum_(out * g).backward()
+        expected = np.zeros(x.data.size)
+        np.add.at(expected, index[key].ravel(), g.ravel())
+        np.testing.assert_array_equal(x.grad, expected.reshape(x.data.shape))
+
+
 def test_minimum_tie_goes_to_first():
     a = E.parameter([1.0, 2.0])
     b = E.parameter([1.0, 5.0])
-    out = E.sum_(E.minimum(a, b) * 3.0)
+    out = E.sum_(minimum(a, b) * 3.0)
     out.backward()
     np.testing.assert_array_equal(a.grad, [3.0, 3.0])
     np.testing.assert_array_equal(b.grad, [0.0, 0.0])
@@ -1001,7 +1024,7 @@ def test_determinism_bitwise():
 
     def graph(t):
         c = E.conv1d(t["x"], t["f"], stride=8)
-        return E.sum_(E.square(c)) / (E.norm(t["x"]) + 1.0)
+        return E.sum_(E.square(c)) / (norm(t["x"]) + 1.0)
 
     v1, g1 = E.evaluate_with_gradient(graph, inputs, ["x", "f"])
     v2, g2 = E.evaluate_with_gradient(graph, inputs, ["x", "f"])
@@ -1099,7 +1122,7 @@ def test_constant_folding():
 def test_closures_skip_constant_parents(name):
     # a closure forms no gradient for a constant parent, and the other
     # parent's is bitwise the one it forms when both need one
-    op = getattr(E, name)
+    op = minimum if name == "minimum" else getattr(E, name)
     rng = np.random.default_rng(32)
     a, b = rng.standard_normal(6), rng.uniform(0.5, 2.0, 6)
     a[1] = b[1]  # a tie in minimum
