@@ -22,12 +22,10 @@ each with only those neighbours as a halo, and overlap-adds the blocks'
 syntheses: memory stays flat in the input length (one block's
 representation alive per worker thread), and the output equals the
 one-pass network up to roundoff (bitwise when one block holds every
-frame). A block records no tape, so it forms the carrier over its own X
-and re-modulates the separator's output in place, in conv1d_transpose's
-carrier arithmetic, then synthesizes with the plain transposed
-convolution. Blocks run beside the caller under the engine's thread rule
-(`engine._beside`), and the output does not depend on the thread count.
-Training runs the one-pass graph.
+frame). A block records no tape: it re-modulates in place and
+synthesizes with `engine._synthesize` (see `_separate_blocks`), beside
+the caller under the engine's thread rule (`engine._beside`); the output
+does not depend on the thread count. Training runs the one-pass graph.
 """
 
 from __future__ import annotations
@@ -222,10 +220,10 @@ def _separate_blocks(samples: np.ndarray, params: SeparatorParams, edge: int = 0
 
     A block keeps X and M of its kept frames as views, writes the carrier
     X / M over X, runs the separator's two dense layers on M, freeing M
-    before the second, and re-modulates the separator's output in place,
-    in the arithmetic of conv1d_transpose's carrier path. It records no
-    tape and is the only holder of these arrays, so it neither copies nor
-    allocates beside them.
+    before the second, re-modulates the separator's output in place, in
+    conv1d_transpose's arithmetic, and synthesizes with
+    `engine._synthesize`. It records no tape and is the only holder of
+    these arrays, so it neither copies nor allocates beside them.
 
     The blocks run through engine._beside (the engine's thread rule),
     which yields their syntheses in block order, and the caller adds them
@@ -262,7 +260,7 @@ def _separate_blocks(samples: np.ndarray, params: SeparatorParams, edge: int = 0
         del hidden
         coeffs *= carrier
         del carrier
-        return engine.conv1d_transpose(coeffs, params.synthesis_filters, stride).data
+        return engine._synthesize(coeffs, params.synthesis_filters.data, stride)
 
     out = np.zeros((frames - 1) * stride + taps)
     spans = list(zip(bounds, bounds[1:]))

@@ -13,7 +13,7 @@ without `retain_grad`. Subtrees built purely from constants are folded
 time.
 
 The op set is exactly what the separation losses and network need:
-strided 1-D convolution and its transpose, which can synthesise from
+strided 1-D convolution and its transpose, which synthesises from
 re-modulated coefficients (m_hat * x / m, formed inside the op), the
 adaptive front end's modulation (a floor plus a zero-padded depthwise
 temporal convolution of |x|), the fused dense layer
@@ -26,7 +26,9 @@ the polyphase banded map of in-graph resampling (`gather_linear` over a
 `PolyphasePlan`). There is no dynamic control flow and no higher-order
 differentiation. `tests/test_op_census.py` holds the set to that: every
 public function here that creates a node must be reached by a product
-path (training, separation, evaluation or the gradient check).
+path (training, separation, evaluation or the gradient check). Each op
+runs one forward, taped or not, and has one backward closure; only
+`no_grad`, `Tensor` and `_result` read the tape flag.
 
 Signals may carry leading dims: `gather_linear` and `band_envelopes`
 act on the last axis of a (..., T) stack, `segment_correlation` on the
@@ -51,19 +53,18 @@ are copied, so no two `.grad` fields share memory and a later gradient
 is added into an interior node's `.grad` in place. A leaf's sum is a
 new array, so a `.grad` taken from an earlier `backward()` never
 changes. What is cheap is recomputed rather than kept (Chen et al.,
-"Training Deep Nets with Sublinear Memory Cost", 2016): conv1d frames
-its input again in backward rather than keep the frame matrix, and
-conv1d_transpose forms its re-modulated coefficients again rather than
-keep them on the tape. The walk runs each closure in a frame of its own
-(`_backward_step`), so a returned gradient that was added into an
-existing `.grad` is freed before the next closure runs. The first dense
-layer's x-gradient product, written over g * sigmoid, sets the default
-net's peak.
+"Training Deep Nets with Sublinear Memory Cost", 2016): in backward,
+conv1d frames its input again, conv1d_transpose forms its re-modulated
+coefficients again and band_envelopes each block's spectrum. The walk
+runs each closure in a frame of its own (`_backward_step`), so a
+returned gradient that was added into an existing `.grad` is freed
+before the next closure runs. The first dense layer's x-gradient
+product, written over g * sigmoid, sets the default net's peak.
 
 Every framing op frames through one view, `_frame_view`, and scatters
 through one adjoint, `_overlap_add`: the backward of conv1d,
 band_envelopes and segment_correlation (whose forward frames too) and
-the forward of conv1d_transpose.
+the synthesis `_synthesize`, which separation's blocks call directly.
 gather_linear instead reads each group of its rows through one strided
 view of a padded buffer, which BLAS reads in place, and its backward
 adds each group's product back as one contiguous run. The STFT runs on
@@ -737,23 +738,23 @@ def conv1d(x, filters, stride: int) -> Tensor:
     return _result(out, (x, filters), bw)
 
 
-def conv1d_transpose(coeffs, filters, stride: int, carrier=None) -> Tensor:
-    """Transposed strided 1-D convolution (overlap-add synthesis).
+def _synthesize(coeffs: np.ndarray, filters: np.ndarray, stride: int) -> np.ndarray:
+    """Overlap-add synthesis, the adjoint of conv1d: (K, L), (K, taps) -> (T,), T = (L-1)*stride + taps."""
+    return _overlap_add(_product(filters.T, coeffs), stride, (coeffs.shape[1] - 1) * stride + filters.shape[1])
 
-    coeffs: (K, L), filters: (K, taps) -> (T,) with T = (L-1)*stride + taps.
-    Adjoint of conv1d with the same filters and stride.
 
-    carrier=(x, m), two more (K, L) tensors, synthesises from the
-    re-modulated coefficients coeffs * (x / m), a new modulation on the
-    carrier x / m (no implicit epsilon: m must be nonzero). A row pass
-    (`_row_pass`) forms them, the carrier one block of rows (`_row_blocks`)
-    at a time in scratch, and they are dropped after the product, so the
-    node keeps no (K, L) array of its own. Backward forms the coefficient
-    gradient gc, then the coefficients again, for the filter gradient, in
-    the array that becomes the x gradient, and then, with gp = gc * coeffs,
-    the gradients gc * (x / m) for coeffs, written over gc, gp / m for x
-    and (-gp) * x / (m * m) for m, in a second row pass. The parents are
-    (coeffs, filters, x, m).
+def conv1d_transpose(coeffs, filters, stride: int, carrier) -> Tensor:
+    """Overlap-add synthesis (`_synthesize`) of the re-modulated coefficients coeffs * (x / m).
+
+    coeffs and carrier=(x, m) are (K, L), filters (K, taps) and the
+    output (T,), T = (L-1)*stride + taps; m must be nonzero (no implicit
+    epsilon), and a unit carrier gives conv1d's adjoint bitwise. A row
+    pass (`_row_pass`) forms the coefficients one block of rows at a
+    time, so the node keeps no (K, L) array of its own. Backward forms
+    the coefficient gradient gc, then the coefficients again, in the
+    array that becomes the x gradient, for the filter gradient, and then,
+    with gp = gc * coeffs, gc * (x / m) for coeffs (over gc), gp / m for
+    x and (-gp) * x / (m * m) for m, in a second row pass.
     """
     coeffs, filters = as_tensor(coeffs), as_tensor(filters)
     cv, fv = coeffs.data, filters.data
@@ -762,19 +763,6 @@ def conv1d_transpose(coeffs, filters, stride: int, carrier=None) -> Tensor:
     if stride <= 0:
         raise ValueError("stride must be positive")
     taps = fv.shape[1]
-    out_len = (cv.shape[1] - 1) * stride + taps
-    if carrier is None:
-        out = _overlap_add(_product(fv.T, cv), stride, out_len)
-
-        def bw(g):
-            g_frames = _frames(np.asarray(g), taps, stride)
-            return (
-                _product(fv, g_frames.T) if coeffs.requires_grad else None,
-                _product(cv, g_frames) if filters.requires_grad else None,
-            )
-
-        return _result(out, (coeffs, filters), bw)
-
     x, m = as_tensor(carrier[0]), as_tensor(carrier[1])
     xv, mv = x.data, m.data
     if xv.shape != cv.shape or mv.shape != cv.shape:
@@ -788,7 +776,7 @@ def conv1d_transpose(coeffs, filters, stride: int, carrier=None) -> Tensor:
         _row_pass(block, blocks, cv.size, (rows, cv.shape[1]))
         return c
 
-    out = _overlap_add(_product(fv.T, remodulated(np.empty_like(cv))), stride, out_len)
+    out = _synthesize(remodulated(np.empty_like(cv)), fv, stride)
 
     def bw(g):
         g_frames = _frames(np.asarray(g), taps, stride)
@@ -1009,18 +997,15 @@ def band_envelopes(x, frame_len: int, fft_len: int, hop: int, window: np.ndarray
     to fft_len (at least frame_len, so no frame is cropped) and
     transformed by rfft; bands (J, fft_len // 2 + 1) pools the squared
     bin magnitudes of each frame, and the square root gives the envelope.
-    One signal runs at a time, its frames and magnitudes in scratch
-    reused from signal to signal, in the arithmetic order of the chain
+    One signal runs at a time, in the arithmetic order of the chain
     magnitude STFT -> square -> bands @ -> sqrt, so values and gradients
-    are bitwise the chain's, and each signal's are bitwise those of it
-    alone. A node that records a backward keeps each signal's spectrum,
-    as the chain did. Without a tape, the padded frames and the spectrum
-    go in blocks of `_row_blocks` frames (256 KB each at fft_len 512, in
-    place of 77 MB each on 240 s at 10 kHz); the magnitudes and the band
-    product stay whole, since a product over a block of columns need not
-    be bitwise the whole one. Backward is the chain's adjoint on the
-    inverse FFT (subgradient 0 at zero envelopes and zero-magnitude
-    bins), then one overlap-add of the frame gradients per signal.
+    are bitwise the chain's and each signal's those of it alone. Frames
+    go through the FFT in blocks of `_row_blocks` frames, in reused
+    scratch; the magnitudes and the band product stay whole (a product
+    over a block of columns need not be bitwise the whole one). The node
+    keeps no spectrum: backward forms each block's again for the chain's
+    adjoint on the inverse FFT (subgradient 0 at zero envelopes and
+    zero-magnitude bins), then overlap-adds each signal's frame gradients.
     """
     x = as_tensor(x)
     xv = x.data
@@ -1039,41 +1024,42 @@ def band_envelopes(x, frame_len: int, fft_len: int, hop: int, window: np.ndarray
     signals = xv.reshape(-1, n)
     frames = _frame_view(signals, frame_len, hop)
     n_frames = frames.shape[1]
-    keep = _grad_enabled and x.requires_grad
-    specs = []  # each signal's spectrum, for backward
-    # without a tape, the frames go through the FFT in blocks
-    rows, blocks = (n_frames, [slice(0, n_frames)]) if keep else _row_blocks(n_frames, fft_len)
+    rows, blocks = _row_blocks(n_frames, fft_len)
+
+    def spectra(f: np.ndarray, padded: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+        """(b, rfft of block b of one signal's frames f, windowed and zero-padded in `padded`) per block."""
+        for b in blocks:
+            block = padded[: b.stop - b.start]
+            # windowed frames written straight into their zero padding
+            np.multiply(f[b], window, out=block[:, :frame_len])
+            yield b, np.fft.rfft(block, axis=1)
+
     padded = np.zeros((rows, fft_len))
     # |spec| transposed to (bins, frames) is the chain's layout, which its product reads
     mag = np.empty((n_frames, n_bins)).T
     out = np.empty((signals.shape[0], bands.shape[0], n_frames))
-    # each block's frames, its padded rows, their leading frame_len columns and its magnitudes
-    parts = [(b, padded[: b.stop - b.start], padded[: b.stop - b.start, :frame_len], mag[:, b]) for b in blocks]
     for f, o in zip(frames, out):
-        for b, block, windowed, m in parts:
-            # windowed frames written straight into their zero padding
-            np.multiply(f[b], window, out=windowed)
-            spec = np.fft.rfft(block, axis=1)
-            if keep:
-                specs.append(spec)
-            np.abs(spec.T, out=m)
+        for b, spec in spectra(f, padded):
+            np.abs(spec.T, out=mag[:, b])
         np.matmul(bands, np.multiply(mag, mag, out=mag), out=o)
     np.sqrt(out, out=out)
 
     def bw(g):
         gx = np.empty(xv.shape)  # owned, so the walk keeps it uncopied
-        rows = gx.reshape(signals.shape)
         g = g.reshape(out.shape)
+        padded, fg = np.zeros((rows, fft_len)), np.empty((n_frames, frame_len))
         with np.errstate(divide="ignore", invalid="ignore"):
             d = np.where(out > 0.0, 0.5 / out, 0.0)
-            for i, spec in enumerate(specs):
-                mag = np.abs(spec).T
-                g_mag = (bands.T @ (g[i] * d[i])) * (2.0 * mag)
-                c = np.where(mag > 0.0, g_mag / mag, 0.0).T * spec
-                # irfft counts every bin but DC and Nyquist twice
-                c[:, 1 : (fft_len + 1) // 2] *= 0.5
-                fg = np.fft.irfft(c, n=fft_len, axis=1)[:, :frame_len] * (fft_len * window)
-                rows[i] = _overlap_add(fg.T, hop, n)
+            for f, gs, ds, gxs in zip(frames, g, d, gx.reshape(signals.shape)):
+                g_env = bands.T @ (gs * ds)
+                for b, spec in spectra(f, padded):
+                    mag = np.abs(spec).T
+                    g_mag = g_env[:, b] * (2.0 * mag)
+                    c = np.where(mag > 0.0, g_mag / mag, 0.0).T * spec
+                    # irfft counts every bin but DC and Nyquist twice
+                    c[:, 1 : (fft_len + 1) // 2] *= 0.5
+                    np.multiply(np.fft.irfft(c, n=fft_len, axis=1)[:, :frame_len], fft_len * window, out=fg[b])
+                gxs[:] = _overlap_add(fg.T, hop, n)
         return (gx,)
 
     return _result(out.reshape(*xv.shape[:-1], *out.shape[1:]), (x,), bw)

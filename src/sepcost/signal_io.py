@@ -376,9 +376,12 @@ def mix_at_snr(target: Waveform, interference: Waveform, snr_db: float) -> Mixtu
     Raises:
         ShapeError: sample rates differ.
         SilentSignal: either input has RMS <= 1e-8 after truncation.
+        ValueError: snr_db is not finite.
     """
     if target.sample_rate != interference.sample_rate:
         raise ShapeError("mix_at_snr needs equal sample rates")
+    if not math.isfinite(snr_db):
+        raise ValueError(f"snr_db must be finite, got {snr_db}")
     n = min(len(target), len(interference))
     y = target.samples[:n].copy()
     z = interference.samples[:n]

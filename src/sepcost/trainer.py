@@ -28,8 +28,8 @@ CHECKPOINT_VERSION = 2
 # longest first line load_checkpoint reads: a version-2 header is a few
 # hundred bytes, while the first line of a version-1 file is the whole file
 MAX_HEADER_BYTES = 1 << 20
-# a random training excerpt whose target RMS is below this fraction of the
-# utterance's is silent, and is drawn again at most EXCERPT_DRAWS - 1 times
+# an excerpt whose target or interference RMS is below this fraction of
+# the utterance's is silent; a random one is drawn at most EXCERPT_DRAWS times
 SILENT_EXCERPT_RATIO = 1e-3
 EXCERPT_DRAWS = 8
 
@@ -53,8 +53,14 @@ class TrainConfig:
         if not isinstance(self.sample_rate, int) or self.sample_rate <= 0:  # ahead of the type check, for its message
             raise ValueError(f"sample_rate must be a positive integer, got {self.sample_rate!r}")
         check_field_types(self)
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be nonnegative")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError(f"learning_rate must be finite and nonnegative, got {self.learning_rate}")
+        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
+            raise ValueError(f"beta1 and beta2 must lie in [0, 1), got {self.beta1} and {self.beta2}")
+        if not (math.isfinite(self.eps_opt) and self.eps_opt > 0):
+            raise ValueError(f"eps_opt must be finite and positive, got {self.eps_opt}")
+        if not math.isfinite(self.snr_db):
+            raise ValueError(f"snr_db must be finite, got {self.snr_db}")
         if self.excerpt_len != 0 and self.excerpt_len < 4096:
             raise ValueError("excerpt_len must be 0 (full) or at least 4096")
         if self.optimizer not in ("adam", "sgd"):
@@ -114,13 +120,13 @@ def build_dataset(
 def _excerpt(pair: MixturePair, cfg: TrainConfig, rng=None):
     """Cut one training excerpt; rng=None takes the leading excerpt.
 
-    An excerpt whose target RMS is below SILENT_EXCERPT_RATIO of the
-    whole target's is silent, so a step never trains on silence and a
-    cost is never scaled by one. A random excerpt is drawn again from the
-    same rng, up to EXCERPT_DRAWS draws in all. A silent leading excerpt
-    gives way to the first one at a multiple of the excerpt length that
-    is not silent. If every draw, or every such excerpt, is silent,
-    SilentSignal is raised.
+    An excerpt whose target or interference RMS is below SILENT_EXCERPT_RATIO
+    of that whole signal's is silent, so a step never trains on silence (SAR
+    is 0/0 on a silent interference) and a cost is never scaled by one. A
+    random excerpt is drawn again from the same rng, up to EXCERPT_DRAWS
+    draws in all. A silent leading excerpt gives way to the first one at a
+    multiple of the excerpt length that is not silent. If every draw, or
+    every such excerpt, is silent, SilentSignal names the silent signals.
     """
     n = len(pair.mixture)
     length = n if cfg.excerpt_len == 0 else min(cfg.excerpt_len, n)
@@ -131,13 +137,19 @@ def _excerpt(pair: MixturePair, cfg: TrainConfig, rng=None):
         offsets = (int(rng.integers(0, max_offset + 1)) for _ in range(EXCERPT_DRAWS))
     else:
         offsets = [0]
-    target = pair.target.samples
-    floor = SILENT_EXCERPT_RATIO * pair.target.rms()
-    offset = next((o for o in offsets if np.sqrt(np.mean(np.square(target[o : o + length]))) >= floor), None)
-    if offset is None:
+    floors = [(name, w.samples, SILENT_EXCERPT_RATIO * w.rms()) for name, w in
+              (("target", pair.target), ("interference", pair.interference))]
+    silent: set[str] = set()
+    for offset in offsets:
+        quiet = {k for k, x, floor in floors if np.sqrt(np.mean(np.square(x[offset : offset + length]))) < floor}
+        if not quiet:
+            break
+        silent |= quiet
+    else:
+        what = " or ".join(k for k, _, _ in floors if k in silent)
         if rng is None:
-            raise SilentSignal(f"every {length}-sample excerpt at a multiple of its length is silent")
-        raise SilentSignal(f"{EXCERPT_DRAWS} draws of a {length}-sample excerpt were all silent")
+            raise SilentSignal(f"every {length}-sample excerpt at a multiple of its length has a silent {what}")
+        raise SilentSignal(f"{EXCERPT_DRAWS} draws of a {length}-sample excerpt all had a silent {what}")
     window = slice(offset, offset + length)
     return (
         pair.mixture.samples[window],

@@ -312,7 +312,7 @@ def modulation_reference(x, kernel, pad, floor, g):
 
 
 def remodulate_reference(m_hat, x, m, g):
-    """Loop form of the re-modulation in diff_engine.conv1d_transpose's carrier path.
+    """Loop form of the re-modulation in diff_engine.conv1d_transpose.
 
     Returns the coefficients out = m_hat * (x / m) and, under their
     gradient g, (g_m_hat, gx, gm) in the arithmetic order of the unfused

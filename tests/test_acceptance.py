@@ -74,9 +74,7 @@ def overfit_runs(smoke_pair, tmp_path_factory):
 
         def check_tying(params, opt_state, entry):
             tied = params.synthesis_filters is params.analysis
-            frame = E.conv1d_transpose(
-                E.Tensor(probe[:, None]), params.synthesis_filters, SMOKE_NET.stride
-            ).data
+            frame = E._synthesize(probe[:, None], params.synthesis_filters.data, SMOKE_NET.stride)
             tied &= np.array_equal(frame, params.analysis.data.T @ probe)
             tying.append(tied)
 

@@ -142,8 +142,8 @@ def test_synthesis_oracle_modulation():
     p = init_params(3, SMALL)
     rep = analysis_forward(rng.standard_normal(512), p)
     out = synthesis_forward(rep.M, rep, p)
-    direct = E.conv1d_transpose(rep.X, p.synthesis_filters, SMALL.stride)
-    np.testing.assert_allclose(out.data, direct.data, rtol=1e-9, atol=1e-12)
+    direct = E._synthesize(rep.X.data, p.synthesis_filters.data, SMALL.stride)
+    np.testing.assert_allclose(out.data, direct, rtol=1e-9, atol=1e-12)
     assert out.data.size == (rep.X.data.shape[1] - 1) * 16 + 64
 
     zero = synthesis_forward(E.Tensor(np.zeros_like(rep.M.data)), rep, p)

@@ -416,6 +416,13 @@ def test_out_of_range_network_config_exits_2(tmp_path, data_dirs, capsys, networ
     assert not (tmp_path / "ckpt.json").exists()
 
 
+def test_non_finite_snr_exits_2(tmp_path, data_dirs, capsys):
+    tdir, idir = data_dirs
+    assert main(train_args(tmp_path, tdir, idir, **{"--snr-db": "inf"})) == 2
+    assert "snr_db must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "ckpt.json").exists()
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps({"train": {"coost": "sdr"}}))

@@ -287,7 +287,7 @@ def test_beside_yields_in_task_order_and_runs_nested_calls_in_place(monkeypatch)
         ),
         (
             "remodulate",
-            # conv1d_transpose's carrier path; the divisor m * m + 0.5 stays away from zero
+            # conv1d_transpose; the divisor m * m + 0.5 stays away from zero
             lambda t: E.sum_(E.conv1d_transpose(t["h"], t["f"], 2, carrier=(t["x"], E.square(t["m"]) + 0.5)) * t["b"]),
             {"h": (3, 5), "f": (3, 4), "x": (3, 5), "m": (3, 5), "b": (12,)},
         ),
@@ -321,7 +321,8 @@ def test_conv1d_with_leftover_tail_fd():
 def test_conv1d_transpose_fd_both_inputs():
     rng = np.random.default_rng(12)
     inputs = {"c": rng.standard_normal((3, 9)), "f": rng.standard_normal((3, 16))}
-    graph = lambda t: E.sum_(E.square(E.conv1d_transpose(t["c"], t["f"], stride=4)))
+    unit = np.ones((3, 9))  # a unit carrier synthesises c itself
+    graph = lambda t: E.sum_(E.square(E.conv1d_transpose(t["c"], t["f"], stride=4, carrier=(unit, unit))))
     fd_check(graph, inputs, ["c", "f"])
 
 
@@ -329,7 +330,8 @@ def test_conv1d_transpose_irregular_stride_fd():
     # taps not divisible by stride: the overlap-add's last tap block is short
     rng = np.random.default_rng(13)
     inputs = {"c": rng.standard_normal((2, 7)), "f": rng.standard_normal((2, 10))}
-    graph = lambda t: E.sum_(E.square(E.conv1d_transpose(t["c"], t["f"], stride=3)))
+    unit = np.ones((2, 7))
+    graph = lambda t: E.sum_(E.square(E.conv1d_transpose(t["c"], t["f"], stride=3, carrier=(unit, unit))))
     fd_check(graph, inputs, ["c", "f"])
 
 
@@ -340,7 +342,7 @@ def test_conv_transpose_is_conv_adjoint():
     f = rng.standard_normal((5, 16))
     c = rng.standard_normal((5, 13))  # L = (64-16)/4+1 = 13
     lhs = float((E.conv1d(E.Tensor(x), E.Tensor(f), 4).data * c).sum())
-    rhs = float(x @ E.conv1d_transpose(E.Tensor(c), E.Tensor(f), 4).data)
+    rhs = float(x @ E._synthesize(c, f, 4))
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -521,7 +523,8 @@ def test_band_envelopes_matches_rfft():
 
 @pytest.mark.parametrize(
     "cfg,n",
-    [(SMALL_STOI, 400), (StoiConfig(), 3968)],
+    # 20000 samples are 155 frames, three FFT blocks of at most 64, the last short
+    [(SMALL_STOI, 400), (StoiConfig(), 3968), (StoiConfig(), 20000)],
 )
 def test_band_envelopes_bitwise_equal_to_chain(cfg, n):
     # the fused op against the unfused chain, one signal and a (2, 3, n) stack
@@ -573,6 +576,28 @@ def test_band_envelopes_without_a_tape_transform_in_blocks():
     with E.no_grad():
         blocked = E.band_envelopes(stack, *args).data
     np.testing.assert_array_equal(blocked, E.band_envelopes(E.parameter(stack), *args).data)
+
+
+def test_band_envelopes_node_keeps_no_spectrum():
+    # a taped (2, 20000) stack at the default config: after forward the node
+    # holds its 37.2 KB output and 39.6 KB in all, where a kept spectrum
+    # (155 frames x 257 complex bins per signal, 1.27 MB) held 1.31 MB;
+    # backward forms each block's spectrum again
+    tracemalloc = pytest.importorskip("tracemalloc")
+    cfg = StoiConfig()
+    bands = octave_band_matrix(cfg.analysis_rate, cfg.fft_len, cfg.num_bands, cfg.lowest_center).weights
+    args = (cfg.frame_len, cfg.fft_len, cfg.hop, hann_periodic(cfg.frame_len), bands)
+    x = E.parameter(np.random.default_rng(30).standard_normal((2, 20000)))
+    E.band_envelopes(x, *args)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = E.band_envelopes(x, *args)
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad
+    assert kept <= out.data.nbytes + 16 * 1024, (kept, out.data.nbytes)
 
 
 @pytest.mark.parametrize(
@@ -687,7 +712,7 @@ def test_depthwise_conv_matches_composed_graph(shape, width, pad):
 
 
 # The last case has several row blocks of modulation and of the
-# re-modulation of conv1d_transpose's carrier path, the last of them short
+# re-modulation of conv1d_transpose, the last of them short
 # (checked in the test).
 FRONT_END_CASES = [((4, 11), 5, (2, 2)), ((1, 9), 3, (0, 1)), ((3, 7), 4, (1, 2)), ((2, 6), 1, (0, 0)),
                    ((2, 1), 4, (3, 0)), ((69, 998), 5, (2, 2))]
@@ -717,9 +742,9 @@ def test_modulation_is_bitwise_its_loop_reference(shape, width, pad):
 
 @pytest.mark.parametrize("shape", [case[0] for case in FRONT_END_CASES])
 def test_remodulate_is_bitwise_its_loop_reference(shape):
-    # conv1d_transpose's carrier path is the plain op on the loop
+    # conv1d_transpose is the op on a unit carrier and the loop
     # reference's coefficients, and its coeffs, x and m gradients are the
-    # reference's under the plain op's coefficient gradient
+    # reference's under that node's coefficient gradient
     rng = np.random.default_rng(27)
     m_hat, x = rng.standard_normal(shape), rng.standard_normal(shape)
     m = rng.uniform(1e-3, 2.0, shape)
@@ -732,7 +757,7 @@ def test_remodulate_is_bitwise_its_loop_reference(shape):
 
     coeffs = E.parameter(remodulate_reference(m_hat, x, m, np.zeros(shape))[0])
     plain_filters = E.parameter(filters)
-    plain = E.conv1d_transpose(coeffs, plain_filters, stride)
+    plain = E.conv1d_transpose(coeffs, plain_filters, stride, carrier=(np.ones(shape), np.ones(shape)))
     E.sum_(plain * g).backward()
     _, ref_gh, ref_gx, ref_gm = remodulate_reference(m_hat, x, m, coeffs.grad)
     assert np.array_equal(out.data, plain.data)
@@ -781,7 +806,7 @@ def test_affine_softplus_saturation():
 
 
 # the ops with row passes, on inputs of three row blocks, the last one
-# short; "remodulate" is conv1d_transpose's carrier path
+# short; "remodulate" is conv1d_transpose
 ROW_PASS_OPS = {
     "modulation": (lambda a: E.modulation(a[0], a[1], (2, 2), 1e-3), [(69, 998), (69, 5)]),
     "remodulate": (
@@ -817,7 +842,7 @@ def test_row_passes_are_bitwise_the_same_for_any_worker_count(monkeypatch, name)
         results.append([out.data.tobytes()] + [t.grad.tobytes() for t in inputs])
         # each pass splits three blocks in w chunks: the caller's and one
         # task each on a pool of w - 1 threads; forward runs one pass, and
-        # backward one, or two in the carrier path, which forms the
+        # backward one, or two in conv1d_transpose, which forms the
         # coefficients again before their gradients
         passes = 3 if name == "remodulate" else 2
         assert pools == ([["run_chunk", workers - 1, workers - 1]] * passes if workers > 1 else [])
@@ -893,8 +918,8 @@ def test_leaf_gradients_own_their_memory(graph, monkeypatch):
 
 def test_in_place_gradients_are_bitwise_the_copying_walk(monkeypatch):
     # m, h and the leaf x receive three gradients each; modulation and
-    # affine_softplus write into the g the walk hands them, the carrier
-    # path of conv1d_transpose writes the h gradient over its own product,
+    # affine_softplus write into the g the walk hands them,
+    # conv1d_transpose writes the h gradient over its own product,
     # and affine_softplus, its floor lowered to 0, writes its x gradient
     # over g * sigmoid
     monkeypatch.setattr(E, "_SPLIT_FLOOR", 0)
@@ -942,8 +967,8 @@ def test_closures_writing_into_g_match_a_read_only_g_bitwise(name):
     grads = out._backward(owned)
     assert [a.tobytes() for a in grads] == expected
     # modulation and affine_softplus wrote an output gradient into the
-    # owned g, and modulation hands it back as its first parent's; the
-    # carrier path's g is a waveform's, which no gradient it forms fits
+    # owned g, and modulation hands it back as its first parent's;
+    # conv1d_transpose's g is a waveform's, which no gradient it forms fits
     assert (owned.tobytes() != g.tobytes()) == (name != "remodulate")
     assert (grads[0] is owned) == (name == "modulation")
 

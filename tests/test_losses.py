@@ -291,9 +291,10 @@ def test_stoi_reference_rejects_mismatched_estimates():
 
 def test_stoi_term_tape_keeps_envelopes_not_segments():
     # a 2 s, 16 kHz STOI term with x on the tape: the segment stage keeps the
-    # envelopes and (J, M') statistics, not (J, 30, M') segment arrays, so
-    # what the tape holds after forward is mostly the front end's spectrum
-    # (0.98 MB here; 4.05 MB with the segment arrays of the generic-op chain)
+    # envelopes and (J, M') statistics, not (J, 30, M') segment arrays, and
+    # the front end keeps no spectrum (0.35 MB here; 0.98 MB with each
+    # signal's spectrum kept, 4.05 MB with the segment arrays of the
+    # generic-op chain)
     tracemalloc = pytest.importorskip("tracemalloc")
     rng = np.random.default_rng(26)
     y = rng.standard_normal(32000)

@@ -74,6 +74,26 @@ def test_every_engine_op_has_a_product_caller(reached):
     assert reached <= engine_ops()
 
 
+def _codes(code):
+    """code and every code object nested in it (closures, comprehensions)."""
+    yield code
+    for const in code.co_consts:
+        if inspect.iscode(const):
+            yield from _codes(const)
+
+
+def test_only_the_tape_switches_read_the_grad_flag():
+    # an op that reads `_grad_enabled` runs a second path when no tape
+    # records; every op runs one forward either way and records one closure
+    functions = [f for f in vars(E).values() if inspect.isfunction(f)]
+    functions += [f for c in vars(E).values() if inspect.isclass(c) for f in vars(c).values() if inspect.isfunction(f)]
+    readers = {
+        f.__qualname__ for f in map(inspect.unwrap, functions) if f.__module__ == E.__name__
+        and any("_grad_enabled" in code.co_names for code in _codes(f.__code__))
+    }
+    assert readers == {"no_grad", "Tensor.__init__", "_result"}
+
+
 def orphan_op(x):
     """An op that no product path calls."""
     x = E.as_tensor(x)

@@ -505,6 +505,14 @@ def test_mix_rejects_silence_and_rate_mismatch():
         mix_at_snr(loud, Waveform(np.full(100, 0.5), 16000), 0.0)
 
 
+@pytest.mark.parametrize("snr_db", [math.inf, -math.inf, math.nan])
+def test_mix_rejects_a_non_finite_snr(snr_db):
+    # at +inf the interference was scaled to RMS 0, a silent signal in all but name
+    loud = Waveform(np.full(100, 0.5), 8000)
+    with pytest.raises(ValueError, match="snr_db"):
+        mix_at_snr(loud, Waveform(np.full(100, 0.25), 8000), snr_db)
+
+
 def test_waveform_validation():
     with pytest.raises(ValueError):
         Waveform(np.array([np.nan]), 8000)

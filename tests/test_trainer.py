@@ -82,6 +82,43 @@ def test_excerpt_redraws_silent_target_from_the_step_rng():
     assert redrawn and kept
 
 
+def _pair_with_interference(keep: slice, n=96000, fs=16000):
+    """A mixture whose interference is silent (exactly zero) outside `keep`."""
+    rng = np.random.default_rng(4)
+    y = speechlike(rng, n, fs, f0=120.0, band=(100.0, 3000.0))
+    z = np.zeros(n)
+    z[keep] = speechlike(rng, n, fs, f0=250.0, band=(2000.0, 6000.0))[keep]
+    return mix_at_snr(Waveform(y, fs), Waveform(z, fs), 0.0)
+
+
+@pytest.mark.parametrize("cost", ["sar", "sir"])
+def test_excerpts_skip_a_silent_interference(cost):
+    # interference only in the last 2 of 6 s: SAR's projection onto a silent
+    # interference excerpt is 0/0, which made fit raise DegenerateScale on
+    # the leading excerpt ("initial sar loss nan"); SIR read 0 there
+    pair = _pair_with_interference(slice(64000, None))
+    cfg = tiny_cfg(cost=cost, excerpt_len=16384, epochs=4)
+    # the leading excerpt skips to the first multiple of its length that holds interference
+    mix, y, z = trainer._excerpt(pair, cfg)
+    np.testing.assert_array_equal(z, pair.interference.samples[49152:65536])
+    floor = trainer.SILENT_EXCERPT_RATIO * pair.interference.rms()
+    redrawn = 0
+    for seed in range(24):
+        replay = np.random.default_rng(seed)
+        first = int(replay.integers(0, 96000 - 16384 + 1))
+        mix, y, z = trainer._excerpt(pair, cfg, np.random.default_rng(seed))
+        assert np.sqrt(np.mean(np.square(z))) >= floor
+        redrawn += first + 16384 <= 64000
+    assert redrawn
+    result = fit(Dataset([pair]), cfg, SMALL_NET, SMALL_STOI)
+    steps = [e for e in result.log if "step" in e]
+    assert len(steps) == 4 and all(math.isfinite(e["total"]) for e in steps)
+    assert all(math.isfinite(e["initial"]) and e["initial"] > 0 for e in result.log if "initial" in e)
+    # a pair whose interference is silent in every leading candidate is refused, naming it
+    with pytest.raises(SilentSignal, match="pair 0: every 16384-sample excerpt .* silent interference"):
+        fit(Dataset([_pair_with_interference(slice(82000, None))]), cfg, SMALL_NET, SMALL_STOI)
+
+
 def test_fit_raises_silent_signal_naming_the_pair():
     # target sound only in its first 4 of 24000 samples: a random 4096-sample
     # excerpt holds it with probability 4 / 19905 per draw
@@ -915,6 +952,19 @@ def test_train_config_validation():
         TrainConfig(optimizer="lbfgs")
     TrainConfig(excerpt_len=0)
     TrainConfig(learning_rate=0.0)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("snr_db", math.inf), ("snr_db", math.nan), ("learning_rate", math.nan), ("learning_rate", math.inf),
+     ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.5), ("beta2", math.nan), ("eps_opt", 0.0), ("eps_opt", -1.0),
+     ("eps_opt", math.inf)],
+)
+def test_train_config_rejects_non_finite_and_out_of_range_values(field, value):
+    # each would reach the mixing or the Adam update as a NaN or an infinity
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(**{field: value})
+    TrainConfig(beta1=0.0, beta2=0.0, eps_opt=1e-300, snr_db=-120.0)
 
 
 def test_normalize_scale_errors_propagate():
