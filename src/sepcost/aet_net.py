@@ -38,7 +38,7 @@ import numpy as np
 from . import diff_engine as engine
 from .diff_engine import Tensor, as_tensor, parameter
 from .errors import ShapeError, SignalTooShort, check_field_types
-from .signal_io import Waveform, _write_atomic
+from .signal_io import Waveform, _check_rate, _write_atomic
 
 # analysis frames per separation block: about 0.26 s at stride 16 and
 # 16 kHz, so with one BLAS thread the two blocks in flight, one per CPU,
@@ -175,11 +175,13 @@ def _smoothing_pad(cfg: NetConfig) -> tuple[int, int]:
 
 
 def analysis_forward(w, params: SeparatorParams) -> AetRepresentation:
-    """Mixture waveform -> (X, M), one column per analysis frame."""
+    """Mixture waveform (a Waveform or an array) -> (X, M), one column per analysis frame."""
     cfg = params.cfg
-    x = as_tensor(w.samples if isinstance(w, Waveform) else w)
-    if x.data.size < cfg.filter_len:
-        raise SignalTooShort(f"need at least {cfg.filter_len} samples, got {x.data.size}")
+    if isinstance(w, Tensor):  # the input is constant: no gradient reaches it
+        raise TypeError("analysis_forward takes a Waveform or an array, not a Tensor")
+    x = np.asarray(w.samples if isinstance(w, Waveform) else w, dtype=np.float64)
+    if x.size < cfg.filter_len:
+        raise SignalTooShort(f"need at least {cfg.filter_len} samples, got {x.size}")
     X = engine.conv1d(x, params.analysis, cfg.stride)
 
     # "same" convolution of |X| along frames, per component
@@ -203,7 +205,7 @@ def synthesis_forward(modulation_hat, rep: AetRepresentation, params: SeparatorP
 
 
 def forward(w, params: SeparatorParams) -> Tensor:
-    """Full network composition; output length (L-1)*stride + filter_len for L frames."""
+    """Full network composition of a Waveform or an array; output length (L-1)*stride + filter_len for L frames."""
     rep = analysis_forward(w, params)
     return synthesis_forward(separator_forward(rep.M, params), rep, params)
 
@@ -302,8 +304,10 @@ def order_bases_by_dominant_frequency(params: SeparatorParams, sample_rate: int)
     """Ascending sort of the analysis filters by their spectral peak.
 
     Returns (permutation, dominant_frequencies_hz); the permutation is a
-    stable argsort, so re-computation is reproducible.
+    stable argsort, so re-computation is reproducible. ValueError unless
+    sample_rate is a positive integer.
     """
+    _check_rate(sample_rate)
     spectra = np.abs(np.fft.rfft(params.analysis.data, n=BASIS_DFT_LEN, axis=1))
     freqs = spectra.argmax(axis=1) * (sample_rate / BASIS_DFT_LEN)
     perm = np.argsort(freqs, kind="stable")

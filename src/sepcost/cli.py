@@ -87,7 +87,7 @@ def _network_check_case(seed: int):
     trim = cfg.filter_len
 
     def graph(t):
-        est = aet_net.forward(Tensor(mix), SeparatorParams(cfg, **t))
+        est = aet_net.forward(mix, SeparatorParams(cfg, **t))
         n_out = est.data.size
         return losses.sdr_loss(est[trim : n_out - trim], Tensor(target[trim : n_out - trim]))
 

@@ -3,14 +3,17 @@
 A Tensor wraps a float64 numpy array. Ops applied to tensors that
 require gradients record their parents and a backward closure. Given the
 gradient g of the op's output, a closure returns a tuple with one
-gradient per parent, in the parents' order, or None for a parent it
-skips. `backward()` walks the tape in reverse topological
-order and is the only code that accumulates those gradients (`_accum`
-unbroadcasts and sums them). Leaves keep their `.grad`; an interior
-node's gradient is dropped once it has been passed on, as PyTorch does
-without `retain_grad`. Subtrees built purely from constants are folded
-(no closures), so constant branches of a loss cost nothing at backward
-time.
+gradient per parent, in the parents' order. `backward()` walks the tape
+in reverse topological order and is the only code that decides which
+parents take a gradient: it drops those of constant parents and
+accumulates the rest (`_accum` unbroadcasts and sums them). An operand
+that is constant on every product path (conv1d's signal,
+segment_correlation's target envelopes, band_envelopes' window and
+bands, gather_linear's plan) enters its op as a numpy array, not a
+parent. Leaves keep their `.grad`; an interior node's gradient is
+dropped once it has been passed on, as PyTorch does without
+`retain_grad`. Subtrees built purely from constants are folded (no
+closures), so constant branches of a loss cost nothing at backward time.
 
 The op set is exactly what the separation losses and network need:
 strided 1-D convolution and its transpose, which synthesises from
@@ -28,7 +31,9 @@ differentiation. `tests/test_op_census.py` holds the set to that: every
 public function here that creates a node must be reached by a product
 path (training, separation, evaluation or the gradient check). Each op
 runs one forward, taped or not, and has one backward closure; only
-`no_grad`, `Tensor` and `_result` read the tape flag.
+`no_grad`, `Tensor` and `_result` read the tape flag, and only the walk
+(`Tensor`, `_backward_step`, `_accum` and `_result`) reads
+`requires_grad`.
 
 Signals may carry leading dims: `gather_linear` and `band_envelopes`
 act on the last axis of a (..., T) stack, `segment_correlation` on the
@@ -211,16 +216,17 @@ class Tensor:
 def _backward_step(node: Tensor) -> None:
     """Run node's closure on its .grad and accumulate what it returns into its parents.
 
-    The returned gradients live only in this frame, so one that `_accum`
-    added into an existing .grad is freed before the walk runs the next
-    closure.
+    The closure returns a gradient for every parent; this is where those
+    of constant parents are dropped. The returned gradients live only in
+    this frame, so one that `_accum` added into an existing .grad is freed
+    before the walk runs the next closure.
     """
     g, node.grad = node.grad, None
     grads = node._backward(g)
     del g  # the closure may have written into g; what it returned is all that is left
     taken = []
     for parent, pg in zip(node._parents, grads):
-        if pg is None or not parent.requires_grad:
+        if not parent.requires_grad:
             continue
         # one array handed to two parents (add's (g, g)) must not become two .grad
         if any(pg is q for q in taken):
@@ -253,7 +259,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _accum(t: Tensor, g) -> None:
-    """Add g, summed over broadcast axes, into t.grad; skips None and constants.
+    """Add g, summed over broadcast axes, into t.grad; skips constants.
 
     A first gradient that owns its writeable data is stored as it is;
     views, broadcasts and slices are copied. Later gradients are added
@@ -261,7 +267,7 @@ def _accum(t: Tensor, g) -> None:
     a leaf gets a new array, so one that a caller took from an earlier
     backward() is never changed.
     """
-    if g is None or not t.requires_grad:
+    if not t.requires_grad:
         return
     g = _unbroadcast(np.asarray(g, dtype=np.float64), t.data.shape)
     if t.grad is None:
@@ -289,9 +295,9 @@ def _owned(g: np.ndarray, like: np.ndarray) -> np.ndarray:
 def _result(data, parents: tuple, backward) -> Tensor:
     """Wrap an op's output; record parents and closure only if a parent needs a gradient.
 
-    backward(g) returns one gradient per parent (None to skip one) and
-    changes no array but g (see `_owned`); Tensor.backward accumulates
-    what it returns.
+    backward(g) returns one gradient per parent and changes no array but
+    g (see `_owned`); the walk (`_backward_step`) drops the gradients of
+    constant parents and accumulates the rest.
     """
     return Tensor(data, _grad_enabled and any(p.requires_grad for p in parents), parents, backward)
 
@@ -314,32 +320,20 @@ def add(a, b) -> Tensor:
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = a.data - b.data
-    return _result(out, (a, b), lambda g: (g if a.requires_grad else None, -g if b.requires_grad else None))
-
-
-def _products_with(g, a: Tensor, b: Tensor) -> tuple:
-    """(g * b, g * a), the gradients of a * b and of a dot product, None for a constant parent."""
-    return g * b.data if a.requires_grad else None, g * a.data if b.requires_grad else None
+    return _result(out, (a, b), lambda g: (g, -g))
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = a.data * b.data
-    return _result(out, (a, b), lambda g: _products_with(g, a, b))
+    return _result(out, (a, b), lambda g: (g * b.data, g * a.data))
 
 
 def div(a, b) -> Tensor:
     """Elementwise division. No implicit epsilon: callers guard denominators."""
     a, b = as_tensor(a), as_tensor(b)
     out = a.data / b.data
-
-    def bw(g):
-        return (
-            g / b.data if a.requires_grad else None,
-            -g * a.data / (b.data * b.data) if b.requires_grad else None,
-        )
-
-    return _result(out, (a, b), bw)
+    return _result(out, (a, b), lambda g: (g / b.data, -g * a.data / (b.data * b.data)))
 
 
 def square(x) -> Tensor:
@@ -519,7 +513,7 @@ def dot(a, b) -> Tensor:
     if a.data.ndim != 1 or b.data.ndim != 1 or a.data.size != b.data.size:
         raise ShapeError(f"dot needs equal-length vectors, got {a.data.shape} and {b.data.shape}")
     out = a.data @ b.data
-    return _result(out, (a, b), lambda g: _products_with(g, a, b))
+    return _result(out, (a, b), lambda g: (g * b.data, g * a.data))
 
 
 def sum_(x, axis=None, keepdims: bool = False) -> Tensor:
@@ -668,11 +662,9 @@ def affine_softplus(w, x, b) -> Tensor:
             np.negative(sb, out=sb)  # g * sigmoid
 
         _row_pass(sigmoid_times_g, blocks, out.size, (rows, out.shape[1]))
-        gw = _product(s, xv.T) if w.requires_grad else None
-        gb = s.sum(axis=1, keepdims=True) if b.requires_grad else None
+        gw, gb = _product(s, xv.T), s.sum(axis=1, keepdims=True)
         # last, since it may overwrite s
-        gx = _product(wv.T, s, over_b=xv.shape == s.shape) if x.requires_grad else None
-        return gw, gx, gb
+        return gw, _product(wv.T, s, over_b=xv.shape == s.shape), gb
 
     return _result(out, (w, x, b), bw)
 
@@ -713,13 +705,17 @@ def conv1d(x, filters, stride: int) -> Tensor:
     """Multi-filter strided 1-D convolution (no padding).
 
     x: (T,), filters: (K, taps) -> (K, L) with L = (T - taps)//stride + 1.
+    The signal x is constant, a numpy array (TypeError for a Tensor), so
+    the filters are the node's one parent.
 
     The node keeps x, not its (L, taps) frame matrix: backward frames x
     again for the filter gradient, one more 16.3 MB copy per default-net
     step in place of 16.3 MB held from forward to backward.
     """
-    x, filters = as_tensor(x), as_tensor(filters)
-    xv, fv = x.data, filters.data
+    if isinstance(x, Tensor):
+        raise TypeError("conv1d takes its signal as a numpy array")
+    filters = as_tensor(filters)
+    xv, fv = np.asarray(x, dtype=np.float64), filters.data
     if xv.ndim != 1 or fv.ndim != 2:
         raise ShapeError("conv1d expects a 1-D signal and (K, taps) filters")
     taps = fv.shape[1]
@@ -728,14 +724,7 @@ def conv1d(x, filters, stride: int) -> Tensor:
     if stride <= 0:
         raise ValueError("stride must be positive")
     out = _product(fv, _frames(xv, taps, stride).T)
-
-    def bw(g):
-        return (
-            _overlap_add(_product(fv.T, g), stride, xv.size) if x.requires_grad else None,
-            _product(g, _frames(xv, taps, stride)) if filters.requires_grad else None,
-        )
-
-    return _result(out, (x, filters), bw)
+    return _result(out, (filters,), lambda g: (_product(g, _frames(xv, taps, stride)),))
 
 
 def _synthesize(coeffs: np.ndarray, filters: np.ndarray, stride: int) -> np.ndarray:
@@ -780,31 +769,25 @@ def conv1d_transpose(coeffs, filters, stride: int, carrier) -> Tensor:
 
     def bw(g):
         g_frames = _frames(np.asarray(g), taps, stride)
-        gc = _product(fv, g_frames.T) if coeffs.requires_grad or x.requires_grad or m.requires_grad else None
-        gx = np.empty_like(xv) if x.requires_grad or filters.requires_grad else None
-        gf = _product(remodulated(gx), g_frames) if filters.requires_grad else None
+        gc = _product(fv, g_frames.T)
+        gx = np.empty_like(xv)
+        gf = _product(remodulated(gx), g_frames)
         del g_frames
-        if gc is None:
-            return None, gf, None, None
-        gh = gc if coeffs.requires_grad else None
-        gx = gx if x.requires_grad else None
-        gm = np.empty_like(mv) if m.requires_grad else None
+        gm = np.empty_like(mv)
 
         def backward(r: slice, scratch: np.ndarray) -> None:
             n, (buf, gp) = r.stop - r.start, scratch
             gb, xb, mb = gc[r], xv[r], mv[r]
             np.multiply(gb, cv[r], out=gp[:n])
-            if gx is not None:
-                np.divide(gp[:n], mb, out=gx[r])
-            if gm is not None:
-                np.negative(gp[:n], out=gp[:n])
-                gp[:n] *= xb
-                np.divide(gp[:n], np.multiply(mb, mb, out=buf[:n]), out=gm[r])
-            if gh is not None:  # last, since gh is gc itself
-                np.multiply(gb, np.divide(xb, mb, out=buf[:n]), out=gh[r])
+            np.divide(gp[:n], mb, out=gx[r])
+            np.negative(gp[:n], out=gp[:n])
+            gp[:n] *= xb
+            np.divide(gp[:n], np.multiply(mb, mb, out=buf[:n]), out=gm[r])
+            # last, since it overwrites gc, the coefficients' gradient
+            np.multiply(gb, np.divide(xb, mb, out=buf[:n]), out=gb)
 
         _row_pass(backward, blocks, cv.size, (2, rows, cv.shape[1]))
-        return gh, gf, gx, gm
+        return gc, gf, gx, gm
 
     return _result(out, (coeffs, filters, x, m), bw)
 
@@ -856,22 +839,20 @@ def modulation(x, kernel, pad: tuple[int, int], floor: float) -> Tensor:
     _row_pass(forward, blocks, size, *scratch)
 
     def bw(g):
-        gx = _owned(g, xv) if x.requires_grad else None
-        gk = np.empty_like(kv) if kernel.requires_grad else None
+        gx, gk = _owned(g, xv), np.empty_like(kv)
 
         def backward(r: slice, mag: np.ndarray, term: np.ndarray, acc: np.ndarray) -> None:
             n = r.stop - r.start
             gb = g[r]
-            if gk is not None:
-                a = np.abs(xv[r], out=mag[:n])
-                for d, o, i in taps:
-                    gk[r, d] = np.einsum("kl,kl->k", gb[:, o], a[:, i])
-            if gx is not None:  # last, since gx may be g itself
-                ab = acc[:n]
-                ab[...] = 0.0
-                for d, o, i in taps:
-                    ab[:, i] += np.multiply(kv[r, d : d + 1], gb[:, o], out=term[:n, o])
-                np.multiply(ab, np.sign(xv[r], out=mag[:n]), out=gx[r])
+            a = np.abs(xv[r], out=mag[:n])
+            for d, o, i in taps:
+                gk[r, d] = np.einsum("kl,kl->k", gb[:, o], a[:, i])
+            # last, since gx may be g itself
+            ab = acc[:n]
+            ab[...] = 0.0
+            for d, o, i in taps:
+                ab[:, i] += np.multiply(kv[r, d : d + 1], gb[:, o], out=term[:n, o])
+            np.multiply(ab, np.sign(xv[r], out=mag[:n]), out=gx[r])
 
         _row_pass(backward, blocks, size, *scratch, scratch[0])
         return gx, gk
@@ -1069,12 +1050,13 @@ def segment_correlation(xe, ye, width: int, clip_factor: float, eps: float) -> T
     """STOI's correlation of every pair of envelope segments: (..., J, F) and (J, F) -> (..., J, M').
 
     xe holds an estimate's band envelopes and ye the target's, F frames
-    per band. Segment p of a band is its `width` frames from frame p, so
-    M' = F - width + 1. For a pair of segments sx and sy, sx is scaled to
-    sy's norm and clipped from above, clipped = min(|sy| / (|sx| + eps) *
-    sx, clip_factor * sy) with ties to the scaled segment, both are
-    centred (xc and yc), and d = <xc, yc> / (|xc| |yc| + eps) (Taal et
-    al., IEEE TASLP 19(7), 2011).
+    per band. The target is constant, a numpy array (TypeError for a
+    Tensor), so xe is the node's one parent. Segment p of a band is its
+    `width` frames from frame p, so M' = F - width + 1. For a pair of
+    segments sx and sy, sx is scaled to sy's norm and clipped from above,
+    clipped = min(|sy| / (|sx| + eps) * sx, clip_factor * sy) with ties
+    to the scaled segment, both are centred (xc and yc), and d = <xc, yc>
+    / (|xc| |yc| + eps) (Taal et al., IEEE TASLP 19(7), 2011).
 
     The pairs run in blocks of about _ROW_BLOCK segment values
     (`_row_blocks`): whole rows of x's leading dims, or bands of one row
@@ -1086,16 +1068,16 @@ def segment_correlation(xe, ye, width: int, clip_factor: float, eps: float) -> T
     no product path needs, live in `tests/reference.py` too), and that
     graph's reductions over the segment axis on arrays of its layout. So d
     is bitwise the chain's, and each row's is bitwise that of it alone.
-    The node keeps its two parents and (..., J, M') statistics: |sx|, the
-    clipped segments' mean, |xc|, <xc, yc> and the denominator, and the
-    target's mean, |sy| and |yc|.
-    Backward forms each block's segments again from them and overlap-adds
-    (`_overlap_add`) the segment gradients onto the envelopes. The
-    target's gradient is summed over x's leading dims, and skipped when
-    ye needs none. A norm takes the subgradient 0 at zero.
+    The node keeps xe, ye and (..., J, M') statistics: |sx|, the clipped
+    segments' mean, |xc|, <xc, yc> and the denominator, and the target's
+    mean, |sy| and |yc|. Backward forms each block's segments again from
+    them and overlap-adds (`_overlap_add`) the segment gradients onto the
+    envelopes. A norm takes the subgradient 0 at zero.
     """
-    xe, ye = as_tensor(xe), as_tensor(ye)
-    x_shape, yv = xe.data.shape, np.ascontiguousarray(ye.data)
+    if isinstance(ye, Tensor):
+        raise TypeError("segment_correlation takes its target envelopes as a numpy array")
+    xe = as_tensor(xe)
+    x_shape, yv = xe.data.shape, np.ascontiguousarray(ye, dtype=np.float64)
     if yv.ndim != 2 or x_shape[-2:] != yv.shape:
         raise ShapeError(f"envelopes of shape {x_shape} do not pair with target envelopes of shape {yv.shape}")
     n_bands, n_frames = yv.shape
@@ -1155,8 +1137,7 @@ def segment_correlation(xe, ye, width: int, clip_factor: float, eps: float) -> T
     d = num / den
 
     def bw(g):
-        gx = np.empty(x_shape) if xe.requires_grad else None  # owned, so the walk keeps it uncopied
-        gy = np.zeros(yv.shape) if ye.requires_grad else None
+        gx = np.empty(x_shape)  # owned, so the walk keeps it uncopied
         g = np.reshape(g, d.shape)
         g_num = (g / den)[..., None, :]
         g_den = -g * num / (den * den)
@@ -1166,36 +1147,24 @@ def segment_correlation(xe, ye, width: int, clip_factor: float, eps: float) -> T
             kx = np.where(xc_norm > 0.0, g_den * yc_norm / xc_norm, 0.0)[..., None, :]
             for s, j in blocks:
                 a, t, gs, over, c = views(arrays, s, j)
-                sx, sy = sx_all[s, j], sy_all[j]
+                sx = sx_all[s, j]
                 clip(s, j, a, c, over)
                 np.subtract(a, x_mean[s, j], out=a)  # xc
-                np.subtract(sy, y_mean[j], out=c)  # yc
-                # xc's gradient, then the clipped segments'
+                np.subtract(sy_all[j], y_mean[j], out=c)  # yc
+                # xc's gradient, then the clipped segments', then the scaled segments'
                 np.multiply(c, g_num[s, j], out=gs)
                 gs += np.multiply(a, kx[s, j], out=t)
                 gs -= gs.mean(axis=-2, keepdims=True)
-                if gy is not None:
-                    # yc's gradient summed over the block's rows, then sy's through yc and the clip
-                    g_sy = np.multiply(a, g_num[s, j], out=t).sum(axis=0)
-                    g_norm = (g_den[s, j] * xc_norm[s, j]).sum(axis=0)
-                    g_sy += np.where(yc_norm[j] > 0.0, g_norm / yc_norm[j], 0.0)[:, None, :] * c
-                    g_sy -= g_sy.mean(axis=-2, keepdims=True)
-                    g_sy += clip_factor * np.multiply(gs, over, out=t).sum(axis=0)
-                np.copyto(gs, 0.0, where=over)  # the scaled segments' gradient
+                np.copyto(gs, 0.0, where=over)
                 g_alpha = np.multiply(gs, sx, out=t).sum(axis=-2, keepdims=True)
                 x_eps = x_norm[s, j] + eps
-                if gy is not None:
-                    g_norm = (g_alpha / x_eps).sum(axis=0)
-                    g_sy += np.where(y_norm[j] > 0.0, g_norm / y_norm[j], 0.0) * sy
-                    gy[j] += _overlap_add(g_sy, 1, n_frames)
-                if gx is not None:
-                    g_norm = -g_alpha * y_norm[j] / (x_eps * x_eps)
-                    gs *= y_norm[j] / x_eps
-                    gs += np.multiply(sx, np.where(x_norm[s, j] > 0.0, g_norm / x_norm[s, j], 0.0), out=t)
-                    gx.reshape(xv.shape)[s, j] = _overlap_add(gs, 1, n_frames)
-        return gx, gy
+                g_norm = -g_alpha * y_norm[j] / (x_eps * x_eps)
+                gs *= y_norm[j] / x_eps
+                gs += np.multiply(sx, np.where(x_norm[s, j] > 0.0, g_norm / x_norm[s, j], 0.0), out=t)
+                gx.reshape(xv.shape)[s, j] = _overlap_add(gs, 1, n_frames)
+        return (gx,)
 
-    return _result(d.reshape(*x_shape[:-1], n_seg), (xe, ye), bw)
+    return _result(d.reshape(*x_shape[:-1], n_seg), (xe,), bw)
 
 
 # ---------------------------------------------------------------------------

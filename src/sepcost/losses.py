@@ -51,8 +51,11 @@ class StoiConfig:
             raise ValueError(f"frame_len must be at least 2, got {self.frame_len}")
         if self.fft_len < self.frame_len:
             raise ValueError(f"fft_len {self.fft_len} must be at least frame_len {self.frame_len}")
-        if self.clip_db >= 0:
-            raise ValueError("clip_db must be negative")
+        if not (np.isfinite(self.clip_db) and self.clip_db < 0):
+            raise ValueError(f"clip_db must be finite and negative, got {self.clip_db!r}")
+        # ValueError for num_bands < 1 or lowest_center <= 0; a NaN or infinite one keeps no band
+        if dsp.octave_band_matrix(self.analysis_rate, self.fft_len, self.num_bands, self.lowest_center).num_bands == 0:
+            raise ValueError(f"no one-third-octave band from {self.lowest_center} Hz holds a bin below Nyquist")
 
     @property
     def hop(self) -> int:
@@ -155,25 +158,28 @@ class StoiReference:
 
     Made by `stoi_reference`; pass it as `y` to score any number of
     estimates of the same length and rate against one target. It holds
-    the target's band envelopes, which stay on y's tape, so y is
-    differentiated through them when it requires a gradient.
+    the target's band envelopes as a numpy array: the target is a fixed
+    reference, and a gradient flows only into the estimate.
     """
 
     cfg: StoiConfig
     rate: int  # sample rate of y, and of every estimate scored against it
     n_in: int  # samples of y
-    envelopes: Tensor  # (J, F) band envelopes of y
+    envelopes: np.ndarray  # (J, F) band envelopes of y
 
 
 def stoi_reference(y, cfg: StoiConfig = StoiConfig(), sample_rate: int | None = None) -> StoiReference:
     """Prepare target y once for scoring several estimates against it.
 
     y's rate is its Waveform rate, else sample_rate, else
-    cfg.analysis_rate. Raises SignalTooShort if y holds less than one
-    segment at the analysis rate.
+    cfg.analysis_rate. y may be a constant Tensor; ValueError for one
+    that requires a gradient, since the target takes none. Raises
+    SignalTooShort if y holds less than one segment at the analysis rate.
     """
     yt, rate = _signal(y, sample_rate if sample_rate is not None else cfg.analysis_rate)
-    return StoiReference(cfg, rate, yt.data.shape[-1], _envelopes(yt, rate, cfg))
+    if yt.requires_grad:
+        raise ValueError("the STOI target is a fixed reference and takes no gradient")
+    return StoiReference(cfg, rate, yt.data.shape[-1], _envelopes(yt, rate, cfg).data)
 
 
 def stoi_forward(x, y, cfg: StoiConfig = StoiConfig(), sample_rate: int | None = None):

@@ -193,7 +193,7 @@ def _excerpt_terms(
     """
     _check_rate(pair, cfg)
     mix, y, z = _excerpt(pair, cfg, rng)
-    estimate = aet_net.forward(Tensor(mix), params)
+    estimate = aet_net.forward(mix, params)
     x_al, y_al, z_al = _aligned_loss_inputs(estimate, y, z, cfg.trim)
     return losses.composite_terms(cost, x_al, y_al, z_al, stoi_cfg, cfg.sample_rate)
 

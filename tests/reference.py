@@ -370,11 +370,7 @@ def minimum(a, b):
     a, b = E.as_tensor(a), E.as_tensor(b)
     take_a = a.data <= b.data
     out = np.where(take_a, a.data, b.data)
-
-    def bw(g):
-        return g * take_a if a.requires_grad else None, g * ~take_a if b.requires_grad else None
-
-    return E._result(out, (a, b), bw)
+    return E._result(out, (a, b), lambda g: (g * take_a, g * ~take_a))
 
 
 def norm(x, axis=None, keepdims=False):

@@ -171,7 +171,7 @@ def test_separate_full_length_matches_input_length():
 
 def _one_pass(samples, params):
     with E.no_grad():
-        return forward(E.Tensor(samples), params).data
+        return forward(samples, params).data
 
 
 def _blocked_params(seed, cfg):
@@ -464,7 +464,7 @@ def test_full_network_gradients(cfg):
         if cfg.weight_sharing == "independent":
             kwargs["synthesis"] = t["synthesis"]
         p = SeparatorParams(cfg, **kwargs)
-        est = forward(E.Tensor(mix), p)
+        est = forward(mix, p)
         n_out = est.data.size
         return sdr_loss(est[trim : n_out - trim], E.Tensor(target[trim : n_out - trim]))
 
@@ -487,7 +487,7 @@ def test_shared_gradients_accumulate_from_both_banks():
             SMALL, analysis=t["analysis"], smoothing_raw=t["smoothing_raw"],
             w1=t["w1"], b1=t["b1"], w2=t["w2"], b2=t["b2"],
         )
-        return E.sum_(E.square(forward(E.Tensor(mix), p)))
+        return E.sum_(E.square(forward(mix, p)))
 
     inputs = {name: t.data.copy() for name, t in params.tensors().items()}
     _, grads = E.evaluate_with_gradient(graph, inputs, ["analysis"])
@@ -508,6 +508,13 @@ def test_order_bases_by_dominant_frequency():
     np.testing.assert_array_equal(perm, [2, 1, 0])
     perm2, _ = order_bases_by_dominant_frequency(p, fs)
     np.testing.assert_array_equal(perm, perm2)
+
+
+@pytest.mark.parametrize("rate", [0, -16000, 16000.0])
+def test_order_bases_rejects_a_rate_that_is_no_positive_integer(rate):
+    # a rate of 0 gave all-zero frequencies and a negative one negative frequencies
+    with pytest.raises(ValueError, match="sample rates must be positive integers"):
+        order_bases_by_dominant_frequency(init_params(9, SMALL), rate)
 
 
 def test_export_bases_csv(tmp_path):

@@ -110,7 +110,7 @@ def test_separate_in_blocks_writes_the_one_pass_pcm(tmp_path, monkeypatch, capsy
     half = cfg.filter_len // 2
     padded = np.concatenate([np.zeros(half), mix.samples, np.zeros(half)])
     with diff_engine.no_grad():
-        one_pass = aet_net.forward(diff_engine.Tensor(padded), params).data[half : half + len(mix)]
+        one_pass = aet_net.forward(padded, params).data[half : half + len(mix)]
     peak = np.abs(one_pass).max()
     assert peak > 1.0
     write_wav(Waveform(one_pass / peak, 16000), tmp_path / "one_pass.wav")
@@ -284,6 +284,24 @@ def test_export_bases(tmp_path, data_dirs):
     first = out.read_bytes()
     assert main(args) == 0
     assert out.read_bytes() == first
+
+
+def test_export_bases_rejects_a_rate_below_1(tmp_path, capsys):
+    ckpt = tmp_path / "ckpt.json"
+    save_checkpoint(aet_net.init_params(0, aet_net.NetConfig(components=4, filter_len=32, stride=8)), OptState(), ckpt)
+    for rate in ("0", "-16000"):
+        out = tmp_path / f"bases{rate}.csv"
+        assert main(["export-bases", "--checkpoint", str(ckpt), "--output", str(out), "--sample-rate", rate]) == 2
+        assert "sample rates must be positive integers" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_print_config_rejects_a_stoi_config_with_no_band(tmp_path, capsys):
+    cfg_path = tmp_path / "stoi.json"
+    cfg_path.write_text(json.dumps({"stoi": {"lowest_center": 6000.0}}))
+    assert main(["print-config", "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert "no one-third-octave band" in captured.err and captured.out == ""
 
 
 def test_print_config_round_trip(tmp_path, capsys):

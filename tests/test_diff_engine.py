@@ -31,6 +31,10 @@ from reference import (
 )
 
 
+# target envelopes of the segment_correlation case below
+SEGMENT_TARGET = np.random.default_rng(37).standard_normal((3, 9))
+
+
 def fd_check(graph, inputs, wrt, tol=1e-6):
     value, grads = E.evaluate_with_gradient(graph, inputs, wrt)
     assert np.isfinite(value)
@@ -263,11 +267,12 @@ def test_beside_yields_in_task_order_and_runs_nested_calls_in_place(monkeypatch)
             lambda t: E.sum_(E.square(E.modulation(t["a"], t["k"], (1, 2), 0.25)) * t["b"]),
             {"a": (3, 7), "k": (3, 4), "b": (3, 7)},
         ),
-        # a clip factor of 1.5 clips some of the scaled segments
+        # a clip factor of 1.5 clips some of the scaled segments; the target
+        # envelopes are a constant array
         (
             "segment_correlation",
-            lambda t: E.sum_(E.segment_correlation(t["a"], t["b"], 3, 1.5, 1e-12) * t["c"]),
-            {"a": (2, 3, 9), "b": (3, 9), "c": (2, 3, 7)},
+            lambda t: E.sum_(E.segment_correlation(t["a"], SEGMENT_TARGET, 3, 1.5, 1e-12) * t["c"]),
+            {"a": (2, 3, 9), "c": (2, 3, 7)},
         ),
         ("mean_all", lambda t: E.mean(E.square(t["a"] - t["b"])), {"a": (3, 4), "b": (3, 4)}),
         (
@@ -299,23 +304,26 @@ def test_elementwise_and_shape_ops_fd(name, graph, shapes):
     fd_check(graph, inputs, sorted(shapes))
 
 
-def test_conv1d_fd_both_inputs():
+def test_conv1d_filter_fd():
+    # the signal is a constant array; the filters take the gradient
     rng = np.random.default_rng(10)
-    # stride 3 leaves a one-tap last block in the backward overlap-add
     for stride in (4, 3):
-        inputs = {"x": rng.standard_normal(70), "f": rng.standard_normal((3, 16))}
-        graph = lambda t: E.sum_(E.square(E.conv1d(t["x"], t["f"], stride=stride)))
-        fd_check(graph, inputs, ["x", "f"])
+        x = rng.standard_normal(70)
+        graph = lambda t: E.sum_(E.square(E.conv1d(x, t["f"], stride=stride)))
+        fd_check(graph, {"f": rng.standard_normal((3, 16))}, ["f"])
 
 
 def test_conv1d_with_leftover_tail_fd():
-    # signal length not landing on the stride grid: tail gets zero gradient
+    # signal length not landing on the stride grid: the tail reaches no output
     rng = np.random.default_rng(11)
-    inputs = {"x": rng.standard_normal(77), "f": rng.standard_normal((2, 16))}
-    graph = lambda t: E.sum_(E.square(E.conv1d(t["x"], t["f"], stride=4)))
-    fd_check(graph, inputs, ["x", "f"])
-    _, grads = E.evaluate_with_gradient(graph, inputs, ["x"])
-    assert not grads["x"][-1:].any()  # 77 = 15*4 + 16 + 1 leftover
+    x = rng.standard_normal(77)
+    inputs = {"f": rng.standard_normal((2, 16))}
+    graph = lambda t: E.sum_(E.square(E.conv1d(x, t["f"], stride=4)))
+    fd_check(graph, inputs, ["f"])
+    moved = x.copy()
+    moved[-1:] += 1.0  # 77 = 15*4 + 16 + 1 leftover
+    f = E.Tensor(inputs["f"])
+    assert E.conv1d(moved, f, 4).data.tobytes() == E.conv1d(x, f, 4).data.tobytes()
 
 
 def test_conv1d_transpose_fd_both_inputs():
@@ -341,7 +349,7 @@ def test_conv_transpose_is_conv_adjoint():
     x = rng.standard_normal(64)
     f = rng.standard_normal((5, 16))
     c = rng.standard_normal((5, 13))  # L = (64-16)/4+1 = 13
-    lhs = float((E.conv1d(E.Tensor(x), E.Tensor(f), 4).data * c).sum())
+    lhs = float((E.conv1d(x, E.Tensor(f), 4).data * c).sum())
     rhs = float(x @ E._synthesize(c, f, 4))
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
@@ -612,48 +620,50 @@ def test_band_envelopes_node_keeps_no_spectrum():
     ],
 )
 def test_segment_correlation_matches_generic_chain(cfg, n, rate, stack):
-    # d bitwise the chain's, for one row and for a stack, and the gradients
-    # of x and y through the front end within 1e-13 of the chain's
+    # d bitwise the chain's, for one row and for a stack, and the gradient
+    # of x through the front end within 1e-13 of the chain's
     rng = np.random.default_rng(23)
     y = rng.standard_normal(n)
     xs = y + rng.standard_normal((*stack, n))
     xs[0, 1, : n * 3 // 4] = 0.0  # zero segments take the norms' subgradient 0
     args = (cfg.segment_frames, cfg.clip_factor, 1e-12)
+    ye = _envelopes(E.Tensor(y), rate, cfg).data
     for x in (xs[0, 1], xs[1, 2], xs):
         grads = []
-        for op in (E.segment_correlation, stoi_chain):
-            xt, yt = E.parameter(x), E.parameter(y)
-            d = op(_envelopes(xt, rate, cfg), _envelopes(yt, rate, cfg), *args)
+        for op, target in ((E.segment_correlation, ye), (stoi_chain, E.Tensor(ye))):
+            xt = E.parameter(x)
+            d = op(_envelopes(xt, rate, cfg), target, *args)
             g = np.random.default_rng(24).standard_normal(d.data.shape)
             E.sum_(d * g).backward()
-            grads.append((d.data, xt.grad, yt.grad))
-        (d, gx, gy), (d_chain, gx_chain, gy_chain) = grads
+            grads.append((d.data, xt.grad))
+        (d, gx), (d_chain, gx_chain) = grads
         np.testing.assert_array_equal(d, d_chain)
         assert E.max_relative_error(gx, gx_chain) <= 1e-13
-        assert E.max_relative_error(gy, gy_chain) <= 1e-13
 
 
 def test_segment_correlation_skips_a_constant_target():
+    # the target envelopes enter as an array, so the estimate's are the one parent
     rng = np.random.default_rng(25)
     xe = E.parameter(np.abs(rng.standard_normal((2, 3, 12))))
-    ye = E.Tensor(np.abs(rng.standard_normal((3, 12))))
+    ye = np.abs(rng.standard_normal((3, 12)))
     d = E.segment_correlation(xe, ye, 4, 1.5, 1e-12)
     assert d.data.shape == (2, 3, 9)
-    assert d._parents == (xe, ye)
-    assert d._backward(np.ones((2, 3, 9)))[1] is None
+    assert d._parents == (xe,)
+    (gx,) = d._backward(np.ones((2, 3, 9)))
+    assert gx.shape == xe.shape
     with E.no_grad():
         assert not E.segment_correlation(xe, ye, 4, 1.5, 1e-12).requires_grad
 
 
 def test_segment_correlation_rejects_mismatched_shapes():
     env = E.Tensor(np.ones((3, 12)))
-    E.segment_correlation(env, env, 12, 1.5, 1e-12)  # exactly fits: one segment
+    E.segment_correlation(env, env.data, 12, 1.5, 1e-12)  # exactly fits: one segment
     with pytest.raises(ShapeError, match="segments"):
-        E.segment_correlation(env, env, 13, 1.5, 1e-12)
+        E.segment_correlation(env, env.data, 13, 1.5, 1e-12)
     with pytest.raises(ShapeError, match="pair"):
-        E.segment_correlation(env, E.Tensor(np.ones((3, 11))), 4, 1.5, 1e-12)
+        E.segment_correlation(env, np.ones((3, 11)), 4, 1.5, 1e-12)
     with pytest.raises(ShapeError, match="pair"):
-        E.segment_correlation(env, E.Tensor(np.ones((2, 3, 12))), 4, 1.5, 1e-12)
+        E.segment_correlation(env, np.ones((2, 3, 12)), 4, 1.5, 1e-12)
 
 
 @pytest.mark.parametrize("taps,stride", [(64, 32), (5, 3), (7, 7), (9, 1)])
@@ -1048,7 +1058,7 @@ def test_determinism_bitwise():
     inputs = {"x": rng.standard_normal(257), "f": rng.standard_normal((4, 32))}
 
     def graph(t):
-        c = E.conv1d(t["x"], t["f"], stride=8)
+        c = E.conv1d(inputs["x"], t["f"], stride=8)
         return E.sum_(E.square(c)) / (norm(t["x"]) + 1.0)
 
     v1, g1 = E.evaluate_with_gradient(graph, inputs, ["x", "f"])
@@ -1081,7 +1091,7 @@ def test_shape_errors():
     with pytest.raises(ShapeError):
         E.dot(E.Tensor([1.0, 2.0]), E.Tensor([1.0]))
     with pytest.raises(ShapeError):
-        E.conv1d(E.Tensor(np.zeros(8)), E.Tensor(np.zeros((1, 16))), 2)
+        E.conv1d(np.zeros(8), E.Tensor(np.zeros((1, 16))), 2)
     E.modulation(E.Tensor(np.zeros((2, 3))), E.Tensor(np.zeros((2, 5))), (1, 1), 1.0)  # exactly fits
     with pytest.raises(ShapeError):
         E.modulation(E.Tensor(np.zeros((2, 3))), E.Tensor(np.zeros((2, 6))), (1, 1), 1.0)
@@ -1137,28 +1147,46 @@ def test_constant_folding():
     p = E.parameter([1.0, 2.0])
     z = E.square(p)
     assert z.requires_grad and len(z._parents) == 1
-    # a closure returns None for a constant parent it skips
-    c = E.conv1d(E.Tensor(np.arange(8.0)), E.parameter(np.ones((2, 4))), 2)
-    x_grad, f_grad = c._backward(np.ones_like(c.data))
-    assert x_grad is None and f_grad.shape == (2, 4)
+    # conv1d's signal is an array, so its filters are its one parent
+    f = E.parameter(np.ones((2, 4)))
+    c = E.conv1d(np.arange(8.0), f, 2)
+    assert c._parents == (f,)
+    (f_grad,) = c._backward(np.ones_like(c.data))
+    assert f_grad.shape == (2, 4)
+
+
+def test_constant_operands_enter_as_arrays():
+    env, f = E.parameter(np.ones((3, 12))), E.parameter(np.ones((2, 4)))
+    with pytest.raises(TypeError, match="numpy array"):
+        E.conv1d(E.Tensor(np.arange(8.0)), f, 2)
+    with pytest.raises(TypeError, match="numpy array"):
+        E.segment_correlation(env, E.Tensor(np.ones((3, 12))), 4, 1.5, 1e-12)
 
 
 @pytest.mark.parametrize("name", ["mul", "div", "sub", "minimum", "dot"])
-def test_closures_skip_constant_parents(name):
-    # a closure forms no gradient for a constant parent, and the other
-    # parent's is bitwise the one it forms when both need one
+def test_the_walk_skips_constant_parents(name):
+    # a closure returns a gradient for each parent; the walk leaves a
+    # constant parent's .grad None, and the other parent's is bitwise the
+    # one it takes when both vary
     op = minimum if name == "minimum" else getattr(E, name)
     rng = np.random.default_rng(32)
     a, b = rng.standard_normal(6), rng.uniform(0.5, 2.0, 6)
     a[1] = b[1]  # a tie in minimum
     g = rng.standard_normal(() if name == "dot" else 6)
-    both = op(E.parameter(a), E.parameter(b))._backward(g.copy())
+
+    def grads(parents):
+        out = op(*parents)
+        assert all(pg is not None for pg in out._backward(g.copy()))
+        E.sum_(out * g).backward()
+        return [t.grad for t in parents]
+
+    both = grads([E.parameter(a), E.parameter(b)])
     for const in (0, 1):
         parents = [E.parameter(a), E.parameter(b)]
         parents[const] = E.Tensor(parents[const].data)
-        grads = op(*parents)._backward(g.copy())
-        assert grads[const] is None
-        assert grads[1 - const].tobytes() == both[1 - const].tobytes()
+        got = grads(parents)
+        assert got[const] is None
+        assert got[1 - const].tobytes() == both[1 - const].tobytes()
 
 
 # m * k is kept above 3906, so a span of 256 columns holds more than the

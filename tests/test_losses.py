@@ -169,9 +169,29 @@ def test_stoi_config_rejects_fft_shorter_than_frame():
     StoiConfig(frame_len=256, fft_len=256)  # no zero padding is fine
 
 
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("clip_db", float("nan"), "clip_db must be finite and negative"),
+        ("clip_db", float("-inf"), "clip_db must be finite and negative"),
+        ("clip_db", 0.0, "clip_db must be finite and negative"),
+        ("lowest_center", float("nan"), "no one-third-octave band"),
+        ("lowest_center", float("inf"), "no one-third-octave band"),
+        ("lowest_center", 0.0, "lowest_center must be positive"),
+        ("lowest_center", 6000.0, "no one-third-octave band"),  # above the 5 kHz Nyquist frequency
+        ("num_bands", 0, "num_bands must be at least 1"),
+    ],
+)
+def test_stoi_config_rejects_a_config_with_no_finite_score(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        StoiConfig(**{field: value})
+    StoiConfig(lowest_center=4000.0, num_bands=1)  # one band, below the 5 kHz Nyquist frequency, is enough
+
+
 def test_stoi_config_hop_is_half_the_frame():
     assert StoiConfig().hop == 128
-    assert StoiConfig(frame_len=2, fft_len=2).hop == 1
+    # zero-padded to 512 points, so that a band keeps a bin
+    assert StoiConfig(frame_len=2, fft_len=512).hop == 1
     # one-sample frames would give hop 0
     with pytest.raises(ValueError, match="frame_len must be at least 2"):
         StoiConfig(frame_len=1)
@@ -197,16 +217,16 @@ def test_stoi_fd_small_config_with_resample():
     assert E.max_relative_error(grads["x"], fd) <= 1e-5
 
 
-@pytest.mark.parametrize("n,rate", [(400, 4000), (440, 4400)])
-def test_stoi_fd_target_gradient(n, rate):
-    # y reaches the score through the prepared reference, which must stay on its tape
-    rng = np.random.default_rng(11)
-    inputs = {"x": rng.standard_normal(n), "y": rng.standard_normal(n)}
-    graph = lambda t: stoi_loss(t["x"], t["y"], SMALL_STOI, sample_rate=rate)
-    _, grads = E.evaluate_with_gradient(graph, inputs, ["y"])
-    assert np.abs(grads["y"]).max() > 0.0
-    fd = E.finite_difference_gradient(graph, inputs, "y")
-    assert E.max_relative_error(grads["y"], fd) <= 1e-5
+def test_stoi_reference_refuses_a_target_that_requires_a_gradient():
+    # the target is a fixed reference: a constant Tensor is taken, a parameter refused
+    y = np.random.default_rng(11).standard_normal(440)
+    ref = stoi_reference(E.Tensor(y), SMALL_STOI, sample_rate=4400)
+    assert isinstance(ref.envelopes, np.ndarray)
+    np.testing.assert_array_equal(ref.envelopes, stoi_reference(y, SMALL_STOI, sample_rate=4400).envelopes)
+    with pytest.raises(ValueError, match="no gradient"):
+        stoi_reference(E.parameter(y), SMALL_STOI, sample_rate=4400)
+    with pytest.raises(ValueError, match="no gradient"):
+        stoi_loss(np.zeros(440), E.parameter(y), SMALL_STOI, sample_rate=4400)
 
 
 @pytest.mark.parametrize("cfg,n,rate", [(SMALL_STOI, 440, 4400), (StoiConfig(), 4000, 10080)])

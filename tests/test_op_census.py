@@ -82,16 +82,27 @@ def _codes(code):
             yield from _codes(const)
 
 
+def readers(name: str) -> set:
+    """The qualified names of the diff_engine functions and methods whose code, closures included, names `name`."""
+    functions = [f for f in vars(E).values() if inspect.isfunction(f)]
+    functions += [f for c in vars(E).values() if inspect.isclass(c) for f in vars(c).values() if inspect.isfunction(f)]
+    return {
+        f.__qualname__ for f in map(inspect.unwrap, functions) if f.__module__ == E.__name__
+        and any(name in code.co_names for code in _codes(f.__code__))
+    }
+
+
 def test_only_the_tape_switches_read_the_grad_flag():
     # an op that reads `_grad_enabled` runs a second path when no tape
     # records; every op runs one forward either way and records one closure
-    functions = [f for f in vars(E).values() if inspect.isfunction(f)]
-    functions += [f for c in vars(E).values() if inspect.isclass(c) for f in vars(c).values() if inspect.isfunction(f)]
-    readers = {
-        f.__qualname__ for f in map(inspect.unwrap, functions) if f.__module__ == E.__name__
-        and any("_grad_enabled" in code.co_names for code in _codes(f.__code__))
-    }
-    assert readers == {"no_grad", "Tensor.__init__", "_result"}
+    assert readers("_grad_enabled") == {"no_grad", "Tensor.__init__", "_result"}
+
+
+def test_only_the_walk_reads_requires_grad():
+    # every closure returns each parent's gradient and the walk drops those
+    # of constant parents, so no op forks on which parents vary
+    walk = {"Tensor.__init__", "Tensor.backward", "Tensor.__repr__", "_backward_step", "_accum", "_result"}
+    assert readers("requires_grad") == walk
 
 
 def orphan_op(x):
